@@ -21,7 +21,7 @@ from .linalg import Matrix
 from .rings import Poly, PolyRing
 from .scalars import Cyclo
 from .solver import (DEFAULT_BUDGET, AffineResult, SolutionSet,
-                     aggregate_chart_results, classify_affine)
+                     aggregate_chart_results, classify_affine, groebner_basis)
 from .solver import EMPTY as solver_empty
 from .solver import IDEAL_ONLY as solver_ideal
 from .solver import POINTS as solver_points
@@ -285,6 +285,7 @@ class PoissonAlgebra:
         self.require_quadratic("normal_find_deg1")
         n = self.nvars
         chart_results: list[AffineResult] = []
+        chart_equations: list[list[Poly]] = []
         diagnostics: list[Poly] = []
         for m in range(n):
             tail = list(range(m + 1, n))
@@ -335,7 +336,18 @@ class PoissonAlgebra:
             if res.kind == solver_ideal:
                 diagnostics.extend(res.gb)
             chart_results.append(res)
-        return aggregate_chart_results(chart_results, n, fallback=tuple(diagnostics))
+            chart_equations.append([e for e in equations if not e.is_zero()])
+        result = aggregate_chart_results(chart_results, n, fallback=tuple(diagnostics))
+        if result.kind == solver_ideal and not result.generators:
+            # no chart is of kind ideal, but the pieces do not form a subspace:
+            # describe the set by each chart's Groebner basis
+            gens: dict[str, Poly] = {}
+            for eqs in chart_equations:
+                if eqs:
+                    for g in groebner_basis(eqs, budget=budget):
+                        gens.setdefault(str(g), g)
+            result = SolutionSet(solver_ideal, n, generators=tuple(gens.values()))
+        return result
 
     def __repr__(self):
         entries = ", ".join(

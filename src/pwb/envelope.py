@@ -15,11 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .brackets import PoissonAlgebra
-from .errors import (CapExceededError, NotAutomorphismError, NotQuadraticError,
-                     NotReflectionError)
-from .linalg import Matrix
+from .errors import (CapExceededError, InvalidDegreeError, NotAutomorphismError,
+                     NotQuadraticError, NotReflectionError)
+from .linalg import Echelon, Matrix, realify
 from .rings import Poly
-from .scalars import Cyclo
+from .scalars import Cyclo, conductor, euler_phi
 from .series import RationalSeries
 from .symmetry import (REFLECTION, GradedMap, classify, is_poisson_automorphism,
                        trace_series)
@@ -136,93 +136,42 @@ def envelope_presentation(A: PoissonAlgebra, aliases: bool = False) -> NCPresent
     return NCPresentation(A, names, tuple(relations))
 
 
-def _word_index(word: Word, g: int) -> int:
-    acc = 0
-    for a in word:
-        acc = acc * g + a
-    return acc
-
-
-def _sparse_rank(rows: list[dict]) -> int:
-    """Rank of sparse rows (column index -> Cyclo) by elimination."""
-    pivots: dict[int, dict] = {}
-    rank = 0
-    for row in rows:
-        row = dict(row)
-        while row:
-            lead = min(row)
-            piv = pivots.get(lead)
-            if piv is None:
-                inv = row[lead].inverse()
-                row = {k: v * inv for k, v in row.items()}
-                pivots[lead] = row
-                rank += 1
-                break
-            f = row[lead]
-            for k, v in piv.items():
-                acc = row.get(k, _ZERO) - f * v
-                if acc.is_zero():
-                    row.pop(k, None)
-                else:
-                    row[k] = acc
-        # empty row: linearly dependent
-    return rank
-
-
-def _reduce_sparse(row: dict, pivots: dict) -> dict:
-    row = dict(row)
-    while row:
-        lead = min(row)
-        piv = pivots.get(lead)
-        if piv is None:
-            return row
-        f = row[lead]
-        for k, v in piv.items():
-            acc = row.get(k, _ZERO) - f * v
-            if acc.is_zero():
-                row.pop(k, None)
-            else:
-                row[k] = acc
-    return row
+def _indexed(ws: WordSum, g: int) -> dict[int, Cyclo]:
+    """A quadratic relation with each two-letter word a*b as column a*g + b."""
+    return {a * g + b: c for (a, b), c in ws.items()}
 
 
 def envelope_dims(A: PoissonAlgebra, d: int, cap: int = DEFAULT_DIM_CAP) -> list[int]:
-    """dim of the degree-k component of the presented algebra, k = 0..d."""
+    """dim of the degree-k component of the presented algebra, k = 0..d.
+
+    The degree-k relations u*r*v (words u, v with |u| + |v| = k - 2) are
+    realified once over Q(zeta_N), N the conductor of the relations, and
+    eliminated exactly over the integers: rank over Q(zeta_N) is the rank
+    over Q divided by phi(N).
+    """
+    if d < 0:
+        raise InvalidDegreeError(f"degree {d} is negative")
     if d > cap:
         raise CapExceededError(f"degree {d} exceeds the cap {cap}")
     pres = envelope_presentation(A)
     g = pres.ngens
-    dims = [1]
-    for k in range(1, d + 1):
-        if k == 1:
-            dims.append(g)
-            continue
-        rows = []
-        for r in pres.relations:
-            for a in range(k - 1):
-                b = k - 2 - a
-                for uw in _words(g, a):
-                    for vw in _words(g, b):
-                        row = {}
-                        for word, c in r.items():
-                            full = uw + word + vw
-                            idx = _word_index(full, g)
-                            acc = row.get(idx, _ZERO) + c
-                            if acc.is_zero():
-                                row.pop(idx, None)
-                            else:
-                                row[idx] = acc
-                        if row:
-                            rows.append(row)
-        dims.append(g ** k - _sparse_rank(rows))
+    n = conductor(c for r in pres.relations for c in r.values())
+    phi = euler_phi(n)
+    # realified relations as (two-letter word index, coordinate, coefficient)
+    rels = [[(*divmod(col, phi), c) for col, c in row.items()]
+            for r in pres.relations for row in realify(_indexed(r, g), n)]
+    dims = [1, g][: d + 1]
+    g2 = g * g
+    for k in range(2, d + 1):
+        span = Echelon()
+        for a in range(k - 1):
+            gb = g ** (k - 2 - a)
+            for rel in rels:
+                for u in range(0, g ** a * g2, g2):
+                    for v in range(gb):
+                        span.insert({((u + w) * gb + v) * phi + t: c for w, t, c in rel})
+        dims.append(g ** k - span.rank // phi)
     return dims
-
-
-def _words(g: int, length: int) -> list[Word]:
-    if length == 0:
-        return [()]
-    shorter = _words(g, length - 1)
-    return [w + (a,) for w in shorter for a in range(g)]
 
 
 @dataclass
@@ -250,34 +199,31 @@ def envelope_extend(A: PoissonAlgebra, g: GradedMap) -> EnvelopeExtension:
         big_rows.append(row)
     extended = GradedMap(Matrix(big_rows))
     pres = envelope_presentation(A)
-    # pivot table for the degree-2 relation span
-    pivots: dict[int, dict] = {}
     gsz = pres.ngens
+    # nonzero entries of each column: generator a maps to sum ca * generator a2
+    cols = [[(a2, ca) for a2, ca in enumerate(col) if not ca.is_zero()]
+            for col in extended.matrix.transpose().rows]
+    # each relation's image must lie in the span of the relations over
+    # Q(zeta_N); realified, that is membership in a Q-span
+    N = conductor([c for r in pres.relations for c in r.values()]
+                  + [c for col in cols for _, c in col])
+    span = Echelon()
     for r in pres.relations:
-        row = _reduce_sparse({_word_index(w, gsz): c for w, c in r.items()}, pivots)
-        if row:
-            lead = min(row)
-            inv = row[lead].inverse()
-            pivots[lead] = {k: v * inv for k, v in row.items()}
+        for row in realify(_indexed(r, gsz), N):
+            span.insert(row)
     preserved = True
     for r in pres.relations:
         image: dict = {}
         for (a, b), c in r.items():
-            for a2 in range(gsz):
-                ca = extended.matrix.rows[a2][a]
-                if ca.is_zero():
-                    continue
-                for b2 in range(gsz):
-                    cb = extended.matrix.rows[b2][b]
-                    if cb.is_zero():
-                        continue
-                    idx = _word_index((a2, b2), gsz)
+            for a2, ca in cols[a]:
+                for b2, cb in cols[b]:
+                    idx = a2 * gsz + b2
                     acc = image.get(idx, _ZERO) + c * ca * cb
                     if acc.is_zero():
                         image.pop(idx, None)
                     else:
                         image[idx] = acc
-        if _reduce_sparse(image, pivots):
+        if span.reduce(realify(image, N)[0]):
             preserved = False
             break
     return EnvelopeExtension(extended, preserved)

@@ -109,5 +109,9 @@ class CapExceededError(PwbError):
     pass
 
 
+class InvalidDegreeError(PwbError):
+    """A requested degree is outside the range the computation accepts."""
+
+
 class FileFormatError(PwbError):
     pass

@@ -105,7 +105,8 @@ def _try_diagonalize(group: PoissonGroup):
         for j in range(i + 1, len(gens)):
             if gens[i] * gens[j] != gens[j] * gens[i]:
                 return None
-    # spaces: (list of column vectors, chars so far)
+    # common eigenspaces, kept whole until every generator has split them:
+    # (basis column vectors, eigenvalue of each generator processed so far)
     spaces: list[tuple[list[list[Cyclo]], list[Cyclo]]] = [
         ([list(r) for r in Matrix.identity(n).rows], [])]
     for g in gens:
@@ -133,13 +134,12 @@ def _try_diagonalize(group: PoissonGroup):
             for lam in uniq:
                 delta = Matrix([[R.rows[a][b] - (lam if a == b else _ZERO)
                                  for b in range(k)] for a in range(k)])
-                for vec in delta.kernel_basis():
-                    col = [sum((vec[t] * basis[t][i] for t in range(k)), _ZERO)
-                           for i in range(n)]
-                    new_spaces.append(([col], chars + [lam]))
+                cols = [[sum((vec[t] * basis[t][i] for t in range(k)), _ZERO)
+                         for i in range(n)] for vec in delta.kernel_basis()]
+                new_spaces.append((cols, chars + [lam]))
         spaces = new_spaces
-    T = Matrix([s[0][0] for s in spaces]).transpose()
-    chars = [[s[1][gi] for s in spaces] for gi in range(len(gens))]
+    T = Matrix([col for basis, _ in spaces for col in basis]).transpose()
+    chars = [[lams[gi] for basis, lams in spaces for _ in basis] for gi in range(len(gens))]
     return T, chars
 
 

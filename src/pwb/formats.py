@@ -194,6 +194,10 @@ def parse_matrix(text: str) -> Matrix:
         rows.append(entries)
     if not rows:
         raise FileFormatError("empty matrix file")
+    for i, row in enumerate(rows):
+        if len(row) != len(rows[0]):
+            raise FileFormatError(f"ragged matrix: row {i + 1} has {len(row)} entries, "
+                                  f"row 1 has {len(rows[0])}")
     return Matrix(rows)
 
 

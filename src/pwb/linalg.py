@@ -1,10 +1,11 @@
-"""Dense exact linear algebra over Q(zeta_N)."""
+"""Exact linear algebra over Q(zeta_N): dense matrices and a sparse integer echelon."""
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from math import gcd
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import SingularMatrixError
-from .scalars import Cyclo
+from .scalars import Cyclo, cyclotomic_polynomial, euler_phi, lcm
 
 _ZERO = Cyclo.of(0)
 _ONE = Cyclo.of(1)
@@ -214,14 +215,6 @@ class Matrix:
                 return [-c for c in sol] + [_ONE]
         raise AssertionError("minimal polynomial must exist by Cayley-Hamilton")
 
-    def conductor(self) -> int:
-        from .scalars import lcm as _lcm
-        n = 1
-        for r in self.rows:
-            for x in r:
-                n = _lcm(n, x.n)
-        return n
-
     def __str__(self):
         return "\n".join(" ".join(str(x) for x in r) for r in self.rows)
 
@@ -270,3 +263,102 @@ def solve_linear(a: Matrix, b: Sequence) -> Optional[list[Cyclo]]:
     for i, p in enumerate(pivots):
         x[p] = reduced.rows[i][a.ncols]
     return x
+
+
+# -- sparse exact elimination ---------------------------------------------------
+
+
+class Echelon:
+    """Incremental echelon form of sparse integer rows; the rank is exact over Q.
+
+    A row maps a column index to a nonzero int.  Each pivot row is primitive
+    (its content divided out) with a positive entry at its least column, and
+    it is stored under that column.  Eliminating a pivot from a row is the
+    fraction-free step a*row - b*pivot with a, b coprime (Bareiss), after
+    which the row's content is divided out, so entries stay small integers.
+    """
+
+    __slots__ = ("pivots",)
+
+    def __init__(self):
+        self.pivots: dict[int, dict[int, int]] = {}
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def reduce(self, row: Mapping[int, int]) -> dict[int, int]:
+        """row reduced until its least column holds no pivot; {} iff row is in the span.
+
+        A nonempty result is a nonzero rational multiple of row minus a
+        combination of pivot rows.
+        """
+        row = dict(row)
+        pivots = self.pivots
+        while row:
+            lead = min(row)
+            piv = pivots.get(lead)
+            if piv is None:
+                break
+            a, b = piv[lead], row[lead]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            if a != 1:
+                for k in row:
+                    row[k] *= a
+            for k, v in piv.items():
+                x = row.get(k, 0) - b * v
+                if x:
+                    row[k] = x
+                else:
+                    del row[k]
+            c = gcd(*row.values())
+            if c > 1:
+                row = {k: v // c for k, v in row.items()}
+        return row
+
+    def insert(self, row: Mapping[int, int]) -> bool:
+        """Add row to the span; True iff it raised the rank."""
+        row = self.reduce(row)
+        if not row:
+            return False
+        lead = min(row)
+        c = gcd(*row.values())
+        if row[lead] < 0:
+            c = -c
+        if c != 1:
+            row = {k: v // c for k, v in row.items()}
+        self.pivots[lead] = row
+        return True
+
+
+def realify(row: Mapping[int, Cyclo], n: int) -> list[dict[int, int]]:
+    """Integer rows whose Q-span is the Q(zeta_n)-span of a sparse row.
+
+    Entry c at column k becomes columns k*phi(n) + t, t < phi(n), holding the
+    power-basis coordinates of zeta_n^j * c in Q[x]/Phi_n; row j < phi(n) is
+    that image cleared of denominators.  Hence rank over Q(zeta_n) of a set
+    of rows is the Q-rank of their realified rows divided by phi(n).  Every
+    entry must lie in Q(zeta_n).
+    """
+    phi = euler_phi(n)
+    poly = cyclotomic_polynomial(n)
+    coords = {k: c.lift_to(n).c for k, c in row.items()}
+    den = 1
+    for vec in coords.values():
+        for x in vec:
+            den = lcm(den, x.denominator)
+    vecs = {k: [x.numerator * (den // x.denominator) for x in vec]
+            for k, vec in coords.items()}
+    out = []
+    for j in range(phi):
+        if j:
+            # multiply by zeta_n: shift up, then x^phi = -(Phi_n - x^phi)
+            for k, vec in vecs.items():
+                top = vec[-1]
+                vec = [0] + vec[:-1]
+                if top:
+                    vec = [x - top * p for x, p in zip(vec, poly)]
+                vecs[k] = vec
+        out.append({k * phi + t: x for k, vec in vecs.items() for t, x in enumerate(vec) if x})
+    return out

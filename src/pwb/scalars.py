@@ -25,6 +25,14 @@ def lcm(a: int, b: int) -> int:
     return a // gcd(a, b) * b
 
 
+def conductor(values) -> int:
+    """lcm of the conductors the values are stored at."""
+    n = 1
+    for x in values:
+        n = lcm(n, x.n)
+    return n
+
+
 def divisors(n: int) -> list[int]:
     small, large = [], []
     d = 1

@@ -12,7 +12,7 @@ from math import gcd
 from typing import Iterable
 
 from .errors import DivisorZeroError
-from .scalars import Cyclo, cyclotomic_polynomial, divisors, euler_phi, lcm, zeta
+from .scalars import Cyclo, conductor, cyclotomic_polynomial, divisors, euler_phi, lcm, zeta
 
 _ZERO = Cyclo.of(0)
 _ONE = Cyclo.of(1)
@@ -155,10 +155,7 @@ class UPoly:
         return gcd_upoly(self, self.derivative()).degree() == 0
 
     def conductor(self) -> int:
-        n = 1
-        for c in self.coeffs:
-            n = lcm(n, c.n)
-        return n
+        return conductor(self.coeffs)
 
     def all_rational(self) -> bool:
         return all(c.is_rational() for c in self.coeffs)

@@ -169,6 +169,28 @@ def dense_rank(rows: list[list[Fraction]]) -> int:
     return rank
 
 
+def cyclo_sparse_rank(rows: list[dict]) -> int:
+    """Rank of sparse rows (column -> Cyclo) by elimination over Q(zeta_N) itself."""
+    pivots: dict[int, dict] = {}
+    for row in rows:
+        row = {k: v for k, v in row.items() if not v.is_zero()}
+        while row:
+            lead = min(row)
+            piv = pivots.get(lead)
+            if piv is None:
+                inv = row[lead].inverse()
+                pivots[lead] = {k: v * inv for k, v in row.items()}
+                break
+            f = row[lead]
+            for k, v in piv.items():
+                acc = row.get(k, ZERO) - f * v
+                if acc.is_zero():
+                    row.pop(k, None)
+                else:
+                    row[k] = acc
+    return len(pivots)
+
+
 def matrix_order_by_iteration(rows, cap: int = 64):
     """Multiplicative order by direct power iteration, or None past the cap."""
     n = len(rows)

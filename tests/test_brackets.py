@@ -7,7 +7,7 @@ from pwb.families import (homogenized_weyl, jacobian, jacobian_pq, lie_two_dim_n
 from pwb.linalg import Matrix
 from pwb.rings import PolyRing
 from pwb.scalars import Cyclo, zeta
-from pwb.solver import EMPTY, POINTS, SUBSPACE
+from pwb.solver import EMPTY, IDEAL_ONLY, POINTS, SUBSPACE
 
 
 def skew2(p):
@@ -114,6 +114,16 @@ def test_normal_find_deg1_homogenized_weyl():
         assert res.kind == POINTS and len(res.points) == 1
         point = res.points[0]
         assert all(c.is_zero() for c in point[:-1]) and point[-1] == 1
+
+
+def test_normal_find_deg1_plane_plus_line():
+    # normal set: the x1-x2 plane plus the x3 line, which is not a subspace
+    A = skew_symmetric(Matrix([[0, 0, 1], [0, 0, 1], [-1, -1, 0]]))
+    res = A.normal_find_deg1()
+    assert res.kind == IDEAL_ONLY and res.generators
+    # each x_i is normal, so every chart equation vanishes at mu = 0
+    for g in res.generators:
+        assert g.coefficient((0,) * g.ring.nvars).is_zero()
 
 
 def _assert_points_match(res, expected):

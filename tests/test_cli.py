@@ -150,6 +150,14 @@ def test_family_skew_from_matrix_file(tmp_path, capsys):
     assert code == 0 and report["result"]["jacobi"] is True
 
 
+def test_family_skew_ragged_matrix_file(tmp_path, capsys):
+    mat = tmp_path / "q.mat"
+    mat.write_text("1 0\n0\n")
+    code, report = run(capsys, "family", "skew", "--matrix", str(mat))
+    assert code == 1 and report["result"] is None
+    assert report["diagnostics"][0].startswith("FileFormatError: ragged matrix")
+
+
 def test_fixed_with_two_generators(tmp_path, capsys):
     f = tmp_path / "m2.pois"
     run(capsys, "family", "qmatrix", "--n", "2", "--out", str(f))
@@ -176,6 +184,14 @@ def test_envelope(tmp_path, capsys):
     assert r["extension"]["relations_preserved"] is True
     assert r["trace"]["quasi_reflection"] is False
     assert any("m_x" in s for s in r["relations"])
+
+
+def test_envelope_negative_dims(tmp_path, capsys):
+    f = tmp_path / "s.pois"
+    f.write_text(SKEW)
+    code, report = run(capsys, "envelope", "--algebra", str(f), "--dims", "-1")
+    assert code == 1 and report["result"] is None
+    assert report["diagnostics"][0].startswith("InvalidDegreeError")
 
 
 def test_envelope_aliases(tmp_path, capsys):

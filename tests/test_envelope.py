@@ -3,7 +3,9 @@ import pytest
 from pwb.brackets import PoissonAlgebra
 from pwb.envelope import (envelope_dims, envelope_extend, envelope_presentation,
                           envelope_trace)
-from pwb.errors import NotAutomorphismError, NotQuadraticError, NotReflectionError
+from pwb import envelope
+from pwb.errors import (CapExceededError, InvalidDegreeError, NotAutomorphismError,
+                        NotQuadraticError, NotReflectionError)
 from pwb.families import homogenized_weyl, jacobian_pq, skew_symmetric, weyl
 from pwb.linalg import Matrix
 from pwb.rings import PolyRing
@@ -64,9 +66,24 @@ def test_envelope_dims_cubic_and_weyl():
     assert envelope_dims(H, 2) == [1, 6, 21]
 
 
+def test_envelope_dims_cyclotomic():
+    w = zeta(3)
+    A = skew_symmetric(Matrix([[0, w, 1], [-w, 0, 2], [-1, -2, 0]]))
+    assert envelope_dims(A, 4) == [1, 6, 21, 56, 126]
+
+
 def test_envelope_dims_rejects_nonquadratic():
     with pytest.raises(NotQuadraticError):
         envelope_dims(weyl(1), 2)
+
+
+def test_envelope_dims_degree_range():
+    assert envelope_dims(skew2(1), 0) == [1]
+    assert envelope_dims(skew2(1), 1) == [1, 4]
+    with pytest.raises(InvalidDegreeError):
+        envelope_dims(skew2(1), -1)
+    with pytest.raises(CapExceededError):
+        envelope_dims(skew2(1), 5)
 
 
 def test_envelope_extend():
@@ -81,6 +98,20 @@ def test_envelope_extend():
         ring = PolyRing(["x", "y"])
         B = PoissonAlgebra(ring, {(0, 1): ring.parse("x^2")}, check_jacobi=False)
         envelope_extend(B, GradedMap(Matrix.diagonal([1, zeta(3)])))
+
+
+def test_envelope_extend_cyclotomic(monkeypatch):
+    # Q(zeta_3) relations under a map with zeta_4 and zeta_3 entries: N = 12
+    w = zeta(3)
+    A = skew_symmetric(Matrix([[0, w, 1], [-w, 0, 2], [-1, -2, 0]]))
+    assert envelope_extend(A, GradedMap(Matrix.diagonal([zeta(4), 1, w]))).relations_preserved
+    ring = PolyRing(["x", "y"])
+    B = PoissonAlgebra(ring, {(0, 1): ring.parse("x^2")})
+    assert envelope_extend(B, GradedMap(Matrix.diagonal([w, w]))).relations_preserved
+    # a map that is no automorphism must break a relation once past the bracket check:
+    # {x, y} = x^2 under y -> zeta_3 y leaves (zeta_3 - 1) m_x m_x outside the span
+    monkeypatch.setattr(envelope, "is_poisson_automorphism", lambda A, g: (True, None))
+    assert not envelope_extend(B, GradedMap(Matrix.diagonal([1, w]))).relations_preserved
 
 
 def test_envelope_extend_identity():

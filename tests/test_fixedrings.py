@@ -3,9 +3,9 @@ import pytest
 from pwb.brackets import PoissonAlgebra
 from pwb.families import (homogenized_weyl, jacobian_pq, lie_two_dim_nonabelian, ph_lie,
                           quantum_matrices, skew_symmetric)
-from pwb.fixedrings import (DISTINGUISHED, NOT_DISTINGUISHED, fixed_cyclic_reflection,
-                            fixed_group, is_skew_presentation, presented_from_linear_basis,
-                            rigidity_report)
+from pwb.fixedrings import (DISTINGUISHED, NOT_DISTINGUISHED, _try_diagonalize,
+                            fixed_cyclic_reflection, fixed_group, is_skew_presentation,
+                            presented_from_linear_basis, rigidity_report)
 from pwb.linalg import Matrix
 from pwb.rings import PolyRing
 from pwb.scalars import Cyclo, zeta
@@ -262,6 +262,20 @@ def test_fixed_group_nonabelian_reynolds_path():
     assert [str(e) for e in p.expressions] == ["x + y + z", "x*y + x*z + y*z", "x*y*z"]
     assert list(p.degrees) == [1, 2, 3]
     assert p.molien == hilbert_weighted([1, 2, 3])
+
+
+def test_fixed_group_commuting_reflections_in_one_block_diagonalize():
+    # reflections of orders 2 and 4 at distinct positions of a 3-variable block,
+    # conjugated by one base change: they commute and share an eigenbasis
+    ring = PolyRing(["x", "y", "z"])
+    Z = PoissonAlgebra(ring, {})
+    S = Matrix([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+    gens = [GradedMap(S * Matrix.diagonal([zeta(m) if t == pos else 1 for t in range(3)])
+                      * S.inverse()) for pos, m in ((0, 2), (1, 4))]
+    G = group_closure(gens)
+    assert _try_diagonalize(G) is not None
+    p = fixed_group(Z, G, bound=4, canonical=False, with_relations=False)
+    assert p.polynomial and sorted(p.degrees) == [1, 2, 4]
 
 
 def test_fixed_group_degree_bound_too_small():
