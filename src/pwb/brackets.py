@@ -207,14 +207,6 @@ class PoissonAlgebra:
             out.append(basis)
         return out
 
-    def center_lowest_generator(self, d: int, weights: Optional[Sequence[int]] = None
-                                ) -> Optional[Poly]:
-        """A lowest positive-degree central element within the truncation, if any."""
-        for k, basis in enumerate(self.center_truncated(d, weights)):
-            if k and basis:
-                return basis[0]
-        return None
-
     def derived_ideal(self, d: int, weights: Optional[Sequence[int]] = None
                       ) -> "DerivedIdeal":
         return DerivedIdeal(self, d, weights)

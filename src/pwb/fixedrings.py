@@ -65,11 +65,6 @@ class PresentedPoisson:
         p = self.table.get((j, i))
         return -p if p is not None else ring.zero()
 
-    def describe(self) -> str:
-        gens = ", ".join(f"{n} = {e} (deg {d})"
-                         for n, e, d in zip(self.names, self.expressions, self.degrees))
-        return gens
-
 
 def is_skew_presentation(p: PresentedPoisson) -> Optional[Matrix]:
     """The matrix (q_ij) when every table entry is q_ij * g_i * g_j, else None."""
@@ -210,13 +205,24 @@ def _canonical_generators(bases_per_degree: dict, d: int) -> list[tuple[Poly, in
 def fixed_group(A: PoissonAlgebra, group: PoissonGroup, bound: Optional[int] = None,
                 canonical: bool = True, with_relations: bool = True,
                 budget: int = DEFAULT_BUDGET) -> PresentedPoisson:
-    """Invariant generators up to the degree bound with the induced bracket."""
+    """Invariant generators up to the degree bound with the induced bracket.
+
+    The invariants of each degree come from one of two sources.  When the
+    group generators share an eigenbasis, they are the monomials in that
+    basis whose characters are trivial; otherwise they are the nonzero
+    Reynolds averages of the monomials over the group elements.  Either way
+    `_canonical_generators` keeps, degree by degree, what products of
+    lower-degree generators do not span, and the induced bracket is written
+    in the generators by `subalgebra_member`.  `canonical=False` changes only
+    diagonalizable groups: their generators are then the non-decomposable
+    invariant monomials in the eigenbasis, with a monomially factored bracket
+    table.  Every route ends in the same certification: the Molien series
+    against the free product over the generator degrees, relations by
+    elimination, and `DegreeBoundTooSmallError` naming the first degree
+    where the Molien series exceeds the generated subalgebra.
+    """
     d = bound if bound is not None else max(4, 2 * group.exponent)
-    diag = _try_diagonalize(group)
-    if diag is not None:
-        return _fixed_diagonal(A, group, diag[0], diag[1], d, canonical,
-                               with_relations, budget)
-    return _fixed_reynolds(A, group, d, canonical, with_relations, budget)
+    return _fixed(A, group, _try_diagonalize(group), d, canonical, with_relations, budget)
 
 
 def fixed_cyclic_reflection(A: PoissonAlgebra, g: GradedMap,
@@ -228,13 +234,61 @@ def fixed_cyclic_reflection(A: PoissonAlgebra, g: GradedMap,
     m = cls.order
     T = Matrix([list(v) for v in cls.fixed_basis] + [list(cls.eigenvector)]).transpose()
     chars = [[_ONE] * (A.nvars - 1) + [cls.xi]]
-    group = group_closure([g])
-    p = _fixed_diagonal(A, group, T, chars, m, canonical=False,
-                        with_relations=True, budget=budget)
+    p = _fixed(A, group_closure([g]), (T, chars), m, canonical=False,
+               with_relations=True, budget=budget)
     if sorted(p.degrees) != [1] * (A.nvars - 1) + [m]:
         raise InducedBracketNotClosedError(
             "cyclic reflection fixed ring has unexpected generator degrees")
     return p
+
+
+def _fixed(A: PoissonAlgebra, group: PoissonGroup, diag, d: int, canonical: bool,
+           with_relations: bool, budget: int) -> PresentedPoisson:
+    """The fixed-ring pipeline; `diag` is a common eigenbasis and characters, or None."""
+    if diag is None:
+        route = _canonical_route(A, _reynolds_bases(A.ring, group, d), d, budget)
+    elif canonical:
+        route = _canonical_route(A, _diagonal_bases(A.ring, *diag, d), d, budget)
+    else:
+        route = _monomial_route(A, *diag, d)
+    expressions, degrees, names, table = route
+    molien = molien_series(group)
+    product = hilbert_weighted(degrees)
+    polynomial = molien == product
+    diagnostics = [TRUNCATION_CAVEAT]
+    relations: Optional[tuple[Poly, ...]]
+    if polynomial:
+        relations = ()
+    elif with_relations:
+        relations = _relations_by_elimination(expressions, names, budget)
+        if not relations:
+            k = _first_series_gap(molien, product, 2 * d + 4)
+            raise DegreeBoundTooSmallError(k or d,
+                                           "generators incomplete: Molien series exceeds "
+                                           f"the generated subalgebra (first gap at degree {k})")
+        diagnostics.append(f"{len(relations)} relation(s) among generators")
+    else:
+        relations = None
+        diagnostics.append("relations not computed (non-polynomial presentation)")
+    return PresentedPoisson(A, tuple(names), tuple(degrees), tuple(expressions),
+                            table, polynomial, relations, molien, d, diagnostics)
+
+
+def _reynolds_bases(ring: PolyRing, group: PoissonGroup, d: int) -> dict[int, list[Poly]]:
+    """Per degree, the nonzero Reynolds averages of the monomials."""
+    order_inv = Cyclo.of(group.order).inverse()
+    bases: dict[int, list[Poly]] = {}
+    for k in range(1, d + 1):
+        bases[k] = []
+        for e in ring.monomials_of_degree(k):
+            mono = ring.monomial(e)
+            acc = ring.zero()
+            for g in group.elements:
+                acc = acc + g.apply(mono)
+            avg = acc * order_inv
+            if not avg.is_zero():
+                bases[k].append(avg)
+    return bases
 
 
 def _monomial_is_invariant(exps, chars_per_gen) -> bool:
@@ -248,126 +302,40 @@ def _monomial_is_invariant(exps, chars_per_gen) -> bool:
     return True
 
 
-def _fixed_diagonal(A: PoissonAlgebra, group: PoissonGroup, T: Matrix, chars,
-                    d: int, canonical: bool, with_relations: bool,
-                    budget: int) -> PresentedPoisson:
-    n = A.nvars
-    ynames = tuple(f"_y{i+1}" for i in range(n))
-    Ay = transport(A, T, ynames)
-    yring = Ay.ring
-
-    invariant: dict[int, list[tuple[int, ...]]] = {}
-    for k in range(1, d + 1):
-        invariant[k] = [e for e in yring.monomials_of_degree(k)
-                        if _monomial_is_invariant(e, chars)]
-
-    # non-decomposable invariant exponents up to degree d, degree-ascending
-    gen_exps: list[tuple[int, ...]] = []
-    in_monoid: set = set()
-    for k in range(1, d + 1):
-        for e in invariant[k]:
-            decomposable = False
-            for g in gen_exps:
-                if all(a >= b for a, b in zip(e, g)):
-                    rest = tuple(a - b for a, b in zip(e, g))
-                    if sum(rest) == 0 or rest in in_monoid:
-                        decomposable = True
-                        break
-            if decomposable:
-                in_monoid.add(e)
-            else:
-                gen_exps.append(e)
-                in_monoid.add(e)
-
-    def expand(e: tuple[int, ...]) -> Poly:
-        acc = A.ring.one()
-        for j, k in enumerate(e):
-            if k:
-                acc = acc * A.ring.linear_form(T.column(j)) ** k
-        return acc
-
-    if canonical:
-        bases: dict[int, list[Poly]] = {}
-        for k in range(1, d + 1):
-            vecs = [expand(e) for e in invariant[k]]
-            vecs.sort(key=lambda p: grlex_key(p.leading()[0]), reverse=True)
-            bases[k] = vecs
-        chosen = _canonical_generators(bases, d)
-        expressions = [p for p, _ in chosen]
-        degrees = [deg for _, deg in chosen]
-        names = _generator_names(A.ring, expressions)
-        table = {}
-        for i in range(len(chosen)):
-            for j in range(i + 1, len(chosen)):
-                br = A.bracket(expressions[i], expressions[j])
-                if br.is_zero():
-                    continue
-                expr = subalgebra_member(br, expressions, tag_names=names, budget=budget)
-                if expr is None:
-                    raise InducedBracketNotClosedError(
-                        f"bracket of {names[i]} and {names[j]} leaves the subalgebra")
-                table[(i, j)] = expr
-    else:
-        gen_exps.sort(key=lambda e: (sum(e), grlex_key(e)))
-        expressions = [expand(e) for e in gen_exps]
-        degrees = [sum(e) for e in gen_exps]
-        names = _generator_names(A.ring, expressions)
-        gen_ring = PolyRing(tuple(names))
-        table = {}
-        for i in range(len(gen_exps)):
-            for j in range(i + 1, len(gen_exps)):
-                br = Ay.bracket(yring.monomial(gen_exps[i]), yring.monomial(gen_exps[j]))
-                if br.is_zero():
-                    continue
-                table[(i, j)] = _factor_into_generators(br, gen_exps, gen_ring)
-
-    molien = molien_series(group)
-    product = hilbert_weighted(degrees) if degrees else RationalSeries.from_scalar(1)
-    polynomial = molien == product
-    diagnostics = [TRUNCATION_CAVEAT]
-    relations: Optional[tuple[Poly, ...]]
-    if polynomial:
-        relations = ()
-    elif with_relations:
-        relations = _relations_by_elimination(expressions, names, budget)
-        if not relations:
-            k = _first_series_gap(molien, degrees, 2 * d + 4)
-            raise DegreeBoundTooSmallError(k or d,
-                                           "generators incomplete: Molien series exceeds "
-                                           f"the generated subalgebra (first gap at degree {k})")
-        diagnostics.append(f"{len(relations)} relation(s) among generators")
-    else:
-        relations = None
-        diagnostics.append("relations not computed (non-polynomial presentation)")
-    return PresentedPoisson(A, tuple(names), tuple(degrees), tuple(expressions),
-                            table, polynomial, relations, molien, d, diagnostics)
+def _invariant_monomials(ring: PolyRing, chars, k: int) -> list[tuple[int, ...]]:
+    """Exponents of the degree-k eigenbasis monomials with trivial characters."""
+    return [e for e in ring.monomials_of_degree(k) if _monomial_is_invariant(e, chars)]
 
 
-def _fixed_reynolds(A: PoissonAlgebra, group: PoissonGroup, d: int, canonical: bool,
-                    with_relations: bool, budget: int) -> PresentedPoisson:
-    """Generic path: exact Reynolds averaging over the closure, per degree."""
-    ring = A.ring
-    order_inv = Cyclo.of(group.order).inverse()
+def _expand(ring: PolyRing, T: Matrix, e: tuple[int, ...]) -> Poly:
+    """The eigenbasis monomial y^e written in the variables of `ring`."""
+    acc = ring.one()
+    for j, k in enumerate(e):
+        if k:
+            acc = acc * ring.linear_form(T.column(j)) ** k
+    return acc
+
+
+def _diagonal_bases(ring: PolyRing, T: Matrix, chars, d: int) -> dict[int, list[Poly]]:
+    """Per degree, the invariant eigenbasis monomials, leading terms descending."""
     bases: dict[int, list[Poly]] = {}
     for k in range(1, d + 1):
-        echelon: dict = {}
-        vecs = []
-        for e in ring.monomials_of_degree(k):
-            mono = ring.monomial(e)
-            acc = ring.zero()
-            for g in group.elements:
-                acc = acc + g.apply(mono)
-            avg = acc * order_inv
-            if not avg.is_zero() and _echelon_insert(avg, echelon) is not None:
-                vecs.append(avg)
+        vecs = [_expand(ring, T, e) for e in _invariant_monomials(ring, chars, k)]
+        vecs.sort(key=lambda p: grlex_key(p.leading()[0]), reverse=True)
         bases[k] = vecs
+    return bases
+
+
+def _canonical_route(A: PoissonAlgebra, bases: dict, d: int, budget: int):
+    """Canonical generators of the per-degree invariant bases, their degrees,
+    names and bracket table."""
     chosen = _canonical_generators(bases, d)
     expressions = [p for p, _ in chosen]
     degrees = [deg for _, deg in chosen]
-    names = _generator_names(ring, expressions)
+    names = _generator_names(A.ring, expressions)
     table = {}
-    for i in range(len(chosen)):
-        for j in range(i + 1, len(chosen)):
+    for i in range(len(expressions)):
+        for j in range(i + 1, len(expressions)):
             br = A.bracket(expressions[i], expressions[j])
             if br.is_zero():
                 continue
@@ -376,23 +344,41 @@ def _fixed_reynolds(A: PoissonAlgebra, group: PoissonGroup, d: int, canonical: b
                 raise InducedBracketNotClosedError(
                     f"bracket of {names[i]} and {names[j]} leaves the subalgebra")
             table[(i, j)] = expr
-    molien = molien_series(group)
-    product = hilbert_weighted(degrees) if degrees else RationalSeries.from_scalar(1)
-    polynomial = molien == product
-    diagnostics = [TRUNCATION_CAVEAT]
-    relations: Optional[tuple[Poly, ...]]
-    if polynomial:
-        relations = ()
-    elif with_relations:
-        relations = _relations_by_elimination(expressions, names, budget)
-        if not relations:
-            k = _first_series_gap(molien, degrees, 2 * d + 4)
-            raise DegreeBoundTooSmallError(k or d)
-        diagnostics.append(f"{len(relations)} relation(s) among generators")
-    else:
-        relations = None
-    return PresentedPoisson(A, tuple(names), tuple(degrees), tuple(expressions),
-                            table, polynomial, relations, molien, d, diagnostics)
+    return expressions, degrees, names, table
+
+
+def _monomial_route(A: PoissonAlgebra, T: Matrix, chars, d: int):
+    """The non-decomposable invariant eigenbasis monomials as generators, with
+    their degrees, names and monomially factored bracket table."""
+    # non-decomposable invariant exponents up to degree d, degree-ascending
+    gen_exps: list[tuple[int, ...]] = []
+    in_monoid: set = set()
+    for k in range(1, d + 1):
+        for e in _invariant_monomials(A.ring, chars, k):
+            decomposable = False
+            for g in gen_exps:
+                if all(a >= b for a, b in zip(e, g)):
+                    rest = tuple(a - b for a, b in zip(e, g))
+                    if sum(rest) == 0 or rest in in_monoid:
+                        decomposable = True
+                        break
+            in_monoid.add(e)
+            if not decomposable:
+                gen_exps.append(e)
+    gen_exps.sort(key=lambda e: (sum(e), grlex_key(e)))
+    expressions = [_expand(A.ring, T, e) for e in gen_exps]
+    degrees = [sum(e) for e in gen_exps]
+    names = _generator_names(A.ring, expressions)
+    Ay = transport(A, T, tuple(f"_y{i+1}" for i in range(A.nvars)))
+    gen_ring = PolyRing(tuple(names))
+    table = {}
+    for i in range(len(gen_exps)):
+        for j in range(i + 1, len(gen_exps)):
+            br = Ay.bracket(Ay.ring.monomial(gen_exps[i]), Ay.ring.monomial(gen_exps[j]))
+            if br.is_zero():
+                continue
+            table[(i, j)] = _factor_into_generators(br, gen_exps, gen_ring)
+    return expressions, degrees, names, table
 
 
 def _generator_names(ring: PolyRing, expressions: Sequence[Poly]) -> list[str]:
@@ -469,9 +455,8 @@ def _relations_by_elimination(expressions: Sequence[Poly], names: Sequence[str],
     return tuple(out)
 
 
-def _first_series_gap(molien: RationalSeries, degrees: Sequence[int],
+def _first_series_gap(molien: RationalSeries, product: RationalSeries,
                       upto: int) -> Optional[int]:
-    product = hilbert_weighted(degrees) if degrees else RationalSeries.from_scalar(1)
     a = molien.taylor(upto)
     b = product.taylor(upto)
     for k in range(upto + 1):

@@ -14,7 +14,7 @@ from .errors import FileFormatError
 from .families import LieData
 from .fixedrings import AlgebraProfile, PresentedPoisson, RigidityReport
 from .linalg import Matrix
-from .rings import Poly, PolyRing
+from .rings import PolyRing
 from .scalars import Cyclo
 from .series import RationalSeries
 from .solver import SolutionSet
@@ -139,6 +139,13 @@ def emit_map(name: str, on: str, g: GradedMap, ring: PolyRing) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _integer(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise FileFormatError(f"{what} must be an integer, found '{text.strip()}'") from None
+
+
 def parse_lie(text: str) -> tuple[str, LieData]:
     name, body = _block(text, "lie")
     dim: Optional[int] = None
@@ -147,18 +154,22 @@ def parse_lie(text: str) -> tuple[str, LieData]:
         key, _, value = stmt.partition("=")
         key = key.strip()
         if key.startswith("dim"):
-            after = key.partition(":")[2] or value
-            dim = int(after.strip())
+            dim = _integer(key.partition(":")[2] or value, "dim")
+            if dim < 0:
+                raise FileFormatError(f"dim must be non-negative, found {dim}")
             continue
         m = _BRACKET_KEY.match(key)
         if not m:
             raise FileFormatError(f"cannot parse statement '{stmt}'")
-        entries.append((int(m.group(1)), int(m.group(2)), value.strip()))
+        entries.append((_integer(m.group(1), "bracket index"),
+                        _integer(m.group(2), "bracket index"), value.strip()))
     if dim is None:
         raise FileFormatError("missing dim declaration")
     ring = PolyRing(tuple(f"x{k+1}" for k in range(dim)))
     brackets: dict = {}
     for i, j, expr in entries:
+        if not (1 <= i <= dim and 1 <= j <= dim):
+            raise FileFormatError(f"bracket{{{i},{j}}} index outside 1..{dim}")
         p = ring.parse(expr)
         if not p.is_zero() and p.homogeneous_degree() != 1:
             raise FileFormatError(f"bracket{{{i},{j}}} must be linear")

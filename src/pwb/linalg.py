@@ -105,10 +105,6 @@ class Matrix:
     def is_identity(self) -> bool:
         return self == Matrix.identity(self.nrows)
 
-    def is_diagonal(self) -> bool:
-        return all(self.rows[i][j].is_zero()
-                   for i in range(self.nrows) for j in range(self.ncols) if i != j)
-
     def rref(self) -> tuple["Matrix", list[int]]:
         """Reduced row echelon form and pivot columns."""
         work = [list(r) for r in self.rows]

@@ -27,14 +27,13 @@ def grlex_key(e: tuple[int, ...]):
 class PolyRing:
     """A polynomial ring: an ordered tuple of distinct variable names."""
 
-    __slots__ = ("names", "conductor", "_index")
+    __slots__ = ("names", "_index")
 
-    def __init__(self, names: Sequence[str], conductor: int = 1):
+    def __init__(self, names: Sequence[str]):
         names = tuple(names)
         if len(set(names)) != len(names):
             raise PwbError(f"duplicate variable names in {names}")
         object.__setattr__(self, "names", names)
-        object.__setattr__(self, "conductor", conductor)
         object.__setattr__(self, "_index", {v: i for i, v in enumerate(names)})
 
     def __setattr__(self, *a):
@@ -164,9 +163,6 @@ class Poly:
         w = list(weights) if weights is not None else [1] * self.ring.nvars
         degs = {sum(x * wi for x, wi in zip(e, w)) for e in self.terms}
         return degs.pop() if len(degs) == 1 else None
-
-    def homogeneous_component(self, degree: int) -> "Poly":
-        return Poly(self.ring, {e: c for e, c in self.terms.items() if sum(e) == degree})
 
     def coefficient(self, exponents: Sequence[int]) -> Cyclo:
         return self.terms.get(tuple(exponents), _ZERO)
@@ -349,13 +345,6 @@ class Poly:
             quotient = quotient + qt
             rem = rem - qt * self
         return quotient
-
-    def content_conductor(self) -> int:
-        from .scalars import lcm as _lcm
-        n = 1
-        for c in self.terms.values():
-            n = _lcm(n, c.n)
-        return n
 
     def monomial_content(self) -> tuple[tuple[int, ...], "Poly"]:
         """Largest monomial dividing every term, and the cofactor."""

@@ -37,10 +37,6 @@ class RationalSeries:
         raise AttributeError("RationalSeries is immutable")
 
     @staticmethod
-    def from_scalar(c) -> "RationalSeries":
-        return RationalSeries(UPoly.constant(c), UPoly.one())
-
-    @staticmethod
     def one_over(factors: Iterable[Cyclo]) -> "RationalSeries":
         """1 / prod (1 - xi*t) for xi in factors."""
         den = UPoly.one()
@@ -105,10 +101,6 @@ class RationalSeries:
 
     def __repr__(self):
         return f"RationalSeries({self})"
-
-
-def series_taylor(s: RationalSeries, order: int) -> list[Cyclo]:
-    return s.taylor(order)
 
 
 def hilbert_free(n: int) -> RationalSeries:

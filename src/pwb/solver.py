@@ -13,7 +13,7 @@ from typing import Callable, Optional, Sequence
 
 from .errors import DegreeBudgetExceededError, PwbError
 from .linalg import Matrix
-from .rings import Poly, PolyRing, embed
+from .rings import Poly, PolyRing, embed, grlex_key
 from .scalars import Cyclo
 from .upoly import UPoly, extract_roots
 
@@ -24,10 +24,6 @@ _ONE = Cyclo.of(1)
 
 
 # -- monomial orders -----------------------------------------------------
-
-
-def grlex_order(e: tuple[int, ...]):
-    return (sum(e), e)
 
 
 def lex_order(e: tuple[int, ...]):
@@ -47,7 +43,7 @@ def elim_order(k: int) -> Callable:
 # -- division ------------------------------------------------------------
 
 
-def normal_form(f: Poly, basis: Sequence[Poly], order: Callable = grlex_order) -> Poly:
+def normal_form(f: Poly, basis: Sequence[Poly], order: Callable = grlex_key) -> Poly:
     """Remainder of f under multivariate division by basis."""
     if not basis:
         return f
@@ -80,7 +76,7 @@ def _spoly(f: Poly, g: Poly, order: Callable) -> Poly:
     return mf * f - mg * g
 
 
-def groebner_basis(gens: Sequence[Poly], order: Callable = grlex_order,
+def groebner_basis(gens: Sequence[Poly], order: Callable = grlex_key,
                    budget: int = DEFAULT_BUDGET) -> list[Poly]:
     """Reduced Groebner basis, deterministic output."""
     ring = None
@@ -173,7 +169,7 @@ class Ideal:
             ring = gens[0].ring
         return Ideal(ring, gens)
 
-    def groebner(self, order: Callable = grlex_order, budget: int = DEFAULT_BUDGET) -> list[Poly]:
+    def groebner(self, order: Callable = grlex_key, budget: int = DEFAULT_BUDGET) -> list[Poly]:
         return groebner_basis(self.gens, order, budget)
 
     def member(self, f: Poly, budget: int = DEFAULT_BUDGET) -> bool:
@@ -298,13 +294,13 @@ def classify_affine(gens: Sequence[Poly], ring: PolyRing,
                             directions=[list(r) for r in Matrix.identity(n).rows])
     if any(g.is_scalar() for g in gens):
         return AffineResult(EMPTY)
-    gb = groebner_basis(gens, grlex_order, budget)
+    gb = groebner_basis(gens, grlex_key, budget)
     if any(g.is_scalar() for g in gb):
         return AffineResult(EMPTY)
     if all(g.total_degree() <= 1 for g in gb):
         return _solve_linear_system(gb, ring)
     # zero-dimensional iff every variable has a pure-power leading monomial
-    lead_exps = [g.leading(grlex_order)[0] for g in gb]
+    lead_exps = [g.leading(grlex_key)[0] for g in gb]
     zero_dim = all(
         any(e[i] and all(k == 0 for j, k in enumerate(e) if j != i) for e in lead_exps)
         for i in range(n))
@@ -413,7 +409,7 @@ def solve_projective(gens: Sequence[Poly], ring: PolyRing,
     if not gens:
         return SolutionSet(SUBSPACE, n,
                            basis=tuple(tuple(r) for r in Matrix.identity(n).rows))
-    gb = groebner_basis(gens, grlex_order, budget)
+    gb = groebner_basis(gens, grlex_key, budget)
     if all(g.total_degree() <= 1 for g in gb):
         kernel = _linear_kernel(gb, ring)
         if not kernel:

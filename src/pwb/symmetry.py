@@ -17,11 +17,11 @@ from typing import Optional, Sequence
 from .brackets import PoissonAlgebra
 from .errors import BoundExceededError, NotSkewError, PwbError, SingularMatrixError
 from .linalg import Matrix
-from .rings import Poly, PolyRing
+from .rings import Poly, PolyRing, grlex_key
 from .scalars import Cyclo, lcm, zeta
 from .series import RationalSeries
 from .solver import (DEFAULT_BUDGET, EMPTY, IDEAL_ONLY, POINTS, SUBSPACE,
-                     AffineResult, classify_affine, groebner_basis, grlex_order,
+                     AffineResult, classify_affine, groebner_basis,
                      normal_form, set_dedup)
 from .upoly import UPoly, extract_roots
 
@@ -109,13 +109,6 @@ class Classification:
     eigenvector: Optional[tuple] = None      # the xi-eigenvector (reflections)
     fixed_basis: Optional[tuple] = None      # basis of the fixed hyperplane
     witness_pair: Optional[tuple[str, str]] = None
-
-    def describe(self) -> str:
-        if self.kind == REFLECTION:
-            return f"reflection with eigenvalue {self.xi} (order {self.order})"
-        if self.kind == FINITE_NON_REFLECTION:
-            return f"finite order {self.order}, not a reflection"
-        return self.kind.replace("_", " ")
 
 
 def is_poisson_automorphism(A: PoissonAlgebra, g: GradedMap
@@ -295,12 +288,6 @@ class ReflectionFamily:
     assignments: tuple
     samples: tuple = ()
 
-    def describe(self, names: Sequence[str]) -> str:
-        terms = " + ".join(f"({d})*{names[i]}" for i, d in enumerate(self.direction)
-                           if not (isinstance(d, Cyclo) and d.is_zero()))
-        xi = "free root of unity" if self.xi_free else str(self.xi)
-        return f"eigenvector {terms}, eigenvalue {xi}"
-
 
 @dataclass
 class ReflectionsReport:
@@ -308,10 +295,6 @@ class ReflectionsReport:
     families: list[ReflectionFamily] = field(default_factory=list)
     normal_set: Optional[object] = None
     diagnostics: list[str] = field(default_factory=list)
-
-    @property
-    def xis(self) -> list[Optional[Cyclo]]:
-        return [f.xi for f in self.families]
 
 
 def find_reflections(A: PoissonAlgebra, budget: int = DEFAULT_BUDGET,
@@ -448,7 +431,7 @@ def _solve_reflection_chart(A: PoissonAlgebra, vectors, nparams: int, budget: in
     for assignments, residual in leaves:
         xi_nf = _apply_assignments(xi_expr, assignments, pk)
         if residual:
-            xi_nf = normal_form(xi_nf, residual, grlex_order)
+            xi_nf = normal_form(xi_nf, residual, grlex_key)
         if xi_nf.is_zero():
             continue  # unipotent directions are not reflections
         if xi_nf.is_scalar():
@@ -494,7 +477,7 @@ def _branch_solve(equations: list[Poly], ring: PolyRing, assignments: dict,
     eqs = [e for e in equations if not e.is_zero()]
     if any(e.is_scalar() for e in eqs):
         return
-    gb = groebner_basis(eqs, grlex_order, budget)
+    gb = groebner_basis(eqs, grlex_key, budget)
     if any(g.is_scalar() for g in gb):
         return
     from .solver import _poly_to_upoly, _substitute_value

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from pwb.cli import main
 
 JAC10 = """
@@ -156,6 +158,28 @@ def test_family_skew_ragged_matrix_file(tmp_path, capsys):
     code, report = run(capsys, "family", "skew", "--matrix", str(mat))
     assert code == 1 and report["result"] is None
     assert report["diagnostics"][0].startswith("FileFormatError: ragged matrix")
+
+
+@pytest.mark.parametrize("body, message", [
+    ("dim: two;", "dim must be an integer, found 'two'"),
+    ("dim", "dim must be an integer, found ''"),
+    ("dim: 2; bracket{a,b} = x1;", "bracket index must be an integer, found 'a'"),
+    ("dim: -1;", "dim must be non-negative, found -1"),
+    ("dim: 2; bracket{3,1} = x1;", "bracket{3,1} index outside 1..2"),
+])
+def test_family_ph_lie_bad_lie_file(tmp_path, capsys, body, message):
+    lie = tmp_path / "g.lie"
+    lie.write_text(f"lie g {{ {body} }}\n")
+    code, report = run(capsys, "family", "ph-lie", "--lie", str(lie))
+    assert code == 1 and report["result"] is None
+    assert report["diagnostics"] == [f"FileFormatError: {message}"]
+
+
+def test_family_ph_lie_zero_dim(tmp_path, capsys):
+    lie = tmp_path / "g.lie"
+    lie.write_text("lie g { dim: 0; }\n")
+    code, report = run(capsys, "family", "ph-lie", "--lie", str(lie))
+    assert code == 0
 
 
 def test_fixed_with_two_generators(tmp_path, capsys):

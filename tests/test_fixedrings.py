@@ -264,6 +264,37 @@ def test_fixed_group_nonabelian_reynolds_path():
     assert p.molien == hilbert_weighted([1, 2, 3])
 
 
+def test_fixed_group_reynolds_path_degree_bound_too_small():
+    # S3 permuting three variables needs x*y*z in degree 3; bound 2 stops short
+    from pwb.errors import DegreeBoundTooSmallError
+    ring = PolyRing(["x", "y", "z"])
+    Z = PoissonAlgebra(ring, {})
+    swap = gmap([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    cycle = gmap([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+    G = group_closure([swap, cycle])
+    assert _try_diagonalize(G) is None
+    with pytest.raises(DegreeBoundTooSmallError, match="first gap at degree 3") as info:
+        fixed_group(Z, G, bound=2)
+    assert info.value.degree == 3
+
+
+def test_fixed_group_reynolds_path_without_relations():
+    # the quaternion group Q8 on two variables: invariants are not free
+    ring = PolyRing(["x", "y"])
+    Z = PoissonAlgebra(ring, {})
+    G = group_closure([GradedMap(Matrix.diagonal([zeta(4), zeta(4, 3)])),
+                       gmap([[0, -1], [1, 0]])])
+    assert G.order == 8 and _try_diagonalize(G) is None
+    p = fixed_group(Z, G, bound=6, with_relations=False)
+    assert not p.polynomial and p.relations is None
+    assert p.degrees == (4, 4, 6)
+    assert [str(e) for e in p.expressions] == ["x^4 + y^4", "x^2*y^2", "x^5*y - x*y^5"]
+    assert "relations not computed (non-polynomial presentation)" in p.diagnostics
+    # canonical only selects among routes for diagonalizable groups
+    q = fixed_group(Z, G, bound=6, canonical=False, with_relations=False)
+    assert q.expressions == p.expressions and q.degrees == p.degrees
+
+
 def test_fixed_group_commuting_reflections_in_one_block_diagonalize():
     # reflections of orders 2 and 4 at distinct positions of a 3-variable block,
     # conjugated by one base change: they commute and share an eigenbasis

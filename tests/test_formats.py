@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pwb.errors import FileFormatError
+from pwb.errors import FileFormatError, PwbError
 from pwb.families import quantum_matrices
 from pwb.formats import (emit_algebra, emit_lie, emit_map, emit_matrix, parse_algebra,
                          parse_lie, parse_map, parse_matrix)
@@ -135,3 +137,45 @@ def test_all_families_roundtrip_through_pois_files():
         assert B.table.keys() == A.table.keys()
         for k in A.table:
             assert A.table[k] == B.table[k]
+
+
+# Parser fuzzing.  Integers come from a small alphabet and tokens are always
+# separated by whitespace, so no example can spell a large dimension, index,
+# exponent or conductor.
+_VALUES = ["-1", "0", "1", "2", "3", "two", "a", "1/2"]
+_EXPR_TOKENS = ["x1", "x2", "x3", "zeta(3)", "+", "-", "*", "^", "/", "(", ")"] + _VALUES
+_LIE_TOKENS = (["lie", "g", "{", "}", ";", ":", "=", ",", "dim", "bracket", "bracket{1,2}",
+                "#", "\n"] + _EXPR_TOKENS)
+_MATRIX_TOKENS = ["zeta(4)", "zeta(0)", "zeta", "x", "1/0", "0^0", "2^3", "(1+zeta(3))^2",
+                  "-zeta(12)", "+", "-", "*", "/", "^", "(", ")", "#", "."] + _VALUES
+
+
+def _token_texts(tokens, separators=(" ",)):
+    pairs = st.tuples(st.sampled_from(tokens), st.sampled_from(separators))
+    return st.lists(pairs, max_size=24).map(lambda ps: "".join(t + s for t, s in ps))
+
+
+_LIE_TEXTS = st.one_of(
+    _token_texts(_LIE_TOKENS),
+    st.builds("lie g {{ dim: {}; bracket{{{},{}}} = {}; }}".format,
+              st.sampled_from(_VALUES + [""]), st.sampled_from(_VALUES), st.sampled_from(_VALUES),
+              _token_texts(_EXPR_TOKENS)))
+
+
+def _parses_or_pwb_error(parse, text):
+    try:
+        parse(text)
+    except PwbError:
+        pass
+
+
+@settings(max_examples=150, deadline=None)
+@given(_LIE_TEXTS)
+def test_parse_lie_fuzz(text):
+    _parses_or_pwb_error(parse_lie, text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_token_texts(_MATRIX_TOKENS, separators=(" ", "\n")))
+def test_parse_matrix_fuzz(text):
+    _parses_or_pwb_error(parse_matrix, text)
