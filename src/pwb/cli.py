@@ -15,7 +15,7 @@ from typing import Optional
 from . import __version__
 from .brackets import PoissonAlgebra
 from .envelope import envelope_dims, envelope_extend, envelope_presentation, envelope_trace
-from .errors import PwbError
+from .errors import InfiniteOrderError, NotAutomorphismError, PwbError
 from .families import (jacobian, jacobian_pq, homogenized_weyl, ph_lie,
                        quantum_matrices, skew_symmetric, weyl)
 from .fixedrings import fixed_group, is_skew_presentation, rigidity_report
@@ -26,7 +26,8 @@ from .formats import (classification_json, cyclo_json, emit_algebra,
 from .rings import PolyRing
 from .solver import DEFAULT_BUDGET
 from .suite import run_suite
-from .symmetry import classify, find_reflections, group_closure, molien_series, trace_series
+from .symmetry import (classify, find_reflections, group_closure, is_poisson_automorphism,
+                       molien_series, trace_series)
 
 SCHEMA = "pwb/1"
 
@@ -56,6 +57,15 @@ def _load_maps(paths: str, ring, inputs: dict):
         name, on, g = parse_map(_read(path, inputs), ring)
         out.append((name, g))
     return out
+
+
+def _closure(maps, bound: int):
+    """Group closure of the named maps; an infinite-order map is reported by name."""
+    try:
+        return group_closure([g for _, g in maps], bound=bound)
+    except InfiniteOrderError as exc:
+        raise InfiniteOrderError(f"map '{maps[exc.index][0]}' has infinite order",
+                                 exc.index) from exc
 
 
 def cmd_check(args, inputs) -> CommandResult:
@@ -111,7 +121,13 @@ def cmd_trace(args, inputs) -> CommandResult:
 def cmd_molien(args, inputs) -> CommandResult:
     name, A = _load_algebra(args.algebra, inputs, args.defer_jacobi)
     maps = _load_maps(args.group, A.ring, inputs)
-    group = group_closure([g for _, g in maps], bound=args.bound)
+    for mname, g in maps:
+        ok, witness = is_poisson_automorphism(A, g)
+        if not ok:
+            raise NotAutomorphismError(f"map '{mname}' is not a Poisson automorphism of "
+                                       f"{name}: it breaks the bracket of {witness[0]} "
+                                       f"and {witness[1]}")
+    group = _closure(maps, args.bound)
     series = molien_series(group)
     return CommandResult({
         "algebra": name,
@@ -124,8 +140,7 @@ def cmd_molien(args, inputs) -> CommandResult:
 
 def cmd_fixed(args, inputs) -> CommandResult:
     name, A = _load_algebra(args.algebra, inputs, args.defer_jacobi)
-    maps = _load_maps(args.group, A.ring, inputs)
-    group = group_closure([g for _, g in maps], bound=args.bound)
+    group = _closure(_load_maps(args.group, A.ring, inputs), args.bound)
     presented = fixed_group(A, group, bound=args.degree, budget=args.budget)
     skew = is_skew_presentation(presented)
     payload = presented_json(presented)
@@ -138,8 +153,7 @@ def cmd_fixed(args, inputs) -> CommandResult:
 
 def cmd_report(args, inputs) -> CommandResult:
     name, A = _load_algebra(args.algebra, inputs, args.defer_jacobi)
-    maps = _load_maps(args.group, A.ring, inputs)
-    group = group_closure([g for _, g in maps], bound=args.bound)
+    group = _closure(_load_maps(args.group, A.ring, inputs), args.bound)
     rep = rigidity_report(A, group, bound=args.degree, budget=args.budget)
     return CommandResult({"algebra": name, "group_order": group.order,
                           **rigidity_json(rep)},

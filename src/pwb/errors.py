@@ -89,6 +89,15 @@ class BoundExceededError(PwbError):
     """Group closure grew past the configured element bound."""
 
 
+class InfiniteOrderError(BoundExceededError):
+    """A group generator, or an eigenvalue of one, has infinite order, so no
+    closure bound suffices; `index` is the generator's position when known."""
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
+
+
 class DegreeBoundTooSmallError(PwbError):
     """Invariant generators are incomplete at the requested degree bound."""
 

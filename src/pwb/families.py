@@ -171,20 +171,26 @@ class LieData:
         return tuple(-c for c in vec)
 
     def jacobi_holds(self) -> tuple[bool, Optional[tuple[int, int, int]]]:
+        """Jacobi on every triple i < j < k, or the first failing triple.
+
+        A triple whose three inner brackets all vanish satisfies Jacobi, so
+        only triples containing a pair with a nonzero bracket are visited,
+        in the same lexicographic order.
+        """
         n = self.dimension
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    total = [_ZERO] * n
-                    for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                        inner = self.ad(b, c)
-                        for m in range(n):
-                            if not inner[m].is_zero():
-                                outer = self.ad(a, m)
-                                for t in range(n):
-                                    total[t] = total[t] + inner[m] * outer[t]
-                    if any(not c.is_zero() for c in total):
-                        return False, (i, j, k)
+        triples = {tuple(sorted((i, j, k))) for i, j in self.brackets
+                   for k in range(n) if k != i and k != j}
+        for i, j, k in sorted(triples):
+            total = [_ZERO] * n
+            for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
+                inner = self.ad(b, c)
+                for m in range(n):
+                    if not inner[m].is_zero():
+                        outer = self.ad(a, m)
+                        for t in range(n):
+                            total[t] = total[t] + inner[m] * outer[t]
+            if any(not c.is_zero() for c in total):
+                return False, (i, j, k)
         return True, None
 
 

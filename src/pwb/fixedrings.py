@@ -11,18 +11,18 @@ to d.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 from typing import Optional, Sequence
 
 from .brackets import PoissonAlgebra, transport
 from .errors import (DegreeBoundTooSmallError, InducedBracketNotClosedError,
-                     NotReflectionError, PwbError)
+                     InfiniteOrderError, NotReflectionError, PwbError)
 from .linalg import Matrix, _express_in_rows
 from .rings import Poly, PolyRing, grlex_key
-from .scalars import Cyclo
+from .scalars import Cyclo, cyclotomic_polynomial, divisors, lcm, zpoly_mul, zpoly_quotient
 from .series import RationalSeries, hilbert_weighted
 from .solver import DEFAULT_BUDGET, subalgebra_member
-from .symmetry import (REFLECTION, GradedMap, PoissonGroup, classify, group_closure,
-                       molien_series)
+from .symmetry import REFLECTION, GradedMap, PoissonGroup, classify, molien_series
 from .upoly import UPoly, extract_roots
 
 _ZERO = Cyclo.of(0)
@@ -208,13 +208,20 @@ def fixed_group(A: PoissonAlgebra, group: PoissonGroup, bound: Optional[int] = N
     """Invariant generators up to the degree bound with the induced bracket.
 
     The invariants of each degree come from one of two sources.  When the
-    group generators share an eigenbasis, they are the monomials in that
-    basis whose characters are trivial; otherwise they are the nonzero
-    Reynolds averages of the monomials over the group elements.  Either way
+    group generators share an eigenbasis (a diagonal group), their
+    eigenvalues are roots of unity, stored once as integer logs a_ij modulo
+    the exponent e (zeta_e^a_ij is the eigenvalue of generator i on y_j).
+    The invariants are then the eigenbasis monomials y^x with
+    sum_j a_ij x_j = 0 mod e for every i, and the Molien series is
+    N(t)/(1 - t^e)^n, where N counts the invariant x in [0, e)^n by degree
+    (character orthogonality); no cyclotomic arithmetic is left in either.
+    Otherwise the invariants are the nonzero Reynolds averages of the
+    monomials over the group elements, and the Molien series is the
+    average of 1/det(1 - g t) over the elements.  Either way
     `_canonical_generators` keeps, degree by degree, what products of
     lower-degree generators do not span, and the induced bracket is written
     in the generators by `subalgebra_member`.  `canonical=False` changes only
-    diagonalizable groups: their generators are then the non-decomposable
+    diagonal groups: their generators are then the non-decomposable
     invariant monomials in the eigenbasis, with a monomially factored bracket
     table.  Every route ends in the same certification: the Molien series
     against the free product over the generator degrees, relations by
@@ -234,25 +241,29 @@ def fixed_cyclic_reflection(A: PoissonAlgebra, g: GradedMap,
     m = cls.order
     T = Matrix([list(v) for v in cls.fixed_basis] + [list(cls.eigenvector)]).transpose()
     chars = [[_ONE] * (A.nvars - 1) + [cls.xi]]
-    p = _fixed(A, group_closure([g]), (T, chars), m, canonical=False,
-               with_relations=True, budget=budget)
+    p = _fixed(A, None, (T, chars), m, canonical=False, with_relations=True, budget=budget)
     if sorted(p.degrees) != [1] * (A.nvars - 1) + [m]:
         raise InducedBracketNotClosedError(
             "cyclic reflection fixed ring has unexpected generator degrees")
     return p
 
 
-def _fixed(A: PoissonAlgebra, group: PoissonGroup, diag, d: int, canonical: bool,
+def _fixed(A: PoissonAlgebra, group: Optional[PoissonGroup], diag, d: int, canonical: bool,
            with_relations: bool, budget: int) -> PresentedPoisson:
-    """The fixed-ring pipeline; `diag` is a common eigenbasis and characters, or None."""
+    """The fixed-ring pipeline; `diag` is a common eigenbasis and characters,
+    or None for the Reynolds route over the elements of `group`."""
     if diag is None:
         route = _canonical_route(A, _reynolds_bases(A.ring, group, d), d, budget)
-    elif canonical:
-        route = _canonical_route(A, _diagonal_bases(A.ring, *diag, d), d, budget)
+        molien = molien_series(group)
     else:
-        route = _monomial_route(A, *diag, d)
+        T, chars = diag
+        e, logs = _character_logs(chars)
+        if canonical:
+            route = _canonical_route(A, _diagonal_bases(A.ring, T, logs, e, d), d, budget)
+        else:
+            route = _monomial_route(A, T, logs, e, d)
+        molien = _character_molien(logs, e, A.nvars)
     expressions, degrees, names, table = route
-    molien = molien_series(group)
     product = hilbert_weighted(degrees)
     polynomial = molien == product
     diagnostics = [TRUNCATION_CAVEAT]
@@ -291,36 +302,100 @@ def _reynolds_bases(ring: PolyRing, group: PoissonGroup, d: int) -> dict[int, li
     return bases
 
 
-def _monomial_is_invariant(exps, chars_per_gen) -> bool:
-    for chars in chars_per_gen:
-        acc = _ONE
-        for j, e in enumerate(exps):
-            if e:
-                acc = acc * chars[j] ** e
-        if not acc.is_one():
-            return False
-    return True
+# -- character arithmetic for diagonal groups ---------------------------------
 
 
-def _invariant_monomials(ring: PolyRing, chars, k: int) -> list[tuple[int, ...]]:
+def _character_logs(chars) -> tuple[int, list[list[int]]]:
+    """The exponent e of the characters and their logs: zeta_e^logs[i][j] == chars[i][j]."""
+    found = []
+    e = 1
+    for row in chars:
+        out = []
+        for c in row:
+            log = c.root_of_unity_log()
+            if log is None:
+                raise InfiniteOrderError(f"eigenvalue {c} is not a root of unity")
+            a, m = log
+            e = lcm(e, m // gcd(a, m))
+            out.append(log)
+        found.append(out)
+    return e, [[a * e // m for a, m in row] for row in found]
+
+
+def _is_invariant(x: tuple[int, ...], logs, e: int) -> bool:
+    """Whether every character is trivial on the eigenbasis monomial y^x."""
+    return all(sum(a * k for a, k in zip(row, x)) % e == 0 for row in logs)
+
+
+def _invariant_monomials(ring: PolyRing, logs, e: int, k: int) -> list[tuple[int, ...]]:
     """Exponents of the degree-k eigenbasis monomials with trivial characters."""
-    return [e for e in ring.monomials_of_degree(k) if _monomial_is_invariant(e, chars)]
+    return [x for x in ring.monomials_of_degree(k) if _is_invariant(x, logs, e)]
 
 
-def _expand(ring: PolyRing, T: Matrix, e: tuple[int, ...]) -> Poly:
-    """The eigenbasis monomial y^e written in the variables of `ring`."""
-    acc = ring.one()
-    for j, k in enumerate(e):
-        if k:
-            acc = acc * ring.linear_form(T.column(j)) ** k
-    return acc
+def _character_molien(logs, e: int, n: int) -> RationalSeries:
+    """Molien series of the diagonal group with these character logs.
+
+    The invariant exponents are closed under adding e to a coordinate, so
+    each is an invariant x in [0, e)^n plus e times an exponent vector, and
+    the series is N(t)/(1 - t^e)^n with N(t) = sum t^|x| over those x.  N
+    is counted coordinate by coordinate, keyed by the residue of each
+    character.  Then every factor of 1 - t^e = (1 - t) * prod_{1 < d | e}
+    Phi_d that divides N is cancelled, which leaves the normal form.
+    """
+    zero = (0,) * len(logs)
+    counts: dict[tuple[int, ...], list[int]] = {zero: [1]}
+    for j in range(n):
+        col = [row[j] for row in logs]
+        nxt: dict[tuple[int, ...], list[int]] = {}
+        for res, poly in counts.items():
+            for x in range(e):
+                key = tuple((r + a * x) % e for r, a in zip(res, col))
+                acc = nxt.setdefault(key, [])
+                if len(acc) < len(poly) + x:
+                    acc.extend([0] * (len(poly) + x - len(acc)))
+                for k, c in enumerate(poly):
+                    acc[k + x] += c
+        counts = nxt
+    num = counts[zero]
+    den = [1]
+    for d in divisors(e):
+        factor = [1, -1] if d == 1 else list(cyclotomic_polynomial(d))
+        power = n
+        while power:
+            q = zpoly_quotient(num, factor)
+            if q is None:
+                break
+            num, power = q, power - 1
+        for _ in range(power):
+            den = zpoly_mul(den, factor)
+    return RationalSeries.reduced(UPoly(num), UPoly(den))
 
 
-def _diagonal_bases(ring: PolyRing, T: Matrix, chars, d: int) -> dict[int, list[Poly]]:
+def _expander(ring: PolyRing, T: Matrix):
+    """y^x -> the eigenbasis monomial written in the variables of `ring`,
+    with each power y_j^k computed once."""
+    forms = [ring.linear_form(T.column(j)) for j in range(T.ncols)]
+    powers: dict[tuple[int, int], Poly] = {}
+
+    def expand(x: tuple[int, ...]) -> Poly:
+        acc = ring.one()
+        for j, k in enumerate(x):
+            if k:
+                p = powers.get((j, k))
+                if p is None:
+                    p = powers[(j, k)] = forms[j] ** k
+                acc = acc * p
+        return acc
+
+    return expand
+
+
+def _diagonal_bases(ring: PolyRing, T: Matrix, logs, e: int, d: int) -> dict[int, list[Poly]]:
     """Per degree, the invariant eigenbasis monomials, leading terms descending."""
+    expand = _expander(ring, T)
     bases: dict[int, list[Poly]] = {}
     for k in range(1, d + 1):
-        vecs = [_expand(ring, T, e) for e in _invariant_monomials(ring, chars, k)]
+        vecs = [expand(x) for x in _invariant_monomials(ring, logs, e, k)]
         vecs.sort(key=lambda p: grlex_key(p.leading()[0]), reverse=True)
         bases[k] = vecs
     return bases
@@ -347,26 +422,27 @@ def _canonical_route(A: PoissonAlgebra, bases: dict, d: int, budget: int):
     return expressions, degrees, names, table
 
 
-def _monomial_route(A: PoissonAlgebra, T: Matrix, chars, d: int):
+def _monomial_route(A: PoissonAlgebra, T: Matrix, logs, e: int, d: int):
     """The non-decomposable invariant eigenbasis monomials as generators, with
     their degrees, names and monomially factored bracket table."""
     # non-decomposable invariant exponents up to degree d, degree-ascending
     gen_exps: list[tuple[int, ...]] = []
     in_monoid: set = set()
     for k in range(1, d + 1):
-        for e in _invariant_monomials(A.ring, chars, k):
+        for x in _invariant_monomials(A.ring, logs, e, k):
             decomposable = False
             for g in gen_exps:
-                if all(a >= b for a, b in zip(e, g)):
-                    rest = tuple(a - b for a, b in zip(e, g))
+                if all(a >= b for a, b in zip(x, g)):
+                    rest = tuple(a - b for a, b in zip(x, g))
                     if sum(rest) == 0 or rest in in_monoid:
                         decomposable = True
                         break
-            in_monoid.add(e)
+            in_monoid.add(x)
             if not decomposable:
-                gen_exps.append(e)
-    gen_exps.sort(key=lambda e: (sum(e), grlex_key(e)))
-    expressions = [_expand(A.ring, T, e) for e in gen_exps]
+                gen_exps.append(x)
+    gen_exps.sort(key=lambda x: (sum(x), grlex_key(x)))
+    expand = _expander(A.ring, T)
+    expressions = [expand(x) for x in gen_exps]
     degrees = [sum(e) for e in gen_exps]
     names = _generator_names(A.ring, expressions)
     Ay = transport(A, T, tuple(f"_y{i+1}" for i in range(A.nvars)))

@@ -59,18 +59,32 @@ def euler_phi(n: int) -> int:
     return result
 
 
-def _zpoly_div_exact(num: list[int], den: list[int]) -> list[int]:
-    # den is monic; exact division over Z
-    num = list(num)
-    q = [0] * (len(num) - len(den) + 1)
-    for i in range(len(num) - len(den), -1, -1):
-        c = num[i + len(den) - 1]
+def zpoly_mul(a: list[int], b: list[int]) -> list[int]:
+    """Product of integer polynomials, ascending coefficients."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def zpoly_quotient(num: list[int], den: list[int]) -> Optional[list[int]]:
+    """num / den over Z when den (leading coefficient +-1) divides num, else None."""
+    rem = list(num)
+    while rem and not rem[-1]:
+        rem.pop()
+    top = len(den) - 1
+    if len(rem) <= top:
+        return None
+    q = [0] * (len(rem) - top)
+    for i in range(len(q) - 1, -1, -1):
+        c = rem[i + top] * den[-1]
         q[i] = c
         if c:
             for j, d in enumerate(den):
-                num[i + j] -= c * d
-    assert all(c == 0 for c in num[: len(den) - 1])
-    return q
+                rem[i + j] -= c * d
+    return None if any(rem) else q
 
 
 @lru_cache(maxsize=None)
@@ -82,7 +96,7 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     poly[0], poly[n] = -1, 1  # x^n - 1
     for d in divisors(n):
         if d < n:
-            poly = _zpoly_div_exact(poly, list(cyclotomic_polynomial(d)))
+            poly = zpoly_quotient(poly, list(cyclotomic_polynomial(d)))
     return tuple(poly)
 
 
@@ -131,6 +145,12 @@ def _power_vector(n: int, e: int) -> tuple[Fraction, ...]:
     if e < deg:
         return tuple(ONE if k == e else ZERO for k in range(deg))
     return _reduce_mod_cyclotomic([ZERO] * e + [ONE], n)
+
+
+@lru_cache(maxsize=None)
+def _root_of_unity_logs(n: int) -> dict[tuple[Fraction, ...], int]:
+    """Canonical vector of zeta_n^a -> a, for 0 <= a < n."""
+    return {_power_vector(n, a): a for a in range(n)}
 
 
 @lru_cache(maxsize=None)
@@ -321,16 +341,22 @@ class Cyclo:
 
     # -- multiplicative order ------------------------------------------
 
-    def root_of_unity_order(self) -> Optional[int]:
-        """Least m with self^m = 1, or None.  Exact: any root of unity in
-        Q(zeta_N) has order dividing lcm(2, N)."""
+    def root_of_unity_log(self) -> Optional[tuple[int, int]]:
+        """(a, M) with self = zeta_M^a, 0 <= a < M = lcm(2, N), or None.
+        Exact: every root of unity in Q(zeta_N) is a power of zeta_M."""
         if self.is_zero():
             raise ZeroElementError("zero is not a root of unity")
-        bound = lcm(2, self.n)
-        for m in divisors(bound):
-            if (self ** m).is_one():
-                return m
-        return None
+        m = lcm(2, self.n)
+        a = _root_of_unity_logs(m).get(self.lift_to(m).c)
+        return None if a is None else (a, m)
+
+    def root_of_unity_order(self) -> Optional[int]:
+        """Least m with self^m = 1, or None."""
+        log = self.root_of_unity_log()
+        if log is None:
+            return None
+        a, m = log
+        return m // gcd(a, m)
 
     # -- printing -------------------------------------------------------
 

@@ -37,6 +37,14 @@ class RationalSeries:
         raise AttributeError("RationalSeries is immutable")
 
     @staticmethod
+    def reduced(num: UPoly, den: UPoly) -> "RationalSeries":
+        """num/den already in normal form (coprime, den(0) = 1), taken as is."""
+        s = object.__new__(RationalSeries)
+        object.__setattr__(s, "num", num)
+        object.__setattr__(s, "den", den)
+        return s
+
+    @staticmethod
     def one_over(factors: Iterable[Cyclo]) -> "RationalSeries":
         """1 / prod (1 - xi*t) for xi in factors."""
         den = UPoly.one()

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .brackets import PoissonAlgebra
-from .errors import BoundExceededError, NotSkewError, PwbError, SingularMatrixError
+from .errors import (BoundExceededError, InfiniteOrderError, NotSkewError, PwbError,
+                     SingularMatrixError)
 from .linalg import Matrix
 from .rings import Poly, PolyRing, grlex_key
 from .scalars import Cyclo, lcm, zeta
@@ -173,9 +174,15 @@ class PoissonGroup:
 
 
 def group_closure(gens: Sequence[GradedMap], bound: int = 512) -> PoissonGroup:
-    """Breadth-first closure; every generator must have finite order."""
+    """Breadth-first closure; every generator must have finite order.
+
+    A generator of infinite order raises `InfiniteOrderError` (carrying its
+    position as `.index`) before any element is built.
+    """
     if not gens:
         raise PwbError("need at least one generator")
+    for i, g in enumerate(gens):
+        _require_finite_order(g, i, bound)
     n = gens[0].n
     elements: list[GradedMap] = [GradedMap(Matrix.identity(n))]
     frontier = list(elements)
@@ -200,6 +207,21 @@ def group_closure(gens: Sequence[GradedMap], bound: int = 512) -> PoissonGroup:
                 raise BoundExceededError("element order exceeded the bound")
         exponent = lcm(exponent, k)
     return PoissonGroup(tuple(gens), tuple(elements), exponent)
+
+
+def _require_finite_order(g: GradedMap, index: int, bound: int) -> None:
+    """Raise unless g has finite order.  Uses the order `classify` cached, else
+    the powers of g up to the closure bound, and only past the bound the
+    minimal polynomial."""
+    if "order" not in g._cache:
+        power = g.matrix
+        for _ in range(bound):
+            if power.is_identity():
+                return
+            power = power * g.matrix
+    if g.order() is None:
+        raise InfiniteOrderError(f"generator {index + 1} has infinite order: {g.matrix!r}",
+                                 index)
 
 
 def molien_series(group: PoissonGroup) -> RationalSeries:

@@ -8,6 +8,7 @@ Only the exact scalar type is shared.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 from pwb.scalars import Cyclo
 
@@ -210,3 +211,30 @@ def matrix_order_by_iteration(rows, cap: int = 64):
             return k
         power = mul(power, rows)
     return None
+
+
+def monomial_is_invariant(exps, chars_per_gen) -> bool:
+    """The eigenbasis monomial y^exps is fixed by every generator: the product
+    of its characters, taken with Cyclo powers, is 1."""
+    for chars in chars_per_gen:
+        acc = ONE
+        for j, e in enumerate(exps):
+            if e:
+                acc = acc * chars[j] ** e
+        if not acc.is_one():
+            return False
+    return True
+
+
+def exponents_up_to(nvars: int, degree: int) -> list[tuple[int, ...]]:
+    """Every exponent tuple of total degree at most `degree`."""
+    return [e for e in product(range(degree + 1), repeat=nvars) if sum(e) <= degree]
+
+
+def invariant_monomial_counts(chars_per_gen, nvars: int, degree: int) -> list[int]:
+    """Invariant eigenbasis monomials of each degree 0..degree, one by one."""
+    counts = [0] * (degree + 1)
+    for e in exponents_up_to(nvars, degree):
+        if monomial_is_invariant(e, chars_per_gen):
+            counts[sum(e)] += 1
+    return counts

@@ -108,6 +108,31 @@ def test_normal_and_trace_and_molien(tmp_path, capsys):
     assert taylor[:4] == ["1", "1", "1", "2"]
 
 
+def test_molien_rejects_a_map_that_is_not_an_automorphism(tmp_path, capsys):
+    f = tmp_path / "s.pois"
+    f.write_text(SKEW)
+    m = tmp_path / "swap.map"
+    m.write_text("map swap on S { x -> y; y -> x; }")
+    code, report = run(capsys, "molien", "--algebra", str(f), "--group", str(m))
+    assert code == 1 and report["result"] is None
+    assert report["diagnostics"] == [
+        "NotAutomorphismError: map 'swap' is not a Poisson automorphism of S: "
+        "it breaks the bracket of x and y"]
+
+
+@pytest.mark.parametrize("command", ["molien", "fixed", "report"])
+def test_infinite_order_map_fails_before_the_closure(tmp_path, capsys, command):
+    f = tmp_path / "s.pois"
+    f.write_text(SKEW)
+    g = tmp_path / "g.map"
+    g.write_text(ZETA3_MAP)
+    m = tmp_path / "scale.map"
+    m.write_text("map scale on S { x -> 2*x; }")
+    code, report = run(capsys, command, "--algebra", str(f), "--group", f"{g},{m}")
+    assert code == 1 and report["result"] is None
+    assert report["diagnostics"] == ["InfiniteOrderError: map 'scale' has infinite order"]
+
+
 def test_fixed_and_report(tmp_path, capsys):
     f = tmp_path / "s.pois"
     f.write_text(SKEW)
@@ -180,6 +205,15 @@ def test_family_ph_lie_zero_dim(tmp_path, capsys):
     lie.write_text("lie g { dim: 0; }\n")
     code, report = run(capsys, "family", "ph-lie", "--lie", str(lie))
     assert code == 0
+
+
+def test_family_ph_lie_large_abelian(tmp_path, capsys):
+    # the Jacobi check visits only triples with a nonzero bracket
+    lie = tmp_path / "g.lie"
+    lie.write_text("lie g { dim: 60; }\n")
+    code, report = run(capsys, "family", "ph-lie", "--lie", str(lie))
+    assert code == 0
+    assert len(report["result"]["vars"]) == 61
 
 
 def test_fixed_with_two_generators(tmp_path, capsys):

@@ -84,6 +84,21 @@ def test_lie_jacobi_guard():
         })
 
 
+@pytest.mark.parametrize("dimension, brackets, triple", [
+    (3, {(0, 1): (0, 0, 1), (0, 2): (1, 0, 0), (1, 2): (0, 1, 0)}, (0, 1, 2)),
+    # a bracket on (0, 1) that satisfies Jacobi comes first in lexicographic order
+    (6, {(0, 1): (0, 1, 0, 0, 0, 0), (2, 4): (0, 0, 0, 0, 0, 1),
+         (2, 5): (0, 0, 1, 0, 0, 0), (4, 5): (0, 0, 0, 0, 1, 0)}, (2, 4, 5)),
+    # the failing triple (1, 2, 4) holds the pair (1, 2) but not the pair (3, 5)
+    (6, {(5, 3): (0, 1, 0, 0, 0, 0), (1, 2): (0, 0, 0, 1, 0, 0),
+         (3, 4): (0, 0, 0, 0, 0, 1)}, (1, 2, 4)),
+])
+def test_lie_jacobi_witness_is_the_first_failing_triple(dimension, brackets, triple):
+    with pytest.raises(LieJacobiFailsError) as info:
+        LieData.of(dimension, brackets)
+    assert info.value.triple == triple
+
+
 def test_lie_one_dim_ideals():
     assert lie_one_dim_ideals(sl2()).kind == EMPTY
     res = lie_one_dim_ideals(lie_two_dim_nonabelian())

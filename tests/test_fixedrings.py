@@ -1,16 +1,23 @@
-import pytest
+from collections import Counter
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import oracle
+from pwb import fixedrings, symmetry
 from pwb.brackets import PoissonAlgebra
 from pwb.families import (homogenized_weyl, jacobian_pq, lie_two_dim_nonabelian, ph_lie,
                           quantum_matrices, skew_symmetric)
-from pwb.fixedrings import (DISTINGUISHED, NOT_DISTINGUISHED, _try_diagonalize,
+from pwb.fixedrings import (DISTINGUISHED, NOT_DISTINGUISHED, _character_logs,
+                            _character_molien, _is_invariant, _try_diagonalize,
                             fixed_cyclic_reflection, fixed_group, is_skew_presentation,
                             presented_from_linear_basis, rigidity_report)
 from pwb.linalg import Matrix
 from pwb.rings import PolyRing
 from pwb.scalars import Cyclo, zeta
 from pwb.series import hilbert_weighted
-from pwb.symmetry import GradedMap, group_closure
+from pwb.symmetry import GradedMap, group_closure, molien_series
 
 
 def skew2(p):
@@ -344,3 +351,82 @@ def test_ph_lie_fixed_ring():
                               for t in range(3)), m)
     assert p.entry(ix1, ix2m) == expect  # {x1, x2^m} = m x2^m z
     assert p.entry(ix1, iz).is_zero() and p.entry(ix2m, iz).is_zero()
+
+
+# -- character arithmetic for diagonal groups ----------------------------------
+
+
+@st.composite
+def diagonal_groups(draw):
+    """(n, generator matrices): one or two commuting diagonalizable generators of
+    orders from {1, 2, 3, 4, 6}, diagonal in the basis of a random rational S."""
+    n = draw(st.integers(1, 4))
+    diagonals = []
+    for _ in range(draw(st.integers(1, 2))):
+        order = draw(st.sampled_from([1, 2, 3, 4, 6]))
+        diagonals.append([zeta(order, draw(st.integers(0, order - 1))) for _ in range(n)])
+    entry = st.sampled_from([-1, 0, 1, 2])
+    # unit lower times invertible upper triangular: always invertible
+    lower = Matrix([[1 if i == j else draw(entry) if j < i else 0 for j in range(n)]
+                    for i in range(n)])
+    upper = Matrix([[draw(st.sampled_from([1, -1, 2])) if i == j else draw(entry) if j > i
+                     else 0 for j in range(n)] for i in range(n)])
+    S = lower * upper
+    return n, [S * Matrix.diagonal(d) * S.inverse() for d in diagonals]
+
+
+@settings(max_examples=30, deadline=None)
+@given(diagonal_groups())
+@example((3, [Matrix.identity(3)]))
+def test_character_molien_matches_charpoly_sum_and_brute_force(case):
+    n, mats = case
+    G = group_closure([GradedMap(m) for m in mats])
+    diag = _try_diagonalize(G)
+    assert diag is not None
+    _, chars = diag
+    e, logs = _character_logs(chars)
+    series = _character_molien(logs, e, n)
+    reference = molien_series(G)
+    # the same normal form, so reports print the same series
+    assert series.num == reference.num and series.den == reference.den
+    degree = e + 2
+    counts = oracle.invariant_monomial_counts(chars, n, degree)
+    assert series.taylor(degree) == [Cyclo.of(c) for c in counts]
+    for x in oracle.exponents_up_to(n, degree):
+        assert _is_invariant(x, logs, e) == oracle.monomial_is_invariant(x, chars)
+
+
+def test_character_logs_reject_a_non_root_of_unity():
+    from pwb.errors import InfiniteOrderError
+    with pytest.raises(InfiniteOrderError, match="eigenvalue 2 is not a root of unity"):
+        _character_logs([[Cyclo.of(1), Cyclo.of(2)]])
+
+
+def test_diagonal_route_uses_only_character_arithmetic(monkeypatch):
+    calls: Counter = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    A = skew_symmetric(Matrix([[0, 1, 2], [-1, 0, 3], [-2, -3, 0]]), names=["x", "y", "z"])
+    S = Matrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    diagonal = group_closure([gmap(Matrix.diagonal([zeta(6), 1, 1]).rows)])
+    Z = PoissonAlgebra(PolyRing(["x", "y", "z"]), {})
+    conjugated = group_closure([GradedMap(S * Matrix.diagonal([zeta(3), zeta(3, 2), 1])
+                                          * S.inverse())])
+    swap = group_closure([gmap([[0, 1, 0], [1, 0, 0], [0, 0, 1]]),
+                          gmap([[0, 0, 1], [0, 1, 0], [1, 0, 0]])])
+    monkeypatch.setattr(symmetry, "molien_series", counted("molien", symmetry.molien_series))
+    monkeypatch.setattr(fixedrings, "molien_series",
+                        counted("molien", fixedrings.molien_series))
+    monkeypatch.setattr(Cyclo, "__pow__", counted("pow", Cyclo.__pow__))
+    for canonical in (True, False):
+        assert fixed_group(A, diagonal, canonical=canonical).polynomial
+        assert not fixed_group(Z, conjugated, bound=3, canonical=canonical).polynomial
+    assert calls == Counter()
+    # the Reynolds route (S3 does not diagonalize) still takes the charpoly sum
+    fixed_group(Z, swap, bound=3)
+    assert calls["molien"] == 1

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pwb.errors import ZeroElementError
@@ -55,6 +55,26 @@ def test_root_of_unity_orders():
     assert (zeta(3) + 1).root_of_unity_order() == 6  # 1 + zeta_3 = -zeta_3^2
     with pytest.raises(ZeroElementError):
         Cyclo.of(0).root_of_unity_order()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 23), st.sampled_from([1, 2, 3, 4, 5]),
+       st.sampled_from([0, 1, 2, Fraction(1, 2)]))
+def test_root_of_unity_log_matches_powers(n, k, lift, shift):
+    # zeta_n^k stored at a larger conductor, plus a shift that is usually not
+    # a root of unity; the order is checked against plain repeated products
+    c = (zeta(n, k) + shift).lift_to(n * lift) if shift else zeta(n, k).lift_to(n * lift)
+    assume(not c.is_zero())
+    power, order = c, 1
+    while not power.is_one() and order <= 2 * n * lift:
+        power, order = power * c, order + 1
+    expected = order if power.is_one() else None
+    log = c.root_of_unity_log()
+    if expected is None:
+        assert log is None and c.root_of_unity_order() is None
+    else:
+        a, m = log
+        assert zeta(m, a) == c and c.root_of_unity_order() == expected
 
 
 def test_descend():

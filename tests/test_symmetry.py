@@ -94,6 +94,24 @@ def test_trace_series_reflection_shape_off_diagonal():
     assert trace_series(g) == RationalSeries.one_over([Cyclo.of(-1), Cyclo.of(1)])
 
 
+def test_group_closure_rejects_infinite_order_before_closing():
+    from pwb.errors import BoundExceededError, InfiniteOrderError
+    finite = GradedMap(Matrix.diagonal([zeta(3), 1]))
+    shear = GradedMap(Matrix([[1, 1], [0, 1]]))
+    with pytest.raises(InfiniteOrderError, match="generator 2 has infinite order") as info:
+        group_closure([finite, shear])
+    assert info.value.index == 1
+    # an order that classify already found is used as is
+    scale = GradedMap(Matrix.diagonal([2, 1]))
+    assert classify(PoissonAlgebra(PolyRing(["x", "y"]), {}), scale).kind == INFINITE_ORDER
+    with pytest.raises(InfiniteOrderError, match="generator 1 has infinite order"):
+        group_closure([scale])
+    # a finite order above the bound is a plain bound error
+    with pytest.raises(BoundExceededError) as info:
+        group_closure([GradedMap(Matrix.diagonal([zeta(7), 1]))], bound=4)
+    assert not isinstance(info.value, InfiniteOrderError)
+
+
 def test_group_closure_and_molien():
     g = GradedMap(Matrix.diagonal([zeta(3), 1]))
     G = group_closure([g])
