@@ -26,8 +26,8 @@ from .formats import (classification_json, cyclo_json, emit_algebra,
 from .rings import PolyRing
 from .solver import DEFAULT_BUDGET
 from .suite import run_suite
-from .symmetry import (classify, find_reflections, group_closure, is_poisson_automorphism,
-                       molien_series, trace_series)
+from .symmetry import (PoissonGroup, classify, find_reflections, group_closure,
+                       is_poisson_automorphism, molien_series, trace_series)
 
 SCHEMA = "pwb/1"
 
@@ -59,10 +59,18 @@ def _load_maps(paths: str, ring, inputs: dict):
     return out
 
 
-def _closure(maps, bound: int):
-    """Group closure of the named maps; an infinite-order map is reported by name."""
+def _load_group(args, A: PoissonAlgebra, name: str, inputs: dict) -> PoissonGroup:
+    """Group closure of the --group maps.  A map that is not a Poisson
+    automorphism of A, or has infinite order, is reported by name."""
+    maps = _load_maps(args.group, A.ring, inputs)
+    for mname, g in maps:
+        ok, witness = is_poisson_automorphism(A, g)
+        if not ok:
+            raise NotAutomorphismError(f"map '{mname}' is not a Poisson automorphism of "
+                                       f"{name}: it breaks the bracket of {witness[0]} "
+                                       f"and {witness[1]}")
     try:
-        return group_closure([g for _, g in maps], bound=bound)
+        return group_closure([g for _, g in maps], bound=args.bound)
     except InfiniteOrderError as exc:
         raise InfiniteOrderError(f"map '{maps[exc.index][0]}' has infinite order",
                                  exc.index) from exc
@@ -120,14 +128,7 @@ def cmd_trace(args, inputs) -> CommandResult:
 
 def cmd_molien(args, inputs) -> CommandResult:
     name, A = _load_algebra(args.algebra, inputs, args.defer_jacobi)
-    maps = _load_maps(args.group, A.ring, inputs)
-    for mname, g in maps:
-        ok, witness = is_poisson_automorphism(A, g)
-        if not ok:
-            raise NotAutomorphismError(f"map '{mname}' is not a Poisson automorphism of "
-                                       f"{name}: it breaks the bracket of {witness[0]} "
-                                       f"and {witness[1]}")
-    group = _closure(maps, args.bound)
+    group = _load_group(args, A, name, inputs)
     series = molien_series(group)
     return CommandResult({
         "algebra": name,
@@ -140,7 +141,7 @@ def cmd_molien(args, inputs) -> CommandResult:
 
 def cmd_fixed(args, inputs) -> CommandResult:
     name, A = _load_algebra(args.algebra, inputs, args.defer_jacobi)
-    group = _closure(_load_maps(args.group, A.ring, inputs), args.bound)
+    group = _load_group(args, A, name, inputs)
     presented = fixed_group(A, group, bound=args.degree, budget=args.budget)
     skew = is_skew_presentation(presented)
     payload = presented_json(presented)
@@ -153,7 +154,7 @@ def cmd_fixed(args, inputs) -> CommandResult:
 
 def cmd_report(args, inputs) -> CommandResult:
     name, A = _load_algebra(args.algebra, inputs, args.defer_jacobi)
-    group = _closure(_load_maps(args.group, A.ring, inputs), args.bound)
+    group = _load_group(args, A, name, inputs)
     rep = rigidity_report(A, group, bound=args.degree, budget=args.budget)
     return CommandResult({"algebra": name, "group_order": group.order,
                           **rigidity_json(rep)},

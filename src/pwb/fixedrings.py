@@ -17,13 +17,13 @@ from typing import Optional, Sequence
 from .brackets import PoissonAlgebra, transport
 from .errors import (DegreeBoundTooSmallError, InducedBracketNotClosedError,
                      InfiniteOrderError, NotReflectionError, PwbError)
-from .linalg import Matrix, _express_in_rows
+from .linalg import Matrix
 from .rings import Poly, PolyRing, grlex_key
 from .scalars import Cyclo, cyclotomic_polynomial, divisors, lcm, zpoly_mul, zpoly_quotient
 from .series import RationalSeries, hilbert_weighted
 from .solver import DEFAULT_BUDGET, subalgebra_member
 from .symmetry import REFLECTION, GradedMap, PoissonGroup, classify, molien_series
-from .upoly import UPoly, extract_roots
+from .upoly import UPoly
 
 _ZERO = Cyclo.of(0)
 _ONE = Cyclo.of(1)
@@ -104,34 +104,22 @@ def _try_diagonalize(group: PoissonGroup):
     # (basis column vectors, eigenvalue of each generator processed so far)
     spaces: list[tuple[list[list[Cyclo]], list[Cyclo]]] = [
         ([list(r) for r in Matrix.identity(n).rows], [])]
-    for g in gens:
+    for g in group.generators:
+        eigenvalues = g.eigenvalues()
+        if eigenvalues is None:
+            return None
+        shifted = [(lam, g.matrix - Matrix.diagonal([lam] * n)) for lam in eigenvalues]
         new_spaces = []
         for basis, chars in spaces:
             k = len(basis)
-            # restriction of g to the span: g * b_j = sum_i R[i][j] b_i
-            rcols = []
-            for b in basis:
-                img = g.apply(b)
-                coeffs = _express_in_rows(basis, img, n)
-                if coeffs is None:
-                    return None
-                rcols.append(coeffs)
-            R = Matrix(rcols).transpose()
-            mp = UPoly(R.minpoly_coeffs())
-            roots, rem = extract_roots(mp)
-            if rem.degree() >= 1 or not mp.is_squarefree():
-                return None
-            uniq: list[Cyclo] = []
-            for r in roots:
-                if not any(r == u for u in uniq):
-                    uniq.append(r)
-            uniq.sort(key=lambda c: (not c.is_one(), str(c)))
-            for lam in uniq:
-                delta = Matrix([[R.rows[a][b] - (lam if a == b else _ZERO)
-                                 for b in range(k)] for a in range(k)])
+            B = Matrix(basis).transpose()
+            for lam, delta in shifted:
+                # B has full column rank: the kernel of (g - lam) B is the
+                # lam-eigenspace of g restricted to the span of B
                 cols = [[sum((vec[t] * basis[t][i] for t in range(k)), _ZERO)
-                         for i in range(n)] for vec in delta.kernel_basis()]
-                new_spaces.append((cols, chars + [lam]))
+                         for i in range(n)] for vec in (delta * B).kernel_basis()]
+                if cols:
+                    new_spaces.append((cols, chars + [lam]))
         spaces = new_spaces
     T = Matrix([col for basis, _ in spaces for col in basis]).transpose()
     chars = [[lams[gi] for basis, lams in spaces for _ in basis] for gi in range(len(gens))]

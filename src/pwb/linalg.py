@@ -194,22 +194,21 @@ class Matrix:
         return coeffs
 
     def minpoly_coeffs(self) -> list[Cyclo]:
-        """Ascending coefficients of the monic minimal polynomial."""
-        n = self.nrows
-        dim = n * n
-        powers: list[list[Cyclo]] = []
-        current = Matrix.identity(n)
-        for _ in range(n + 1):
-            powers.append([current.rows[i][j] for i in range(n) for j in range(n)])
-            current = current * self
-        # find least k with M^k dependent on lower powers
-        for k in range(1, n + 1):
-            rows = [powers[i] for i in range(k)]
-            target = powers[k]
-            sol = _express_in_rows(rows, target, dim)
-            if sol is not None:
-                return [-c for c in sol] + [_ONE]
-        raise AssertionError("minimal polynomial must exist by Cayley-Hamilton")
+        """Ascending coefficients of the monic minimal polynomial.
+
+        The columns of the n^2 x (n+1) matrix are the entries of I, M, ...,
+        M^n; its first free column k is the least power dependent on the
+        lower ones, so the first kernel vector, cut after its entry k (a 1),
+        is the minimal polynomial.
+        """
+        powers = [Matrix.identity(self.nrows)]
+        for _ in range(self.nrows):
+            powers.append(powers[-1] * self)
+        stacked = Matrix([[x for row in p.rows for x in row] for p in powers]).transpose()
+        coeffs = stacked.kernel_basis()[0]
+        while coeffs[-1].is_zero():
+            coeffs.pop()
+        return coeffs
 
     def __str__(self):
         return "\n".join(" ".join(str(x) for x in r) for r in self.rows)
@@ -224,28 +223,6 @@ def _dot(a: Sequence[Cyclo], b: Sequence[Cyclo]) -> Cyclo:
         if not (x.is_zero() or y.is_zero()):
             acc = acc + x * y
     return acc
-
-
-def _express_in_rows(rows: list[list[Cyclo]], target: list[Cyclo], ncols: int):
-    """Coefficients expressing target in span(rows), or None."""
-    work = [list(r) + [(_ONE if i == j else _ZERO) for j in range(len(rows))]
-            for i, r in enumerate(rows)]
-    m = Matrix(work)
-    reduced, pivots = m.rref()
-    coeffs = [_ZERO] * len(rows)
-    tgt = list(target)
-    for i, p in enumerate(pivots):
-        if p >= ncols:
-            continue
-        f = tgt[p]
-        if not f.is_zero():
-            lead = reduced.rows[i]
-            tgt = [x - f * y for x, y in zip(tgt, lead[:ncols])]
-            for j in range(len(rows)):
-                coeffs[j] = coeffs[j] + f * lead[ncols + j]
-    if any(not x.is_zero() for x in tgt):
-        return None
-    return coeffs
 
 
 def solve_linear(a: Matrix, b: Sequence) -> Optional[list[Cyclo]]:

@@ -3,8 +3,10 @@
 An element of Q(zeta_N) is stored as its canonical representative in
 Q[x]/Phi_N(x): a coefficient vector of length phi(N) over `fractions.Fraction`.
 Canonical forms make equality a coefficient comparison.  Mixed-conductor
-arithmetic lifts both operands to the lcm of the conductors; results are not
-automatically descended to a smaller field (see `Cyclo.descend`).
+arithmetic lifts both operands to the lcm of the conductors, and results stay
+at that conductor: they are never descended to a smaller field, so the
+conductor a value is stored at (which its printed form shows) records the
+arithmetic that produced it.
 """
 from __future__ import annotations
 
@@ -225,19 +227,6 @@ class Cyclo:
             raise ScalarError(f"{self} is not rational")
         return self.c[0]
 
-    def descend(self) -> "Cyclo":
-        """Smallest-conductor representation of the same value."""
-        if self.n == 1:
-            return self
-        for m in divisors(self.n):
-            if m == self.n:
-                break
-            rows = _lift_matrix(m, self.n)
-            solved = _solve_in_span(rows, self.c)
-            if solved is not None:
-                return Cyclo(m, solved)
-        return self
-
     # -- arithmetic ---------------------------------------------------
 
     def _aligned(self, other: "Cyclo") -> tuple["Cyclo", "Cyclo"]:
@@ -448,37 +437,3 @@ def _poly_modular_inverse(a: list[Fraction], mod: list[Fraction]) -> list[Fracti
         raise ZeroElementError("element is a zero divisor (not invertible)")
     inv_gcd = 1 / r0[0]
     return [c * inv_gcd for c in s0]
-
-
-def _solve_in_span(rows: tuple[tuple[Fraction, ...], ...], target: tuple[Fraction, ...]):
-    """Express target as a rational combination of rows, or None."""
-    ncols = len(target)
-    work = [list(r) + [ONE if i == j else ZERO for j in range(len(rows))]
-            for i, r in enumerate(rows)]
-    tgt = list(target) + [ZERO] * len(rows)
-    pivots = []
-    row_at = 0
-    for col in range(ncols):
-        pivot_row = next((r for r in range(row_at, len(work)) if work[r][col] != 0), None)
-        if pivot_row is None:
-            continue
-        work[row_at], work[pivot_row] = work[pivot_row], work[row_at]
-        pr = work[row_at]
-        inv = 1 / pr[col]
-        work[row_at] = pr = [x * inv for x in pr]
-        for r in range(len(work)):
-            if r != row_at and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], pr)]
-        pivots.append(col)
-        row_at += 1
-    coeffs = [ZERO] * len(rows)
-    for idx, col in enumerate(pivots):
-        f = tgt[col]
-        if f:
-            tgt = [x - f * y for x, y in zip(tgt, work[idx])]
-            for j in range(len(rows)):
-                coeffs[j] += f * work[idx][ncols + j]
-    if any(tgt[c] != 0 for c in range(ncols)):
-        return None
-    return tuple(coeffs)

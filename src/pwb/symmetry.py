@@ -70,31 +70,41 @@ class GradedMap:
 
     __hash__ = None
 
+    def eigenvalues(self) -> Optional[tuple[Cyclo, ...]]:
+        """The distinct eigenvalues, 1 first and then by printed form, or None
+        unless the matrix is diagonalizable with eigenvalues `extract_roots`
+        finds (a squarefree minimal polynomial that splits over them)."""
+        if "eigenvalues" not in self._cache:
+            self._cache["eigenvalues"] = _eigenvalues(self.matrix)
+        return self._cache["eigenvalues"]
+
     def order(self) -> Optional[int]:
         """Multiplicative order, or None if infinite."""
-        if "order" in self._cache:
-            return self._cache["order"]
-        result = _finite_order(self.matrix)
-        self._cache["order"] = result
-        return result
+        if "order" not in self._cache:
+            self._cache["order"] = _finite_order(self.eigenvalues())
+        return self._cache["order"]
 
     def __repr__(self):
         return f"GradedMap({self.matrix!r})"
 
 
-def _finite_order(m: Matrix) -> Optional[int]:
-    """Order of an invertible matrix: minimal polynomial must be squarefree
-    with all roots roots of unity."""
+def _eigenvalues(m: Matrix) -> Optional[tuple[Cyclo, ...]]:
     mp = UPoly(m.minpoly_coeffs())
     if not mp.is_squarefree():
         return None
     roots, rem = extract_roots(mp)
     if rem.degree() >= 1:
         return None
+    return tuple(sorted(roots, key=lambda c: (not c.is_one(), str(c))))
+
+
+def _finite_order(eigenvalues: Optional[tuple[Cyclo, ...]]) -> Optional[int]:
+    """Order of a matrix with these eigenvalues: finite iff it is diagonalizable
+    and every eigenvalue is a root of unity."""
+    if eigenvalues is None:
+        return None
     order = 1
-    for r in roots:
-        if r.is_zero():
-            return None
+    for r in eigenvalues:
         k = r.root_of_unity_order()
         if k is None:
             return None
@@ -210,10 +220,10 @@ def group_closure(gens: Sequence[GradedMap], bound: int = 512) -> PoissonGroup:
 
 
 def _require_finite_order(g: GradedMap, index: int, bound: int) -> None:
-    """Raise unless g has finite order.  Uses the order `classify` cached, else
-    the powers of g up to the closure bound, and only past the bound the
-    minimal polynomial."""
-    if "order" not in g._cache:
+    """Raise unless g has finite order.  Uses the eigenvalues if `classify`
+    or the fixed-ring pipeline cached them, else the powers of g up to the
+    closure bound, and only past the bound the minimal polynomial."""
+    if "eigenvalues" not in g._cache:
         power = g.matrix
         for _ in range(bound):
             if power.is_identity():

@@ -58,6 +58,24 @@ def test_jacobi_failure_witness():
     assert not ok and triple == ("x", "y", "z")
 
 
+def test_jacobi_check_visits_only_triples_with_a_nonzero_bracket(monkeypatch):
+    calls = []
+    bracket = PoissonAlgebra.bracket
+
+    def counted(self, f, g):
+        calls.append((f, g))
+        return bracket(self, f, g)
+
+    monkeypatch.setattr(PoissonAlgebra, "bracket", counted)
+    ring = PolyRing([f"x{i}" for i in range(6)])
+    assert PoissonAlgebra(ring, {}).jacobi_check() == (True, None)
+    assert calls == []
+    A = PoissonAlgebra(ring, {(1, 3): ring.parse("x1*x3")}, check_jacobi=False)
+    assert A.jacobi_check() == (True, None)
+    # the four triples that contain {x1, x3}, three brackets each
+    assert len(calls) == 3 * 4
+
+
 def test_jacobian_brackets_satisfy_jacobi():
     for (p, q) in [(1, 0), (0, 1), (1, 1), (-1, 1), (2, 3)]:
         A = jacobian_pq(p, q)

@@ -108,12 +108,13 @@ def test_normal_and_trace_and_molien(tmp_path, capsys):
     assert taylor[:4] == ["1", "1", "1", "2"]
 
 
-def test_molien_rejects_a_map_that_is_not_an_automorphism(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["molien", "fixed", "report"])
+def test_group_commands_reject_a_map_that_is_not_an_automorphism(tmp_path, capsys, command):
     f = tmp_path / "s.pois"
     f.write_text(SKEW)
     m = tmp_path / "swap.map"
     m.write_text("map swap on S { x -> y; y -> x; }")
-    code, report = run(capsys, "molien", "--algebra", str(f), "--group", str(m))
+    code, report = run(capsys, command, "--algebra", str(f), "--group", str(m))
     assert code == 1 and report["result"] is None
     assert report["diagnostics"] == [
         "NotAutomorphismError: map 'swap' is not a Poisson automorphism of S: "

@@ -311,9 +311,50 @@ def test_fixed_group_commuting_reflections_in_one_block_diagonalize():
     gens = [GradedMap(S * Matrix.diagonal([zeta(m) if t == pos else 1 for t in range(3)])
                       * S.inverse()) for pos, m in ((0, 2), (1, 4))]
     G = group_closure(gens)
-    assert _try_diagonalize(G) is not None
+    T, chars = _try_diagonalize(G)
+    assert str(T) == "0 1 1\n1 1 0\n1 0 1"
+    assert [[str(c) for c in row] for row in chars] == [["1", "1", "-1"], ["1", "zeta(4)", "1"]]
     p = fixed_group(Z, G, bound=4, canonical=False, with_relations=False)
     assert p.polynomial and sorted(p.degrees) == [1, 2, 4]
+
+
+def zeta3_zeta4_pair():
+    """Two commuting generators, diagonal in a base change over Q(zeta_3): the
+    zeta_3-eigenspace of the first is split by the second."""
+    S = Matrix([[1, zeta(3), 0], [0, 1, -1], [1, 0, 1]])
+    return [GradedMap(S * Matrix.diagonal(d) * S.inverse())
+            for d in ([zeta(3), zeta(3), 1], [zeta(4), -1, zeta(4)])]
+
+
+def test_try_diagonalize_eigenbasis_and_characters_print_unchanged():
+    # the conductor an entry of T is stored at shows in its printed form
+    T, chars = _try_diagonalize(group_closure(zeta3_zeta4_pair()))
+    assert str(T) == "0 -1 + zeta(12)^2 1\n-1 1 0\n1 0 1"
+    assert [[str(c) for c in row] for row in chars] == [["1", "zeta(3)", "zeta(3)"],
+                                                        ["zeta(4)", "-1", "zeta(4)"]]
+
+
+def test_try_diagonalize_takes_one_minimal_polynomial_per_generator(monkeypatch):
+    calls = []
+    minpoly = Matrix.minpoly_coeffs
+
+    def counted(self):
+        calls.append(self)
+        return minpoly(self)
+
+    monkeypatch.setattr(Matrix, "minpoly_coeffs", counted)
+    gens = zeta3_zeta4_pair()
+    G = group_closure(gens)
+    calls.clear()
+    assert _try_diagonalize(G) is not None
+    assert len(calls) <= len(gens)
+    # the eigenvalues classify found are reused
+    gens = zeta3_zeta4_pair()
+    Z = PoissonAlgebra(PolyRing(["x", "y", "z"]), {})
+    assert [symmetry.classify(Z, g).order for g in gens] == [3, 4]
+    calls.clear()
+    assert _try_diagonalize(group_closure(gens)) is not None
+    assert calls == []
 
 
 def test_fixed_group_degree_bound_too_small():
@@ -383,7 +424,10 @@ def test_character_molien_matches_charpoly_sum_and_brute_force(case):
     G = group_closure([GradedMap(m) for m in mats])
     diag = _try_diagonalize(G)
     assert diag is not None
-    _, chars = diag
+    T, chars = diag
+    T_inv = T.inverse()
+    for m, row in zip(mats, chars):
+        assert T_inv * m * T == Matrix.diagonal(row)
     e, logs = _character_logs(chars)
     series = _character_molien(logs, e, n)
     reference = molien_series(G)

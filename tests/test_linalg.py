@@ -1,12 +1,14 @@
-"""The sparse integer elimination kernel against Cyclo elimination and dense Fractions."""
+"""The sparse integer elimination kernel and the minimal polynomial against Cyclo
+elimination and dense Fractions."""
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from pwb.linalg import Echelon, realify
-from pwb.scalars import Cyclo, conductor, euler_phi
+from pwb.linalg import Echelon, Matrix, realify
+from pwb.scalars import Cyclo, conductor, euler_phi, zeta
+from test_fixedrings import diagonal_groups
 
 COEFFS = st.sampled_from([0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)])
 NCOLS = 5
@@ -84,3 +86,40 @@ def test_realify_multiplies_by_zeta():
     # cleared by 2; zeta_3 * zeta_3 = -1 - zeta_3 in the power basis (1, zeta_3)
     rows = realify({0: Cyclo(3, [0, 1]), 1: Cyclo(3, [Fraction(1, 2), 0])}, 3)
     assert rows == [{1: 2, 2: 1}, {0: -2, 1: -2, 3: 1}]
+
+
+@st.composite
+def square_matrices(draw):
+    """Rational matrices, S * diag(roots of unity) * S^-1, and Jordan blocks; n <= 4."""
+    kind = draw(st.sampled_from(["rational", "diagonalizable", "jordan"]))
+    if kind == "diagonalizable":
+        return draw(diagonal_groups())[1][0]
+    n = draw(st.integers(1, 4))
+    if kind == "rational":
+        return Matrix([[draw(COEFFS) for _ in range(n)] for _ in range(n)])
+    lam = draw(st.sampled_from([Cyclo.of(1), Cyclo.of(-2), zeta(3)]))
+    return Matrix([[lam if j == i else 1 if j == i + 1 else 0 for j in range(n)]
+                   for i in range(n)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(square_matrices())
+def test_minpoly_is_monic_annihilating_of_least_degree(m):
+    coeffs = m.minpoly_coeffs()
+    n = m.nrows
+    assert coeffs[-1].is_one()
+    value, power = Matrix.zero(n, n), Matrix.identity(n)
+    for c in coeffs:
+        value = value + power * c
+        power = power * m
+    assert value == Matrix.zero(n, n)
+    powers = [Matrix.identity(n)]
+    for _ in range(n):
+        powers.append(powers[-1] * m)
+    vecs = [[x for row in p.rows for x in row] for p in powers]
+    if all(x.is_rational() for vec in vecs for x in vec):
+        rank = oracle.dense_rank([[x.as_fraction() for x in vec] for vec in vecs])
+    else:
+        rank = oracle.cyclo_sparse_rank([dict(enumerate(vec)) for vec in vecs])
+    # I, m, ..., m^(d-1) are independent and every higher power lies in their span
+    assert len(coeffs) - 1 == rank

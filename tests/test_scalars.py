@@ -77,14 +77,6 @@ def test_root_of_unity_log_matches_powers(n, k, lift, shift):
         assert zeta(m, a) == c and c.root_of_unity_order() == expected
 
 
-def test_descend():
-    v = zeta(6, 3)  # = -1, should descend to conductor <= 2
-    d = v.descend()
-    assert d == -1 and d.n <= 2
-    w = zeta(12, 4).descend()
-    assert w == zeta(3) and w.n == 3
-
-
 def test_rational_detection():
     assert (zeta(3) + zeta(3, 2)).as_fraction() == -1
     assert rational(3, 6).as_fraction() == Fraction(1, 2)

@@ -61,6 +61,16 @@ def test_classify_cases():
     assert classify(B, GradedMap(Matrix.diagonal([1, zeta(3)]))).kind == NOT_AUTOMORPHISM
 
 
+def test_eigenvalues_sorted_distinct_or_none_unless_diagonalizable():
+    g = GradedMap(Matrix.diagonal([zeta(4), -1, 1, zeta(4)]))
+    assert [str(c) for c in g.eigenvalues()] == ["1", "-1", "zeta(4)"]
+    assert g.order() == 4
+    # a non-squarefree minimal polynomial, and one that does not split
+    for rows in ([[1, 1], [0, 1]], [[1, 1], [1, 0]]):
+        g = GradedMap(Matrix(rows))
+        assert g.eigenvalues() is None and g.order() is None
+
+
 def test_reflection_eigenvector():
     A = quantum_matrices(2)
     g = GradedMap(Matrix([
