@@ -316,13 +316,11 @@ def realify(row: Mapping[int, Cyclo], n: int) -> list[dict[int, int]]:
     """
     phi = euler_phi(n)
     poly = cyclotomic_polynomial(n)
-    coords = {k: c.lift_to(n).c for k, c in row.items()}
+    lifted = {k: c.lift_to(n) for k, c in row.items()}
     den = 1
-    for vec in coords.values():
-        for x in vec:
-            den = lcm(den, x.denominator)
-    vecs = {k: [x.numerator * (den // x.denominator) for x in vec]
-            for k, vec in coords.items()}
+    for c in lifted.values():
+        den = lcm(den, c.den)
+    vecs = {k: [x * (den // c.den) for x in c.num] for k, c in lifted.items()}
     out = []
     for j in range(phi):
         if j:

@@ -1,12 +1,18 @@
 """Exact scalar arithmetic: arbitrary-precision rationals and cyclotomic numbers.
 
 An element of Q(zeta_N) is stored as its canonical representative in
-Q[x]/Phi_N(x): a coefficient vector of length phi(N) over `fractions.Fraction`.
-Canonical forms make equality a coefficient comparison.  Mixed-conductor
-arithmetic lifts both operands to the lcm of the conductors, and results stay
-at that conductor: they are never descended to a smaller field, so the
-conductor a value is stored at (which its printed form shows) records the
-arithmetic that produced it.
+Q[x]/Phi_N(x), written as phi(N) integer numerators over one positive common
+denominator (the layout of FLINT/Antic `nf_elem`).  Numerators and
+denominator share no factor and zero is (0, ..., 0)/1, so equality is a
+comparison of integer tuples.  Phi_N is monic over Z, so products reduce with
+integer rows only; an inverse is the product of the other Galois conjugates
+divided by the norm, which is rational, so no step leaves the integers or
+uses a modular or randomized method.
+
+Mixed-conductor arithmetic lifts both operands to the lcm of the conductors,
+and results stay at that conductor: they are never descended to a smaller
+field, so the conductor a value is stored at (which its printed form shows)
+records the arithmetic that produced it.
 """
 from __future__ import annotations
 
@@ -18,9 +24,6 @@ from typing import Optional, Union
 from .errors import ScalarError, ZeroElementError
 
 ScalarLike = Union[int, Fraction, "Cyclo"]
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def lcm(a: int, b: int) -> int:
@@ -102,90 +105,135 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-_REDUCTION_ROWS: dict[int, list[tuple[Fraction, ...]]] = {}
+_REDUCTION_ROWS: dict[int, list[tuple[int, ...]]] = {}
 
 
-def _reduction_table(n: int, upto: int) -> list[tuple[Fraction, ...]]:
-    """Rows j = 0.. with x^(deg+j) mod Phi_n as phi(n)-vectors, grown on demand."""
+def _reduction_table(n: int, upto: int) -> list[tuple[int, ...]]:
+    """Rows j = 0.. with x^(deg+j) mod Phi_n as integer phi(n)-vectors, grown on demand."""
     phi = cyclotomic_polynomial(n)
     deg = len(phi) - 1
     rows = _REDUCTION_ROWS.setdefault(n, [])
     if not rows:
         # x^deg = -(phi_0 + ... + phi_{deg-1} x^{deg-1})
-        rows.append(tuple(Fraction(-phi[k]) for k in range(deg)))
+        rows.append(tuple(-phi[k] for k in range(deg)))
     while len(rows) <= upto:
         current = list(rows[-1])
         top = current[deg - 1]
-        current = [ZERO] + current[: deg - 1]
+        current = [0] + current[: deg - 1]
         if top:
             current = [current[k] - top * phi[k] for k in range(deg)]
         rows.append(tuple(current))
     return rows
 
 
-def _reduce_mod_cyclotomic(coeffs: list[Fraction], n: int) -> tuple[Fraction, ...]:
+@lru_cache(maxsize=None)
+def _product_reduction(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Nonzero (k, v) of the rows x^(deg+j) mod Phi_n, j < deg - 1: enough to
+    reduce the product of two reduced vectors."""
     deg = euler_phi(n)
-    if len(coeffs) <= deg:
-        return tuple(coeffs) + (ZERO,) * (deg - len(coeffs))
-    table = _reduction_table(n, len(coeffs) - deg - 1)
-    out = list(coeffs[:deg])
-    for j in range(deg, len(coeffs)):
-        c = coeffs[j]
+    return tuple(tuple((k, v) for k, v in enumerate(row) if v)
+                 for row in _reduction_table(n, deg - 2)[: deg - 1])
+
+
+def _mul_mod(a: tuple[int, ...], b: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """Product of two reduced integer vectors at conductor n > 1, reduced."""
+    deg = len(a)
+    conv = [0] * (2 * deg - 1)
+    nonzero_b = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if x:
+            for j, y in nonzero_b:
+                conv[i + j] += x * y
+    for j, row in enumerate(_product_reduction(n), deg):
+        c = conv[j]
         if c:
-            row = table[j - deg]
-            for k in range(deg):
-                if row[k]:
-                    out[k] += c * row[k]
-    return tuple(out)
+            for k, v in row:
+                conv[k] += c * v
+    return tuple(conv[:deg])
 
 
 @lru_cache(maxsize=None)
-def _power_vector(n: int, e: int) -> tuple[Fraction, ...]:
-    """Canonical vector of zeta_n^e."""
+def _power_vector(n: int, e: int) -> tuple[int, ...]:
+    """Canonical vector of zeta_n^e (integral: Phi_n is monic over Z)."""
     e %= n
     deg = euler_phi(n)
     if e < deg:
-        return tuple(ONE if k == e else ZERO for k in range(deg))
-    return _reduce_mod_cyclotomic([ZERO] * e + [ONE], n)
+        return tuple(1 if k == e else 0 for k in range(deg))
+    return _reduction_table(n, e - deg)[e - deg]
 
 
 @lru_cache(maxsize=None)
-def _root_of_unity_logs(n: int) -> dict[tuple[Fraction, ...], int]:
+def _root_of_unity_logs(n: int) -> dict[tuple[int, ...], int]:
     """Canonical vector of zeta_n^a -> a, for 0 <= a < n."""
     return {_power_vector(n, a): a for a in range(n)}
 
 
 @lru_cache(maxsize=None)
-def _lift_matrix(n: int, m: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Rows: canonical vectors (conductor m) of zeta_n^k for k < phi(n). Requires n | m."""
+def _lift_matrix(n: int, m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Row k: nonzero (j, v) of the canonical vector (conductor m) of zeta_n^k,
+    for k < phi(n).  Requires n | m."""
     step = m // n
-    return tuple(_power_vector(m, k * step) for k in range(euler_phi(n)))
+    return tuple(tuple((j, v) for j, v in enumerate(_power_vector(m, k * step)) if v)
+                 for k in range(euler_phi(n)))
+
+
+@lru_cache(maxsize=None)
+def _galois_maps(n: int) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
+    """For each k in (Z/n)^*, k != 1: row j holds the nonzero (t, v) of the
+    canonical vector of zeta_n^(jk), the image of zeta_n^j under sigma_k."""
+    return tuple(tuple(tuple((t, v) for t, v in enumerate(_power_vector(n, j * k)) if v)
+                       for j in range(euler_phi(n)))
+                 for k in range(2, n) if gcd(k, n) == 1)
+
+
+def _apply_rows(a: tuple[int, ...], rows, size: int) -> tuple[int, ...]:
+    """sum_k a[k] * rows[k], for sparse rows of (index, value) pairs."""
+    out = [0] * size
+    for x, row in zip(a, rows):
+        if x:
+            for t, v in row:
+                out[t] += x * v
+    return tuple(out)
 
 
 class Cyclo:
-    """Immutable element of Q(zeta_N), reduced mod Phi_N."""
+    """Immutable element of Q(zeta_N), reduced mod Phi_N: integer numerators
+    `num` over the positive denominator `den`, in lowest terms."""
 
-    __slots__ = ("n", "c")
+    __slots__ = ("n", "num", "den")
 
     def __init__(self, n: int, coeffs):
         if n < 1:
             raise ScalarError("conductor must be >= 1")
-        coeffs = tuple(Fraction(x) for x in coeffs)
+        coeffs = [Fraction(x) for x in coeffs]
         if len(coeffs) != euler_phi(n):
             raise ScalarError(f"expected {euler_phi(n)} coefficients for conductor {n}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "c", coeffs)
+        den = 1
+        for x in coeffs:
+            den = lcm(den, x.denominator)
+        # the lcm of reduced denominators leaves no common factor
+        _set_n(self, n)
+        _set_num(self, tuple(x.numerator * (den // x.denominator) for x in coeffs))
+        _set_den(self, den)
 
     def __setattr__(self, *a):
         raise AttributeError("Cyclo is immutable")
+
+    @property
+    def c(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions (for printing)."""
+        den = self.den
+        return tuple(Fraction(x, den) for x in self.num)
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def of(value: ScalarLike) -> "Cyclo":
-        if isinstance(value, Cyclo):
+        if type(value) is Cyclo:
             return value
-        return Cyclo(1, (Fraction(value),))
+        if not isinstance(value, (int, Fraction)):
+            value = Fraction(value)
+        return _new(1, (value.numerator,), value.denominator)
 
     @staticmethod
     def zero() -> "Cyclo":
@@ -198,107 +246,104 @@ class Cyclo:
     # -- structure ----------------------------------------------------
 
     def lift_to(self, m: int) -> "Cyclo":
-        if m == self.n:
+        n = self.n
+        if m == n:
             return self
-        if m % self.n:
-            raise ScalarError(f"cannot lift conductor {self.n} into {m}")
-        deg_m = euler_phi(m)
-        out = [ZERO] * deg_m
-        rows = _lift_matrix(self.n, m)
-        for k, ck in enumerate(self.c):
-            if ck:
-                row = rows[k]
-                for j in range(deg_m):
-                    if row[j]:
-                        out[j] += ck * row[j]
-        return Cyclo(m, out)
+        if m % n:
+            raise ScalarError(f"cannot lift conductor {n} into {m}")
+        if n == 1:
+            return _new(m, self.num + (0,) * (euler_phi(m) - 1), self.den)
+        return _new(m, _apply_rows(self.num, _lift_matrix(n, m), euler_phi(m)), self.den)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.c)
+        return not any(self.num)
 
     def is_one(self) -> bool:
-        return self.c[0] == 1 and all(x == 0 for x in self.c[1:])
+        return self.den == 1 and self.num[0] == 1 and not any(self.num[1:])
 
     def is_rational(self) -> bool:
-        return all(x == 0 for x in self.c[1:])
+        return not any(self.num[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ScalarError(f"{self} is not rational")
-        return self.c[0]
+        return Fraction(self.num[0], self.den)
 
     # -- arithmetic ---------------------------------------------------
 
     def _aligned(self, other: "Cyclo") -> tuple["Cyclo", "Cyclo"]:
-        if self.n == other.n:
-            return self, other
+        """Both values lifted to the lcm of their (different) conductors."""
         m = lcm(self.n, other.n)
         return self.lift_to(m), other.lift_to(m)
 
     def __add__(self, other):
-        if not isinstance(other, Cyclo):
-            if isinstance(other, (int, Fraction)):
-                other = Cyclo.of(other)
-            else:
-                return NotImplemented
-        a, b = self._aligned(other)
-        return Cyclo(a.n, tuple(x + y for x, y in zip(a.c, b.c)))
+        return _add(self, other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclo(self.n, tuple(-x for x in self.c))
+        return _new(self.n, tuple(-x for x in self.num), self.den)
 
     def __sub__(self, other):
-        if not isinstance(other, Cyclo):
-            if isinstance(other, (int, Fraction)):
-                other = Cyclo.of(other)
-            else:
-                return NotImplemented
-        a, b = self._aligned(other)
-        return Cyclo(a.n, tuple(x - y for x, y in zip(a.c, b.c)))
+        return _add(self, other, -1)
 
     def __rsub__(self, other):
         return Cyclo.of(other) - self
 
     def __mul__(self, other):
-        if not isinstance(other, Cyclo):
+        if type(other) is not Cyclo:
             if isinstance(other, (int, Fraction)):
-                f = Fraction(other)
-                return Cyclo(self.n, tuple(x * f for x in self.c))
+                p, q = other.numerator, other.denominator
+                return _new(self.n, tuple(x * p for x in self.num), self.den * q)
             return NotImplemented
-        a, b = self._aligned(other)
-        if a.n == 1:
-            return Cyclo(1, (a.c[0] * b.c[0],))
-        la, lb = len(a.c), len(b.c)
-        conv = [ZERO] * (la + lb - 1)
-        for i, x in enumerate(a.c):
-            if x:
-                for j, y in enumerate(b.c):
-                    if y:
-                        conv[i + j] += x * y
-        return Cyclo(a.n, _reduce_mod_cyclotomic(conv, a.n))
+        n, m = self.n, other.n
+        # a rational factor stored at conductor 1 scales within the other's field
+        if m == 1:
+            p = other.num[0]
+            return _new(n, tuple(x * p for x in self.num), self.den * other.den)
+        if n == 1:
+            p = self.num[0]
+            return _new(m, tuple(p * y for y in other.num), self.den * other.den)
+        if n != m:
+            self, other = self._aligned(other)
+            n = self.n
+        return _new(n, _mul_mod(self.num, other.num, n), self.den * other.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclo":
-        if self.is_zero():
-            raise ZeroElementError("cannot invert zero")
-        if self.n == 1:
-            return Cyclo(1, (1 / self.c[0],))
-        phi = [Fraction(k) for k in cyclotomic_polynomial(self.n)]
-        inv = _poly_modular_inverse(list(self.c), phi)
-        return Cyclo(self.n, _reduce_mod_cyclotomic(inv, self.n))
+        """rest / N(a), where rest is the product of the conjugates sigma_k(a),
+        k in (Z/N)^* other than 1, and the norm N(a) = a * rest is rational."""
+        n, num = self.n, self.num
+        if not any(num[1:]):  # rational, conductor 1 included
+            p = num[0]
+            if not p:
+                raise ZeroElementError("cannot invert zero")
+            return _new(n, (self.den if p > 0 else -self.den,) + num[1:], abs(p))
+        # rest starts from 1 at conductor n, so the inverse stays at conductor n
+        rest = _power_vector(n, 0)
+        for rows in _galois_maps(n):
+            rest = _mul_mod(rest, _apply_rows(num, rows, len(num)), n)
+        norm = _mul_mod(num, rest, n)[0]
+        d = self.den if norm > 0 else -self.den
+        return _new(n, tuple(x * d for x in rest), abs(norm))
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            if f == 0:
+        if type(other) is Cyclo:
+            if other.n != 1:
+                return self * other.inverse()
+            p, q = other.num[0], other.den
+            if not p:
+                raise ZeroElementError("cannot invert zero")
+        elif isinstance(other, (int, Fraction)):
+            p, q = other.numerator, other.denominator
+            if not p:
                 raise ZeroElementError("division by zero")
-            return Cyclo(self.n, tuple(x / f for x in self.c))
-        if isinstance(other, Cyclo):
-            return self * other.inverse()
-        return NotImplemented
+        else:
+            return NotImplemented
+        if p < 0:
+            p, q = -p, -q
+        return _new(self.n, tuple(x * q for x in self.num), self.den * p)
 
     def __rtruediv__(self, other):
         return Cyclo.of(other) * self.inverse()
@@ -316,27 +361,32 @@ class Cyclo:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Cyclo.of(other)
-        if not isinstance(other, Cyclo):
-            return NotImplemented
-        a, b = self._aligned(other)
-        return a.c == b.c
+        if type(other) is not Cyclo:
+            if isinstance(other, (int, Fraction)):
+                other = Cyclo.of(other)
+            else:
+                return NotImplemented
+        if self.n != other.n:
+            self, other = self._aligned(other)
+        return self.num == other.num and self.den == other.den
 
     __hash__ = None  # equal values may live at different conductors
 
     def __bool__(self):
-        return not self.is_zero()
+        return any(self.num)
 
     # -- multiplicative order ------------------------------------------
 
     def root_of_unity_log(self) -> Optional[tuple[int, int]]:
         """(a, M) with self = zeta_M^a, 0 <= a < M = lcm(2, N), or None.
-        Exact: every root of unity in Q(zeta_N) is a power of zeta_M."""
+        Exact: every root of unity in Q(zeta_N) is a power of zeta_M, and
+        is an algebraic integer, so has integral coordinates."""
         if self.is_zero():
             raise ZeroElementError("zero is not a root of unity")
+        if self.den != 1:
+            return None
         m = lcm(2, self.n)
-        a = _root_of_unity_logs(m).get(self.lift_to(m).c)
+        a = _root_of_unity_logs(m).get(self.lift_to(m).num)
         return None if a is None else (a, m)
 
     def root_of_unity_order(self) -> Optional[int]:
@@ -350,10 +400,11 @@ class Cyclo:
     # -- printing -------------------------------------------------------
 
     def __str__(self):
+        c = self.c
         if self.is_rational():
-            return str(self.c[0])
+            return str(c[0])
         parts = []
-        for k, ck in enumerate(self.c):
+        for k, ck in enumerate(c):
             if ck == 0:
                 continue
             if k == 0:
@@ -376,64 +427,58 @@ class Cyclo:
         return f"Cyclo({self})"
 
 
-_C_ZERO = Cyclo(1, (ZERO,))
-_C_ONE = Cyclo(1, (ONE,))
+_set_n = Cyclo.n.__set__
+_set_num = Cyclo.num.__set__
+_set_den = Cyclo.den.__set__
+_alloc = object.__new__
+
+
+def _new(n: int, num: tuple[int, ...], den: int) -> Cyclo:
+    """The Cyclo num/den at conductor n (den > 0), in lowest terms."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = tuple(x // g for x in num)
+            den //= g
+    obj = _alloc(Cyclo)
+    _set_n(obj, n)
+    _set_num(obj, num)
+    _set_den(obj, den)
+    return obj
+
+
+def _add(a: Cyclo, b, sign: int):
+    """a + b for sign 1, a - b for sign -1."""
+    if type(b) is not Cyclo:
+        if isinstance(b, (int, Fraction)):
+            b = Cyclo.of(b)
+        else:
+            return NotImplemented
+    if a.n != b.n:
+        a, b = a._aligned(b)
+    da, db = a.den, b.den
+    if a.n == 1:
+        x, y = a.num[0], b.num[0] * sign
+        if da == db:
+            return _new(1, (x + y,), da)
+        return _new(1, (x * db + y * da,), da * db)
+    if da == db:
+        return _new(a.n, tuple(x + sign * y for x, y in zip(a.num, b.num)), da)
+    g = gcd(da, db)
+    fa, fb = db // g, sign * da // g
+    return _new(a.n, tuple(x * fa + y * fb for x, y in zip(a.num, b.num)), da * fa)
+
+
+_C_ZERO = _new(1, (0,), 1)
+_C_ONE = _new(1, (1,), 1)
 
 
 def zeta(n: int, power: int = 1) -> Cyclo:
     """Canonical representative of zeta_n^power in Q[x]/Phi_n."""
     if n < 1:
         raise ScalarError("conductor must be >= 1")
-    return Cyclo(n, _power_vector(n, power))
+    return _new(n, _power_vector(n, power), 1)
 
 
 def rational(p, q: int = 1) -> Cyclo:
     return Cyclo.of(Fraction(p, q))
-
-
-# -- Fraction-coefficient univariate helpers (internal) -----------------
-
-
-def _fpoly_trim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _fpoly_divmod(a: list[Fraction], b: list[Fraction]):
-    a = list(a)
-    q = [ZERO] * max(0, len(a) - len(b) + 1)
-    inv_lead = 1 / b[-1]
-    for i in range(len(a) - len(b), -1, -1):
-        c = a[i + len(b) - 1] * inv_lead
-        q[i] = c
-        if c:
-            for j, d in enumerate(b):
-                a[i + j] -= c * d
-    return q, _fpoly_trim(a)
-
-
-def _poly_modular_inverse(a: list[Fraction], mod: list[Fraction]) -> list[Fraction]:
-    """Inverse of a mod the monic polynomial `mod`, over Q (extended Euclid)."""
-    r0, r1 = list(mod), _fpoly_trim(list(a))
-    s0, s1 = [ZERO], [ONE]
-    while r1:
-        q, r = _fpoly_divmod(r0, r1)
-        r0, r1 = r1, r
-        # s0 - q*s1
-        prod = [ZERO] * (len(q) + len(s1) - 1) if q and s1 else []
-        for i, qc in enumerate(q):
-            if qc:
-                for j, sc in enumerate(s1):
-                    if sc:
-                        prod[i + j] += qc * sc
-        new_s = [ZERO] * max(len(s0), len(prod))
-        for i, c in enumerate(s0):
-            new_s[i] += c
-        for i, c in enumerate(prod):
-            new_s[i] -= c
-        s0, s1 = s1, _fpoly_trim(new_s)
-    if len(r0) != 1:
-        raise ZeroElementError("element is a zero divisor (not invertible)")
-    inv_gcd = 1 / r0[0]
-    return [c * inv_gcd for c in s0]

@@ -49,6 +49,14 @@ class GradedMap:
         self.matrix = matrix
         self._cache = {}
 
+    @classmethod
+    def _invertible(cls, matrix: Matrix) -> "GradedMap":
+        """A map from a square matrix already known to be invertible."""
+        g = object.__new__(cls)
+        g.matrix = matrix
+        g._cache = {}
+        return g
+
     @property
     def n(self) -> int:
         return self.matrix.nrows
@@ -60,10 +68,11 @@ class GradedMap:
         return f.apply_linear(self.matrix)
 
     def __mul__(self, other: "GradedMap") -> "GradedMap":
-        return GradedMap(self.matrix * other.matrix)
+        # a product of invertible maps is invertible: no det
+        return GradedMap._invertible(self.matrix * other.matrix)
 
     def inverse(self) -> "GradedMap":
-        return GradedMap(self.matrix.inverse())
+        return GradedMap._invertible(self.matrix.inverse())
 
     def __eq__(self, other):
         return isinstance(other, GradedMap) and self.matrix == other.matrix
@@ -194,7 +203,7 @@ def group_closure(gens: Sequence[GradedMap], bound: int = 512) -> PoissonGroup:
     for i, g in enumerate(gens):
         _require_finite_order(g, i, bound)
     n = gens[0].n
-    elements: list[GradedMap] = [GradedMap(Matrix.identity(n))]
+    elements: list[GradedMap] = [GradedMap._invertible(Matrix.identity(n))]
     frontier = list(elements)
     while frontier:
         new_frontier = []

@@ -264,8 +264,8 @@ def _rational_root_candidates(p: UPoly) -> list[Cyclo]:
     # clear denominators, then p | a0 and q | an
     denom = 1
     for c in p.coeffs:
-        denom = denom * c.as_fraction().denominator // gcd(denom, c.as_fraction().denominator)
-    ints = [int(c.as_fraction() * denom) for c in p.coeffs]
+        denom = lcm(denom, c.den)
+    ints = [c.num[0] * (denom // c.den) for c in p.coeffs]
     a0, an = ints[0], ints[-1]
     if a0 == 0:
         return []

@@ -179,3 +179,34 @@ def test_parse_lie_fuzz(text):
 @given(_token_texts(_MATRIX_TOKENS, separators=(" ", "\n")))
 def test_parse_matrix_fuzz(text):
     _parses_or_pwb_error(parse_matrix, text)
+
+
+_ALG_EXPR_TOKENS = ["x", "y", "z", "w", "zeta(3)", "+", "-", "*", "^", "/", "(", ")"] + _VALUES
+_ALGEBRA_TOKENS = (["algebra", "A", "{", "}", ";", ":", "=", ",", "vars", "vars:", "bracket",
+                    "bracket{x,y}", "bracket{y,z}", "bracket{x,x}", "bracket{x,w}", '"', "#",
+                    "\n"] + _ALG_EXPR_TOKENS)
+_VAR_LISTS = ["x, y", "x, y, z", "x", "", "x, x", "x y", "1", "x,, y", "zeta(3), y"]
+_ALGEBRA_TEXTS = st.one_of(
+    _token_texts(_ALGEBRA_TOKENS),
+    st.builds("algebra A {{ vars: {}; bracket{{{},{}}} = {}; }}".format,
+              st.sampled_from(_VAR_LISTS), st.sampled_from(["x", "y", "z", "w", "1", ""]),
+              st.sampled_from(["x", "y", "z", "w", "1", ""]), _token_texts(_ALG_EXPR_TOKENS)))
+_MAP_TOKENS = (["map", "g", "on", "A", "{", "}", ";", "->", "=", ",", "#", "\n"]
+               + _ALG_EXPR_TOKENS)
+_MAP_TEXTS = st.one_of(
+    _token_texts(_MAP_TOKENS),
+    st.builds("map g on A {{ {} -> {}; }}".format,
+              st.sampled_from(["x", "y", "z", "w", "1", "", "x y"]),
+              _token_texts(_ALG_EXPR_TOKENS)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ALGEBRA_TEXTS)
+def test_parse_algebra_fuzz(text):
+    _parses_or_pwb_error(parse_algebra, text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_MAP_TEXTS)
+def test_parse_map_fuzz(text):
+    _parses_or_pwb_error(lambda t: parse_map(t, PolyRing(["x", "y", "z"])), text)

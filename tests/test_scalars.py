@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pwb.errors import ZeroElementError
+from pwb.errors import ScalarError, ZeroElementError
 from pwb.scalars import Cyclo, cyclotomic_polynomial, euler_phi, rational, zeta
 
 
@@ -107,3 +107,120 @@ def test_conductor_lifting_is_homomorphism(a, b):
         return
     assert a.lift_to(m) + b.lift_to(m) == (a + b).lift_to(m)
     assert a.lift_to(m) * b.lift_to(m) == (a * b).lift_to(m)
+
+
+# -- differential test against the Fraction-tuple reference -------------------
+
+CONDUCTOR_PAIRS = [(n, n) for n in (1, 2, 3, 4, 6, 12)] + [(2, 3), (3, 12), (4, 6)]
+SMALL_FRACTIONS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def coefficient_lists(draw, n):
+    """Coefficients at conductor n: random small fractions, or +-1 times a
+    power of zeta_n, so that roots of unity are drawn too."""
+    if draw(st.booleans()):
+        return [draw(SMALL_FRACTIONS) for _ in range(euler_phi(n))]
+    return [draw(st.sampled_from([1, -1])) * x for x in zeta(n, draw(st.integers(0, 2 * n))).c]
+
+
+def same(new, old):
+    assert new.n == old.n, (new, old)
+    assert new.c == old.c, (new, old)
+    assert str(new) == str(old)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(CONDUCTOR_PAIRS).flatmap(
+    lambda nm: st.tuples(coefficient_lists(nm[0]).map(lambda c: (nm[0], c)),
+                         coefficient_lists(nm[1]).map(lambda c: (nm[1], c)))),
+       SMALL_FRACTIONS, st.integers(-3, 4), st.sampled_from([1, 2, 3]))
+def test_cyclo_matches_fraction_reference(operands, r, k, stretch):
+    from oracle import OracleCyclo
+    (n, ca), (m, cb) = operands
+    a, b = Cyclo(n, ca), Cyclo(m, cb)
+    oa, ob = OracleCyclo(n, ca), OracleCyclo(m, cb)
+    same(a, oa)
+    same(b, ob)
+    same(a + b, oa + ob)
+    same(a - b, oa - ob)
+    same(a * b, oa * ob)
+    same(-a, -oa)
+    for x, ox in ((a, oa), (b, ob)):
+        same(x + r, ox + r)
+        same(r - x, r - ox)
+        same(x * r, ox * r)
+        same(r * x, r * ox)
+        assert x.is_rational() == ox.is_rational()
+        assert x.is_zero() == ox.is_zero() and x.is_one() == ox.is_one()
+        assert (x == r) == (ox == r)
+        if r:
+            same(x / r, ox / r)
+        lift = x.n * stretch
+        same(x.lift_to(lift), ox.lift_to(lift))
+        if x.is_zero():
+            with pytest.raises(ZeroElementError):
+                x.inverse()
+            if k >= 0:
+                same(x ** k, ox ** k)
+            continue
+        same(x.inverse(), ox.inverse())
+        same(r / x, r / ox)
+        same(x ** k, ox ** k)
+        assert x.root_of_unity_log() == ox.root_of_unity_log()
+        assert x.root_of_unity_order() == ox.root_of_unity_order()
+    assert (a == b) == (oa == ob)
+    if not b.is_zero():
+        same(a / b, oa / ob)
+
+
+def test_inverse_stays_at_the_stored_conductor():
+    # -2 + 2*zeta(6) = 2*zeta(3); its inverse at conductor 2 must stay there
+    x = Cyclo(2, [3])
+    assert x.inverse().n == 2 and str(x.inverse()) == "1/3"
+    y = zeta(6) * 2 - 2
+    assert str(y) == "-2 + 2*zeta(6)"
+    assert y.inverse().n == 6 and y * y.inverse() == 1
+
+
+# -- scalar contract --------------------------------------------------------
+
+
+def test_cyclotomic_polynomial_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for n in range(1, 61):
+        expected = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()[::-1]
+        assert cyclotomic_polynomial(n) == tuple(int(c) for c in expected), n
+
+
+def test_constructor_rejects_bad_conductor_and_length():
+    with pytest.raises(ScalarError):
+        Cyclo(0, [])
+    with pytest.raises(ScalarError):
+        Cyclo(-3, [1, 2])
+    with pytest.raises(ScalarError):
+        Cyclo(3, [1])
+    with pytest.raises(ScalarError):
+        Cyclo(12, [1, 2, 3])
+    with pytest.raises(ScalarError):
+        zeta(0)
+
+
+def test_cyclo_is_immutable():
+    x = zeta(3)
+    for name in ("n", "num", "den", "c", "other"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, 1)
+    assert x == zeta(3)
+
+
+def test_numerators_share_no_factor_with_the_denominator():
+    x = Cyclo(6, [Fraction(2, 4), Fraction(-3, 6)])
+    assert x == Cyclo(6, [1, -1]) / 2
+    assert (x.num, x.den) == ((1, -1), 2)
+    assert str(x) == "1/2 - 1/2*zeta(6)"
+    assert x.c == (Fraction(1, 2), Fraction(-1, 2))
+    zero = x - x
+    assert (zero.n, zero.num, zero.den) == (6, (0, 0), 1)
+    assert ((x * 2).num, (x * 2).den) == ((1, -1), 1)

@@ -142,6 +142,21 @@ def test_group_closure_and_molien():
     assert M == RationalSeries(num, den)
 
 
+def test_group_closure_products_skip_the_det(monkeypatch):
+    # a product of invertible maps is invertible: the closure of two commuting
+    # generators (12 elements, 24 products) runs no det per product
+    a = GradedMap(Matrix.diagonal([zeta(3), 1, 1]))
+    b = GradedMap(Matrix.diagonal([1, zeta(4), -1]))
+    calls = []
+    det = Matrix.det
+    monkeypatch.setattr(Matrix, "det", lambda self: calls.append(1) or det(self))
+    G = group_closure([a, b])
+    assert G.order == 12 and G.exponent == 12
+    assert len(calls) <= 2
+    # the elements are still the products, and still invertible
+    assert all(not e.matrix.det().is_zero() for e in G.elements)
+    assert G.elements[-1] == GradedMap(G.elements[-1].matrix)
+
 def test_l_degree_and_bicharacter():
     A = skew_symmetric(Matrix([[0, 1], [-1, 0]]), names=["x", "y"])
     assert [str(c) for c in l_degree(A, (1, 0))] == ["0", "1"]
