@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 from .errors import (JacobiFailsError, NotMonomialError, NotQuadraticError,
                      NotSplittableError, PwbError)
-from .linalg import Matrix
+from .linalg import Matrix, kernel, rank
 from .rings import Poly, PolyRing
 from .scalars import Cyclo
 from .solver import (DEFAULT_BUDGET, AffineResult, SolutionSet,
@@ -185,32 +185,18 @@ class PoissonAlgebra:
             if not monos:
                 out.append([])
                 continue
-            col_index: dict = {}
-            rows = []
-            for mexp in monos:
+            # equation (j, e): sum_I c_I [x^e]{x^I, x_j} = 0, as monomial index I -> coefficient
+            columns: dict = {}
+            for i, mexp in enumerate(monos):
                 mono = self.ring.monomial(mexp)
-                entries = {}
                 for j in range(self.nvars):
-                    br = self.bracket_var(mono, j)
-                    for ee, c in br.terms.items():
-                        entries[(j, ee)] = c
-                rows.append(entries)
-                for key in entries:
-                    col_index.setdefault(key, len(col_index))
-            if not col_index:
+                    for ee, c in self.bracket_var(mono, j).terms.items():
+                        columns.setdefault((j, ee), {})[i] = c
+            if not columns:
                 out.append([self.ring.monomial(m) for m in monos])
                 continue
-            # kernel of c -> sum_I c_I {x^I, x_j}: left kernel of the row matrix
-            mat = Matrix([[row.get(key, _ZERO) for key in col_index] for row in rows])
-            kernel = mat.transpose().kernel_basis()
-            basis = []
-            for vec in kernel:
-                poly = self.ring.zero()
-                for coeff, mexp in zip(vec, monos):
-                    if not coeff.is_zero():
-                        poly = poly + self.ring.monomial(mexp, coeff)
-                basis.append(poly)
-            out.append(basis)
+            out.append([Poly(self.ring, {m: c for c, m in zip(vec, monos) if c})
+                        for vec in kernel(list(columns.values()), len(monos))])
         return out
 
     def derived_ideal(self, d: int, weights: Optional[Sequence[int]] = None
@@ -431,22 +417,9 @@ class OreSplit:
 
     def original_in_split_coordinates(self) -> PoissonAlgebra:
         """The original bracket transported to the (u, complement) basis."""
-        A = self.algebra
-        n = A.nvars
         cols = [list(self.normal_var)] + [list(v) for v in self.complement]
-        B = Matrix(cols).transpose()
-        Binv = B.inverse()
-        names = ("u_" + A.ring.names[self.pivot],) + self.base.ring.names
-        yring = PolyRing(names)
-        images = [yring.linear_form(Binv.column(i)) for i in range(n)]
-        new_vars = [A.ring.linear_form(B.column(j)) for j in range(n)]
-        table: dict = {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                br = A.bracket(new_vars[i], new_vars[j])
-                if not br.is_zero():
-                    table[(i, j)] = br.substitute(images, yring)
-        return PoissonAlgebra(yring, table, check_jacobi=False)
+        names = ("u_" + self.algebra.ring.names[self.pivot],) + self.base.ring.names
+        return transport(self.algebra, Matrix(cols).transpose(), names)
 
 
 def transport(A: PoissonAlgebra, basis: Matrix, names: Sequence[str],
@@ -499,15 +472,9 @@ class DerivedIdeal:
                     continue
                 for K in ring.monomials_of_degree(k - gdeg, self.weights):
                     prod = ring.monomial(K) * g
-                    entries = dict(prod.terms)
-                    rows.append(entries)
-                    for key in entries:
-                        col_index.setdefault(key, len(col_index))
-            if not rows:
-                out.append(0)
-                continue
-            mat = Matrix([[row.get(key, _ZERO) for key in col_index] for row in rows])
-            out.append(mat.rank())
+                    rows.append({col_index.setdefault(e, len(col_index)): c
+                                 for e, c in prod.terms.items()})
+            out.append(rank(rows))
         self._dims = out
         return out
 

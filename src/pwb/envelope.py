@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .brackets import PoissonAlgebra
 from .errors import (CapExceededError, InvalidDegreeError, NotAutomorphismError,
                      NotQuadraticError, NotReflectionError)
-from .linalg import Echelon, Matrix, realify
+from .linalg import Echelon, Matrix, rank, realify
 from .rings import Poly
 from .scalars import Cyclo, conductor, euler_phi
 from .series import RationalSeries
@@ -185,47 +185,26 @@ def envelope_extend(A: PoissonAlgebra, g: GradedMap) -> EnvelopeExtension:
     ok, pair = is_poisson_automorphism(A, g)
     if not ok:
         raise NotAutomorphismError(f"map does not preserve the bracket on {pair}")
-    n = A.nvars
-    big_rows = []
-    for r in range(2 * n):
-        row = []
-        for c in range(2 * n):
-            if r < n and c < n:
-                row.append(g.matrix.rows[r][c])
-            elif r >= n and c >= n:
-                row.append(g.matrix.rows[r - n][c - n])
-            else:
-                row.append(_ZERO)
-        big_rows.append(row)
-    extended = GradedMap(Matrix(big_rows))
+    rows, zeros = g.matrix.rows, [_ZERO] * A.nvars
+    # block-diagonal copies of an invertible map: invertible, so no det
+    extended = GradedMap._invertible(Matrix([r + zeros for r in rows] + [zeros + r for r in rows]))
     pres = envelope_presentation(A)
     gsz = pres.ngens
     # nonzero entries of each column: generator a maps to sum ca * generator a2
     cols = [[(a2, ca) for a2, ca in enumerate(col) if not ca.is_zero()]
             for col in extended.matrix.transpose().rows]
-    # each relation's image must lie in the span of the relations over
-    # Q(zeta_N); realified, that is membership in a Q-span
-    N = conductor([c for r in pres.relations for c in r.values()]
-                  + [c for col in cols for _, c in col])
-    span = Echelon()
-    for r in pres.relations:
-        for row in realify(_indexed(r, gsz), N):
-            span.insert(row)
-    preserved = True
+    relations = [_indexed(r, gsz) for r in pres.relations]
+    images = []
     for r in pres.relations:
         image: dict = {}
         for (a, b), c in r.items():
             for a2, ca in cols[a]:
                 for b2, cb in cols[b]:
                     idx = a2 * gsz + b2
-                    acc = image.get(idx, _ZERO) + c * ca * cb
-                    if acc.is_zero():
-                        image.pop(idx, None)
-                    else:
-                        image[idx] = acc
-        if span.reduce(realify(image, N)[0]):
-            preserved = False
-            break
+                    image[idx] = image.get(idx, _ZERO) + c * ca * cb
+        images.append(image)
+    # the relations are preserved iff their images lie in their span
+    preserved = rank(relations + images) == rank(relations)
     return EnvelopeExtension(extended, preserved)
 
 

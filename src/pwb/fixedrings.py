@@ -17,9 +17,10 @@ from typing import Optional, Sequence
 from .brackets import PoissonAlgebra, transport
 from .errors import (DegreeBoundTooSmallError, InducedBracketNotClosedError,
                      InfiniteOrderError, NotReflectionError, PwbError)
-from .linalg import Matrix
+from .linalg import Echelon, Matrix, realify, unrealify
 from .rings import Poly, PolyRing, grlex_key
-from .scalars import Cyclo, cyclotomic_polynomial, divisors, lcm, zpoly_mul, zpoly_quotient
+from .scalars import (Cyclo, conductor, cyclotomic_polynomial, divisors, euler_phi, lcm,
+                      zpoly_mul, zpoly_quotient)
 from .series import RationalSeries, hilbert_weighted
 from .solver import DEFAULT_BUDGET, subalgebra_member
 from .symmetry import REFLECTION, GradedMap, PoissonGroup, classify, molien_series
@@ -70,23 +71,7 @@ def is_skew_presentation(p: PresentedPoisson) -> Optional[Matrix]:
     """The matrix (q_ij) when every table entry is q_ij * g_i * g_j, else None."""
     if p.relations is None or p.relations:
         return None
-    k = len(p.names)
-    rows = [[_ZERO] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(i + 1, k):
-            entry = p.entry(i, j)
-            if entry.is_zero():
-                continue
-            e = [0] * k
-            e[i] += 1
-            e[j] += 1
-            mono = tuple(e)
-            if any(key != mono for key in entry.terms):
-                return None
-            q = entry.terms[mono]
-            rows[i][j] = q
-            rows[j][i] = -q
-    return Matrix(rows)
+    return p.as_algebra(check_jacobi=False).skew_matrix()
 
 
 # -- simultaneous diagonalization --------------------------------------------
@@ -129,30 +114,6 @@ def _try_diagonalize(group: PoissonGroup):
 # -- generator selection ------------------------------------------------------
 
 
-def _reduce_against(poly: Poly, echelon: dict) -> Poly:
-    changed = True
-    while changed and not poly.is_zero():
-        changed = False
-        for e in poly.support():
-            hit = echelon.get(e)
-            if hit is not None:
-                poly = poly - poly.terms[e] * hit
-                changed = True
-                break
-    return poly
-
-
-def _echelon_insert(poly: Poly, echelon: dict) -> Optional[Poly]:
-    """Reduce and insert; returns the monic remainder if it was new."""
-    poly = _reduce_against(poly, echelon)
-    if poly.is_zero():
-        return None
-    lead, c = poly.leading()
-    poly = poly * c.inverse()
-    echelon[lead] = poly
-    return poly
-
-
 def _products_of_degree(chosen: list[tuple[Poly, int]], k: int) -> list[Poly]:
     """All products of chosen generators with total degree k (multisets)."""
     out: list[Poly] = []
@@ -174,16 +135,37 @@ def _products_of_degree(chosen: list[tuple[Poly, int]], k: int) -> list[Poly]:
 
 
 def _canonical_generators(bases_per_degree: dict, d: int) -> list[tuple[Poly, int]]:
-    """Pick new generators per degree as canonical complements of products."""
+    """Pick new generators per degree as canonical complements of products.
+
+    The degree-k products of chosen generators, then the invariant basis, are
+    realified at their lcm conductor N into one echelon whose columns are the
+    monomials grlex-descending (the least column is the leading monomial).  A
+    basis vector that raises the rank gives its remainder, zero at every
+    earlier leading monomial and monic, stored at N.
+    """
     chosen: list[tuple[Poly, int]] = []
     for k in range(1, d + 1):
-        echelon: dict = {}
-        for prod in _products_of_degree(chosen, k):
-            _echelon_insert(prod, echelon)
-        for vec in bases_per_degree.get(k, []):
-            new = _echelon_insert(vec, echelon)
-            if new is not None:
-                chosen.append((new, k))
+        basis = bases_per_degree.get(k, [])
+        if not basis:
+            continue
+        products = _products_of_degree(chosen, k)
+        polys = products + basis
+        columns = sorted({e for p in polys for e in p.terms}, key=grlex_key, reverse=True)
+        index = {e: i for i, e in enumerate(columns)}
+        n = conductor(c for p in polys for c in p.terms.values())
+        phi = euler_phi(n)
+        span = Echelon()
+        for i, p in enumerate(polys):
+            rows = realify({index[e]: c for e, c in p.terms.items()}, n)
+            lead_row = span.reduce(rows[0])
+            if not lead_row:
+                continue
+            for row in [lead_row] + rows[1:]:
+                span.insert(row)
+            if i >= len(products):
+                lead = min(lead_row) // phi * phi
+                terms = unrealify(span.clear(lead), n)
+                chosen.append((Poly(p.ring, {columns[c]: v for c, v in terms.items()}), k))
     return chosen
 
 

@@ -51,6 +51,12 @@ def _statements(body: str) -> list[str]:
 _BRACKET_KEY = re.compile(r"^bracket\s*\{\s*([^,}]+)\s*,\s*([^,}]+)\s*\}\s*$")
 
 
+def _is_identifier(name: str) -> bool:
+    """Whether the expression parser reads name as one variable token."""
+    return ((name[0].isalpha() or name[0] == "_")
+            and all(ch.isalnum() or ch == "_" for ch in name))
+
+
 def parse_algebra(text: str, check_jacobi: bool = True) -> tuple[str, PoissonAlgebra]:
     """Parse an algebra definition block; unlisted bracket pairs default to 0."""
     name, body = _block(text, "algebra")
@@ -74,6 +80,9 @@ def parse_algebra(text: str, check_jacobi: bool = True) -> tuple[str, PoissonAlg
         brackets.append((m.group(1).strip(), m.group(2).strip(), expr))
     if not vars_decl:
         raise FileFormatError("missing vars declaration")
+    for v in vars_decl:
+        if not _is_identifier(v):
+            raise FileFormatError(f"variable name '{v}' is not an identifier")
     ring = PolyRing(tuple(vars_decl))
     table: dict = {}
     for a, b, expr in brackets:

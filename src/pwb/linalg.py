@@ -1,11 +1,20 @@
-"""Exact linear algebra over Q(zeta_N): dense matrices and a sparse integer echelon."""
+"""Exact linear algebra over Q(zeta_N): dense matrices on one elimination kernel.
+
+`Echelon` (sparse integer rows, fraction-free Bareiss steps) is the only
+elimination besides `Matrix.det`.  Rows over Q(zeta_N), N the lcm conductor of
+their entries, reach it through `realify`: phi(N) integer rows each, so a rank
+over Q(zeta_N) is a rank over Q divided by phi(N).  `rref`, `rank` and `kernel`
+take sparse rows; the `Matrix` methods and `solve_linear` read them.  Results
+are stored at N, rationals and zeros included, since the printed form of what
+is computed from a value depends on the conductor it is stored at.
+"""
 from __future__ import annotations
 
 from math import gcd
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import SingularMatrixError
-from .scalars import Cyclo, cyclotomic_polynomial, euler_phi, lcm
+from .scalars import Cyclo, _new, conductor, cyclotomic_polynomial, euler_phi, lcm, zeta
 
 _ZERO = Cyclo.of(0)
 _ONE = Cyclo.of(1)
@@ -45,9 +54,6 @@ class Matrix:
 
     def __getitem__(self, ij: tuple[int, int]) -> Cyclo:
         return self.rows[ij[0]][ij[1]]
-
-    def row(self, i: int) -> list[Cyclo]:
-        return list(self.rows[i])
 
     def column(self, j: int) -> list[Cyclo]:
         return [r[j] for r in self.rows]
@@ -105,54 +111,30 @@ class Matrix:
     def is_identity(self) -> bool:
         return self == Matrix.identity(self.nrows)
 
+    def _sparse_rows(self) -> list[dict[int, Cyclo]]:
+        return [dict(enumerate(r)) for r in self.rows]
+
     def rref(self) -> tuple["Matrix", list[int]]:
-        """Reduced row echelon form and pivot columns."""
-        work = [list(r) for r in self.rows]
-        pivots: list[int] = []
-        row_at = 0
-        for col in range(self.ncols):
-            pr = next((r for r in range(row_at, len(work)) if not work[r][col].is_zero()), None)
-            if pr is None:
-                continue
-            work[row_at], work[pr] = work[pr], work[row_at]
-            inv = work[row_at][col].inverse()
-            work[row_at] = [x * inv for x in work[row_at]]
-            lead = work[row_at]
-            for r in range(len(work)):
-                if r != row_at and not work[r][col].is_zero():
-                    f = work[r][col]
-                    work[r] = [x - f * y for x, y in zip(work[r], lead)]
-            pivots.append(col)
-            row_at += 1
-            if row_at == len(work):
-                break
-        return Matrix(work), pivots
+        """Reduced row echelon form and pivot columns, stored as by `rref`."""
+        rows, pivots, zero = rref(self._sparse_rows(), self.ncols)
+        return Matrix(rows + [[zero] * self.ncols] * (self.nrows - len(rows))), pivots
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return rank(self._sparse_rows())
 
     def kernel_basis(self) -> list[list[Cyclo]]:
         """Basis of the right nullspace, in reduced echelon shape."""
-        reduced, pivots = self.rref()
-        free = [j for j in range(self.ncols) if j not in pivots]
-        basis = []
-        for f in free:
-            vec = [_ZERO] * self.ncols
-            vec[f] = _ONE
-            for i, p in enumerate(pivots):
-                vec[p] = -reduced.rows[i][f]
-            basis.append(vec)
-        return basis
+        return kernel(self._sparse_rows(), self.ncols)
 
     def inverse(self) -> "Matrix":
-        if self.nrows != self.ncols:
-            raise SingularMatrixError("not square")
         n = self.nrows
-        aug = Matrix([list(self.rows[i]) + Matrix.identity(n).rows[i] for i in range(n)])
-        reduced, pivots = aug.rref()
+        if n != self.ncols:
+            raise SingularMatrixError("not square")
+        aug = [{**row, n + i: _ONE} for i, row in enumerate(self._sparse_rows())]
+        rows, pivots, _ = rref(aug, 2 * n)
         if pivots[:n] != list(range(n)):
             raise SingularMatrixError("matrix is singular")
-        return Matrix([r[n:] for r in reduced.rows])
+        return Matrix([r[n:] for r in rows])
 
     def det(self) -> Cyclo:
         if self.nrows != self.ncols:
@@ -227,18 +209,18 @@ def _dot(a: Sequence[Cyclo], b: Sequence[Cyclo]) -> Cyclo:
 
 def solve_linear(a: Matrix, b: Sequence) -> Optional[list[Cyclo]]:
     """One solution of A x = b, or None if inconsistent."""
-    bv = [_c(x) for x in b]
-    aug = Matrix([list(a.rows[i]) + [bv[i]] for i in range(a.nrows)])
-    reduced, pivots = aug.rref()
-    if a.ncols in pivots:
+    m = a.ncols
+    aug = [{**row, m: _c(b[i])} for i, row in enumerate(a._sparse_rows())]
+    rows, pivots, zero = rref(aug, m + 1)
+    if m in pivots:
         return None
-    x = [_ZERO] * a.ncols
-    for i, p in enumerate(pivots):
-        x[p] = reduced.rows[i][a.ncols]
+    x = [zero] * m
+    for row, p in zip(rows, pivots):
+        x[p] = row[m]
     return x
 
 
-# -- sparse exact elimination ---------------------------------------------------
+# -- the elimination kernel -------------------------------------------------------
 
 
 class Echelon:
@@ -249,6 +231,8 @@ class Echelon:
     it is stored under that column.  Eliminating a pivot from a row is the
     fraction-free step a*row - b*pivot with a, b coprime (Bareiss), after
     which the row's content is divided out, so entries stay small integers.
+    `clear` back-substitutes one pivot row; clearing every pivot row gives the
+    reduced echelon form.
     """
 
     __slots__ = ("pivots",)
@@ -266,14 +250,43 @@ class Echelon:
         A nonempty result is a nonzero rational multiple of row minus a
         combination of pivot rows.
         """
-        row = dict(row)
+        return self._eliminate(dict(row), None)
+
+    def insert(self, row: Mapping[int, int]) -> bool:
+        """Add row to the span; True iff it raised the rank."""
+        row = self.reduce(row)
+        if not row:
+            return False
+        lead = min(row)
+        c = gcd(*row.values())
+        if row[lead] < 0:
+            c = -c
+        if c != 1:
+            row = {k: v // c for k, v in row.items()}
+        self.pivots[lead] = row
+        return True
+
+    def clear(self, lead: int) -> dict[int, int]:
+        """Back-substitution: the pivot row at lead, stored back with every other
+        pivot column cleared."""
+        row = self.pivots[lead] = self._eliminate(self.pivots[lead], lead)
+        return row
+
+    def _eliminate(self, row: dict[int, int], keep: Optional[int]) -> dict[int, int]:
+        """Bareiss steps on row, at its least column while that holds a pivot, or
+        with keep given, at every pivot column other than keep."""
         pivots = self.pivots
         while row:
-            lead = min(row)
-            piv = pivots.get(lead)
-            if piv is None:
-                break
-            a, b = piv[lead], row[lead]
+            if keep is None:
+                col = min(row)
+                if col not in pivots:
+                    break
+            else:
+                col = min((k for k in row if k != keep and k in pivots), default=None)
+                if col is None:
+                    break
+            piv = pivots[col]
+            a, b = piv[col], row[col]
             g = gcd(a, b)
             a, b = a // g, b // g
             if a != 1:
@@ -290,20 +303,6 @@ class Echelon:
                 row = {k: v // c for k, v in row.items()}
         return row
 
-    def insert(self, row: Mapping[int, int]) -> bool:
-        """Add row to the span; True iff it raised the rank."""
-        row = self.reduce(row)
-        if not row:
-            return False
-        lead = min(row)
-        c = gcd(*row.values())
-        if row[lead] < 0:
-            c = -c
-        if c != 1:
-            row = {k: v // c for k, v in row.items()}
-        self.pivots[lead] = row
-        return True
-
 
 def realify(row: Mapping[int, Cyclo], n: int) -> list[dict[int, int]]:
     """Integer rows whose Q-span is the Q(zeta_n)-span of a sparse row.
@@ -315,12 +314,15 @@ def realify(row: Mapping[int, Cyclo], n: int) -> list[dict[int, int]]:
     entry must lie in Q(zeta_n).
     """
     phi = euler_phi(n)
-    poly = cyclotomic_polynomial(n)
-    lifted = {k: c.lift_to(n) for k, c in row.items()}
+    lifted = [(k, c.lift_to(n)) for k, c in row.items() if any(c.num)]
     den = 1
-    for c in lifted.values():
-        den = lcm(den, c.den)
-    vecs = {k: [x * (den // c.den) for x in c.num] for k, c in lifted.items()}
+    for _, c in lifted:
+        if den % c.den:
+            den = lcm(den, c.den)
+    if phi == 1:
+        return [{k: c.num[0] * (den // c.den) for k, c in lifted}]
+    poly = cyclotomic_polynomial(n)
+    vecs = {k: [x * (den // c.den) for x in c.num] for k, c in lifted}
     out = []
     for j in range(phi):
         if j:
@@ -333,3 +335,68 @@ def realify(row: Mapping[int, Cyclo], n: int) -> list[dict[int, int]]:
                 vecs[k] = vec
         out.append({k * phi + t: x for k, vec in vecs.items() for t, x in enumerate(vec) if x})
     return out
+
+
+def unrealify(row: Mapping[int, int], n: int) -> dict[int, Cyclo]:
+    """Block k (of phi(n) columns) of an integer row as the entry at column k,
+    over the row's value at its least column; 1 there for a pivot row cleared
+    of the other columns of its block."""
+    phi, a = euler_phi(n), row[min(row)]
+    if phi == 1:
+        return {k: _new(1, (x,), a) for k, x in sorted(row.items())}
+    blocks: dict[int, list[int]] = {}
+    for col, x in sorted(row.items()):
+        blocks.setdefault(col // phi, [0] * phi)[col % phi] = x
+    return {k: _new(n, tuple(vec), a) for k, vec in blocks.items()}
+
+
+def _realified(rows: Sequence[Mapping[int, Cyclo]]) -> tuple[Echelon, int]:
+    """The echelon of the rows realified at N, the lcm of every entry's conductor."""
+    n = conductor(c for r in rows for c in r.values())
+    span = Echelon()
+    for r in rows:
+        for real in realify(r, n):
+            span.insert(real)
+    return span, n
+
+
+def rank(rows: Sequence[Mapping[int, Cyclo]]) -> int:
+    """Rank over Q(zeta_N) of sparse rows (column -> Cyclo)."""
+    span, n = _realified(rows)
+    return span.rank // euler_phi(n)
+
+
+def rref(rows: Sequence[Mapping[int, Cyclo]], ncols: int
+         ) -> tuple[list[list[Cyclo]], list[int], Cyclo]:
+    """The nonzero rows of the reduced row echelon form over Q(zeta_N) of sparse
+    rows (column -> Cyclo) with ncols columns, their pivot columns, and zero.
+
+    N is the lcm of the conductors of every input entry, zeros included, and
+    every entry returned (zero too) is stored at N.  The realified rows are
+    fully reduced over Q; a pivot row whose lead opens a block of phi(N)
+    columns is a reduced row over Q(zeta_N).
+    """
+    span, n = _realified(rows)
+    for lead in sorted(span.pivots, reverse=True):  # each row cleared by cleared rows
+        span.clear(lead)
+    phi, zero = euler_phi(n), zeta(n, 0) * 0
+    leads = [lead for lead in sorted(span.pivots) if lead % phi == 0]
+    reduced = [unrealify(span.pivots[lead], n) for lead in leads]
+    dense = [[r.get(j, zero) for j in range(ncols)] for r in reduced]
+    return dense, [lead // phi for lead in leads], zero
+
+
+def kernel(rows: Sequence[Mapping[int, Cyclo]], ncols: int) -> list[list[Cyclo]]:
+    """Basis of the right nullspace of sparse rows with ncols columns, one vector
+    per free column in reduced echelon shape; entries stored as by `rref`."""
+    reduced, pivots, zero = rref(rows, ncols)
+    one = zeta(zero.n, 0)
+    basis = []
+    for f in sorted(set(range(ncols)) - set(pivots)):
+        vec = [zero] * ncols
+        vec[f] = one
+        for row, p in zip(reduced, pivots):
+            if row[f]:
+                vec[p] = -row[f]
+        basis.append(vec)
+    return basis

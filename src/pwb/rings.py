@@ -18,6 +18,9 @@ _ZERO = Cyclo.of(0)
 _ONE = Cyclo.of(1)
 
 MAX_EXPONENT = 2 ** 31
+# zeta(N) in parsed text: a value is phi(N) integers and a product costs
+# phi(N)^2, so a larger N in a one-line input would stall the parse
+MAX_CONDUCTOR = 1000
 
 
 def grlex_key(e: tuple[int, ...]):
@@ -523,8 +526,11 @@ class _Parser:
             if text == "zeta" and self._peek()[:2] == ("op", "("):
                 self._next()
                 ntok = self._expect("int")
+                n = int(ntok[1])
+                if n > MAX_CONDUCTOR:
+                    raise ParseError(f"conductor {n} exceeds {MAX_CONDUCTOR}", ntok[2])
                 self._expect("op", ")")
-                return self.ring.scalar(zeta(int(ntok[1])))
+                return self.ring.scalar(zeta(n))
             if text in self.ring._index:
                 return self.ring.var(self.ring.index(text))
             raise UnknownVariableError(f"unknown variable '{text}'", at)

@@ -34,7 +34,8 @@ def conductor(values) -> int:
     """lcm of the conductors the values are stored at."""
     n = 1
     for x in values:
-        n = lcm(n, x.n)
+        if n % x.n:
+            n = lcm(n, x.n)
     return n
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .errors import DegreeBudgetExceededError, PwbError
-from .linalg import Matrix
+from .linalg import Matrix, kernel, rref, solve_linear
 from .rings import Poly, PolyRing, embed, grlex_key
 from .scalars import Cyclo
 from .upoly import UPoly, extract_roots
@@ -324,7 +324,6 @@ def _solve_linear_system(gens: Sequence[Poly], ring: PolyRing) -> AffineResult:
         rows.append(row)
         rhs.append(-g.coefficient(zero_e))
     m = Matrix(rows)
-    from .linalg import solve_linear
     particular = solve_linear(m, rhs)
     if particular is None:
         return AffineResult(EMPTY)
@@ -386,11 +385,7 @@ def set_dedup(values: list[Cyclo]) -> list[Cyclo]:
 def _canonical_affine(particular: list[Cyclo], directions: list[list[Cyclo]]
                       ) -> tuple[tuple, tuple]:
     """Canonical (particular, direction-space) pair for affine-subspace equality."""
-    if directions:
-        reduced, pivots = Matrix(directions).rref()
-        dirs = [list(r) for r in reduced.rows[: len(pivots)]]
-    else:
-        dirs, pivots = [], []
+    dirs, pivots, _ = rref([dict(enumerate(v)) for v in directions], len(particular))
     p = list(particular)
     for row, pv in zip(dirs, pivots):
         f = p[pv]
@@ -411,10 +406,10 @@ def solve_projective(gens: Sequence[Poly], ring: PolyRing,
                            basis=tuple(tuple(r) for r in Matrix.identity(n).rows))
     gb = groebner_basis(gens, grlex_key, budget)
     if all(g.total_degree() <= 1 for g in gb):
-        kernel = _linear_kernel(gb, ring)
-        if not kernel:
+        null = _linear_kernel(gb, ring)
+        if not null:
             return SolutionSet(EMPTY, n)
-        return SolutionSet(SUBSPACE, n, basis=tuple(tuple(r) for r in kernel))
+        return SolutionSet(SUBSPACE, n, basis=tuple(tuple(r) for r in null))
 
     chart_results: list[AffineResult] = []
     for m in range(n):
@@ -480,22 +475,15 @@ def aggregate_chart_results(chart_results: list[AffineResult], n: int,
         uniq.sort(key=lambda p: tuple(str(c) for c in p))
         return SolutionSet(POINTS, n, points=tuple(uniq))
 
-    reduced, pivots = Matrix(span_vectors).rref()
-    candidate = [list(r) for r in reduced.rows[: len(pivots)]]
+    candidate = rref([dict(enumerate(v)) for v in span_vectors], n)[0]
     if _verify_union_is_subspace(candidate, chart_results, n):
         return SolutionSet(SUBSPACE, n, basis=tuple(tuple(r) for r in candidate))
     return SolutionSet(IDEAL_ONLY, n, generators=fallback)
 
 
 def _linear_kernel(gens: Sequence[Poly], ring: PolyRing) -> list[list[Cyclo]]:
-    n = ring.nvars
-    rows = []
-    for g in gens:
-        row = [_ZERO] * n
-        for e, c in g.terms.items():
-            row[next(i for i, k in enumerate(e) if k)] = c
-        rows.append(row)
-    return Matrix(rows).kernel_basis()
+    return kernel([{next(i for i, k in enumerate(e) if k): c
+                   for e, c in g.terms.items()} for g in gens], ring.nvars)
 
 
 def _verify_union_is_subspace(basis: list[list[Cyclo]], chart_results: list[AffineResult],
@@ -506,7 +494,6 @@ def _verify_union_is_subspace(basis: list[list[Cyclo]], chart_results: list[Affi
         # V intersect chart m: combinations s with (s.B)_i = 0 for i < m, = 1 at m
         rows = [[b.rows[k][i] for k in range(b.nrows)] for i in range(m + 1)]
         rhs = [_ZERO] * m + [_ONE]
-        from .linalg import solve_linear
         s0 = solve_linear(Matrix(rows), rhs)
         if s0 is None:
             if res.kind != EMPTY:
@@ -514,10 +501,10 @@ def _verify_union_is_subspace(basis: list[list[Cyclo]], chart_results: list[Affi
             continue
         if res.kind == EMPTY:
             return False
-        kernel = Matrix(rows).kernel_basis()
+        null = Matrix(rows).kernel_basis()
         part = [sum((s0[k] * b.rows[k][i] for k in range(b.nrows)), _ZERO) for i in range(n)]
         dirs = []
-        for kv in kernel:
+        for kv in null:
             d = [sum((kv[k] * b.rows[k][i] for k in range(b.nrows)), _ZERO) for i in range(n)]
             dirs.append(d)
         if res.kind == POINTS:

@@ -158,9 +158,7 @@ def classify(A: PoissonAlgebra, g: GradedMap) -> Classification:
     delta = g.matrix - Matrix.identity(n)
     if delta.rank() == 1:
         xi = g.matrix.trace() - Cyclo.of(n - 1)
-        eig = Matrix(
-            [[g.matrix.rows[r][c] - (xi if r == c else _ZERO) for c in range(n)]
-             for r in range(n)]).kernel_basis()
+        eig = (g.matrix - Matrix.diagonal([xi] * n)).kernel_basis()
         fixed = delta.kernel_basis()
         return Classification(REFLECTION, order=order, xi=xi,
                               eigenvector=tuple(eig[0]), fixed_basis=tuple(tuple(v) for v in fixed))
@@ -631,4 +629,4 @@ def _build_reflection(A: PoissonAlgebra, vectors, nparams: int,
     m = Matrix(rows)
     if m.det().is_zero():
         return None
-    return GradedMap(m)
+    return GradedMap._invertible(m)

@@ -4,7 +4,10 @@ Deliberately naive and separate from the main library: dense exponent-table
 polynomials, a recursive Leibniz bracket (no biderivation formula), plain
 Gaussian elimination over Fractions, and direct power iteration for orders.
 Only the exact scalar type is shared; `OracleCyclo` is an independent
-Fraction-tuple reference for that type itself.
+Fraction-tuple reference for that type itself.  The eliminations pwb ran
+before its integer kernel (dense Gauss-Jordan over Cyclo entries, and the
+fixed-ring generator echelon over pwb `Poly` values) are kept here as
+references for that kernel.
 """
 from __future__ import annotations
 
@@ -243,6 +246,138 @@ def invariant_monomial_counts(chars_per_gen, nvars: int, degree: int) -> list[in
         if monomial_is_invariant(e, chars_per_gen):
             counts[sum(e)] += 1
     return counts
+
+
+# -- the reference eliminations ---------------------------------------------------
+#
+# The dense Gauss-Jordan over Cyclo entries and the sparse Poly echelon that
+# pwb.linalg and pwb.fixedrings used before every elimination moved to the
+# integer kernel `pwb.linalg.Echelon`, kept as differential oracles for it.
+
+
+class SingularOracleMatrix(Exception):
+    pass
+
+
+def dense_rref(rows: list[list[Cyclo]]) -> tuple[list[list[Cyclo]], list[int]]:
+    """Reduced row echelon form (zero rows kept, last) and pivot columns."""
+    work = [list(r) for r in rows]
+    ncols = len(work[0]) if work else 0
+    pivots: list[int] = []
+    row_at = 0
+    for col in range(ncols):
+        pr = next((r for r in range(row_at, len(work)) if not work[r][col].is_zero()), None)
+        if pr is None:
+            continue
+        work[row_at], work[pr] = work[pr], work[row_at]
+        inv = work[row_at][col].inverse()
+        work[row_at] = [x * inv for x in work[row_at]]
+        lead = work[row_at]
+        for r in range(len(work)):
+            if r != row_at and not work[r][col].is_zero():
+                f = work[r][col]
+                work[r] = [x - f * y for x, y in zip(work[r], lead)]
+        pivots.append(col)
+        row_at += 1
+        if row_at == len(work):
+            break
+    return work, pivots
+
+
+def dense_kernel(rows: list[list[Cyclo]], ncols: int) -> list[list[Cyclo]]:
+    """Right nullspace basis, one vector per free column."""
+    reduced, pivots = dense_rref(rows)
+    basis = []
+    for f in (j for j in range(ncols) if j not in pivots):
+        vec = [ZERO] * ncols
+        vec[f] = ONE
+        for i, p in enumerate(pivots):
+            vec[p] = -reduced[i][f]
+        basis.append(vec)
+    return basis
+
+
+def dense_inverse(rows: list[list[Cyclo]]) -> list[list[Cyclo]]:
+    n = len(rows)
+    aug = [list(r) + [ONE if j == i else ZERO for j in range(n)] for i, r in enumerate(rows)]
+    reduced, pivots = dense_rref(aug)
+    if pivots[:n] != list(range(n)):
+        raise SingularOracleMatrix
+    return [r[n:] for r in reduced]
+
+
+def dense_solve(rows: list[list[Cyclo]], ncols: int, b: list[Cyclo]) -> Optional[list[Cyclo]]:
+    """One solution of A x = b, or None if inconsistent."""
+    reduced, pivots = dense_rref([list(r) + [x] for r, x in zip(rows, b)])
+    if ncols in pivots:
+        return None
+    x = [ZERO] * ncols
+    for i, p in enumerate(pivots):
+        x[p] = reduced[i][ncols]
+    return x
+
+
+def _grlex(e):
+    return (sum(e), e)
+
+
+def _reduce_against(poly, echelon: dict):
+    changed = True
+    while changed and not poly.is_zero():
+        changed = False
+        for e in sorted(poly.terms, key=_grlex, reverse=True):
+            hit = echelon.get(e)
+            if hit is not None:
+                poly = poly - poly.terms[e] * hit
+                changed = True
+                break
+    return poly
+
+
+def _echelon_insert(poly, echelon: dict):
+    """Reduce and insert; returns the monic remainder if it was new."""
+    poly = _reduce_against(poly, echelon)
+    if poly.is_zero():
+        return None
+    lead = max(poly.terms, key=_grlex)
+    poly = poly * poly.terms[lead].inverse()
+    echelon[lead] = poly
+    return poly
+
+
+def _products_of_degree(chosen: list, k: int) -> list:
+    out = []
+
+    def rec(idx: int, remaining: int, acc):
+        if remaining == 0:
+            if acc is not None:
+                out.append(acc)
+            return
+        if idx == len(chosen):
+            return
+        poly, deg = chosen[idx]
+        rec(idx + 1, remaining, acc)
+        if deg <= remaining:
+            rec(idx, remaining - deg, poly if acc is None else acc * poly)
+
+    rec(0, k, None)
+    return out
+
+
+def poly_echelon_generators(bases_per_degree: dict, d: int) -> list:
+    """Generators per degree as remainders of the invariant basis against the
+    products of lower-degree generators, in a per-degree echelon of pwb
+    `Poly` values keyed by leading monomial (grlex), made monic."""
+    chosen: list = []
+    for k in range(1, d + 1):
+        echelon: dict = {}
+        for prod in _products_of_degree(chosen, k):
+            _echelon_insert(prod, echelon)
+        for vec in bases_per_degree.get(k, []):
+            new = _echelon_insert(vec, echelon)
+            if new is not None:
+                chosen.append((new, k))
+    return chosen
 
 
 # -- the reference scalar type ---------------------------------------------------

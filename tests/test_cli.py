@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -261,10 +262,19 @@ def test_envelope_aliases(tmp_path, capsys):
     assert report["result"]["generators"] == ["x1", "y1", "x2", "y2"]
 
 
+# sha256 of the `pwb paper-suite --json` stdout.  The report holds no volatile
+# field, so a change to its bytes is a change to a reproduced answer or to how
+# one prints; update the digest only together with such an intended change.
+PAPER_SUITE_SHA256 = "7b1854ace2317db1c332edd15d5f7aed3f5f2d1c2dda85215055f225233f15aa"
+
+
 def test_paper_suite(capsys):
-    code, report = run(capsys, "paper-suite", "--json")
+    code = main(["paper-suite", "--json"])
+    out = capsys.readouterr().out
+    report = json.loads(out)
     assert code == 0
     assert report["result"]["passed"] == report["result"]["total"]
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PAPER_SUITE_SHA256
 
 
 def test_error_exit_code(tmp_path, capsys):

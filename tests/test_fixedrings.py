@@ -474,3 +474,43 @@ def test_diagonal_route_uses_only_character_arithmetic(monkeypatch):
     # the Reynolds route (S3 does not diagonalize) still takes the charpoly sum
     fixed_group(Z, swap, bound=3)
     assert calls["molien"] == 1
+
+
+# -- generator selection against the Poly echelon ------------------------------
+
+
+def _printed(chosen):
+    return [(str(p), k) for p, k in chosen]
+
+
+def _assert_generators_match_poly_echelon(bases, d):
+    chosen = fixedrings._canonical_generators(bases, d)
+    assert _printed(chosen) == _printed(oracle.poly_echelon_generators(bases, d))
+    for p, _ in chosen:
+        assert p.leading()[1].is_one()
+
+
+@settings(max_examples=25, deadline=None)
+@given(diagonal_groups())
+@example((3, [g.matrix for g in zeta3_zeta4_pair()]))
+def test_canonical_generators_match_the_poly_echelon(case):
+    # the diagonal route's bases, in a rational or Q(zeta_3) eigenbasis
+    n, mats = case
+    G = group_closure([GradedMap(m) for m in mats])
+    T, chars = _try_diagonalize(G)
+    e, logs = _character_logs(chars)
+    d = min(e, 6)
+    ring = PolyRing([f"x{i}" for i in range(n)])
+    _assert_generators_match_poly_echelon(fixedrings._diagonal_bases(ring, T, logs, e, d), d)
+
+
+@pytest.mark.parametrize("rows", [
+    # S3 permuting three variables, and S3 acting on Q(zeta_3)^2 by a swap and
+    # diag(zeta_3, zeta_3^2): Reynolds averages, rational and cyclotomic
+    [[[0, 1, 0], [1, 0, 0], [0, 0, 1]], [[0, 0, 1], [0, 1, 0], [1, 0, 0]]],
+    [[[0, 1], [1, 0]], [[zeta(3), 0], [0, zeta(3, 2)]]],
+])
+def test_canonical_generators_of_reynolds_bases_match_the_poly_echelon(rows):
+    G = group_closure([gmap(r) for r in rows])
+    ring = PolyRing([f"x{i}" for i in range(len(rows[0]))])
+    _assert_generators_match_poly_echelon(fixedrings._reynolds_bases(ring, G, 6), 6)

@@ -57,6 +57,15 @@ def test_parse_algebra_errors():
         parse_algebra("algebra A { vars: x, y; bracket{x,x} = x^2; }")
 
 
+@pytest.mark.parametrize("text, name", [
+    ("algebra A { vars: x y, z; }", "x y"),
+    ("algebra A { vars: 1, z; bracket{1,z} = 1*z; }", "1"),
+])
+def test_parse_algebra_rejects_a_variable_name_that_is_not_an_identifier(text, name):
+    with pytest.raises(FileFormatError, match=f"'{name}'"):
+        parse_algebra(text)
+
+
 MAP_SRC = """
 map g on A {
   x -> zeta(3)*x;

@@ -1,12 +1,14 @@
-"""The sparse integer elimination kernel and the minimal polynomial against Cyclo
-elimination and dense Fractions."""
+"""The integer elimination kernel (rank, rref, kernel, inverse, solve) and the minimal
+polynomial against Cyclo elimination, dense Gauss-Jordan, dense Fractions and sympy."""
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from pwb.linalg import Echelon, Matrix, realify
+from pwb.errors import SingularMatrixError
+from pwb.linalg import Echelon, Matrix, realify, solve_linear
 from pwb.scalars import Cyclo, conductor, euler_phi, zeta
 from test_fixedrings import diagonal_groups
 
@@ -123,3 +125,124 @@ def test_minpoly_is_monic_annihilating_of_least_degree(m):
         rank = oracle.cyclo_sparse_rank([dict(enumerate(vec)) for vec in vecs])
     # I, m, ..., m^(d-1) are independent and every higher power lies in their span
     assert len(coeffs) - 1 == rank
+
+
+# -- the elimination kernel against dense Gauss-Jordan over Cyclo --------------
+
+MIXES = [(1,), (3,), (4,), (12,), (1, 3), (3, 4), (1, 4, 12), (1, 3, 4, 12)]
+
+
+@st.composite
+def cyclo_matrices(draw, square=False):
+    """Dense matrices with entries over Q(zeta_n), n drawn from a mix of 1, 3, 4
+    and 12: empty, zero (zeros stored at those conductors) and rank-deficient
+    ones (rows drawn as combinations of earlier rows) included."""
+    conductors = draw(st.sampled_from(MIXES))
+
+    def scalar(zero=False):
+        n = draw(st.sampled_from(conductors))
+        return Cyclo(n, [0 if zero else draw(COEFFS) for _ in range(euler_phi(n))])
+
+    nrows = draw(st.integers(0, 4))
+    ncols = nrows if square else draw(st.integers(0, 5)) if nrows else 0
+    zero = draw(st.integers(0, 9)) == 0
+    rows: list[list[Cyclo]] = []
+    for _ in range(nrows):
+        if len(rows) >= 2 and not zero and draw(st.booleans()):
+            i, j = draw(st.lists(st.integers(0, len(rows) - 1), min_size=2, max_size=2))
+            a, b = scalar(), scalar()
+            rows.append([a * x + b * y for x, y in zip(rows[i], rows[j])])
+        else:
+            rows.append([scalar(zero) for _ in range(ncols)])
+    return Matrix(rows)
+
+
+def stored_at(n: int, values) -> bool:
+    return all(x.n == n for x in values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cyclo_matrices())
+def test_rref_rank_and_kernel_match_dense_gauss_jordan(m):
+    n = conductor(x for r in m.rows for x in r)
+    reduced, pivots = m.rref()
+    expect, expect_pivots = oracle.dense_rref(m.rows)
+    assert pivots == expect_pivots
+    assert reduced == Matrix(expect)
+    assert stored_at(n, (x for r in reduced.rows for x in r))
+    assert m.rank() == len(expect_pivots)
+    kernel = m.kernel_basis()
+    assert kernel == oracle.dense_kernel(m.rows, m.ncols)
+    assert stored_at(n, (x for v in kernel for x in v))
+    assert all(not any(m.apply(v)) for v in kernel)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cyclo_matrices(square=True))
+def test_inverse_matches_dense_gauss_jordan(m):
+    n = conductor(x for r in m.rows for x in r)
+    try:
+        expect = oracle.dense_inverse(m.rows)
+    except oracle.SingularOracleMatrix:
+        with pytest.raises(SingularMatrixError):
+            m.inverse()
+        return
+    inv = m.inverse()
+    assert inv == Matrix(expect)
+    assert stored_at(n, (x for r in inv.rows for x in r))
+    assert inv * m == Matrix.identity(m.nrows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cyclo_matrices(), st.data())
+def test_solve_linear_matches_dense_gauss_jordan(m, data):
+    conductors = data.draw(st.sampled_from(MIXES))
+    b = [Cyclo(k, [data.draw(COEFFS) for _ in range(euler_phi(k))])
+         for k in data.draw(st.lists(st.sampled_from(conductors),
+                                     min_size=m.nrows, max_size=m.nrows))]
+    if m.nrows and data.draw(st.booleans()):
+        # a consistent right-hand side: A times a drawn vector
+        b = m.apply([data.draw(COEFFS) for _ in range(m.ncols)])
+    n = conductor([x for r in m.rows for x in r] + b)
+    x = solve_linear(m, b)
+    expect = oracle.dense_solve(m.rows, m.ncols, b)
+    if expect is None:
+        assert x is None
+        return
+    assert x == expect
+    assert stored_at(n, x)
+    assert m.apply(x) == b
+
+
+def test_kernel_results_are_stored_at_the_lcm_conductor():
+    # a rational system with one zero stored at conductor 12: results at 12
+    z12 = Cyclo(12, [0, 0, 0, 0])
+    m = Matrix([[1, 2, z12], [2, 4, 1]])
+    reduced, pivots = m.rref()
+    assert pivots == [0, 2] and stored_at(12, (x for r in reduced.rows for x in r))
+    assert [[str(x) for x in v] for v in m.kernel_basis()] == [["-2", "1", "0"]]
+    assert m.kernel_basis()[0][0].n == 12
+    assert Matrix([]).rref() == (Matrix([]), []) and Matrix([]).kernel_basis() == []
+    assert Matrix([[0, 0]]).kernel_basis() == [[1, 0], [0, 1]]
+
+
+@settings(max_examples=40, deadline=None)
+@given(cyclo_matrices())
+def test_rank_matches_sympy(m):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+    # every conductor drawn divides 12: work in Q(zeta_12), whose power basis is Cyclo's at 12
+    K = sympy.QQ.algebraic_field(sympy.exp(2 * sympy.pi * sympy.I / 12))
+    gen = K.from_sympy(sympy.exp(2 * sympy.pi * sympy.I / 12))
+
+    def element(c):
+        acc = K.zero
+        for k, q in enumerate(c.lift_to(12).c):
+            acc += K.from_sympy(sympy.Rational(q.numerator, q.denominator)) * gen ** k
+        return acc
+
+    if not m.nrows or not m.ncols:
+        assert m.rank() == 0
+        return
+    dm = DomainMatrix([[element(x) for x in r] for r in m.rows], (m.nrows, m.ncols), K)
+    assert m.rank() == dm.rank()

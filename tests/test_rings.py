@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from pwb.errors import DivisorZeroError, ParseError, UnknownVariableError
 from pwb.linalg import Matrix
-from pwb.rings import Poly, PolyRing, embed
+from pwb.rings import MAX_CONDUCTOR, Poly, PolyRing, embed
 from pwb.scalars import zeta
 
 R3 = PolyRing(["x", "y", "z"])
@@ -40,6 +40,13 @@ def test_parse_errors():
     assert e.value.position == 4
     with pytest.raises(ParseError):
         P("x/(y)")
+
+
+def test_parse_caps_the_conductor():
+    assert P(f"zeta({MAX_CONDUCTOR})*x").coefficient((1, 0, 0)) == zeta(MAX_CONDUCTOR)
+    with pytest.raises(ParseError) as e:
+        P("x + zeta(100000)^2*y")
+    assert e.value.position == 9 and "100000" in str(e.value)
 
 
 def test_print_parse_roundtrip():

@@ -157,6 +157,25 @@ def test_group_closure_products_skip_the_det(monkeypatch):
     assert all(not e.matrix.det().is_zero() for e in G.elements)
     assert G.elements[-1] == GradedMap(G.elements[-1].matrix)
 
+def test_build_reflection_runs_one_det(monkeypatch):
+    # the det that rejects a singular candidate is not repeated by GradedMap
+    from pwb import symmetry
+    calls, per_build = [], []
+    det, build = Matrix.det, symmetry._build_reflection
+    monkeypatch.setattr(Matrix, "det", lambda self: calls.append(1) or det(self))
+
+    def counted(*args):
+        before = len(calls)
+        g = build(*args)
+        per_build.append((len(calls) - before, g))
+        return g
+
+    monkeypatch.setattr(symmetry, "_build_reflection", counted)
+    assert find_reflections(ph_lie(lie_two_dim_nonabelian())).status == FOUND
+    assert any(g is not None for _, g in per_build)
+    assert all(k == 1 for k, _ in per_build)
+
+
 def test_l_degree_and_bicharacter():
     A = skew_symmetric(Matrix([[0, 1], [-1, 0]]), names=["x", "y"])
     assert [str(c) for c in l_degree(A, (1, 0))] == ["0", "1"]
