@@ -117,13 +117,13 @@ class PoissonAlgebra:
         lexicographic order.
         """
         names = self.ring.names
-        xs = self.ring.gens()
         triples = {tuple(sorted((i, j, k))) for i, j in self.table
                    for k in range(self.nvars) if k != i and k != j}
         for i, j, k in sorted(triples):
-            total = (self.bracket(xs[i], self.pair(j, k))
-                     + self.bracket(xs[j], self.pair(k, i))
-                     + self.bracket(xs[k], self.pair(i, j)))
+            # {x_i, {x_j, x_k}} + cyclic, each term as -{{x_j, x_k}, x_i}
+            total = (self.bracket_var(self.pair(j, k), i)
+                     + self.bracket_var(self.pair(k, i), j)
+                     + self.bracket_var(self.pair(i, j), k))
             if not total.is_zero():
                 return False, (names[i], names[j], names[k])
         return True, None

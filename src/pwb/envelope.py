@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .brackets import PoissonAlgebra
 from .errors import (CapExceededError, InvalidDegreeError, NotAutomorphismError,
                      NotQuadraticError, NotReflectionError)
-from .linalg import Echelon, Matrix, rank, realify
+from .linalg import Echelon, Matrix, realify
 from .rings import Poly
 from .scalars import Cyclo, conductor, euler_phi
 from .series import RationalSeries
@@ -193,8 +193,15 @@ def envelope_extend(A: PoissonAlgebra, g: GradedMap) -> EnvelopeExtension:
     # nonzero entries of each column: generator a maps to sum ca * generator a2
     cols = [[(a2, ca) for a2, ca in enumerate(col) if not ca.is_zero()]
             for col in extended.matrix.transpose().rows]
-    relations = [_indexed(r, gsz) for r in pres.relations]
-    images = []
+    # each relation's image must lie in the span of the relations over
+    # Q(zeta_N); realified, that is membership in a Q-span
+    N = conductor([c for r in pres.relations for c in r.values()]
+                  + [c for col in cols for _, c in col])
+    span = Echelon()
+    for r in pres.relations:
+        for row in realify(_indexed(r, gsz), N):
+            span.insert(row)
+    preserved = True
     for r in pres.relations:
         image: dict = {}
         for (a, b), c in r.items():
@@ -202,9 +209,9 @@ def envelope_extend(A: PoissonAlgebra, g: GradedMap) -> EnvelopeExtension:
                 for b2, cb in cols[b]:
                     idx = a2 * gsz + b2
                     image[idx] = image.get(idx, _ZERO) + c * ca * cb
-        images.append(image)
-    # the relations are preserved iff their images lie in their span
-    preserved = rank(relations + images) == rank(relations)
+        if span.reduce(realify(image, N)[0]):
+            preserved = False
+            break
     return EnvelopeExtension(extended, preserved)
 
 

@@ -71,7 +71,7 @@ def is_skew_presentation(p: PresentedPoisson) -> Optional[Matrix]:
     """The matrix (q_ij) when every table entry is q_ij * g_i * g_j, else None."""
     if p.relations is None or p.relations:
         return None
-    return p.as_algebra(check_jacobi=False).skew_matrix()
+    return PoissonAlgebra(p.generator_ring, dict(p.table), check_jacobi=False).skew_matrix()
 
 
 # -- simultaneous diagonalization --------------------------------------------

@@ -343,7 +343,7 @@ def unrealify(row: Mapping[int, int], n: int) -> dict[int, Cyclo]:
     of the other columns of its block."""
     phi, a = euler_phi(n), row[min(row)]
     if phi == 1:
-        return {k: _new(1, (x,), a) for k, x in sorted(row.items())}
+        return {k: _new(n, (x,), a) for k, x in sorted(row.items())}
     blocks: dict[int, list[int]] = {}
     for col, x in sorted(row.items()):
         blocks.setdefault(col // phi, [0] * phi)[col % phi] = x

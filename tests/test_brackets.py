@@ -60,13 +60,13 @@ def test_jacobi_failure_witness():
 
 def test_jacobi_check_visits_only_triples_with_a_nonzero_bracket(monkeypatch):
     calls = []
-    bracket = PoissonAlgebra.bracket
+    bracket_var = PoissonAlgebra.bracket_var
 
-    def counted(self, f, g):
-        calls.append((f, g))
-        return bracket(self, f, g)
+    def counted(self, f, j):
+        calls.append((f, j))
+        return bracket_var(self, f, j)
 
-    monkeypatch.setattr(PoissonAlgebra, "bracket", counted)
+    monkeypatch.setattr(PoissonAlgebra, "bracket_var", counted)
     ring = PolyRing([f"x{i}" for i in range(6)])
     assert PoissonAlgebra(ring, {}).jacobi_check() == (True, None)
     assert calls == []

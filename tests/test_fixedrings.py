@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 
 import pytest
@@ -174,6 +175,8 @@ def test_skew_presentation_positive():
     i_pow = p.degrees.index(4)
     i_lin = p.degrees.index(1)
     assert q.rows[i_pow][i_lin] == 8  # {x^4, y} = 4*2 x^4 y
+    # only the relations decide: no relations but not flagged polynomial still reads q
+    assert is_skew_presentation(dataclasses.replace(p, polynomial=False)) == q
 
 
 def test_skew_presentation_zero_bracket():

@@ -129,13 +129,13 @@ def test_minpoly_is_monic_annihilating_of_least_degree(m):
 
 # -- the elimination kernel against dense Gauss-Jordan over Cyclo --------------
 
-MIXES = [(1,), (3,), (4,), (12,), (1, 3), (3, 4), (1, 4, 12), (1, 3, 4, 12)]
+MIXES = [(1,), (2,), (3,), (4,), (12,), (1, 3), (2, 3), (3, 4), (1, 4, 12), (1, 3, 4, 12)]
 
 
 @st.composite
 def cyclo_matrices(draw, square=False):
-    """Dense matrices with entries over Q(zeta_n), n drawn from a mix of 1, 3, 4
-    and 12: empty, zero (zeros stored at those conductors) and rank-deficient
+    """Dense matrices with entries over Q(zeta_n), n drawn from a mix of 1, 2, 3,
+    4 and 12: empty, zero (zeros stored at those conductors) and rank-deficient
     ones (rows drawn as combinations of earlier rows) included."""
     conductors = draw(st.sampled_from(MIXES))
 
@@ -224,6 +224,9 @@ def test_kernel_results_are_stored_at_the_lcm_conductor():
     assert m.kernel_basis()[0][0].n == 12
     assert Matrix([]).rref() == (Matrix([]), []) and Matrix([]).kernel_basis() == []
     assert Matrix([[0, 0]]).kernel_basis() == [[1, 0], [0, 1]]
+    # phi(2) = 1, but -1 stored at conductor 2 keeps every result at 2
+    kernel = Matrix([[1, Cyclo(2, [-1])]]).kernel_basis()
+    assert kernel == [[1, 1]] and stored_at(2, kernel[0])
 
 
 @settings(max_examples=40, deadline=None)
