@@ -15,7 +15,7 @@ from typing import Optional
 from . import __version__
 from .brackets import PoissonAlgebra
 from .envelope import envelope_dims, envelope_extend, envelope_presentation, envelope_trace
-from .errors import InfiniteOrderError, NotAutomorphismError, PwbError
+from .errors import InfiniteOrderError, InvalidDegreeError, NotAutomorphismError, PwbError
 from .families import (jacobian, jacobian_pq, homogenized_weyl, ph_lie,
                        quantum_matrices, skew_symmetric, weyl)
 from .fixedrings import fixed_group, is_skew_presentation, rigidity_report
@@ -57,6 +57,11 @@ def _load_maps(paths: str, ring, inputs: dict):
         name, on, g = parse_map(_read(path, inputs), ring)
         out.append((name, g))
     return out
+
+
+def _require_non_negative(name: str, value: Optional[int]) -> None:
+    if value is not None and value < 0:
+        raise InvalidDegreeError(f"{name} {value} is negative")
 
 
 def _load_group(args, A: PoissonAlgebra, name: str, inputs: dict) -> PoissonGroup:
@@ -127,6 +132,7 @@ def cmd_trace(args, inputs) -> CommandResult:
 
 
 def cmd_molien(args, inputs) -> CommandResult:
+    _require_non_negative("order", args.order)
     name, A = _load_algebra(args.algebra, inputs, args.defer_jacobi)
     group = _load_group(args, A, name, inputs)
     series = molien_series(group)
@@ -140,6 +146,7 @@ def cmd_molien(args, inputs) -> CommandResult:
 
 
 def cmd_fixed(args, inputs) -> CommandResult:
+    _require_non_negative("degree", args.degree)
     name, A = _load_algebra(args.algebra, inputs, args.defer_jacobi)
     group = _load_group(args, A, name, inputs)
     presented = fixed_group(A, group, bound=args.degree, budget=args.budget)
@@ -153,6 +160,7 @@ def cmd_fixed(args, inputs) -> CommandResult:
 
 
 def cmd_report(args, inputs) -> CommandResult:
+    _require_non_negative("degree", args.degree)
     name, A = _load_algebra(args.algebra, inputs, args.defer_jacobi)
     group = _load_group(args, A, name, inputs)
     rep = rigidity_report(A, group, bound=args.degree, budget=args.budget)

@@ -19,7 +19,7 @@ from .errors import (CapExceededError, InvalidDegreeError, NotAutomorphismError,
                      NotQuadraticError, NotReflectionError)
 from .linalg import Echelon, Matrix, realify
 from .rings import Poly
-from .scalars import Cyclo, conductor, euler_phi
+from .scalars import Cyclo, conductor, euler_phi, scaled_term, signed_sum
 from .series import RationalSeries
 from .symmetry import (REFLECTION, GradedMap, classify, is_poisson_automorphism,
                        trace_series)
@@ -50,28 +50,10 @@ class NCPresentation:
         return [f"{self.render(r)} = 0" for r in self.relations]
 
     def render(self, ws: WordSum) -> str:
-        parts = []
-        for word in sorted(ws, key=lambda w: tuple(w)):
-            c = ws[word]
-            body = "*".join(self.names[i] for i in word)
-            cs = str(c)
-            if cs == "1":
-                parts.append(("+", body))
-            elif cs == "-1":
-                parts.append(("-", body))
-            elif cs.startswith("-") and "+" not in cs and "-" not in cs[1:]:
-                parts.append(("-", f"{cs[1:]}*{body}"))
-            elif "+" in cs or "-" in cs[1:]:
-                parts.append(("+", f"({cs})*{body}"))
-            else:
-                parts.append(("+", f"{cs}*{body}"))
-        if not parts:
+        if not ws:
             return "0"
-        sign0, body0 = parts[0]
-        out = ("-" if sign0 == "-" else "") + body0
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
+        return signed_sum([scaled_term(str(ws[word]), "*".join(self.names[i] for i in word))
+                           for word in sorted(ws, key=lambda w: tuple(w))])
 
 
 def _quadratic_pairs(p: Poly) -> list[tuple[int, int, Cyclo]]:
@@ -186,7 +168,7 @@ def envelope_extend(A: PoissonAlgebra, g: GradedMap) -> EnvelopeExtension:
     if not ok:
         raise NotAutomorphismError(f"map does not preserve the bracket on {pair}")
     rows, zeros = g.matrix.rows, [_ZERO] * A.nvars
-    # block-diagonal copies of an invertible map: invertible, so no det
+    # block-diagonal copies of an invertible map: invertible, so no rank check
     extended = GradedMap._invertible(Matrix([r + zeros for r in rows] + [zeros + r for r in rows]))
     pres = envelope_presentation(A)
     gsz = pres.ngens

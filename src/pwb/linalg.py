@@ -1,8 +1,9 @@
 """Exact linear algebra over Q(zeta_N): dense matrices on one elimination kernel.
 
 `Echelon` (sparse integer rows, fraction-free Bareiss steps) is the only
-elimination besides `Matrix.det`.  Rows over Q(zeta_N), N the lcm conductor of
-their entries, reach it through `realify`: phi(N) integer rows each, so a rank
+elimination; `Matrix.det` reads the characteristic polynomial instead, and
+invertibility is a rank.  Rows over Q(zeta_N), N the lcm conductor of their
+entries, reach it through `realify`: phi(N) integer rows each, so a rank
 over Q(zeta_N) is a rank over Q divided by phi(N).  `rref`, `rank` and `kernel`
 take sparse rows; the `Matrix` methods and `solve_linear` read them.  Results
 are stored at N, rationals and zeros included, since the printed form of what
@@ -137,26 +138,13 @@ class Matrix:
         return Matrix([r[n:] for r in rows])
 
     def det(self) -> Cyclo:
+        """(-1)^n times the constant term of the characteristic polynomial."""
         if self.nrows != self.ncols:
             raise SingularMatrixError("not square")
-        work = [list(r) for r in self.rows]
-        n = self.nrows
-        acc = _ONE
-        for col in range(n):
-            pr = next((r for r in range(col, n) if not work[r][col].is_zero()), None)
-            if pr is None:
-                return _ZERO
-            if pr != col:
-                work[col], work[pr] = work[pr], work[col]
-                acc = -acc
-            pivot = work[col][col]
-            acc = acc * pivot
-            inv = pivot.inverse()
-            for r in range(col + 1, n):
-                if not work[r][col].is_zero():
-                    f = work[r][col] * inv
-                    work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-        return acc
+        if not self.nrows:
+            return _ONE
+        a0 = self.charpoly_coeffs()[0]
+        return -a0 if self.nrows % 2 else a0
 
     def charpoly_coeffs(self) -> list[Cyclo]:
         """[a_0, ..., a_{n-1}] with det(tI - M) = t^n + a_{n-1} t^{n-1} + ... + a_0.

@@ -10,9 +10,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .errors import DivisorZeroError, ParseError, PwbError, SingularMatrixError, UnknownVariableError
+from .errors import DivisorZeroError, ParseError, PwbError, UnknownVariableError
 from .linalg import Matrix
-from .scalars import Cyclo, zeta
+from .scalars import Cyclo, scaled_term, signed_sum, zeta
 
 _ZERO = Cyclo.of(0)
 _ONE = Cyclo.of(1)
@@ -325,8 +325,6 @@ class Poly:
         n = self.ring.nvars
         if g.nrows != n or g.ncols != n:
             raise PwbError("matrix size does not match ring")
-        if g.det().is_zero():
-            raise SingularMatrixError("linear substitution matrix is singular")
         images = [self.ring.linear_form(g.column(i)) for i in range(n)]
         return self.substitute(images)
 
@@ -367,31 +365,15 @@ class Poly:
             return "0"
         parts = []
         for e in self.support():
-            c = self.terms[e]
             mono = "*".join(
                 f"{self.ring.names[i]}^{k}" if k > 1 else self.ring.names[i]
                 for i, k in enumerate(e) if k)
-            cs = str(c)
-            composite = ("+" in cs) or ("-" in cs[1:])
-            if composite:
-                sign, body = "+", f"({cs})*{mono}" if mono else f"({cs})"
-            elif mono:
-                if cs == "1":
-                    sign, body = "+", mono
-                elif cs == "-1":
-                    sign, body = "-", mono
-                elif cs.startswith("-"):
-                    sign, body = "-", f"{cs[1:]}*{mono}"
-                else:
-                    sign, body = "+", f"{cs}*{mono}"
+            cs = str(self.terms[e])
+            if mono:
+                parts.append(scaled_term(cs, mono))
             else:
-                sign, body = ("-", cs[1:]) if cs.startswith("-") else ("+", cs)
-            parts.append((sign, body))
-        sign0, body0 = parts[0]
-        out = ("-" if sign0 == "-" else "") + body0
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
+                parts.append(f"({cs})" if "+" in cs or "-" in cs[1:] else cs)
+        return signed_sum(parts)
 
     def __repr__(self):
         return f"Poly({self})"

@@ -197,6 +197,26 @@ def _apply_rows(a: tuple[int, ...], rows, size: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def scaled_term(cs: str, mono: str) -> str:
+    """The term c*mono from c printed as cs: 1 and -1 print as a sign, and a
+    coefficient printed as a sum is parenthesised."""
+    if cs == "1":
+        return mono
+    if cs == "-1":
+        return "-" + mono
+    if "+" in cs or "-" in cs[1:]:
+        return f"({cs})*{mono}"
+    return f"{cs}*{mono}"
+
+
+def signed_sum(terms: list[str]) -> str:
+    """Printed terms joined as a sum; a term printed with a leading '-' is subtracted."""
+    out = terms[0]
+    for t in terms[1:]:
+        out += " - " + t[1:] if t.startswith("-") else " + " + t
+    return out
+
+
 class Cyclo:
     """Immutable element of Q(zeta_N), reduced mod Phi_N: integer numerators
     `num` over the positive denominator `den`, in lowest terms."""
@@ -404,25 +424,10 @@ class Cyclo:
         c = self.c
         if self.is_rational():
             return str(c[0])
-        parts = []
-        for k, ck in enumerate(c):
-            if ck == 0:
-                continue
-            if k == 0:
-                parts.append(str(ck))
-                continue
-            z = f"zeta({self.n})" + (f"^{k}" if k > 1 else "")
-            if ck == 1:
-                term = z
-            elif ck == -1:
-                term = f"-{z}"
-            else:
-                term = f"{ck}*{z}"
-            parts.append(term)
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        parts = [str(ck) if k == 0 else
+                 scaled_term(str(ck), f"zeta({self.n})" + (f"^{k}" if k > 1 else ""))
+                 for k, ck in enumerate(c) if ck]
+        return signed_sum(parts)
 
     def __repr__(self):
         return f"Cyclo({self})"

@@ -44,7 +44,7 @@ class GradedMap:
     def __init__(self, matrix: Matrix):
         if matrix.nrows != matrix.ncols:
             raise PwbError("graded map matrix must be square")
-        if matrix.det().is_zero():
+        if matrix.rank() < matrix.nrows:
             raise SingularMatrixError("graded map must be invertible")
         self.matrix = matrix
         self._cache = {}
@@ -68,7 +68,7 @@ class GradedMap:
         return f.apply_linear(self.matrix)
 
     def __mul__(self, other: "GradedMap") -> "GradedMap":
-        # a product of invertible maps is invertible: no det
+        # a product of invertible maps is invertible: no rank check
         return GradedMap._invertible(self.matrix * other.matrix)
 
     def inverse(self) -> "GradedMap":
@@ -626,7 +626,7 @@ def _build_reflection(A: PoissonAlgebra, vectors, nparams: int,
             u = [a + t * Cyclo.of(vectors[l + 1][i]) for i, a in enumerate(u)]
     k = point[nparams: nparams + n]
     rows = [[(_ONE if r == c else _ZERO) + u[r] * k[c] for c in range(n)] for r in range(n)]
-    m = Matrix(rows)
-    if m.det().is_zero():
+    try:
+        return GradedMap(Matrix(rows))
+    except SingularMatrixError:
         return None
-    return GradedMap._invertible(m)

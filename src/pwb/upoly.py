@@ -12,7 +12,8 @@ from math import gcd
 from typing import Iterable
 
 from .errors import DivisorZeroError
-from .scalars import Cyclo, conductor, cyclotomic_polynomial, divisors, euler_phi, lcm, zeta
+from .scalars import (Cyclo, conductor, cyclotomic_polynomial, divisors, euler_phi, lcm,
+                      scaled_term, signed_sum, zeta)
 
 _ZERO = Cyclo.of(0)
 _ONE = Cyclo.of(1)
@@ -163,28 +164,9 @@ class UPoly:
     def __str__(self):
         if self.is_zero():
             return "0"
-        parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if c.is_zero():
-                continue
-            cs = str(c)
-            if k == 0:
-                parts.append(cs)
-            else:
-                tpow = "t" if k == 1 else f"t^{k}"
-                if cs == "1":
-                    parts.append(tpow)
-                elif cs == "-1":
-                    parts.append(f"-{tpow}")
-                elif c.is_rational() or ("+" not in cs and "-" not in cs[1:]):
-                    parts.append(f"{cs}*{tpow}")
-                else:
-                    parts.append(f"({cs})*{tpow}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        parts = [str(c) if k == 0 else scaled_term(str(c), "t" if k == 1 else f"t^{k}")
+                 for k, c in reversed(list(enumerate(self.coeffs))) if not c.is_zero()]
+        return signed_sum(parts)
 
     def __repr__(self):
         return f"UPoly({self})"

@@ -250,9 +250,10 @@ def invariant_monomial_counts(chars_per_gen, nvars: int, degree: int) -> list[in
 
 # -- the reference eliminations ---------------------------------------------------
 #
-# The dense Gauss-Jordan over Cyclo entries and the sparse Poly echelon that
-# pwb.linalg and pwb.fixedrings used before every elimination moved to the
-# integer kernel `pwb.linalg.Echelon`, kept as differential oracles for it.
+# The dense Gauss-Jordan over Cyclo entries, the dense determinant and the
+# sparse Poly echelon that pwb.linalg and pwb.fixedrings used before every
+# elimination moved to the integer kernel `pwb.linalg.Echelon`, kept as
+# differential oracles for it and for `Matrix.det`.
 
 
 class SingularOracleMatrix(Exception):
@@ -304,6 +305,30 @@ def dense_inverse(rows: list[list[Cyclo]]) -> list[list[Cyclo]]:
     if pivots[:n] != list(range(n)):
         raise SingularOracleMatrix
     return [r[n:] for r in reduced]
+
+
+def dense_det(rows: list[list[Cyclo]]) -> Cyclo:
+    """Determinant by Gaussian elimination, one pivot inverse per column."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise SingularOracleMatrix("not square")
+    work = [list(r) for r in rows]
+    acc = ONE
+    for col in range(n):
+        pr = next((r for r in range(col, n) if not work[r][col].is_zero()), None)
+        if pr is None:
+            return ZERO
+        if pr != col:
+            work[col], work[pr] = work[pr], work[col]
+            acc = -acc
+        pivot = work[col][col]
+        acc = acc * pivot
+        inv = pivot.inverse()
+        for r in range(col + 1, n):
+            if not work[r][col].is_zero():
+                f = work[r][col] * inv
+                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
+    return acc
 
 
 def dense_solve(rows: list[list[Cyclo]], ncols: int, b: list[Cyclo]) -> Optional[list[Cyclo]]:

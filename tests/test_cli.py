@@ -254,6 +254,56 @@ def test_envelope_negative_dims(tmp_path, capsys):
     assert report["diagnostics"][0].startswith("InvalidDegreeError")
 
 
+SINGULAR_MAP = """
+map s on S {
+  x -> x + y;
+  y -> 2*x + 2*y;
+}
+"""
+
+
+@pytest.mark.parametrize("argv", [["check", "--map"], ["fixed", "--group"],
+                                  ["envelope", "--extend"]])
+def test_singular_map_is_reported(tmp_path, capsys, argv):
+    f = tmp_path / "s.pois"
+    f.write_text(SKEW)
+    m = tmp_path / "s.map"
+    m.write_text(SINGULAR_MAP)
+    code, report = run(capsys, argv[0], "--algebra", str(f), argv[1], str(m))
+    assert code == 1 and report["result"] is None and report["exit_code"] == 1
+    assert report["diagnostics"] == ["SingularMatrixError: graded map must be invertible"]
+
+
+@pytest.mark.parametrize("argv", [["molien", "--order", "-1"], ["fixed", "--degree", "-1"],
+                                  ["report", "--degree", "-2"]])
+def test_negative_order_or_degree_is_rejected_before_the_group(tmp_path, capsys, argv):
+    f = tmp_path / "s.pois"
+    f.write_text(SKEW)
+    m = tmp_path / "g.map"
+    m.write_text(ZETA3_MAP)
+    code, report = run(capsys, argv[0], "--algebra", str(f), "--group", str(m), *argv[1:])
+    assert code == 1 and report["result"] is None
+    assert report["diagnostics"] == [f"InvalidDegreeError: {argv[1][2:]} {argv[2]} is negative"]
+    assert str(m) not in report["inputs"]
+
+
+@pytest.mark.parametrize("argv", [["molien", "--order", "0"], ["fixed", "--degree", "0"],
+                                  ["report", "--degree", "0"]])
+def test_zero_order_or_degree_is_accepted(tmp_path, capsys, argv):
+    f = tmp_path / "s.pois"
+    f.write_text(SKEW)
+    m = tmp_path / "g.map"
+    m.write_text(ZETA3_MAP)
+    code, report = run(capsys, argv[0], "--algebra", str(f), "--group", str(m), *argv[1:])
+    assert str(m) in report["inputs"]
+    if argv[0] == "molien":
+        # coefficients of degrees 0 to --order
+        assert code == 0 and [c["str"] for c in report["result"]["taylor"]] == ["1"]
+    else:
+        # degree 1 is already past the bound: an honest gap, not a rejected input
+        assert code == 1 and report["diagnostics"][0].startswith("DegreeBoundTooSmallError")
+
+
 def test_envelope_aliases(tmp_path, capsys):
     f = tmp_path / "s.pois"
     f.write_text(SKEW)

@@ -1,0 +1,43 @@
+"""Every name a `pwb` module imports is used in it (`__init__.py` re-exports)."""
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "pwb"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    # names inside quoted annotations such as -> "Matrix"
+    annotations = [n.returns for n in ast.walk(tree)
+                   if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    annotations += [n.annotation for n in ast.walk(tree) if isinstance(n, (ast.arg, ast.AnnAssign))]
+    for node in (c for a in annotations if a is not None for c in ast.walk(a)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            expr = ast.parse(node.value, mode="eval")
+            used |= {n.id for n in ast.walk(expr) if isinstance(n, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in imported.items()
+                  if name not in used)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_uses_every_name_it_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_unused_import_is_found():
+    source = ("from .errors import PwbError, SingularMatrixError\n"
+              "import os.path\n"
+              "def f() -> \"PwbError\":\n    \"\"\"SingularMatrixError\"\"\"\n")
+    assert unused_imports(source) == ["SingularMatrixError (line 1)", "os (line 2)"]

@@ -1,9 +1,10 @@
-"""The integer elimination kernel (rank, rref, kernel, inverse, solve) and the minimal
-polynomial against Cyclo elimination, dense Gauss-Jordan, dense Fractions and sympy."""
+"""The integer elimination kernel (rank, rref, kernel, inverse, solve), the
+determinant and the minimal polynomial against Cyclo elimination, dense
+Gauss-Jordan, dense Fractions and sympy."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -191,6 +192,25 @@ def test_inverse_matches_dense_gauss_jordan(m):
     assert inv == Matrix(expect)
     assert stored_at(n, (x for r in inv.rows for x in r))
     assert inv * m == Matrix.identity(m.nrows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cyclo_matrices(square=True))
+@example(Matrix([]))
+@example(Matrix([[0]]))
+@example(Matrix([[zeta(3)]]))
+@example(Matrix([[1, zeta(3)], [zeta(3, 2), 1]]))
+@example(Matrix([[Cyclo(12, [0, 0, 0, 0]), 1], [1, 0]]))
+def test_det_matches_dense_elimination(m):
+    det = m.det()
+    assert det == oracle.dense_det(m.rows)
+    assert det.is_zero() == (m.rank() < m.nrows)
+
+
+@pytest.mark.parametrize("rows", [[[1, 2]], [[1], [zeta(3)]], [[0, 0, 0], [0, 0, 0]]])
+def test_det_of_a_non_square_matrix_raises(rows):
+    with pytest.raises(SingularMatrixError, match="not square"):
+        Matrix(rows).det()
 
 
 @settings(max_examples=100, deadline=None)

@@ -158,3 +158,28 @@ def test_monomials_of_degree():
     assert ms[0] == (2, 0, 0)  # grlex-descending
     ws = PolyRing(["a", "w"]).monomials_of_degree(4, weights=[1, 2])
     assert set(ws) == {(4, 0), (2, 1), (0, 2)}
+
+
+def test_signed_sums_print_alike():
+    # Cyclo, UPoly, Poly and enveloping relations share one signed-sum printer:
+    # a coefficient printed as a sum or a difference is parenthesised before a
+    # monomial, 1 and -1 print as a sign, and a leading '-' is subtracted
+    from pwb.envelope import envelope_presentation
+    from pwb.families import skew_symmetric
+    from pwb.scalars import Cyclo
+    from pwb.upoly import UPoly
+    w = zeta(3)
+    d = -1 - w
+    assert str(d) == "-1 - zeta(3)"
+    assert str(Cyclo(5, [0, -1, Fraction(1, 2), 1])) == "-zeta(5) + 1/2*zeta(5)^2 + zeta(5)^3"
+    assert (str(UPoly([d, 1, -1, w + 2, d, Fraction(-1, 2)]))
+            == "-1/2*t^5 + (-1 - zeta(3))*t^4 + (2 + zeta(3))*t^3 - t^2 + t - 1 - zeta(3)")
+    R = PolyRing(["x", "y"])
+    p = (R.parse("x^2") * d + R.parse("x*y") * (w + 1) - R.parse("y^2")
+         + R.parse("x") * Cyclo.of(Fraction(-2, 3)) + R.scalar(d))
+    assert str(p) == "(-1 - zeta(3))*x^2 + (1 + zeta(3))*x*y - y^2 - 2/3*x + (-1 - zeta(3))"
+    assert str(R.parse("y - 3")) == "y - 3"
+    relations = envelope_presentation(skew_symmetric(Matrix([[0, d], [-d, 0]]))).relation_strings()
+    assert relations[1:4] == ["-m_x1*h_x1 + h_x1*m_x1 = 0",
+                              "(1 + zeta(3))*m_x1*m_x2 - m_x2*h_x1 + h_x1*m_x2 = 0",
+                              "(-1 - zeta(3))*m_x1*m_x2 - m_x1*h_x2 + h_x2*m_x1 = 0"]

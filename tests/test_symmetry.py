@@ -1,11 +1,12 @@
 import pytest
 
 from pwb.brackets import PoissonAlgebra
-from pwb.errors import NotSkewError
+from pwb.errors import NotSkewError, SingularMatrixError
 from pwb.families import (homogenized_weyl, jacobian_pq, lie_two_dim_nonabelian, ph_lie,
                           quantum_matrices, skew_symmetric, sl2)
 from pwb.linalg import Matrix
-from pwb.rings import PolyRing
+from pwb.fixedrings import fixed_group
+from pwb.rings import Poly, PolyRing
 from pwb.scalars import Cyclo, zeta
 from pwb.series import RationalSeries, hilbert_free, hilbert_weighted
 from pwb.symmetry import (FINITE_NON_REFLECTION, FOUND, IDENTITY, INFINITE_ORDER,
@@ -142,38 +143,86 @@ def test_group_closure_and_molien():
     assert M == RationalSeries(num, den)
 
 
+def record_calls(monkeypatch):
+    """Record each Matrix.det, Matrix.rank and Poly.apply_linear call as (name,
+    whether it ran inside apply_linear)."""
+    calls, stack = [], []
+
+    def recorded(name, f):
+        def call(*args):
+            calls.append((name, "apply_linear" in stack))
+            stack.append(name)
+            try:
+                return f(*args)
+            finally:
+                stack.pop()
+        return call
+
+    for cls, name in ((Matrix, "det"), (Matrix, "rank"), (Poly, "apply_linear")):
+        monkeypatch.setattr(cls, name, recorded(name, getattr(cls, name)))
+    return calls
+
+
+def checks(calls):
+    return [c for c in calls if c[0] != "apply_linear"]
+
+
 def test_group_closure_products_skip_the_det(monkeypatch):
     # a product of invertible maps is invertible: the closure of two commuting
-    # generators (12 elements, 24 products) runs no det per product
+    # generators (12 elements, 24 products) runs no invertibility check per product
     a = GradedMap(Matrix.diagonal([zeta(3), 1, 1]))
     b = GradedMap(Matrix.diagonal([1, zeta(4), -1]))
-    calls = []
-    det = Matrix.det
-    monkeypatch.setattr(Matrix, "det", lambda self: calls.append(1) or det(self))
+    calls = record_calls(monkeypatch)
     G = group_closure([a, b])
     assert G.order == 12 and G.exponent == 12
-    assert len(calls) <= 2
+    assert not checks(calls)
     # the elements are still the products, and still invertible
     assert all(not e.matrix.det().is_zero() for e in G.elements)
     assert G.elements[-1] == GradedMap(G.elements[-1].matrix)
 
-def test_build_reflection_runs_one_det(monkeypatch):
-    # the det that rejects a singular candidate is not repeated by GradedMap
+
+def test_build_reflection_runs_one_invertibility_check(monkeypatch):
+    # GradedMap's rank check rejects a singular candidate, once per build
     from pwb import symmetry
-    calls, per_build = [], []
-    det, build = Matrix.det, symmetry._build_reflection
-    monkeypatch.setattr(Matrix, "det", lambda self: calls.append(1) or det(self))
+    calls = record_calls(monkeypatch)
+    per_build, build = [], symmetry._build_reflection
 
     def counted(*args):
         before = len(calls)
         g = build(*args)
-        per_build.append((len(calls) - before, g))
+        per_build.append((checks(calls[before:]), g))
         return g
 
     monkeypatch.setattr(symmetry, "_build_reflection", counted)
     assert find_reflections(ph_lie(lie_two_dim_nonabelian())).status == FOUND
     assert any(g is not None for _, g in per_build)
-    assert all(k == 1 for k, _ in per_build)
+    assert all(made == [("rank", False)] for made, _ in per_build)
+
+
+def test_apply_linear_runs_no_invertibility_check(monkeypatch):
+    # a GradedMap is checked when it is built: the automorphism check and the
+    # Reynolds averages of S3 permuting three variables apply maps unchecked
+    A = skew_symmetric(Matrix([[0, 1, 2], [-1, 0, 3], [-2, -3, 0]]))
+    g = GradedMap(Matrix.diagonal([zeta(3), zeta(3), zeta(3)]))
+    ring = PolyRing(["x", "y", "z"])
+    Z = PoissonAlgebra(ring, {})
+    swap = GradedMap(Matrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]]))
+    cycle = GradedMap(Matrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]]))
+    calls = record_calls(monkeypatch)
+    assert is_poisson_automorphism(A, g) == (True, None)
+    assert calls.count(("apply_linear", False)) == 3
+    G = group_closure([swap, cycle])
+    assert G.order == 6
+    assert fixed_group(Z, G, bound=6).polynomial
+    assert calls.count(("apply_linear", False)) > 6
+    assert not [c for c in checks(calls) if c[0] == "det" or c[1]]
+
+
+@pytest.mark.parametrize("rows", [[[1, 2], [2, 4]], [[1, zeta(3)], [zeta(3, 2), 1]]])
+def test_graded_map_rejects_a_singular_matrix(rows):
+    # the second is singular only over Q(zeta_3): zeta_3 * zeta_3^2 = 1
+    with pytest.raises(SingularMatrixError, match="graded map must be invertible"):
+        GradedMap(Matrix(rows))
 
 
 def test_l_degree_and_bicharacter():
