@@ -7,6 +7,7 @@ negative finding (failed verification or failed suite vectors).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -18,7 +19,7 @@ from .envelope import envelope_dims, envelope_extend, envelope_presentation, env
 from .errors import InfiniteOrderError, InvalidDegreeError, NotAutomorphismError, PwbError
 from .families import (jacobian, jacobian_pq, homogenized_weyl, ph_lie,
                        quantum_matrices, skew_symmetric, weyl)
-from .fixedrings import fixed_group, is_skew_presentation, rigidity_report
+from .fixedrings import fixed_group, group_molien, is_skew_presentation, rigidity_report
 from .formats import (classification_json, cyclo_json, emit_algebra,
                       matrix_json, parse_algebra, parse_lie, parse_map, parse_matrix,
                       presented_json, reflections_json, rigidity_json, series_json,
@@ -27,7 +28,7 @@ from .rings import PolyRing
 from .solver import DEFAULT_BUDGET
 from .suite import run_suite
 from .symmetry import (PoissonGroup, classify, find_reflections, group_closure,
-                       is_poisson_automorphism, molien_series, trace_series)
+                       is_poisson_automorphism, trace_series)
 
 SCHEMA = "pwb/1"
 
@@ -135,7 +136,7 @@ def cmd_molien(args, inputs) -> CommandResult:
     _require_non_negative("order", args.order)
     name, A = _load_algebra(args.algebra, inputs, args.defer_jacobi)
     group = _load_group(args, A, name, inputs)
-    series = molien_series(group)
+    series = group_molien(group)
     return CommandResult({
         "algebra": name,
         "group_order": group.order,
@@ -269,7 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
         if group:
             p.add_argument("--group", required=True,
                            help="comma-separated map files generating the group")
-            p.add_argument("--bound", type=int, default=512, help="group closure bound")
+            p.add_argument("--bound", type=int, default=512,
+                           help="cap on each generator's order and on any enumeration of "
+                                "the group's elements (not on the computed order of a "
+                                "diagonalizable abelian group)")
 
     p = sub.add_parser("check", help="verify the Jacobi identity or map compatibility")
     common(p)
@@ -291,7 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("molien", help="Molien series of a finite group")
     common(p, group=True)
-    p.add_argument("--order", type=int, default=6, help="Taylor coefficients to print")
+    p.add_argument("--order", type=int, default=6,
+                   help="print the Taylor coefficients of degrees 0 to this")
     p.set_defaults(handler=cmd_molien)
 
     p = sub.add_parser("fixed", help="fixed subring with induced brackets")
@@ -334,9 +339,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """`build_parser`, once per process: parsing leaves the parser unchanged."""
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     inputs: dict = {}
     try:
         out: CommandResult = args.handler(args, inputs)

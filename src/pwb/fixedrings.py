@@ -11,22 +11,21 @@ to d.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
 from typing import Optional, Sequence
 
 from .brackets import PoissonAlgebra, transport
 from .errors import (DegreeBoundTooSmallError, InducedBracketNotClosedError,
-                     InfiniteOrderError, NotReflectionError, PwbError)
+                     InvalidDegreeError, NotReflectionError, PwbError)
 from .linalg import Echelon, Matrix, realify, unrealify
 from .rings import Poly, PolyRing, grlex_key
-from .scalars import (Cyclo, conductor, cyclotomic_polynomial, divisors, euler_phi, lcm,
+from .scalars import (Cyclo, conductor, cyclotomic_polynomial, divisors, euler_phi,
                       zpoly_mul, zpoly_quotient)
 from .series import RationalSeries, hilbert_weighted
 from .solver import DEFAULT_BUDGET, subalgebra_member
-from .symmetry import REFLECTION, GradedMap, PoissonGroup, classify, molien_series
+from .symmetry import (REFLECTION, GradedMap, PoissonGroup, _character_logs, classify,
+                       molien_series)
 from .upoly import UPoly
 
-_ZERO = Cyclo.of(0)
 _ONE = Cyclo.of(1)
 
 TRUNCATION_CAVEAT = ("generator completeness certified only up to the degree bound; "
@@ -72,43 +71,6 @@ def is_skew_presentation(p: PresentedPoisson) -> Optional[Matrix]:
     if p.relations is None or p.relations:
         return None
     return PoissonAlgebra(p.generator_ring, dict(p.table), check_jacobi=False).skew_matrix()
-
-
-# -- simultaneous diagonalization --------------------------------------------
-
-
-def _try_diagonalize(group: PoissonGroup):
-    """Common eigenbasis T and per-generator eigenvalue lists, or None."""
-    gens = [g.matrix for g in group.generators]
-    n = gens[0].nrows
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            if gens[i] * gens[j] != gens[j] * gens[i]:
-                return None
-    # common eigenspaces, kept whole until every generator has split them:
-    # (basis column vectors, eigenvalue of each generator processed so far)
-    spaces: list[tuple[list[list[Cyclo]], list[Cyclo]]] = [
-        ([list(r) for r in Matrix.identity(n).rows], [])]
-    for g in group.generators:
-        eigenvalues = g.eigenvalues()
-        if eigenvalues is None:
-            return None
-        shifted = [(lam, g.matrix - Matrix.diagonal([lam] * n)) for lam in eigenvalues]
-        new_spaces = []
-        for basis, chars in spaces:
-            k = len(basis)
-            B = Matrix(basis).transpose()
-            for lam, delta in shifted:
-                # B has full column rank: the kernel of (g - lam) B is the
-                # lam-eigenspace of g restricted to the span of B
-                cols = [[sum((vec[t] * basis[t][i] for t in range(k)), _ZERO)
-                         for i in range(n)] for vec in (delta * B).kernel_basis()]
-                if cols:
-                    new_spaces.append((cols, chars + [lam]))
-        spaces = new_spaces
-    T = Matrix([col for basis, _ in spaces for col in basis]).transpose()
-    chars = [[lams[gi] for basis, lams in spaces for _ in basis] for gi in range(len(gens))]
-    return T, chars
 
 
 # -- generator selection ------------------------------------------------------
@@ -178,9 +140,10 @@ def fixed_group(A: PoissonAlgebra, group: PoissonGroup, bound: Optional[int] = N
     """Invariant generators up to the degree bound with the induced bracket.
 
     The invariants of each degree come from one of two sources.  When the
-    group generators share an eigenbasis (a diagonal group), their
-    eigenvalues are roots of unity, stored once as integer logs a_ij modulo
-    the exponent e (zeta_e^a_ij is the eigenvalue of generator i on y_j).
+    group generators share an eigenbasis (a diagonal group; `group_closure`
+    keeps the eigenbasis in `group.diagonal`), their eigenvalues are roots of
+    unity, stored once as integer logs a_ij modulo the exponent e
+    (zeta_e^a_ij is the eigenvalue of generator i on y_j).
     The invariants are then the eigenbasis monomials y^x with
     sum_j a_ij x_j = 0 mod e for every i, and the Molien series is
     N(t)/(1 - t^e)^n, where N counts the invariant x in [0, e)^n by degree
@@ -196,10 +159,13 @@ def fixed_group(A: PoissonAlgebra, group: PoissonGroup, bound: Optional[int] = N
     table.  Every route ends in the same certification: the Molien series
     against the free product over the generator degrees, relations by
     elimination, and `DegreeBoundTooSmallError` naming the first degree
-    where the Molien series exceeds the generated subalgebra.
+    where the Molien series exceeds the generated subalgebra.  A negative
+    bound raises `InvalidDegreeError` before any of this.
     """
+    if bound is not None and bound < 0:
+        raise InvalidDegreeError(f"degree bound {bound} is negative")
     d = bound if bound is not None else max(4, 2 * group.exponent)
-    return _fixed(A, group, _try_diagonalize(group), d, canonical, with_relations, budget)
+    return _fixed(A, group, group.diagonal, d, canonical, with_relations, budget)
 
 
 def fixed_cyclic_reflection(A: PoissonAlgebra, g: GradedMap,
@@ -275,23 +241,6 @@ def _reynolds_bases(ring: PolyRing, group: PoissonGroup, d: int) -> dict[int, li
 # -- character arithmetic for diagonal groups ---------------------------------
 
 
-def _character_logs(chars) -> tuple[int, list[list[int]]]:
-    """The exponent e of the characters and their logs: zeta_e^logs[i][j] == chars[i][j]."""
-    found = []
-    e = 1
-    for row in chars:
-        out = []
-        for c in row:
-            log = c.root_of_unity_log()
-            if log is None:
-                raise InfiniteOrderError(f"eigenvalue {c} is not a root of unity")
-            a, m = log
-            e = lcm(e, m // gcd(a, m))
-            out.append(log)
-        found.append(out)
-    return e, [[a * e // m for a, m in row] for row in found]
-
-
 def _is_invariant(x: tuple[int, ...], logs, e: int) -> bool:
     """Whether every character is trivial on the eigenbasis monomial y^x."""
     return all(sum(a * k for a, k in zip(row, x)) % e == 0 for row in logs)
@@ -339,6 +288,23 @@ def _character_molien(logs, e: int, n: int) -> RationalSeries:
         for _ in range(power):
             den = zpoly_mul(den, factor)
     return RationalSeries.reduced(UPoly(num), UPoly(den))
+
+
+def group_molien(group: PoissonGroup) -> RationalSeries:
+    """The Molien series of a group, stored as `molien_series` stores it.
+
+    The abelian form counts characters (`_character_molien`) where that stores
+    the same coefficients: for generators with entries at conductor 1, whose
+    charpoly sum stays there as the integer count does, and for groups past
+    the enumeration bound, which have no charpoly sum.  Otherwise the sum's
+    coefficients stay at the conductors its arithmetic reached, which printed
+    Taylor coefficients show, so the sum is taken.
+    """
+    entries = (c for g in group.generators for row in g.matrix.rows for c in row)
+    if group.diagonal is None or (group.order <= group.bound and conductor(entries) > 1):
+        return molien_series(group)
+    e, logs = _character_logs(group.diagonal[1])
+    return _character_molien(logs, e, group.generators[0].n)
 
 
 def _expander(ring: PolyRing, T: Matrix):
@@ -601,6 +567,8 @@ def profile_presented(P: PresentedPoisson, label: str, center_bound: int = 3,
 def rigidity_report(A: PoissonAlgebra, group: PoissonGroup, bound: Optional[int] = None,
                     center_bound: int = 3, derived_bound: int = 4,
                     budget: int = DEFAULT_BUDGET) -> RigidityReport:
+    """Profiles of A and A^G compared on grading-independent invariants; the
+    fixed ring comes first, so a negative bound is rejected before any work."""
     presented = fixed_group(A, group, bound=bound, budget=budget)
     prof_a = profile_algebra(A, "A", center_bound=center_bound, derived_bound=derived_bound)
     prof_g = profile_presented(presented, "A^G", center_bound=center_bound,

@@ -7,7 +7,8 @@ entries, reach it through `realify`: phi(N) integer rows each, so a rank
 over Q(zeta_N) is a rank over Q divided by phi(N).  `rref`, `rank` and `kernel`
 take sparse rows; the `Matrix` methods and `solve_linear` read them.  Results
 are stored at N, rationals and zeros included, since the printed form of what
-is computed from a value depends on the conductor it is stored at.
+is computed from a value depends on the conductor it is stored at.  Integer
+lattices have their own small kernel, `hermite_normal_form`.
 """
 from __future__ import annotations
 
@@ -388,3 +389,38 @@ def kernel(rows: Sequence[Mapping[int, Cyclo]], ncols: int) -> list[list[Cyclo]]
                 vec[p] = -row[f]
         basis.append(vec)
     return basis
+
+
+# -- integer lattices --------------------------------------------------------------
+
+
+def hermite_normal_form(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The nonzero rows of the row Hermite normal form of an integer matrix: the
+    one basis of its row lattice in echelon form with positive pivots and every
+    entry above a pivot reduced into [0, pivot) (Cohen, GTM 138, section 2.4).
+    Each pivot is the gcd of its column over the remaining rows, reached by
+    Euclid's algorithm on whole rows, so every step is unimodular."""
+    work = [list(r) for r in rows if any(r)]
+    ncols = len(work[0]) if work else 0
+    out: list[list[int]] = []
+    for col in range(ncols):
+        active = [r for r in work if r[col]]
+        while len(active) > 1:
+            pivot = min(active, key=lambda r: abs(r[col]))
+            for r in active:
+                if r is not pivot:
+                    q = r[col] // pivot[col]
+                    r[col:] = [a - q * b for a, b in zip(r[col:], pivot[col:])]
+            active = [r for r in active if r[col]]
+        if not active:
+            continue
+        pivot = active[0]
+        if pivot[col] < 0:
+            pivot[:] = [-a for a in pivot]
+        for r in out:
+            q = r[col] // pivot[col]
+            if q:
+                r[col:] = [a - q * b for a, b in zip(r[col:], pivot[col:])]
+        out.append(pivot)
+        work = [r for r in work if r is not pivot and any(r)]
+    return out

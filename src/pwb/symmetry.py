@@ -12,12 +12,13 @@ eigenvalue.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 from typing import Optional, Sequence
 
 from .brackets import PoissonAlgebra
 from .errors import (BoundExceededError, InfiniteOrderError, NotSkewError, PwbError,
                      SingularMatrixError)
-from .linalg import Matrix
+from .linalg import Matrix, hermite_normal_form
 from .rings import Poly, PolyRing, grlex_key
 from .scalars import Cyclo, lcm, zeta
 from .series import RationalSeries
@@ -179,27 +180,65 @@ def trace_series(g: GradedMap) -> RationalSeries:
     return RationalSeries(UPoly.one(), den)
 
 
-@dataclass(frozen=True)
+@dataclass
 class PoissonGroup:
+    """A finite group of graded maps, kept as its generators.
+
+    `diagonal` is a common eigenbasis T of the generators and each one's
+    eigenvalues on the columns of T, or None.  With it (the abelian form)
+    the order and exponent come from the eigenvalues alone; without it
+    `group_closure` has enumerated the elements.  Either way `elements` is
+    the breadth-first enumeration from the identity, built when first read
+    and capped at `bound` elements.
+    """
+
     generators: tuple
-    elements: tuple
+    order: int
     exponent: int
+    diagonal: Optional[tuple] = None
+    bound: int = 512
+    _elements: Optional[tuple] = field(default=None, repr=False)
 
     @property
-    def order(self) -> int:
-        return len(self.elements)
+    def elements(self) -> tuple:
+        if self._elements is None:
+            self._elements = _enumerate(self.generators, self.bound)
+        return self._elements
 
 
 def group_closure(gens: Sequence[GradedMap], bound: int = 512) -> PoissonGroup:
-    """Breadth-first closure; every generator must have finite order.
+    """The group generated by `gens`, each of finite order at most `bound`.
 
     A generator of infinite order raises `InfiniteOrderError` (carrying its
-    position as `.index`) before any element is built.
+    position as `.index`), and then one of order above `bound` a plain
+    `BoundExceededError`, before any element is built.  Commuting generators
+    with a common eigenbasis give the abelian form: the exponent is the lcm
+    of the generator orders, the order is the lattice index of
+    `_abelian_order`, and no element is built.  Otherwise the elements are
+    enumerated breadth-first, at most `bound` of them, and the exponent is
+    the lcm of their orders.
     """
     if not gens:
         raise PwbError("need at least one generator")
-    for i, g in enumerate(gens):
-        _require_finite_order(g, i, bound)
+    gens = tuple(gens)
+    orders = [_require_finite_order(g, i) for i, g in enumerate(gens)]
+    exponent = 1
+    for i, k in enumerate(orders):
+        if k > bound:
+            raise BoundExceededError(f"generator {i + 1} has order {k}, above the bound {bound}")
+        exponent = lcm(exponent, k)
+    diagonal = _try_diagonalize(gens)
+    if diagonal is not None:
+        return PoissonGroup(gens, _abelian_order(diagonal[1]), exponent, diagonal, bound)
+    elements = _enumerate(gens, bound)
+    for e in elements:
+        # an element's order is at most the group order, so within the bound
+        exponent = lcm(exponent, e.order())
+    return PoissonGroup(gens, len(elements), exponent, None, bound, elements)
+
+
+def _enumerate(gens: Sequence[GradedMap], bound: int) -> tuple:
+    """The elements generated by `gens`, breadth-first from the identity."""
     n = gens[0].n
     elements: list[GradedMap] = [GradedMap._invertible(Matrix.identity(n))]
     frontier = list(elements)
@@ -214,31 +253,85 @@ def group_closure(gens: Sequence[GradedMap], bound: int = 512) -> PoissonGroup:
                     if len(elements) > bound:
                         raise BoundExceededError(f"group closure exceeded {bound} elements")
         frontier = new_frontier
-    exponent = 1
-    for e in elements:
-        k, power = 1, e.matrix
-        while not power.is_identity():
-            power = power * e.matrix
-            k += 1
-            if k > bound:
-                raise BoundExceededError("element order exceeded the bound")
-        exponent = lcm(exponent, k)
-    return PoissonGroup(tuple(gens), tuple(elements), exponent)
+    return tuple(elements)
 
 
-def _require_finite_order(g: GradedMap, index: int, bound: int) -> None:
-    """Raise unless g has finite order.  Uses the eigenvalues if `classify`
-    or the fixed-ring pipeline cached them, else the powers of g up to the
-    closure bound, and only past the bound the minimal polynomial."""
-    if "eigenvalues" not in g._cache:
-        power = g.matrix
-        for _ in range(bound):
-            if power.is_identity():
-                return
-            power = power * g.matrix
-    if g.order() is None:
+def _require_finite_order(g: GradedMap, index: int) -> int:
+    """The order of g, or `InfiniteOrderError` naming its position."""
+    order = g.order()
+    if order is None:
         raise InfiniteOrderError(f"generator {index + 1} has infinite order: {g.matrix!r}",
                                  index)
+    return order
+
+
+def _try_diagonalize(gens: Sequence[GradedMap]):
+    """Common eigenbasis T and per-generator eigenvalue lists, or None."""
+    mats = [g.matrix for g in gens]
+    n = mats[0].nrows
+    for i in range(len(mats)):
+        for j in range(i + 1, len(mats)):
+            if mats[i] * mats[j] != mats[j] * mats[i]:
+                return None
+    # common eigenspaces, kept whole until every generator has split them:
+    # (basis column vectors, eigenvalue of each generator processed so far)
+    spaces: list[tuple[list[list[Cyclo]], list[Cyclo]]] = [
+        ([list(r) for r in Matrix.identity(n).rows], [])]
+    for g in gens:
+        eigenvalues = g.eigenvalues()
+        if eigenvalues is None:
+            return None
+        shifted = [(lam, g.matrix - Matrix.diagonal([lam] * n)) for lam in eigenvalues]
+        new_spaces = []
+        for basis, chars in spaces:
+            k = len(basis)
+            B = Matrix(basis).transpose()
+            for lam, delta in shifted:
+                # B has full column rank: the kernel of (g - lam) B is the
+                # lam-eigenspace of g restricted to the span of B
+                cols = [[sum((vec[t] * basis[t][i] for t in range(k)), _ZERO)
+                         for i in range(n)] for vec in (delta * B).kernel_basis()]
+                if cols:
+                    new_spaces.append((cols, chars + [lam]))
+        spaces = new_spaces
+    T = Matrix([col for basis, _ in spaces for col in basis]).transpose()
+    chars = [[lams[gi] for basis, lams in spaces for _ in basis] for gi in range(len(mats))]
+    return T, chars
+
+
+def _character_logs(chars) -> tuple[int, list[list[int]]]:
+    """The exponent e of the characters and their logs: zeta_e^logs[i][j] == chars[i][j]."""
+    found = []
+    e = 1
+    for row in chars:
+        out = []
+        for c in row:
+            log = c.root_of_unity_log()
+            if log is None:
+                raise InfiniteOrderError(f"eigenvalue {c} is not a root of unity")
+            a, m = log
+            e = lcm(e, m // gcd(a, m))
+            out.append(log)
+        found.append(out)
+    return e, [[a * e // m for a, m in row] for row in found]
+
+
+def _abelian_order(chars) -> int:
+    """Order of the abelian group with these characters on a common eigenbasis.
+
+    With logs L (r x n) modulo the exponent e, the group is the image of
+    Z^r -> (Z/e)^n, x -> xL, so its order is the index of e*Z^n in the
+    lattice spanned by the rows of L and e*I_n: e^n over the product of the
+    pivots of that lattice's Hermite normal form.
+    """
+    e, logs = _character_logs(chars)
+    n = len(chars[0])
+    lattice = hermite_normal_form(logs + [[e if i == j else 0 for j in range(n)]
+                                          for i in range(n)])
+    index = 1
+    for i, row in enumerate(lattice):
+        index *= row[i]
+    return e ** n // index
 
 
 def molien_series(group: PoissonGroup) -> RationalSeries:

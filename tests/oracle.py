@@ -221,6 +221,58 @@ def matrix_order_by_iteration(rows, cap: int = 64):
     return None
 
 
+def group_by_products(mats, bound: int):
+    """The group generated by square matrices (lists of rows), as pwb enumerated
+    it before it computed abelian groups from their characters: breadth-first
+    from the identity with products by the definition, and the exponent as the
+    lcm of the element orders by power iteration.  Returns (keys, exponent),
+    each element keyed by its entries lifted to the lcm conductor M of the
+    generators (see `matrix_key`), or (None, None) past `bound` elements."""
+    n = len(mats[0])
+    gens = [[[Cyclo.of(x) for x in row] for row in m] for m in mats]
+    m = conductor_of(gens)
+
+    def mul(a, b):
+        return [[sum((a[i][k] * b[k][j] for k in range(n)), ZERO) for j in range(n)]
+                for i in range(n)]
+
+    identity = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    seen = {matrix_key(identity, m)}
+    elements = frontier = [identity]
+    while frontier:
+        new_frontier = []
+        for e in frontier:
+            for g in gens:
+                h = mul(e, g)
+                key = matrix_key(h, m)
+                if key not in seen:
+                    seen.add(key)
+                    new_frontier.append(h)
+                    if len(seen) > bound:
+                        return None, None
+        elements = elements + new_frontier
+        frontier = new_frontier
+    exponent = 1
+    for e in elements:
+        exponent = lcm(exponent, matrix_order_by_iteration(e, cap=bound))
+    return seen, exponent
+
+
+def conductor_of(mats) -> int:
+    """The lcm conductor of the entries of matrices given as lists of Cyclo rows."""
+    m = 1
+    for mat in mats:
+        for row in mat:
+            for c in row:
+                m = lcm(m, c.n)
+    return m
+
+
+def matrix_key(rows, m: int) -> tuple:
+    """Exact entries lifted to conductor m: equal matrices get equal keys."""
+    return tuple((c.lift_to(m).num, c.lift_to(m).den) for row in rows for c in row)
+
+
 def monomial_is_invariant(exps, chars_per_gen) -> bool:
     """The eigenbasis monomial y^exps is fixed by every generator: the product
     of its characters, taken with Cyclo powers, is 1."""

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from pwb import cli, fixedrings, symmetry
 from pwb.cli import main
 
 JAC10 = """
@@ -340,3 +341,89 @@ def test_determinism(tmp_path, capsys):
     code1, report1 = run(capsys, "normal", "--algebra", str(f), "--json")
     code2, report2 = run(capsys, "normal", "--algebra", str(f), "--json")
     assert report1 == report2
+
+
+def test_repeated_calls_print_the_same_bytes(tmp_path, capsys):
+    # the parser is built once per process; later calls print what the first did
+    f = tmp_path / "s.pois"
+    f.write_text(SKEW)
+    m = tmp_path / "g.map"
+    m.write_text(ZETA3_MAP)
+    calls = [["molien", "--algebra", str(f), "--group", str(m)],
+             ["fixed", "--algebra", str(f), "--group", str(m), "--degree", "3", "--json"],
+             ["normal", "--algebra", str(f)]]
+    first = []
+    for argv in calls:
+        code = main(argv)
+        first.append((code, capsys.readouterr()))
+    for argv, (code, captured) in zip(calls * 2, first * 2):
+        assert main(argv) == code
+        again = capsys.readouterr()
+        assert (again.out, again.err) == (captured.out, captured.err)
+
+
+SKEW5 = "algebra skew5 {\n  vars: x1, x2, x3, x4, x5;\n" + "".join(
+    f"  bracket{{x{i},x{j}}} = x{i}*x{j};\n" for i in range(1, 6) for j in range(i + 1, 6)) + "}\n"
+
+
+def c6_power(tmp_path) -> list[str]:
+    """--algebra and --group for (C6)^5 = <diag(zeta_6) on each x_i> on skew5."""
+    f = tmp_path / "skew5.pois"
+    f.write_text(SKEW5)
+    maps = []
+    for i in range(1, 6):
+        m = tmp_path / f"c6_{i}.map"
+        m.write_text(f"map c{i} on skew5 {{ x{i} -> zeta(6)*x{i}; }}")
+        maps.append(str(m))
+    return ["--algebra", str(f), "--group", ",".join(maps)]
+
+
+def test_fixed_on_a_group_past_the_enumeration_bound(tmp_path, capsys):
+    # (C6)^5 has 7776 elements: the default --bound 512 caps generator orders
+    # and enumerations, not the order computed from the characters
+    code, report = run(capsys, "fixed", *c6_power(tmp_path))
+    assert code == 0 and report["result"]["group_order"] == 7776
+    fixed = report["result"]["fixed_ring"]
+    assert fixed["polynomial"] is True
+    assert [(g["expression"], g["degree"]) for g in fixed["generators"]] == [
+        (f"x{i}^6", 6) for i in range(1, 6)]
+
+
+@pytest.mark.parametrize("maps, by_characters", [
+    # rational generators: the charpoly sum stays at conductor 1, as the count does
+    (["map s on Z { x -> y; y -> x; }", "map m on Z { x -> -x; y -> -y; z -> -z; }"], True),
+    # an eigenbasis over Q(zeta_3) for a rational rotation of order 3
+    (["map r on Z { y -> z; z -> -y - z; }", "map m on Z { x -> -x; }"], True),
+    # cyclotomic entries: the sum's coefficients print at the conductors it reached
+    (["map g on Z { x -> zeta(4)*x; y -> zeta(6)*y; }", "map h on Z { z -> -z; }"], False),
+])
+def test_molien_of_a_diagonal_group_prints_the_charpoly_sum(tmp_path, capsys, monkeypatch,
+                                                            maps, by_characters):
+    f = tmp_path / "z.pois"
+    f.write_text("algebra Z {\n  vars: x, y, z;\n}\n")
+    paths = []
+    for k, text in enumerate(maps):
+        m = tmp_path / f"g{k}.map"
+        m.write_text(text)
+        paths.append(str(m))
+    argv = ["molien", "--algebra", str(f), "--group", ",".join(paths), "--order", "8"]
+    sums = []
+    with monkeypatch.context() as patched:
+        patched.setattr(fixedrings, "molien_series",
+                        lambda group: sums.append(group) or symmetry.molien_series(group))
+        assert main(argv) == 0
+        printed = capsys.readouterr()
+    assert len(sums) == (0 if by_characters else 1)
+    monkeypatch.setattr(cli, "group_molien", symmetry.molien_series)
+    assert main(argv) == 0
+    by_charpoly_sum = capsys.readouterr()
+    assert (printed.out, printed.err) == (by_charpoly_sum.out, by_charpoly_sum.err)
+
+
+def test_molien_on_a_group_past_the_enumeration_bound(tmp_path, capsys):
+    code, report = run(capsys, "molien", *c6_power(tmp_path))
+    assert code == 0
+    result = report["result"]
+    assert (result["group_order"], result["exponent"]) == (7776, 6)
+    assert result["molien_series"]["str"] == "1/(-t^30 + 5*t^24 - 10*t^18 + 10*t^12 - 5*t^6 + 1)"
+    assert [c["str"] for c in result["taylor"]] == ["1", "0", "0", "0", "0", "0", "5"]

@@ -11,7 +11,7 @@ from pwb.brackets import PoissonAlgebra
 from pwb.families import (homogenized_weyl, jacobian_pq, lie_two_dim_nonabelian, ph_lie,
                           quantum_matrices, skew_symmetric)
 from pwb.fixedrings import (DISTINGUISHED, NOT_DISTINGUISHED, _character_logs,
-                            _character_molien, _is_invariant, _try_diagonalize,
+                            _character_molien, _is_invariant,
                             fixed_cyclic_reflection, fixed_group, is_skew_presentation,
                             presented_from_linear_basis, rigidity_report)
 from pwb.linalg import Matrix
@@ -282,7 +282,7 @@ def test_fixed_group_reynolds_path_degree_bound_too_small():
     swap = gmap([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
     cycle = gmap([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
     G = group_closure([swap, cycle])
-    assert _try_diagonalize(G) is None
+    assert G.diagonal is None
     with pytest.raises(DegreeBoundTooSmallError, match="first gap at degree 3") as info:
         fixed_group(Z, G, bound=2)
     assert info.value.degree == 3
@@ -294,7 +294,7 @@ def test_fixed_group_reynolds_path_without_relations():
     Z = PoissonAlgebra(ring, {})
     G = group_closure([GradedMap(Matrix.diagonal([zeta(4), zeta(4, 3)])),
                        gmap([[0, -1], [1, 0]])])
-    assert G.order == 8 and _try_diagonalize(G) is None
+    assert G.order == 8 and G.diagonal is None
     p = fixed_group(Z, G, bound=6, with_relations=False)
     assert not p.polynomial and p.relations is None
     assert p.degrees == (4, 4, 6)
@@ -314,7 +314,7 @@ def test_fixed_group_commuting_reflections_in_one_block_diagonalize():
     gens = [GradedMap(S * Matrix.diagonal([zeta(m) if t == pos else 1 for t in range(3)])
                       * S.inverse()) for pos, m in ((0, 2), (1, 4))]
     G = group_closure(gens)
-    T, chars = _try_diagonalize(G)
+    T, chars = G.diagonal
     assert str(T) == "0 1 1\n1 1 0\n1 0 1"
     assert [[str(c) for c in row] for row in chars] == [["1", "1", "-1"], ["1", "zeta(4)", "1"]]
     p = fixed_group(Z, G, bound=4, canonical=False, with_relations=False)
@@ -331,7 +331,7 @@ def zeta3_zeta4_pair():
 
 def test_try_diagonalize_eigenbasis_and_characters_print_unchanged():
     # the conductor an entry of T is stored at shows in its printed form
-    T, chars = _try_diagonalize(group_closure(zeta3_zeta4_pair()))
+    T, chars = group_closure(zeta3_zeta4_pair()).diagonal
     assert str(T) == "0 -1 + zeta(12)^2 1\n-1 1 0\n1 0 1"
     assert [[str(c) for c in row] for row in chars] == [["1", "zeta(3)", "zeta(3)"],
                                                         ["zeta(4)", "-1", "zeta(4)"]]
@@ -347,16 +347,16 @@ def test_try_diagonalize_takes_one_minimal_polynomial_per_generator(monkeypatch)
 
     monkeypatch.setattr(Matrix, "minpoly_coeffs", counted)
     gens = zeta3_zeta4_pair()
+    # the generator orders and the eigenbasis share one eigenvalue computation
     G = group_closure(gens)
-    calls.clear()
-    assert _try_diagonalize(G) is not None
+    assert G.diagonal is not None
     assert len(calls) <= len(gens)
     # the eigenvalues classify found are reused
     gens = zeta3_zeta4_pair()
     Z = PoissonAlgebra(PolyRing(["x", "y", "z"]), {})
     assert [symmetry.classify(Z, g).order for g in gens] == [3, 4]
     calls.clear()
-    assert _try_diagonalize(group_closure(gens)) is not None
+    assert group_closure(gens).diagonal is not None
     assert calls == []
 
 
@@ -366,6 +366,25 @@ def test_fixed_group_degree_bound_too_small():
     g = GradedMap(Matrix.diagonal([zeta(5), 1]))
     with pytest.raises(DegreeBoundTooSmallError):
         fixed_group(A, group_closure([g]), bound=3)
+
+
+@pytest.mark.parametrize("call", [fixed_group, rigidity_report])
+def test_negative_bound_is_rejected_before_any_work(monkeypatch, call):
+    from pwb.errors import DegreeBoundTooSmallError, InvalidDegreeError
+    A = skew2(2)
+    G = group_closure([GradedMap(Matrix.diagonal([zeta(3), 1]))])
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the bound was checked")
+
+    with monkeypatch.context() as patched:
+        for name in ("_fixed", "profile_algebra"):
+            patched.setattr(fixedrings, name, no_work)
+        with pytest.raises(InvalidDegreeError, match="degree bound -2 is negative"):
+            call(A, G, bound=-2)
+    # zero is a valid bound, if too small for this group: an honest gap
+    with pytest.raises(DegreeBoundTooSmallError, match="first gap at degree 1"):
+        call(A, G, bound=0)
 
 
 def test_fixed_group_non_reflection_cyclic_diagonal():
@@ -401,14 +420,18 @@ def test_ph_lie_fixed_ring():
 
 
 @st.composite
-def diagonal_groups(draw):
-    """(n, generator matrices): one or two commuting diagonalizable generators of
-    orders from {1, 2, 3, 4, 6}, diagonal in the basis of a random rational S."""
+def diagonal_groups(draw, orders=(1, 2, 3, 4, 6), max_generators=2, conjugated=st.just(True)):
+    """(n, generator matrices): one to `max_generators` commuting diagonalizable
+    generators of orders from `orders` on n = 1..4 variables, diagonal in the
+    basis of a random rational S, or in the standard basis where `conjugated`
+    draws False."""
     n = draw(st.integers(1, 4))
     diagonals = []
-    for _ in range(draw(st.integers(1, 2))):
-        order = draw(st.sampled_from([1, 2, 3, 4, 6]))
+    for _ in range(draw(st.integers(1, max_generators))):
+        order = draw(st.sampled_from(orders))
         diagonals.append([zeta(order, draw(st.integers(0, order - 1))) for _ in range(n)])
+    if not draw(conjugated):
+        return n, [Matrix.diagonal(d) for d in diagonals]
     entry = st.sampled_from([-1, 0, 1, 2])
     # unit lower times invertible upper triangular: always invertible
     lower = Matrix([[1 if i == j else draw(entry) if j < i else 0 for j in range(n)]
@@ -425,7 +448,7 @@ def diagonal_groups(draw):
 def test_character_molien_matches_charpoly_sum_and_brute_force(case):
     n, mats = case
     G = group_closure([GradedMap(m) for m in mats])
-    diag = _try_diagonalize(G)
+    diag = G.diagonal
     assert diag is not None
     T, chars = diag
     T_inv = T.inverse()
@@ -500,7 +523,7 @@ def test_canonical_generators_match_the_poly_echelon(case):
     # the diagonal route's bases, in a rational or Q(zeta_3) eigenbasis
     n, mats = case
     G = group_closure([GradedMap(m) for m in mats])
-    T, chars = _try_diagonalize(G)
+    T, chars = G.diagonal
     e, logs = _character_logs(chars)
     d = min(e, 6)
     ring = PolyRing([f"x{i}" for i in range(n)])

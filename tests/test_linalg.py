@@ -2,6 +2,8 @@
 determinant and the minimal polynomial against Cyclo elimination, dense
 Gauss-Jordan, dense Fractions and sympy."""
 from fractions import Fraction
+from itertools import combinations, permutations
+from math import gcd, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 import oracle
 from pwb.errors import SingularMatrixError
-from pwb.linalg import Echelon, Matrix, realify, solve_linear
+from pwb.linalg import Echelon, Matrix, hermite_normal_form, realify, solve_linear
 from pwb.scalars import Cyclo, conductor, euler_phi, zeta
 from test_fixedrings import diagonal_groups
 
@@ -269,3 +271,58 @@ def test_rank_matches_sympy(m):
         return
     dm = DomainMatrix([[element(x) for x in r] for r in m.rows], (m.nrows, m.ncols), K)
     assert m.rank() == dm.rank()
+
+
+# -- integer lattices ---------------------------------------------------------------
+
+
+def test_hermite_normal_form_examples():
+    assert hermite_normal_form([]) == []
+    assert hermite_normal_form([[0, 0]]) == []
+    assert hermite_normal_form([[2, 4], [3, 5]]) == [[1, 1], [0, 2]]
+    # rank-deficient lattices, and a negative pivot made positive
+    assert hermite_normal_form([[2, 4], [1, 2]]) == [[1, 2]]
+    assert hermite_normal_form([[0, -3, 5], [0, 6, 1]]) == [[0, 3, 6], [0, 0, 11]]
+
+
+def _leibniz_det(rows):
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+        total += (-1) ** inversions * prod(rows[i][p] for i, p in enumerate(perm))
+    return total
+
+
+@st.composite
+def lattices(draw):
+    """n, integer rows with n columns, and e: the lattice of the rows and e * I_n
+    has full rank, as the character lattice of an abelian group does."""
+    n = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n), max_size=4))
+    return n, rows, draw(st.integers(1, 12))
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattices())
+@example((2, [[3, 1], [1, 3]], 6))
+def test_hermite_normal_form_of_a_full_rank_lattice(case):
+    n, rows, e = case
+    rows = rows + [[e if i == j else 0 for j in range(n)] for i in range(n)]
+    hnf = hermite_normal_form(rows)
+    assert len(hnf) == n
+    for i, row in enumerate(hnf):
+        assert row[:i] == [0] * i and row[i] > 0
+        assert all(0 <= hnf[k][i] < row[i] for k in range(i))
+    # every input row lies in the lattice of the HNF rows ...
+    for row in rows:
+        for i, h in enumerate(hnf):
+            q, r = divmod(row[i], h[i])
+            assert r == 0
+            row = [a - q * b for a, b in zip(row, h)]
+        assert not any(row)
+    # ... which is no larger: its index in Z^n is the gcd of the maximal minors
+    index = 0
+    for sub in combinations(rows, n):
+        index = gcd(index, _leibniz_det(sub))
+    assert prod(h[i] for i, h in enumerate(hnf)) == index

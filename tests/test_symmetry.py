@@ -1,11 +1,18 @@
-import pytest
+from collections import Counter
 
+import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+import oracle
+from pwb import symmetry
 from pwb.brackets import PoissonAlgebra
-from pwb.errors import NotSkewError, SingularMatrixError
+from pwb.errors import (BoundExceededError, InfiniteOrderError, NotSkewError,
+                        SingularMatrixError)
 from pwb.families import (homogenized_weyl, jacobian_pq, lie_two_dim_nonabelian, ph_lie,
                           quantum_matrices, skew_symmetric, sl2)
 from pwb.linalg import Matrix
-from pwb.fixedrings import fixed_group
+from pwb.fixedrings import fixed_group, rigidity_report
 from pwb.rings import Poly, PolyRing
 from pwb.scalars import Cyclo, zeta
 from pwb.series import RationalSeries, hilbert_free, hilbert_weighted
@@ -15,6 +22,7 @@ from pwb.symmetry import (FINITE_NON_REFLECTION, FOUND, IDENTITY, INFINITE_ORDER
                           group_closure, is_poisson_automorphism, l_degree,
                           molien_series, trace_series)
 from pwb.upoly import UPoly
+from test_fixedrings import diagonal_groups
 
 
 def skew2(p):
@@ -179,6 +187,91 @@ def test_group_closure_products_skip_the_det(monkeypatch):
     # the elements are still the products, and still invertible
     assert all(not e.matrix.det().is_zero() for e in G.elements)
     assert G.elements[-1] == GradedMap(G.elements[-1].matrix)
+
+
+def _printed(diagonal):
+    T, chars = diagonal
+    return str(T), [[str(c) for c in row] for row in chars]
+
+
+@settings(max_examples=40, deadline=None)
+@given(diagonal_groups(orders=(1, 2, 3, 4, 6, 12), max_generators=3,
+                       conjugated=st.booleans()))
+@example((2, [Matrix.diagonal([zeta(12), 1]), Matrix.diagonal([zeta(4), zeta(6)])]))
+def test_abelian_form_matches_the_enumeration(case):
+    # order, exponent and elements of the abelian form against a breadth-first
+    # enumeration; the eigenbasis and characters print as when computed afresh
+    n, mats = case
+    G = group_closure([GradedMap(m) for m in mats])
+    assert G.diagonal is not None
+    assert _printed(G.diagonal) == _printed(symmetry._try_diagonalize(
+        [GradedMap(m) for m in mats]))
+    T, chars = G.diagonal
+    T_inv = T.inverse()
+    for m, row in zip(mats, chars):
+        assert T_inv * m * T == Matrix.diagonal(row)
+    assume(G.order <= 512)
+    keys, exponent = oracle.group_by_products([m.rows for m in mats], 512)
+    assert (G.order, G.exponent) == (len(keys), exponent)
+    assert len(G.elements) == G.order
+    M = oracle.conductor_of([m.rows for m in mats])
+    assert {oracle.matrix_key(e.matrix.rows, M) for e in G.elements} == keys
+
+
+def test_bound_caps_the_enumeration_not_the_computed_order():
+    gens = [GradedMap(Matrix.diagonal([zeta(12) if i == j else 1 for j in range(3)]))
+            for i in range(3)]
+    G = group_closure(gens, bound=12)
+    assert (G.order, G.exponent) == (1728, 12)
+    with pytest.raises(BoundExceededError, match="group closure exceeded 12 elements"):
+        G.elements
+
+
+def test_abelian_closure_multiplies_no_maps_and_diagonalizes_once(monkeypatch):
+    # commuting diagonalizable generators: no element is built, and the closure,
+    # the fixed ring and the rigidity report share one simultaneous diagonalization
+    calls = Counter()
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(GradedMap, "__mul__", counted("product", GradedMap.__mul__))
+    monkeypatch.setattr(symmetry, "_try_diagonalize",
+                        counted("diagonalize", symmetry._try_diagonalize))
+    A = skew2(2)
+    G = group_closure([GradedMap(Matrix.diagonal([zeta(3), 1])),
+                       GradedMap(Matrix.diagonal([1, -1]))])
+    assert (G.order, G.exponent) == (6, 6)
+    assert calls == Counter(diagonalize=1)
+    assert fixed_group(A, G).degrees == (2, 3)
+    assert rigidity_report(A, G, bound=3).presented.degrees == (2, 3)
+    assert calls == Counter(diagonalize=1)
+
+
+S3 = ([[0, 1, 0], [1, 0, 0], [0, 0, 1]], [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+Q8 = ([[zeta(4), 0], [0, zeta(4, 3)]], [[0, -1], [1, 0]])
+
+
+def test_enumerated_groups_take_orders_from_eigenvalues(monkeypatch):
+    # S3 and Q8 do not diagonalize: their elements are enumerated, and the
+    # exponent reads each element's GradedMap.order, not a run of powers
+    calls = []
+    is_identity = Matrix.is_identity
+    monkeypatch.setattr(Matrix, "is_identity", lambda m: calls.append(m) or is_identity(m))
+    for rows, order, exponent in ((S3, 6, 6), (Q8, 8, 4)):
+        G = group_closure([GradedMap(Matrix(r)) for r in rows])
+        assert G.diagonal is None
+        assert (G.order, G.exponent) == (order, exponent)
+        assert all("order" in e._cache for e in G.elements)
+    assert calls == []
+    # a generator order above the bound is a plain bound error, before any product
+    with pytest.raises(BoundExceededError, match="generator 2 has order 3, above the bound 2"
+                       ) as info:
+        group_closure([GradedMap(Matrix(r)) for r in S3], bound=2)
+    assert not isinstance(info.value, InfiniteOrderError)
 
 
 def test_build_reflection_runs_one_invertibility_check(monkeypatch):
