@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .brackets import PoissonAlgebra, transport
-from .errors import (DegreeBoundTooSmallError, InducedBracketNotClosedError,
-                     InvalidDegreeError, NotReflectionError, PwbError)
+from .errors import (BoundExceededError, DegreeBoundTooSmallError,
+                     InducedBracketNotClosedError, InvalidDegreeError, NotReflectionError,
+                     PwbError)
 from .linalg import Echelon, Matrix, realify, unrealify
 from .rings import Poly, PolyRing, grlex_key
 from .scalars import (Cyclo, conductor, cyclotomic_polynomial, divisors, euler_phi,
@@ -160,10 +161,12 @@ def fixed_group(A: PoissonAlgebra, group: PoissonGroup, bound: Optional[int] = N
     against the free product over the generator degrees, relations by
     elimination, and `DegreeBoundTooSmallError` naming the first degree
     where the Molien series exceeds the generated subalgebra.  A negative
-    bound raises `InvalidDegreeError` before any of this.
+    bound raises `InvalidDegreeError`, and a diagonal group of order above
+    `CHARACTER_LIMIT` `BoundExceededError`, before any of this.
     """
     if bound is not None and bound < 0:
         raise InvalidDegreeError(f"degree bound {bound} is negative")
+    _require_character_table(group)
     d = bound if bound is not None else max(4, 2 * group.exponent)
     return _fixed(A, group, group.diagonal, d, canonical, with_relations, budget)
 
@@ -251,6 +254,19 @@ def _invariant_monomials(ring: PolyRing, logs, e: int, k: int) -> list[tuple[int
     return [x for x in ring.monomials_of_degree(k) if _is_invariant(x, logs, e)]
 
 
+# `_character_molien` keeps one count per character of the group: a table of
+# |G| keys that a few generators of moderate order can make arbitrarily large.
+CHARACTER_LIMIT = 1 << 16
+
+
+def _require_character_table(group: PoissonGroup) -> None:
+    """`BoundExceededError` when the abelian form has more than
+    `CHARACTER_LIMIT` characters to count."""
+    if group.diagonal is not None and group.order > CHARACTER_LIMIT:
+        raise BoundExceededError(f"group of order {group.order} has more than "
+                                 f"{CHARACTER_LIMIT} characters to count")
+
+
 def _character_molien(logs, e: int, n: int) -> RationalSeries:
     """Molien series of the diagonal group with these character logs.
 
@@ -291,18 +307,12 @@ def _character_molien(logs, e: int, n: int) -> RationalSeries:
 
 
 def group_molien(group: PoissonGroup) -> RationalSeries:
-    """The Molien series of a group, stored as `molien_series` stores it.
-
-    The abelian form counts characters (`_character_molien`) where that stores
-    the same coefficients: for generators with entries at conductor 1, whose
-    charpoly sum stays there as the integer count does, and for groups past
-    the enumeration bound, which have no charpoly sum.  Otherwise the sum's
-    coefficients stay at the conductors its arithmetic reached, which printed
-    Taylor coefficients show, so the sum is taken.
-    """
-    entries = (c for g in group.generators for row in g.matrix.rows for c in row)
-    if group.diagonal is None or (group.order <= group.bound and conductor(entries) > 1):
+    """The Molien series of a group: the charpoly sum `molien_series` over
+    its elements, or, for an abelian form past the enumeration bound, which
+    has no such sum, the character count `_character_molien`."""
+    if group.diagonal is None or group.order <= group.bound:
         return molien_series(group)
+    _require_character_table(group)
     e, logs = _character_logs(group.diagonal[1])
     return _character_molien(logs, e, group.generators[0].n)
 

@@ -180,7 +180,7 @@ def trace_series(g: GradedMap) -> RationalSeries:
     return RationalSeries(UPoly.one(), den)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PoissonGroup:
     """A finite group of graded maps, kept as its generators.
 
@@ -197,12 +197,12 @@ class PoissonGroup:
     exponent: int
     diagonal: Optional[tuple] = None
     bound: int = 512
-    _elements: Optional[tuple] = field(default=None, repr=False)
+    _elements: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def elements(self) -> tuple:
         if self._elements is None:
-            self._elements = _enumerate(self.generators, self.bound)
+            object.__setattr__(self, "_elements", _enumerate(self.generators, self.bound))
         return self._elements
 
 
@@ -234,7 +234,9 @@ def group_closure(gens: Sequence[GradedMap], bound: int = 512) -> PoissonGroup:
     for e in elements:
         # an element's order is at most the group order, so within the bound
         exponent = lcm(exponent, e.order())
-    return PoissonGroup(gens, len(elements), exponent, None, bound, elements)
+    group = PoissonGroup(gens, len(elements), exponent, None, bound)
+    object.__setattr__(group, "_elements", elements)
+    return group
 
 
 def _enumerate(gens: Sequence[GradedMap], bound: int) -> tuple:

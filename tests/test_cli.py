@@ -389,16 +389,8 @@ def test_fixed_on_a_group_past_the_enumeration_bound(tmp_path, capsys):
         (f"x{i}^6", 6) for i in range(1, 6)]
 
 
-@pytest.mark.parametrize("maps, by_characters", [
-    # rational generators: the charpoly sum stays at conductor 1, as the count does
-    (["map s on Z { x -> y; y -> x; }", "map m on Z { x -> -x; y -> -y; z -> -z; }"], True),
-    # an eigenbasis over Q(zeta_3) for a rational rotation of order 3
-    (["map r on Z { y -> z; z -> -y - z; }", "map m on Z { x -> -x; }"], True),
-    # cyclotomic entries: the sum's coefficients print at the conductors it reached
-    (["map g on Z { x -> zeta(4)*x; y -> zeta(6)*y; }", "map h on Z { z -> -z; }"], False),
-])
-def test_molien_of_a_diagonal_group_prints_the_charpoly_sum(tmp_path, capsys, monkeypatch,
-                                                            maps, by_characters):
+def z_group(tmp_path, maps) -> list[str]:
+    """--algebra and --group for the group generated by `maps` on Q[x, y, z]."""
     f = tmp_path / "z.pois"
     f.write_text("algebra Z {\n  vars: x, y, z;\n}\n")
     paths = []
@@ -406,18 +398,66 @@ def test_molien_of_a_diagonal_group_prints_the_charpoly_sum(tmp_path, capsys, mo
         m = tmp_path / f"g{k}.map"
         m.write_text(text)
         paths.append(str(m))
-    argv = ["molien", "--algebra", str(f), "--group", ",".join(paths), "--order", "8"]
-    sums = []
-    with monkeypatch.context() as patched:
-        patched.setattr(fixedrings, "molien_series",
-                        lambda group: sums.append(group) or symmetry.molien_series(group))
-        assert main(argv) == 0
-        printed = capsys.readouterr()
-    assert len(sums) == (0 if by_characters else 1)
+    return ["--algebra", str(f), "--group", ",".join(paths)]
+
+
+@pytest.mark.parametrize("maps", [
+    ["map s on Z { x -> y; y -> x; }", "map m on Z { x -> -x; y -> -y; z -> -z; }"],
+    # an eigenbasis over Q(zeta_3) for a rational rotation of order 3
+    ["map r on Z { y -> z; z -> -y - z; }", "map m on Z { x -> -x; }"],
+    ["map g on Z { x -> zeta(4)*x; y -> zeta(6)*y; }", "map h on Z { z -> -z; }"],
+])
+def test_molien_of_a_diagonal_group_prints_the_charpoly_sum(tmp_path, capsys, monkeypatch, maps):
+    argv = ["molien", *z_group(tmp_path, maps), "--order", "8"]
+    assert main(argv) == 0
+    printed = capsys.readouterr()
     monkeypatch.setattr(cli, "group_molien", symmetry.molien_series)
     assert main(argv) == 0
     by_charpoly_sum = capsys.readouterr()
     assert (printed.out, printed.err) == (by_charpoly_sum.out, by_charpoly_sum.err)
+
+
+@pytest.mark.parametrize("maps, bound", [
+    (["map a on Z { x -> -x; }", "map b on Z { y -> -y; }", "map c on Z { z -> -z; }"], 2),
+    (["map g on Z { x -> zeta(4)*x; y -> zeta(6)*y; }", "map h on Z { z -> -z; }"], 12),
+])
+def test_molien_past_the_bound_counts_characters_to_the_same_series(tmp_path, capsys,
+                                                                   maps, bound):
+    # a bound at the largest generator order is below the group order, so the
+    # characters are counted; the default bound enumerates the elements and
+    # takes the charpoly sum, whose coefficients may be stored at a larger
+    # conductor, so the printed values are compared
+    argv = ["molien", *z_group(tmp_path, maps), "--order", "8"]
+    reports = []
+    for extra in (["--bound", str(bound)], []):
+        code, report = run(capsys, *argv, *extra)
+        assert code == 0
+        result = report["result"]
+        reports.append((result["group_order"], result["exponent"],
+                        result["molien_series"]["str"], [c["str"] for c in result["taylor"]]))
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("command", ["fixed", "report", "molien"])
+def test_an_abelian_form_past_the_character_limit_fails_before_any_work(tmp_path, capsys,
+                                                                        monkeypatch, command):
+    # (C64)^4: every generator within the default bound, 64^4 = 16777216 characters
+    f = tmp_path / "w.pois"
+    f.write_text("algebra W {\n  vars: x1, x2, x3, x4;\n}\n")
+    maps = []
+    for i in range(1, 5):
+        m = tmp_path / f"c64_{i}.map"
+        m.write_text(f"map c{i} on W {{ x{i} -> zeta(64)*x{i}; }}")
+        maps.append(str(m))
+    work = []
+    monkeypatch.setattr(fixedrings, "_fixed", lambda *a: work.append("_fixed"))
+    monkeypatch.setattr(fixedrings, "_character_molien",
+                        lambda *a: work.append("_character_molien"))
+    code, report = run(capsys, command, "--algebra", str(f), "--group", ",".join(maps))
+    assert code == 1 and work == []
+    assert report["diagnostics"] == [
+        "BoundExceededError: group of order 16777216 has more than "
+        f"{fixedrings.CHARACTER_LIMIT} characters to count"]
 
 
 def test_molien_on_a_group_past_the_enumeration_bound(tmp_path, capsys):

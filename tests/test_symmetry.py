@@ -18,7 +18,7 @@ from pwb.scalars import Cyclo, zeta
 from pwb.series import RationalSeries, hilbert_free, hilbert_weighted
 from pwb.symmetry import (FINITE_NON_REFLECTION, FOUND, IDENTITY, INFINITE_ORDER,
                           NO_REFLECTIONS, NOT_AUTOMORPHISM, REFLECTION, GradedMap,
-                          bicharacter, block_decomposition, classify, find_reflections,
+                          PoissonGroup, bicharacter, block_decomposition, classify, find_reflections,
                           group_closure, is_poisson_automorphism, l_degree,
                           molien_series, trace_series)
 from pwb.upoly import UPoly
@@ -225,6 +225,18 @@ def test_bound_caps_the_enumeration_not_the_computed_order():
     assert (G.order, G.exponent) == (1728, 12)
     with pytest.raises(BoundExceededError, match="group closure exceeded 12 elements"):
         G.elements
+
+
+def test_reading_the_elements_leaves_the_group_equal():
+    # the enumeration is a cache: not a constructor argument, not compared
+    gens = [GradedMap(Matrix.diagonal([zeta(3), 1])), GradedMap(Matrix.diagonal([1, -1]))]
+    G, H = group_closure(gens), group_closure(gens)
+    assert len(G.elements) == 6
+    assert G == H
+    with pytest.raises(TypeError):
+        PoissonGroup(tuple(gens), 6, 6, None, 512, G.elements)
+    with pytest.raises(AttributeError):
+        G.order = 7
 
 
 def test_abelian_closure_multiplies_no_maps_and_diagonalizes_once(monkeypatch):
