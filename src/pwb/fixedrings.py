@@ -22,12 +22,10 @@ from .rings import Poly, PolyRing, grlex_key
 from .scalars import (Cyclo, conductor, cyclotomic_polynomial, divisors, euler_phi,
                       zpoly_mul, zpoly_quotient)
 from .series import RationalSeries, hilbert_weighted
-from .solver import DEFAULT_BUDGET, subalgebra_member
+from .solver import DEFAULT_BUDGET, Subalgebra
 from .symmetry import (REFLECTION, GradedMap, PoissonGroup, _character_logs, classify,
-                       molien_series)
+                       group_closure, molien_series)
 from .upoly import UPoly
-
-_ONE = Cyclo.of(1)
 
 TRUNCATION_CAVEAT = ("generator completeness certified only up to the degree bound; "
                      "higher-degree invariants are not excluded")
@@ -154,12 +152,12 @@ def fixed_group(A: PoissonAlgebra, group: PoissonGroup, bound: Optional[int] = N
     average of 1/det(1 - g t) over the elements.  Either way
     `_canonical_generators` keeps, degree by degree, what products of
     lower-degree generators do not span, and the induced bracket is written
-    in the generators by `subalgebra_member`.  `canonical=False` changes only
+    in the generators by their `Subalgebra`.  `canonical=False` changes only
     diagonal groups: their generators are then the non-decomposable
     invariant monomials in the eigenbasis, with a monomially factored bracket
     table.  Every route ends in the same certification: the Molien series
-    against the free product over the generator degrees, relations by
-    elimination, and `DegreeBoundTooSmallError` naming the first degree
+    against the free product over the generator degrees, relations from the
+    same `Subalgebra`, and `DegreeBoundTooSmallError` naming the first degree
     where the Molien series exceeds the generated subalgebra.  A negative
     bound raises `InvalidDegreeError`, and a diagonal group of order above
     `CHARACTER_LIMIT` `BoundExceededError`, before any of this.
@@ -168,7 +166,7 @@ def fixed_group(A: PoissonAlgebra, group: PoissonGroup, bound: Optional[int] = N
         raise InvalidDegreeError(f"degree bound {bound} is negative")
     _require_character_table(group)
     d = bound if bound is not None else max(4, 2 * group.exponent)
-    return _fixed(A, group, group.diagonal, d, canonical, with_relations, budget)
+    return _fixed(A, group, d, canonical, with_relations, budget)
 
 
 def fixed_cyclic_reflection(A: PoissonAlgebra, g: GradedMap,
@@ -178,31 +176,29 @@ def fixed_cyclic_reflection(A: PoissonAlgebra, g: GradedMap,
     if cls.kind != REFLECTION:
         raise NotReflectionError(f"map classifies as {cls.kind}")
     m = cls.order
-    T = Matrix([list(v) for v in cls.fixed_basis] + [list(cls.eigenvector)]).transpose()
-    chars = [[_ONE] * (A.nvars - 1) + [cls.xi]]
-    p = _fixed(A, None, (T, chars), m, canonical=False, with_relations=True, budget=budget)
+    p = fixed_group(A, group_closure([g], bound=m), bound=m, canonical=False, budget=budget)
     if sorted(p.degrees) != [1] * (A.nvars - 1) + [m]:
         raise InducedBracketNotClosedError(
             "cyclic reflection fixed ring has unexpected generator degrees")
     return p
 
 
-def _fixed(A: PoissonAlgebra, group: Optional[PoissonGroup], diag, d: int, canonical: bool,
+def _fixed(A: PoissonAlgebra, group: PoissonGroup, d: int, canonical: bool,
            with_relations: bool, budget: int) -> PresentedPoisson:
-    """The fixed-ring pipeline; `diag` is a common eigenbasis and characters,
-    or None for the Reynolds route over the elements of `group`."""
-    if diag is None:
+    """The fixed-ring pipeline; a route returns its generators as one
+    `Subalgebra`, which both the bracket table and the relations read."""
+    if group.diagonal is None:
         route = _canonical_route(A, _reynolds_bases(A.ring, group, d), d, budget)
         molien = molien_series(group)
     else:
-        T, chars = diag
+        T, chars = group.diagonal
         e, logs = _character_logs(chars)
         if canonical:
             route = _canonical_route(A, _diagonal_bases(A.ring, T, logs, e, d), d, budget)
         else:
-            route = _monomial_route(A, T, logs, e, d)
+            route = _monomial_route(A, T, logs, e, d, budget)
         molien = _character_molien(logs, e, A.nvars)
-    expressions, degrees, names, table = route
+    sub, degrees, table = route
     product = hilbert_weighted(degrees)
     polynomial = molien == product
     diagnostics = [TRUNCATION_CAVEAT]
@@ -210,18 +206,17 @@ def _fixed(A: PoissonAlgebra, group: Optional[PoissonGroup], diag, d: int, canon
     if polynomial:
         relations = ()
     elif with_relations:
-        relations = _relations_by_elimination(expressions, names, budget)
+        relations = sub.relations()
         if not relations:
-            k = _first_series_gap(molien, product, 2 * d + 4)
-            raise DegreeBoundTooSmallError(k or d,
-                                           "generators incomplete: Molien series exceeds "
-                                           f"the generated subalgebra (first gap at degree {k})")
+            k = _first_series_gap(molien, product)
+            raise DegreeBoundTooSmallError(k, "generators incomplete: Molien series exceeds "
+                                              f"the generated subalgebra (first gap at degree {k})")
         diagnostics.append(f"{len(relations)} relation(s) among generators")
     else:
         relations = None
         diagnostics.append("relations not computed (non-polynomial presentation)")
-    return PresentedPoisson(A, tuple(names), tuple(degrees), tuple(expressions),
-                            table, polynomial, relations, molien, d, diagnostics)
+    return PresentedPoisson(A, sub.tag_ring.names, tuple(degrees), sub.gens, table,
+                            polynomial, relations, molien, d, diagnostics)
 
 
 def _reynolds_bases(ring: PolyRing, group: PoissonGroup, d: int) -> dict[int, list[Poly]]:
@@ -348,29 +343,30 @@ def _diagonal_bases(ring: PolyRing, T: Matrix, logs, e: int, d: int) -> dict[int
 
 
 def _canonical_route(A: PoissonAlgebra, bases: dict, d: int, budget: int):
-    """Canonical generators of the per-degree invariant bases, their degrees,
-    names and bracket table."""
+    """The `Subalgebra` of the canonical generators of the per-degree
+    invariant bases, their degrees and bracket table."""
     chosen = _canonical_generators(bases, d)
     expressions = [p for p, _ in chosen]
     degrees = [deg for _, deg in chosen]
-    names = _generator_names(A.ring, expressions)
+    sub = Subalgebra(expressions, _generator_names(A.ring, expressions), budget)
     table = {}
     for i in range(len(expressions)):
         for j in range(i + 1, len(expressions)):
             br = A.bracket(expressions[i], expressions[j])
             if br.is_zero():
                 continue
-            expr = subalgebra_member(br, expressions, tag_names=names, budget=budget)
+            expr = sub.express(br)
             if expr is None:
                 raise InducedBracketNotClosedError(
-                    f"bracket of {names[i]} and {names[j]} leaves the subalgebra")
+                    f"bracket of {sub.tag_ring.names[i]} and {sub.tag_ring.names[j]} "
+                    "leaves the subalgebra")
             table[(i, j)] = expr
-    return expressions, degrees, names, table
+    return sub, degrees, table
 
 
-def _monomial_route(A: PoissonAlgebra, T: Matrix, logs, e: int, d: int):
-    """The non-decomposable invariant eigenbasis monomials as generators, with
-    their degrees, names and monomially factored bracket table."""
+def _monomial_route(A: PoissonAlgebra, T: Matrix, logs, e: int, d: int, budget: int):
+    """The `Subalgebra` of the non-decomposable invariant eigenbasis
+    monomials, their degrees and monomially factored bracket table."""
     # non-decomposable invariant exponents up to degree d, degree-ascending
     gen_exps: list[tuple[int, ...]] = []
     in_monoid: set = set()
@@ -390,17 +386,16 @@ def _monomial_route(A: PoissonAlgebra, T: Matrix, logs, e: int, d: int):
     expand = _expander(A.ring, T)
     expressions = [expand(x) for x in gen_exps]
     degrees = [sum(e) for e in gen_exps]
-    names = _generator_names(A.ring, expressions)
+    sub = Subalgebra(expressions, _generator_names(A.ring, expressions), budget)
     Ay = transport(A, T, tuple(f"_y{i+1}" for i in range(A.nvars)))
-    gen_ring = PolyRing(tuple(names))
     table = {}
     for i in range(len(gen_exps)):
         for j in range(i + 1, len(gen_exps)):
             br = Ay.bracket(Ay.ring.monomial(gen_exps[i]), Ay.ring.monomial(gen_exps[j]))
             if br.is_zero():
                 continue
-            table[(i, j)] = _factor_into_generators(br, gen_exps, gen_ring)
-    return expressions, degrees, names, table
+            table[(i, j)] = _factor_into_generators(br, gen_exps, sub.tag_ring)
+    return sub, degrees, table
 
 
 def _generator_names(ring: PolyRing, expressions: Sequence[Poly]) -> list[str]:
@@ -457,34 +452,11 @@ def _factor_into_generators(p: Poly, gen_exps: list, gen_ring: PolyRing) -> Poly
     return out
 
 
-def _relations_by_elimination(expressions: Sequence[Poly], names: Sequence[str],
-                              budget: int) -> tuple[Poly, ...]:
-    """Kernel of k[tags] -> A, t_i -> g_i, by elimination."""
-    from .rings import embed
-    from .solver import elim_order, groebner_basis
-    if not expressions:
-        return ()
-    ring = expressions[0].ring
-    n = ring.nvars
-    combined = PolyRing(ring.names + tuple(f"_tag{i+1}" for i in range(len(expressions))))
-    rels = [embed(g, combined) - combined.var(n + i) for i, g in enumerate(expressions)]
-    gb = groebner_basis(rels, elim_order(n), budget)
-    tag_ring = PolyRing(tuple(names))
-    out = []
-    for g in gb:
-        if not any(any(e[:n]) for e in g.terms):
-            out.append(Poly(tag_ring, {e[n:]: c for e, c in g.terms.items()}))
-    return tuple(out)
-
-
-def _first_series_gap(molien: RationalSeries, product: RationalSeries,
-                      upto: int) -> Optional[int]:
-    a = molien.taylor(upto)
-    b = product.taylor(upto)
-    for k in range(upto + 1):
-        if a[k] != b[k]:
-            return k
-    return None
+def _first_series_gap(molien: RationalSeries, product: RationalSeries) -> int:
+    """The least degree where two different series differ: the lowest term of
+    the numerator of their difference, whose denominator is 1 at t = 0."""
+    num = (molien - product).num
+    return next(k for k in range(num.degree() + 1) if not num[k].is_zero())
 
 
 def presented_from_linear_basis(A: PoissonAlgebra, vectors: Sequence[Sequence],
@@ -569,7 +541,6 @@ def profile_presented(P: PresentedPoisson, label: str, center_bound: int = 3,
     B = P.as_algebra(check_jacobi=False)
     prof = profile_algebra(B, label, weights=P.degrees,
                            center_bound=center_bound, derived_bound=derived_bound)
-    prof.skew = is_skew_presentation(P) is not None
     prof.notes.extend(P.diagnostics)
     return prof
 

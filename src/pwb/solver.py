@@ -9,6 +9,7 @@ cyclotomic numbers, or the raw elimination ideal.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from .errors import DegreeBudgetExceededError, PwbError
@@ -181,28 +182,55 @@ def ideal_member(f: Poly, ideal: Ideal, budget: int = DEFAULT_BUDGET) -> bool:
     return ideal.member(f, budget=budget)
 
 
+class Subalgebra:
+    """k[g_1..g_r] in the ring of the g_i, by tag variables (Shannon-Sweedler):
+    one basis of the ideal (g_i - t_i) with the ambient variables eliminated,
+    computed on first use, writes f in the g_i and gives their relations."""
+
+    def __init__(self, gens: Sequence[Poly], tag_names: Optional[Sequence[str]] = None,
+                 budget: int = DEFAULT_BUDGET):
+        self.gens = tuple(gens)
+        if tag_names is None:
+            tag_names = [f"t{i+1}" for i in range(len(self.gens))]
+        self.tag_ring = PolyRing(tuple(tag_names))
+        self.budget = budget
+
+    @cached_property
+    def _elimination(self) -> tuple[PolyRing, Callable, list[Poly]]:
+        ring = self.gens[0].ring
+        n = ring.nvars
+        # internal tag names avoid collisions with ambient variable names
+        combined = PolyRing(ring.names + tuple(f"_tag{i+1}" for i in range(len(self.gens))))
+        order = elim_order(n)
+        ideal = [embed(g, combined) - combined.var(n + i) for i, g in enumerate(self.gens)]
+        return combined, order, groebner_basis(ideal, order, self.budget)
+
+    def _in_tags(self, p: Poly) -> Optional[Poly]:
+        """p in the tag ring, or None when an ambient variable occurs."""
+        n = self.gens[0].ring.nvars
+        if any(any(e[:n]) for e in p.terms):
+            return None
+        return Poly(self.tag_ring, {e[n:]: c for e, c in p.terms.items()})
+
+    def express(self, f: Poly) -> Optional[Poly]:
+        """f as a polynomial in the generators, or None."""
+        if not self.gens:
+            return f.ring.zero() if f.is_zero() else (
+                None if not f.is_scalar() else self.tag_ring.scalar(f.as_scalar()))
+        combined, order, gb = self._elimination
+        return self._in_tags(normal_form(embed(f, combined), gb, order))
+
+    def relations(self) -> tuple[Poly, ...]:
+        """The kernel of t_i -> g_i: the basis elements in the tags alone."""
+        if not self.gens:
+            return ()
+        return tuple(r for r in map(self._in_tags, self._elimination[2]) if r is not None)
+
+
 def subalgebra_member(f: Poly, gens: Sequence[Poly], tag_names: Optional[Sequence[str]] = None,
                       budget: int = DEFAULT_BUDGET) -> Optional[Poly]:
     """Express f as a polynomial in gens (tag-variable elimination), or None."""
-    if not gens:
-        return f.ring.zero() if f.is_zero() else (
-            None if not f.is_scalar() else PolyRing(()).scalar(f.as_scalar()))
-    ring = gens[0].ring
-    n = ring.nvars
-    if tag_names is None:
-        tag_names = [f"t{i+1}" for i in range(len(gens))]
-    tag_ring = PolyRing(tuple(tag_names))
-    # internal tag names avoid collisions with ambient variable names
-    combined = PolyRing(ring.names + tuple(f"_tag{i+1}" for i in range(len(gens))))
-    relations = []
-    for i, g in enumerate(gens):
-        relations.append(embed(g, combined) - combined.var(n + i))
-    order = elim_order(n)
-    gb = groebner_basis(relations, order, budget)
-    nf = normal_form(embed(f, combined), gb, order)
-    if any(any(e[:n]) for e in nf.terms):
-        return None
-    return Poly(tag_ring, {e[n:]: c for e, c in nf.terms.items()})
+    return Subalgebra(gens, tag_names, budget).express(f)
 
 
 # -- solution sets ---------------------------------------------------------

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from pwb import fixedrings, symmetry
+from pwb import fixedrings, solver, symmetry
 from pwb.brackets import PoissonAlgebra
 from pwb.families import (homogenized_weyl, jacobian_pq, lie_two_dim_nonabelian, ph_lie,
                           quantum_matrices, skew_symmetric)
@@ -358,6 +358,53 @@ def test_try_diagonalize_takes_one_minimal_polynomial_per_generator(monkeypatch)
     calls.clear()
     assert group_closure(gens).diagonal is not None
     assert calls == []
+
+
+@pytest.mark.parametrize("bound", [0, 1])
+def test_a_gap_far_past_the_bound_is_named(bound):
+    # the invariants of diag(zeta7, zeta7) start in degree 7, far past the bound
+    from pwb.errors import DegreeBoundTooSmallError
+    Z = PoissonAlgebra(PolyRing(["x", "y"]), {})
+    G = group_closure([GradedMap(Matrix.diagonal([zeta(7), zeta(7)]))])
+    with pytest.raises(DegreeBoundTooSmallError, match="first gap at degree 7") as info:
+        fixed_group(Z, G, bound=bound)
+    assert info.value.degree == 7
+
+
+def _skew5_with_two_zero_entries():
+    zero = {(1, 2), (3, 4)}
+    return skew_symmetric(Matrix([[0 if i == j or (min(i, j), max(i, j)) in zero
+                                   else (1 if i < j else -1) for j in range(5)]
+                                  for i in range(5)]))
+
+
+@pytest.mark.parametrize("case", ["skew5_fixed", "skew5_report", "skew2_cubic", "zero_bracket",
+                                  "zero_bracket_no_relations"])
+def test_one_elimination_basis_per_fixed_ring(monkeypatch, case):
+    # the bracket table and the relations read one tag elimination; a ring
+    # whose induced brackets all vanish computes none
+    calls = []
+    original = solver.groebner_basis
+    monkeypatch.setattr(solver, "groebner_basis",
+                        lambda *a, **k: calls.append(1) or original(*a, **k))
+    if case.startswith("skew5"):
+        call = fixed_group if case == "skew5_fixed" else rigidity_report
+        call(_skew5_with_two_zero_entries(),
+             group_closure([GradedMap(Matrix.diagonal([-1, 1, 1, 1, 1]))]))
+        assert len(calls) == 1
+    elif case == "skew2_cubic":
+        p = fixed_group(skew2(1), group_closure([gmap([[zeta(3), 0], [0, zeta(3, 2)]])]))
+        assert not p.polynomial and [str(r) for r in p.relations] == ["g1^3 - g2*g3"]
+        assert len(calls) == 1
+    elif case == "zero_bracket":
+        Z = PoissonAlgebra(PolyRing(["x", "y", "z"]), {})
+        p = fixed_group(Z, group_closure([GradedMap(Matrix.diagonal([-1, 1, 1]))]))
+        assert p.polynomial and not p.table and calls == []
+    else:
+        Z = PoissonAlgebra(PolyRing(["x", "y"]), {})
+        p = fixed_group(Z, group_closure([gmap([[zeta(3), 0], [0, zeta(3, 2)]])]),
+                        with_relations=False)
+        assert not p.polynomial and p.relations is None and calls == []
 
 
 def test_fixed_group_degree_bound_too_small():

@@ -1,11 +1,14 @@
-"""Every name a `pwb` module imports is used in it (`__init__.py` re-exports)."""
+"""Every name a `pwb` module imports is used in it (`__init__.py` re-exports), and
+every function the benchmark tracer wraps exists."""
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "pwb"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TRACING = SRC.parent.parent / "perfbench" / "tracing.py"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -41,3 +44,31 @@ def test_unused_import_is_found():
               "import os.path\n"
               "def f() -> \"PwbError\":\n    \"\"\"SingularMatrixError\"\"\"\n")
     assert unused_imports(source) == ["SingularMatrixError (line 1)", "os (line 2)"]
+
+
+def tracing_targets() -> dict[str, list[str]]:
+    """The "module:qualname" targets of `SPANS` and `COUNTS` in perfbench/tracing.py."""
+    tables = {}
+    for node in ast.parse(TRACING.read_text()).body:
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name) \
+                and node.targets[0].id in ("SPANS", "COUNTS"):
+            table = eval(compile(ast.Expression(node.value), str(TRACING), "eval"), {})
+            tables[node.targets[0].id] = [t for targets in table.values() for t in targets]
+    return tables
+
+
+def test_every_tracing_target_resolves():
+    # the tracer patches each target where it is defined: the module, or the
+    # class's own __dict__ for a method
+    tables = tracing_targets()
+    assert sorted(tables) == ["COUNTS", "SPANS"]
+    missing = []
+    for target in tables["SPANS"] + tables["COUNTS"]:
+        modname, qual = target.split(":")
+        owner = importlib.import_module(modname)
+        *path, attr = qual.split(".")
+        for name in path:
+            owner = getattr(owner, name, None)
+        if owner is None or attr not in vars(owner):
+            missing.append(target)
+    assert missing == []
