@@ -16,7 +16,8 @@ from typing import Optional
 from . import __version__
 from .brackets import PoissonAlgebra
 from .envelope import envelope_dims, envelope_extend, envelope_presentation, envelope_trace
-from .errors import InfiniteOrderError, InvalidDegreeError, NotAutomorphismError, PwbError
+from .errors import (FileFormatError, InfiniteOrderError, InvalidDegreeError,
+                     NotAutomorphismError, PwbError)
 from .families import (jacobian, jacobian_pq, homogenized_weyl, ph_lie,
                        quantum_matrices, skew_symmetric, weyl)
 from .fixedrings import fixed_group, group_molien, is_skew_presentation, rigidity_report
@@ -42,7 +43,10 @@ class CommandResult:
 
 
 def _read(path: str, inputs: dict) -> str:
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
     inputs[path] = sha256_of(text)
     return text
 
@@ -350,36 +354,16 @@ def main(argv: Optional[list[str]] = None) -> int:
     inputs: dict = {}
     try:
         out: CommandResult = args.handler(args, inputs)
-        exit_code = out.exit_code
-        report = {
-            "schema": SCHEMA,
-            "command": args.command,
-            "inputs": inputs,
-            "result": out.result,
-            "diagnostics": out.diagnostics,
-            "exit_code": exit_code,
-        }
-        summary = out.summary
     except PwbError as exc:
-        exit_code = 1
-        report = {
-            "schema": SCHEMA,
-            "command": args.command,
-            "inputs": inputs,
-            "result": None,
-            "diagnostics": [f"{type(exc).__name__}: {exc}"],
-            "exit_code": 1,
-        }
-        summary = f"error: {exc}"
+        out = CommandResult(None, 1, [f"{type(exc).__name__}: {exc}"], f"error: {exc}")
     except OSError as exc:
-        exit_code = 1
-        report = {"schema": SCHEMA, "command": args.command, "inputs": inputs,
-                  "result": None, "diagnostics": [str(exc)], "exit_code": 1}
-        summary = f"error: {exc}"
+        out = CommandResult(None, 1, [str(exc)], f"error: {exc}")
+    report = {"schema": SCHEMA, "command": args.command, "inputs": inputs,
+              "result": out.result, "diagnostics": out.diagnostics, "exit_code": out.exit_code}
     print(json.dumps(report, indent=2, sort_keys=True))
     if not getattr(args, "json", False):
-        print(summary, file=sys.stderr)
-    return exit_code
+        print(out.summary, file=sys.stderr)
+    return out.exit_code
 
 
 if __name__ == "__main__":

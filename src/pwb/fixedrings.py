@@ -11,7 +11,7 @@ to d.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .brackets import PoissonAlgebra, transport
 from .errors import (BoundExceededError, DegreeBoundTooSmallError,
@@ -95,18 +95,19 @@ def _products_of_degree(chosen: list[tuple[Poly, int]], k: int) -> list[Poly]:
     return out
 
 
-def _canonical_generators(bases_per_degree: dict, d: int) -> list[tuple[Poly, int]]:
+def _canonical_generators(bases_per_degree: dict) -> list[tuple[Poly, int]]:
     """Pick new generators per degree as canonical complements of products.
 
-    The degree-k products of chosen generators, then the invariant basis, are
+    The degrees are those of the given bases, ascending.  At each, the
+    degree-k products of chosen generators, then the invariant basis, are
     realified at their lcm conductor N into one echelon whose columns are the
     monomials grlex-descending (the least column is the leading monomial).  A
     basis vector that raises the rank gives its remainder, zero at every
     earlier leading monomial and monic, stored at N.
     """
     chosen: list[tuple[Poly, int]] = []
-    for k in range(1, d + 1):
-        basis = bases_per_degree.get(k, [])
+    for k in sorted(bases_per_degree):
+        basis = bases_per_degree[k]
         if not basis:
             continue
         products = _products_of_degree(chosen, k)
@@ -147,18 +148,22 @@ def fixed_group(A: PoissonAlgebra, group: PoissonGroup, bound: Optional[int] = N
     sum_j a_ij x_j = 0 mod e for every i, and the Molien series is
     N(t)/(1 - t^e)^n, where N counts the invariant x in [0, e)^n by degree
     (character orthogonality); no cyclotomic arithmetic is left in either.
+    One integer rule picks a diagonal group's generators: the
+    non-decomposable invariant exponents x (`_monoid_generators`), and
+    `canonical` changes only the last step.  By default the invariant
+    monomials are expanded at the degrees of those x alone (elsewhere
+    products of lower-degree generators span every invariant) and reduced
+    there by `_canonical_generators`; with `canonical=False` the generators
+    are the y^x themselves, with a monomially factored bracket table.
     Otherwise the invariants are the nonzero Reynolds averages of the
-    monomials over the group elements, and the Molien series is the
-    average of 1/det(1 - g t) over the elements.  Either way
-    `_canonical_generators` keeps, degree by degree, what products of
-    lower-degree generators do not span, and the induced bracket is written
-    in the generators by their `Subalgebra`.  `canonical=False` changes only
-    diagonal groups: their generators are then the non-decomposable
-    invariant monomials in the eigenbasis, with a monomially factored bracket
-    table.  Every route ends in the same certification: the Molien series
-    against the free product over the generator degrees, relations from the
-    same `Subalgebra`, and `DegreeBoundTooSmallError` naming the first degree
-    where the Molien series exceeds the generated subalgebra.  A negative
+    monomials over the group elements, reduced by `_canonical_generators` at
+    every degree, and the Molien series is the average of 1/det(1 - g t)
+    over the elements.  The induced bracket is written in the generators by
+    their `Subalgebra`, and every route ends in the same certification: the
+    Molien series against the free product over the generator degrees,
+    relations from the same `Subalgebra`, and `DegreeBoundTooSmallError`
+    naming the first degree where the Molien series exceeds the generated
+    subalgebra.  A negative
     bound raises `InvalidDegreeError`, and a diagonal group of order above
     `CHARACTER_LIMIT` `BoundExceededError`, before any of this.
     """
@@ -185,18 +190,22 @@ def fixed_cyclic_reflection(A: PoissonAlgebra, g: GradedMap,
 
 def _fixed(A: PoissonAlgebra, group: PoissonGroup, d: int, canonical: bool,
            with_relations: bool, budget: int) -> PresentedPoisson:
-    """The fixed-ring pipeline; a route returns its generators as one
-    `Subalgebra`, which both the bracket table and the relations read."""
+    """The fixed-ring pipeline.  A diagonal group's generators are chosen
+    once, by `_monoid_generators`, and `canonical` picks only how they are
+    written.  A route returns its generators as one `Subalgebra`, which both
+    the bracket table and the relations read."""
     if group.diagonal is None:
-        route = _canonical_route(A, _reynolds_bases(A.ring, group, d), d, budget)
+        route = _canonical_route(A, _reynolds_bases(A.ring, group, d), budget)
         molien = molien_series(group)
     else:
         T, chars = group.diagonal
         e, logs = _character_logs(chars)
+        gen_exps = _monoid_generators(A.ring, logs, e, d)
         if canonical:
-            route = _canonical_route(A, _diagonal_bases(A.ring, T, logs, e, d), d, budget)
+            bases = _diagonal_bases(A.ring, T, logs, e, {sum(x) for x in gen_exps})
+            route = _canonical_route(A, bases, budget)
         else:
-            route = _monomial_route(A, T, logs, e, d, budget)
+            route = _monomial_route(A, T, gen_exps, budget)
         molien = _character_molien(logs, e, A.nvars)
     sub, degrees, table = route
     product = hilbert_weighted(degrees)
@@ -247,6 +256,19 @@ def _is_invariant(x: tuple[int, ...], logs, e: int) -> bool:
 def _invariant_monomials(ring: PolyRing, logs, e: int, k: int) -> list[tuple[int, ...]]:
     """Exponents of the degree-k eigenbasis monomials with trivial characters."""
     return [x for x in ring.monomials_of_degree(k) if _is_invariant(x, logs, e)]
+
+
+def _monoid_generators(ring: PolyRing, logs, e: int, d: int) -> list[tuple[int, ...]]:
+    """The non-decomposable invariant exponents up to degree d, by (degree,
+    grlex): the invariant monoid's generators.  Characters add, so for
+    invariant g <= x the rest x - g is invariant too; x is decomposable
+    exactly when it lies above a generator of lower degree."""
+    gen_exps: list[tuple[int, ...]] = []
+    for k in range(1, d + 1):
+        new = [x for x in _invariant_monomials(ring, logs, e, k)
+               if not any(all(a >= b for a, b in zip(x, g)) for g in gen_exps)]
+        gen_exps.extend(sorted(new, key=grlex_key))
+    return gen_exps
 
 
 # `_character_molien` keeps one count per character of the group: a table of
@@ -331,21 +353,23 @@ def _expander(ring: PolyRing, T: Matrix):
     return expand
 
 
-def _diagonal_bases(ring: PolyRing, T: Matrix, logs, e: int, d: int) -> dict[int, list[Poly]]:
-    """Per degree, the invariant eigenbasis monomials, leading terms descending."""
+def _diagonal_bases(ring: PolyRing, T: Matrix, logs, e: int,
+                    degrees: Iterable[int]) -> dict[int, list[Poly]]:
+    """At each of these degrees, the invariant eigenbasis monomials, leading
+    terms descending."""
     expand = _expander(ring, T)
     bases: dict[int, list[Poly]] = {}
-    for k in range(1, d + 1):
+    for k in degrees:
         vecs = [expand(x) for x in _invariant_monomials(ring, logs, e, k)]
         vecs.sort(key=lambda p: grlex_key(p.leading()[0]), reverse=True)
         bases[k] = vecs
     return bases
 
 
-def _canonical_route(A: PoissonAlgebra, bases: dict, d: int, budget: int):
+def _canonical_route(A: PoissonAlgebra, bases: dict, budget: int):
     """The `Subalgebra` of the canonical generators of the per-degree
     invariant bases, their degrees and bracket table."""
-    chosen = _canonical_generators(bases, d)
+    chosen = _canonical_generators(bases)
     expressions = [p for p, _ in chosen]
     degrees = [deg for _, deg in chosen]
     sub = Subalgebra(expressions, _generator_names(A.ring, expressions), budget)
@@ -364,25 +388,10 @@ def _canonical_route(A: PoissonAlgebra, bases: dict, d: int, budget: int):
     return sub, degrees, table
 
 
-def _monomial_route(A: PoissonAlgebra, T: Matrix, logs, e: int, d: int, budget: int):
-    """The `Subalgebra` of the non-decomposable invariant eigenbasis
-    monomials, their degrees and monomially factored bracket table."""
-    # non-decomposable invariant exponents up to degree d, degree-ascending
-    gen_exps: list[tuple[int, ...]] = []
-    in_monoid: set = set()
-    for k in range(1, d + 1):
-        for x in _invariant_monomials(A.ring, logs, e, k):
-            decomposable = False
-            for g in gen_exps:
-                if all(a >= b for a, b in zip(x, g)):
-                    rest = tuple(a - b for a, b in zip(x, g))
-                    if sum(rest) == 0 or rest in in_monoid:
-                        decomposable = True
-                        break
-            in_monoid.add(x)
-            if not decomposable:
-                gen_exps.append(x)
-    gen_exps.sort(key=lambda x: (sum(x), grlex_key(x)))
+def _monomial_route(A: PoissonAlgebra, T: Matrix, gen_exps: list[tuple[int, ...]],
+                    budget: int):
+    """The `Subalgebra` of the eigenbasis monomials of the monoid generators
+    `gen_exps`, their degrees and monomially factored bracket table."""
     expand = _expander(A.ring, T)
     expressions = [expand(x) for x in gen_exps]
     degrees = [sum(e) for e in gen_exps]

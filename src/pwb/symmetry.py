@@ -128,7 +128,6 @@ class Classification:
     order: Optional[int] = None
     xi: Optional[Cyclo] = None
     eigenvector: Optional[tuple] = None      # the xi-eigenvector (reflections)
-    fixed_basis: Optional[tuple] = None      # basis of the fixed hyperplane
     witness_pair: Optional[tuple[str, str]] = None
 
 
@@ -160,9 +159,7 @@ def classify(A: PoissonAlgebra, g: GradedMap) -> Classification:
     if delta.rank() == 1:
         xi = g.matrix.trace() - Cyclo.of(n - 1)
         eig = (g.matrix - Matrix.diagonal([xi] * n)).kernel_basis()
-        fixed = delta.kernel_basis()
-        return Classification(REFLECTION, order=order, xi=xi,
-                              eigenvector=tuple(eig[0]), fixed_basis=tuple(tuple(v) for v in fixed))
+        return Classification(REFLECTION, order=order, xi=xi, eigenvector=tuple(eig[0]))
     return Classification(FINITE_NON_REFLECTION, order=order)
 
 

@@ -335,6 +335,26 @@ def test_error_exit_code(tmp_path, capsys):
     assert code == 1 and report["result"] is None
 
 
+def test_non_utf8_input_is_a_file_format_error(tmp_path, capsys):
+    f = tmp_path / "f.pois"
+    f.write_bytes(b"\xff\xfe\x00")
+    code, report = run(capsys, "check", "--algebra", str(f))
+    assert code == 1 and report["result"] is None
+    assert report["diagnostics"] == [
+        f"FileFormatError: {f}: not UTF-8 text (byte 0: invalid start byte)"]
+
+
+def test_missing_input_file_is_reported(tmp_path, capsys):
+    f = tmp_path / "missing.pois"
+    assert main(["check", "--algebra", str(f)]) == 1
+    captured = capsys.readouterr()
+    message = f"[Errno 2] No such file or directory: '{f}'"
+    assert json.loads(captured.out) == {"schema": "pwb/1", "command": "check", "inputs": {},
+                                        "result": None, "diagnostics": [message],
+                                        "exit_code": 1}
+    assert captured.err == f"error: {message}\n"
+
+
 def test_determinism(tmp_path, capsys):
     f = tmp_path / "s.pois"
     f.write_text(SKEW)

@@ -556,9 +556,9 @@ def _printed(chosen):
     return [(str(p), k) for p, k in chosen]
 
 
-def _assert_generators_match_poly_echelon(bases, d):
-    chosen = fixedrings._canonical_generators(bases, d)
-    assert _printed(chosen) == _printed(oracle.poly_echelon_generators(bases, d))
+def _assert_generators_match_poly_echelon(bases, reference_bases, d):
+    chosen = fixedrings._canonical_generators(bases)
+    assert _printed(chosen) == _printed(oracle.poly_echelon_generators(reference_bases, d))
     for p, _ in chosen:
         assert p.leading()[1].is_one()
 
@@ -567,14 +567,36 @@ def _assert_generators_match_poly_echelon(bases, d):
 @given(diagonal_groups())
 @example((3, [g.matrix for g in zeta3_zeta4_pair()]))
 def test_canonical_generators_match_the_poly_echelon(case):
-    # the diagonal route's bases, in a rational or Q(zeta_3) eigenbasis
+    # the diagonal route's bases, in a rational or Q(zeta_3) eigenbasis: pwb
+    # reduces them only at the degrees of the monoid generators, the
+    # reference at every degree up to d
     n, mats = case
     G = group_closure([GradedMap(m) for m in mats])
     T, chars = G.diagonal
     e, logs = _character_logs(chars)
     d = min(e, 6)
     ring = PolyRing([f"x{i}" for i in range(n)])
-    _assert_generators_match_poly_echelon(fixedrings._diagonal_bases(ring, T, logs, e, d), d)
+    degrees = {sum(x) for x in fixedrings._monoid_generators(ring, logs, e, d)}
+    selected = fixedrings._diagonal_bases(ring, T, logs, e, degrees)
+    every = fixedrings._diagonal_bases(ring, T, logs, e, range(1, d + 1))
+    _assert_generators_match_poly_echelon(selected, every, d)
+
+
+def test_canonical_route_reduces_only_where_a_generator_is_new(monkeypatch):
+    # diag(zeta6, 1, 1, 1, 1) at the default bound 12: the monoid generators
+    # are y2..y5 and y1^6, so products are formed at degrees 1 and 6 only
+    degrees = []
+    products = fixedrings._products_of_degree
+
+    def recorded(chosen, k):
+        degrees.append(k)
+        return products(chosen, k)
+
+    monkeypatch.setattr(fixedrings, "_products_of_degree", recorded)
+    G = group_closure([GradedMap(Matrix.diagonal([zeta(6), 1, 1, 1, 1]))])
+    p = fixed_group(_skew5_with_two_zero_entries(), G)
+    assert p.polynomial and sorted(p.degrees) == [1, 1, 1, 1, 6]
+    assert degrees == [1, 6]
 
 
 @pytest.mark.parametrize("rows", [
@@ -586,4 +608,5 @@ def test_canonical_generators_match_the_poly_echelon(case):
 def test_canonical_generators_of_reynolds_bases_match_the_poly_echelon(rows):
     G = group_closure([gmap(r) for r in rows])
     ring = PolyRing([f"x{i}" for i in range(len(rows[0]))])
-    _assert_generators_match_poly_echelon(fixedrings._reynolds_bases(ring, G, 6), 6)
+    bases = fixedrings._reynolds_bases(ring, G, 6)
+    _assert_generators_match_poly_echelon(bases, bases, 6)

@@ -1,5 +1,6 @@
-"""Every name a `pwb` module imports is used in it (`__init__.py` re-exports), and
-every function the benchmark tracer wraps exists."""
+"""Every name a `pwb` module imports is used in it (`__init__.py` re-exports),
+every private module-level function is referenced, and every function the
+benchmark tracer wraps exists."""
 import ast
 import importlib
 from pathlib import Path
@@ -44,6 +45,36 @@ def test_unused_import_is_found():
               "import os.path\n"
               "def f() -> \"PwbError\":\n    \"\"\"SingularMatrixError\"\"\"\n")
     assert unused_imports(source) == ["SingularMatrixError (line 1)", "os (line 2)"]
+
+
+def unreferenced_private_functions(sources: dict[str, str]) -> list[str]:
+    """Module-level functions named `_x` (not dunders) whose name no other code in
+    `sources` reads, as a plain name or an attribute; a call from its own body
+    does not count."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    found = []
+    for module, tree in trees.items():
+        for fn in tree.body:
+            if not isinstance(fn, ast.FunctionDef) or not fn.name.startswith("_") \
+                    or fn.name.startswith("__"):
+                continue
+            own = {id(node) for node in ast.walk(fn)}
+            if not any(id(node) not in own
+                       and fn.name in (getattr(node, "id", None), getattr(node, "attr", None))
+                       for t in trees.values() for node in ast.walk(t)):
+                found.append(f"{module}:{fn.name}")
+    return found
+
+
+def test_every_private_function_is_referenced():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unreferenced_private_functions(sources) == []
+
+
+def test_unreferenced_private_function_is_found():
+    sources = {"a.py": "def _used():\n    pass\n\ndef _left(n):\n    return _left(n - 1)\n",
+               "b.py": "from .a import _used\nx = _used()\n\ndef __getattr__(name):\n    pass\n"}
+    assert unreferenced_private_functions(sources) == ["a.py:_left"]
 
 
 def tracing_targets() -> dict[str, list[str]]:

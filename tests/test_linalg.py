@@ -130,6 +130,43 @@ def test_minpoly_is_monic_annihilating_of_least_degree(m):
     assert len(coeffs) - 1 == rank
 
 
+@st.composite
+def rational_matrices(draw):
+    """Rational n x n matrices, n <= 4: dense, or upper triangular with a
+    repeated diagonal, whose minimal polynomial is often a proper divisor of
+    the characteristic one."""
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        return Matrix([[draw(COEFFS) for _ in range(n)] for _ in range(n)])
+    diagonal = st.sampled_from([1, -2])
+    return Matrix([[draw(diagonal) if j == i else draw(COEFFS) if j > i else 0
+                    for j in range(n)] for i in range(n)])
+
+
+def _fractions(coeffs) -> list[Fraction]:
+    return [Fraction(str(c)) for c in coeffs]
+
+
+@settings(max_examples=40, deadline=None)
+@given(rational_matrices())
+@example(Matrix.identity(3))
+@example(Matrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]]))
+def test_charpoly_and_minpoly_match_sympy(m):
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    M = sympy.Matrix([[sympy.Rational(x.as_fraction()) for x in row] for row in m.rows])
+    chi = M.charpoly(t)
+    assert [c.as_fraction() for c in m.charpoly_coeffs()] + [1] == \
+        _fractions(chi.all_coeffs()[::-1])
+    # the minimal polynomial is chi over the gcd of the (n-1)-minors of tI - M,
+    # which are the entries of its adjugate
+    g = sympy.Integer(0)
+    for entry in (t * sympy.eye(m.nrows) - M).adjugate():
+        g = sympy.gcd(g, entry)
+    mu = sympy.Poly(sympy.cancel(chi.as_expr() / g), t).monic()
+    assert [c.as_fraction() for c in m.minpoly_coeffs()] == _fractions(mu.all_coeffs()[::-1])
+
+
 # -- the elimination kernel against dense Gauss-Jordan over Cyclo --------------
 
 MIXES = [(1,), (2,), (3,), (4,), (12,), (1, 3), (2, 3), (3, 4), (1, 4, 12), (1, 3, 4, 12)]

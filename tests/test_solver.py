@@ -1,4 +1,8 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pwb.errors import DegreeBudgetExceededError
 from pwb.rings import PolyRing
@@ -158,3 +162,46 @@ def test_solve_projective_union_of_plane_and_point_is_not_a_subspace():
 def test_solve_projective_union_of_two_planes():
     res = solve_projective([R3.parse("x*(x + y + z)")], R3)
     assert res.kind == IDEAL_ONLY
+
+
+# -- Groebner bases against sympy -----------------------------------------------
+
+QUADRATIC_MONOMIALS = [e for k in range(3) for e in R3.monomials_of_degree(k)]
+
+
+@st.composite
+def rational_systems(draw):
+    """One to three polynomials in x, y, z of degree <= 2, each of one to four
+    terms with nonzero rational coefficients."""
+    coeffs = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)])
+    polys = []
+    for _ in range(draw(st.integers(1, 3))):
+        exps = draw(st.lists(st.sampled_from(QUADRATIC_MONOMIALS), min_size=1, max_size=4,
+                             unique=True))
+        p = R3.zero()
+        for e in exps:
+            p = p + R3.monomial(e, Cyclo.of(draw(coeffs)))
+        polys.append(p)
+    return polys
+
+
+@settings(max_examples=40, deadline=None)
+@given(rational_systems())
+@example([R3.parse("x^2 - y*z"), R3.parse("x*y - z^2"), R3.parse("y^2 - x*z")])
+@example([R3.parse("x"), R3.parse("x + 1")])
+def test_groebner_basis_matches_sympy(polys):
+    # both sides are reduced grlex bases with x > y > z, made monic: equal as sets
+    sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols("x y z")
+    system = [sympy.Poly.from_dict({e: sympy.Rational(c.as_fraction())
+                                    for e, c in p.terms.items()}, gens, domain="QQ")
+              for p in polys]
+
+    def monic(g):
+        lc = g.LC(order="grlex")
+        return frozenset((e, Fraction(str(c / lc))) for e, c in g.terms())
+
+    expected = {monic(g) for g in sympy.groebner(system, *gens, order="grlex").polys}
+    got = {frozenset((e, c.as_fraction()) for e, c in g.terms.items())
+           for g in groebner_basis(polys)}
+    assert got == expected
