@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 from .errors import (JacobiFailsError, NotMonomialError, NotQuadraticError,
                      NotSplittableError, PwbError)
 from .linalg import Matrix, kernel, rank
-from .rings import Poly, PolyRing
+from .rings import Poly, PolyRing, _add_terms, _mul_terms, _partial_terms
 from .scalars import Cyclo
 from .solver import (DEFAULT_BUDGET, AffineResult, SolutionSet,
                      aggregate_chart_results, classify_affine, groebner_basis)
@@ -87,27 +87,24 @@ class PoissonAlgebra:
     # -- bracket --------------------------------------------------------
 
     def bracket(self, f: Poly, g: Poly) -> Poly:
-        out = self.ring.zero()
+        """{f, g}: over the table pairs in order, (f_i g_j - f_j g_i) {x_i, x_j}
+        is added in, a cancelled sum dropped.  The work runs on term dicts, and
+        each partial derivative of f and g is taken once."""
+        df: dict = {}
+        dg: dict = {}
+        out: dict = {}
         for (i, j), p in self.table.items():
-            fi, fj = f.partial(i), f.partial(j)
-            gi, gj = g.partial(i), g.partial(j)
-            term = fi * gj - fj * gi
-            if not term.is_zero():
-                out = out + term * p
-        return out
-
-    def bracket_var(self, f: Poly, j: int) -> Poly:
-        """{f, x_j}."""
-        out = self.ring.zero()
-        for i in range(self.nvars):
-            if i == j:
+            for k in (i, j):
+                if k not in df:
+                    df[k], dg[k] = _partial_terms(f.terms, k), _partial_terms(g.terms, k)
+            fi, fj, gi, gj = df[i], df[j], dg[i], dg[j]
+            if not (fi and gj or fj and gi):
                 continue
-            p = self.pair(i, j)
-            if not p.is_zero():
-                fi = f.partial(i)
-                if not fi.is_zero():
-                    out = out + fi * p
-        return out
+            term = _mul_terms(fi, gj)
+            _add_terms(term, ((e, -c) for e, c in _mul_terms(fj, gi).items()))
+            if term:
+                _add_terms(out, _mul_terms(term, p.terms).items())
+        return Poly(self.ring, out)
 
     def jacobi_check(self) -> tuple[bool, Optional[tuple[str, str, str]]]:
         """Jacobi on every triple of variables, or the first failing triple.
@@ -117,13 +114,14 @@ class PoissonAlgebra:
         lexicographic order.
         """
         names = self.ring.names
+        xs = self.ring.gens()
         triples = {tuple(sorted((i, j, k))) for i, j in self.table
                    for k in range(self.nvars) if k != i and k != j}
         for i, j, k in sorted(triples):
             # {x_i, {x_j, x_k}} + cyclic, each term as -{{x_j, x_k}, x_i}
-            total = (self.bracket_var(self.pair(j, k), i)
-                     + self.bracket_var(self.pair(k, i), j)
-                     + self.bracket_var(self.pair(i, j), k))
+            total = (self.bracket(self.pair(j, k), xs[i])
+                     + self.bracket(self.pair(k, i), xs[j])
+                     + self.bracket(self.pair(i, j), xs[k]))
             if not total.is_zero():
                 return False, (names[i], names[j], names[k])
         return True, None
@@ -135,8 +133,8 @@ class PoissonAlgebra:
         if u.is_zero():
             raise PwbError("normality of zero is undefined")
         images = []
-        for j in range(self.nvars):
-            b = self.bracket_var(u, j)
+        for x in self.ring.gens():
+            b = self.bracket(u, x)
             q = u.divides_into(b) if not b.is_zero() else self.ring.zero()
             if q is None:
                 return None
@@ -180,6 +178,7 @@ class PoissonAlgebra:
                          ) -> list[list[Poly]]:
         """Per degree k <= d, a basis of {f in A_k : {f, x_j} = 0 for all j}."""
         out: list[list[Poly]] = [[self.ring.one()]]
+        xs = self.ring.gens()
         for k in range(1, d + 1):
             monos = self.ring.monomials_of_degree(k, weights)
             if not monos:
@@ -189,8 +188,8 @@ class PoissonAlgebra:
             columns: dict = {}
             for i, mexp in enumerate(monos):
                 mono = self.ring.monomial(mexp)
-                for j in range(self.nvars):
-                    for ee, c in self.bracket_var(mono, j).terms.items():
+                for j, x in enumerate(xs):
+                    for ee, c in self.bracket(mono, x).terms.items():
                         columns.setdefault((j, ee), {})[i] = c
             if not columns:
                 out.append([self.ring.monomial(m) for m in monos])

@@ -11,6 +11,7 @@ to d.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from .brackets import PoissonAlgebra, transport
@@ -262,12 +263,33 @@ def _monoid_generators(ring: PolyRing, logs, e: int, d: int) -> list[tuple[int, 
     """The non-decomposable invariant exponents up to degree d, by (degree,
     grlex): the invariant monoid's generators.  Characters add, so for
     invariant g <= x the rest x - g is invariant too; x is decomposable
-    exactly when it lies above a generator of lower degree."""
+    exactly when it lies above a generator of lower degree.
+
+    With o_j the order of y_j's characters, y_j^o_j is invariant, so every
+    generator but y_j^o_j itself has x_j < o_j (Sturmfels, *Algorithms in
+    Invariant Theory*, 1.4).  Only that box, at degree <= d, and the pure
+    powers o_j e_j with o_j <= d are searched."""
+    n = ring.nvars
+    cols = [[row[j] for row in logs] for j in range(n)]
+    orders = [e // gcd(e, *col) for col in cols]
+    zero = (0,) * len(logs)
+    found = [tuple(o if i == j else 0 for i in range(n))
+             for j, o in enumerate(orders) if o <= d]
+
+    def search(j: int, left: int, residue: tuple[int, ...], prefix: tuple[int, ...]):
+        if j == n:
+            if residue == zero and left < d:  # an invariant x other than 0
+                found.append(prefix)
+            return
+        for k in range(min(orders[j] - 1, left) + 1):
+            search(j + 1, left - k, tuple((r + a * k) % e for r, a in zip(residue, cols[j])),
+                   prefix + (k,))
+
+    search(0, d, zero, ())
     gen_exps: list[tuple[int, ...]] = []
-    for k in range(1, d + 1):
-        new = [x for x in _invariant_monomials(ring, logs, e, k)
-               if not any(all(a >= b for a, b in zip(x, g)) for g in gen_exps)]
-        gen_exps.extend(sorted(new, key=grlex_key))
+    for x in sorted(found, key=grlex_key):
+        if not any(all(a >= b for a, b in zip(x, g)) for g in gen_exps):
+            gen_exps.append(x)
     return gen_exps
 
 

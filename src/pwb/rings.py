@@ -8,6 +8,7 @@ overflow guard at 2^31.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Callable, Optional, Sequence
 
 from .errors import DivisorZeroError, ParseError, PwbError, UnknownVariableError
@@ -196,13 +197,7 @@ class Poly:
             other = self.ring.scalar(other)
         self._require_same_ring(other)
         out = dict(self.terms)
-        for e, c in other.terms.items():
-            acc = out.get(e)
-            s = c if acc is None else acc + c
-            if s.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = s
+        _add_terms(out, other.terms.items())
         return Poly(self.ring, out)
 
     __radd__ = __add__
@@ -225,22 +220,7 @@ class Poly:
                 return self.ring.zero()
             return Poly(self.ring, {e: v * c for e, v in self.terms.items()})
         self._require_same_ring(other)
-        if len(self.terms) > len(other.terms):
-            big, small = self.terms, other.terms
-        else:
-            big, small = other.terms, self.terms
-        out: dict = {}
-        for e2, c2 in small.items():
-            for e1, c1 in big.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                acc = out.get(e)
-                s = c if acc is None else acc + c
-                if s.is_zero():
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return Poly(self.ring, out)
+        return Poly(self.ring, _mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -249,13 +229,13 @@ class Poly:
             raise PwbError("negative power of a polynomial")
         if k * max((sum(e) for e in self.terms), default=0) >= MAX_EXPONENT:
             raise PwbError("power would exceed the exponent bound")
-        result, base = self.ring.one(), self
+        result, base = None, self
         while k:
             if k & 1:
-                result = result * base
+                result = base if result is None else result * base
             base = base * base if k > 1 else base
             k >>= 1
-        return result
+        return self.ring.one() if result is None else result
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction, Cyclo)):
@@ -284,41 +264,27 @@ class Poly:
     # -- calculus and substitution --------------------------------------
 
     def partial(self, i: int) -> "Poly":
-        out: dict = {}
-        for e, c in self.terms.items():
-            if e[i] > 0:
-                ne = list(e)
-                ne[i] -= 1
-                nc = c * e[i]
-                key = tuple(ne)
-                acc = out.get(key)
-                s = nc if acc is None else acc + nc
-                if not s.is_zero():
-                    out[key] = s
-                elif key in out:
-                    del out[key]
-        return Poly(self.ring, out)
+        return Poly(self.ring, _partial_terms(self.terms, i))
 
     def substitute(self, images: Sequence["Poly"], target: Optional[PolyRing] = None) -> "Poly":
         """Evaluate at x_i -> images[i]; images live in `target` (default: own ring)."""
         tgt = target or self.ring
-        result = tgt.zero()
-        power_cache: dict[tuple[int, int], Poly] = {}
-
-        def power(i: int, k: int) -> Poly:
-            got = power_cache.get((i, k))
-            if got is None:
-                got = images[i] ** k
-                power_cache[(i, k)] = got
-            return got
-
+        one = (0,) * tgt.nvars
+        powers: dict[tuple[int, int], dict] = {}
+        out: dict = {}
         for e, c in self.terms.items():
-            term = tgt.scalar(c)
+            term = {one: c}
             for i, k in enumerate(e):
                 if k:
-                    term = term * power(i, k)
-            result = result + term
-        return result
+                    p = powers.get((i, k))
+                    if p is None:
+                        image = images[i]
+                        if image.ring != tgt:
+                            raise PwbError("polynomials from different rings")
+                        p = powers[(i, k)] = (image ** k).terms
+                    term = _mul_terms(term, p)
+            _add_terms(out, term.items())
+        return Poly(tgt, out)
 
     def apply_linear(self, g: Matrix) -> "Poly":
         """Substitute x_i -> sum_j g[j][i] x_j (column convention) and expand."""
@@ -377,6 +343,39 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self})"
+
+
+def _add_terms(out: dict, terms) -> None:
+    """Add the (exponent, coefficient) pairs `terms` into the term dict `out`,
+    in order; a sum that cancels is dropped."""
+    for e, c in terms:
+        acc = out.get(e)
+        s = c if acc is None else acc + c
+        if s.is_zero():
+            out.pop(e, None)
+        else:
+            out[e] = s
+
+
+def _partial_terms(terms: dict, i: int) -> dict:
+    """The term dict of the partial derivative in x_i."""
+    out: dict = {}
+    for e, c in terms.items():
+        k = e[i]
+        if k:
+            out[e[:i] + (k - 1,) + e[i + 1:]] = c * k
+    return out
+
+
+def _mul_terms(a: dict, b: dict) -> dict:
+    """The product of two term dicts, the longer one in the inner loop.  The
+    result's term order and the conductor each sum is stored at follow this
+    loop order, so every product in pwb goes through here."""
+    big, small = (a, b) if len(a) > len(b) else (b, a)
+    out: dict = {}
+    _add_terms(out, ((tuple(map(add, e1, e2)), c1 * c2)
+                     for e2, c2 in small.items() for e1, c1 in big.items()))
+    return out
 
 
 def embed(poly: Poly, target: PolyRing, var_map: Optional[Sequence[int]] = None) -> Poly:

@@ -46,11 +46,12 @@ class RationalSeries:
 
     @staticmethod
     def one_over(factors: Iterable[Cyclo]) -> "RationalSeries":
-        """1 / prod (1 - xi*t) for xi in factors."""
+        """1 / prod (1 - xi*t) for xi in factors: 1 over a den with den(0) = 1
+        is already in normal form."""
         den = UPoly.one()
         for xi in factors:
             den = den * UPoly.one_minus(xi)
-        return RationalSeries(UPoly.one(), den)
+        return RationalSeries.reduced(UPoly.one(), den)
 
     def __add__(self, other: "RationalSeries") -> "RationalSeries":
         return RationalSeries(self.num * other.den + other.num * self.den,
@@ -122,4 +123,4 @@ def hilbert_weighted(degrees: Iterable[int]) -> RationalSeries:
     for d in degrees:
         factor = UPoly([_ONE] + [Cyclo.of(0)] * (d - 1) + [-_ONE])
         den = den * factor
-    return RationalSeries(UPoly.one(), den)
+    return RationalSeries.reduced(UPoly.one(), den)

@@ -7,7 +7,8 @@ Only the exact scalar type is shared; `OracleCyclo` is an independent
 Fraction-tuple reference for that type itself.  The eliminations pwb ran
 before its integer kernel (dense Gauss-Jordan over Cyclo entries, and the
 fixed-ring generator echelon over pwb `Poly` values) are kept here as
-references for that kernel.
+references for that kernel, and so are the `Poly`-product bracket and
+substitution and the fully enumerated invariant-monoid search.
 """
 from __future__ import annotations
 
@@ -455,6 +456,65 @@ def poly_echelon_generators(bases_per_degree: dict, d: int) -> list:
             if new is not None:
                 chosen.append((new, k))
     return chosen
+
+
+# -- Poly-level routines pwb ran before its term-dict bracket ----------------------
+#
+# pwb's bracket and substitution now run on term dicts with each partial taken
+# once, and its invariant-monoid search is bounded by the character orders.
+# These are the earlier versions, unchanged but for their names: the bracket
+# takes four `Poly.partial`s and three `Poly` products per table pair, and the
+# monoid generators are found by enumerating every monomial up to degree d.
+
+
+def poly_bracket(A, f, g):
+    """{f, g} of a pwb `PoissonAlgebra` by `Poly` partials and products."""
+    out = A.ring.zero()
+    for (i, j), p in A.table.items():
+        fi, fj = f.partial(i), f.partial(j)
+        gi, gj = g.partial(i), g.partial(j)
+        term = fi * gj - fj * gi
+        if not term.is_zero():
+            out = out + term * p
+    return out
+
+
+def poly_substitute(f, images, target=None):
+    """Evaluate a pwb `Poly` at x_i -> images[i] by `Poly` products and sums."""
+    tgt = target or f.ring
+    result = tgt.zero()
+    power_cache: dict = {}
+
+    def power(i: int, k: int):
+        got = power_cache.get((i, k))
+        if got is None:
+            got = images[i] ** k
+            power_cache[(i, k)] = got
+        return got
+
+    for e, c in f.terms.items():
+        term = tgt.scalar(c)
+        for i, k in enumerate(e):
+            if k:
+                term = term * power(i, k)
+        result = result + term
+    return result
+
+
+def _invariant_monomials(ring, logs, e: int, k: int) -> list:
+    return [x for x in ring.monomials_of_degree(k)
+            if all(sum(a * t for a, t in zip(row, x)) % e == 0 for row in logs)]
+
+
+def enumerated_monoid_generators(ring, logs, e: int, d: int) -> list:
+    """The non-decomposable invariant exponents up to degree d, by (degree,
+    grlex), from every monomial of each degree."""
+    gen_exps: list = []
+    for k in range(1, d + 1):
+        new = [x for x in _invariant_monomials(ring, logs, e, k)
+               if not any(all(a >= b for a, b in zip(x, g)) for g in gen_exps)]
+        gen_exps.extend(sorted(new, key=_grlex))
+    return gen_exps
 
 
 # -- the reference scalar type ---------------------------------------------------

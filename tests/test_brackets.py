@@ -1,11 +1,15 @@
+import random
+from fractions import Fraction
+
 import pytest
 
+import oracle
 from pwb.brackets import PoissonAlgebra
 from pwb.errors import JacobiFailsError, NotSplittableError
 from pwb.families import (homogenized_weyl, jacobian, jacobian_pq, lie_two_dim_nonabelian,
                           ph_lie, quantum_matrices, skew_symmetric, weyl)
 from pwb.linalg import Matrix
-from pwb.rings import PolyRing
+from pwb.rings import Poly, PolyRing
 from pwb.scalars import Cyclo, zeta
 from pwb.solver import EMPTY, IDEAL_ONLY, POINTS, SUBSPACE
 
@@ -60,13 +64,13 @@ def test_jacobi_failure_witness():
 
 def test_jacobi_check_visits_only_triples_with_a_nonzero_bracket(monkeypatch):
     calls = []
-    bracket_var = PoissonAlgebra.bracket_var
+    bracket = PoissonAlgebra.bracket
 
-    def counted(self, f, j):
-        calls.append((f, j))
-        return bracket_var(self, f, j)
+    def counted(self, f, g):
+        calls.append((f, g))
+        return bracket(self, f, g)
 
-    monkeypatch.setattr(PoissonAlgebra, "bracket_var", counted)
+    monkeypatch.setattr(PoissonAlgebra, "bracket", counted)
     ring = PolyRing([f"x{i}" for i in range(6)])
     assert PoissonAlgebra(ring, {}).jacobi_check() == (True, None)
     assert calls == []
@@ -285,3 +289,89 @@ def test_weyl_flags():
     assert H.quadratic
     assert H.bracket(H.ring.var(0), H.ring.var(1 + 2)).is_zero()  # {x1, y2} = 0
     assert H.bracket(H.ring.var(0), H.ring.var(2)) == H.ring.monomial((0, 0, 0, 0, 2))
+
+
+# -- the term-dict bracket and substitution against the Poly oracle -------------
+
+
+def _random_coefficient(rng):
+    # a value made at conductor 1, 3, 4 or 12; rational values stored at 12 too
+    n = rng.choice((1, 3, 4, 12))
+    c = Cyclo.of(Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3))))
+    if n > 1:
+        c = c * zeta(n, rng.randrange(n)) if rng.random() < 0.7 else c * zeta(n, 0)
+    return c if not c.is_zero() else Cyclo.of(1)
+
+
+def _random_poly(rng, ring, terms, degree):
+    out = ring.zero()
+    for _ in range(rng.randint(1, terms)):
+        e = [0] * ring.nvars
+        for _ in range(rng.randint(0, degree)):
+            e[rng.randrange(ring.nvars)] += 1
+        # added one term at a time, so equal monomials sum and may cancel
+        out = out + ring.monomial(e, _random_coefficient(rng))
+    return out
+
+
+def _random_table(rng, ring):
+    pairs = [(i, j) for i in range(ring.nvars) for j in range(i + 1, ring.nvars)]
+    return {pair: _random_poly(rng, ring, 3, 3)
+            for pair in rng.sample(pairs, rng.randint(1, len(pairs)))}
+
+
+def _stored(p):
+    """Terms in dict order with each coefficient as stored: conductor, numerators, denominator."""
+    return [(e, c.n, c.num, c.den) for e, c in p.terms.items()]
+
+
+def test_bracket_matches_the_poly_oracle_term_by_term():
+    # values, term order and stored conductors, on non-skew tables
+    rng = random.Random(20261018)
+    for _ in range(3000):
+        ring = PolyRing([f"x{i}" for i in range(rng.randint(2, 5))])
+        A = PoissonAlgebra(ring, _random_table(rng, ring), check_jacobi=False)
+        f = _random_poly(rng, ring, 4, 3)
+        g = f if rng.random() < 0.05 else _random_poly(rng, ring, 4, 3)
+        assert _stored(A.bracket(f, g)) == _stored(oracle.poly_bracket(A, f, g))
+
+
+def test_substitute_matches_the_poly_oracle_term_by_term():
+    rng = random.Random(31337)
+    for _ in range(3000):
+        ring = PolyRing([f"x{i}" for i in range(rng.randint(2, 5))])
+        target = ring if rng.random() < 0.5 else PolyRing([f"y{i}" for i in range(rng.randint(1, 5))])
+        f = _random_poly(rng, ring, 5, 4)
+        images = [_random_poly(rng, target, 3, 2) for _ in range(ring.nvars)]
+        assert (_stored(f.substitute(images, target))
+                == _stored(oracle.poly_substitute(f, images, target)))
+
+
+def test_bracket_matches_the_leibniz_oracle():
+    rng = random.Random(2006)
+    for _ in range(300):
+        ring = PolyRing([f"x{i}" for i in range(rng.randint(2, 4))])
+        table = _random_table(rng, ring)
+        A = PoissonAlgebra(ring, table, check_jacobi=False)
+        f, g = _random_poly(rng, ring, 3, 3), _random_poly(rng, ring, 3, 3)
+        dense = {pair: oracle.DensePoly(ring.nvars, p.terms) for pair, p in table.items()}
+        expected = oracle.OracleBracket(ring.nvars, dense).bracket(
+            oracle.DensePoly(ring.nvars, f.terms), oracle.DensePoly(ring.nvars, g.terms))
+        assert oracle.DensePoly(ring.nvars, A.bracket(f, g).terms).equals(expected)
+
+
+def test_bracket_takes_each_partial_once_and_forms_no_poly_product(monkeypatch):
+    # {f, g} of two linear forms on a 4-variable skew algebra: at most 2n
+    # partials per operand, and no Poly product
+    calls = []
+    partial, mul = Poly.partial, Poly.__mul__
+    monkeypatch.setattr(Poly, "partial", lambda self, i: calls.append(id(self)) or partial(self, i))
+    monkeypatch.setattr(Poly, "__mul__", lambda self, other: calls.append("mul") or mul(self, other))
+    A = skew_symmetric(Matrix([[0, 1, 2, zeta(3)], [-1, 0, 3, 1], [-2, -3, 0, 4],
+                               [-zeta(3), -1, -4, 0]]))
+    f = A.ring.linear_form([1, 2, 0, zeta(4)])
+    g = A.ring.linear_form([0, 1, -1, 3])
+    br = A.bracket(f, g)
+    assert calls.count(id(f)) <= 8 and calls.count(id(g)) <= 8
+    assert "mul" not in calls
+    assert br == oracle.poly_bracket(A, f, g)

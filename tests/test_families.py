@@ -4,6 +4,7 @@ from pwb.errors import LieJacobiFailsError, NotSkewError, ZeroPotentialError
 from pwb.families import (LieData, homogenized_weyl, jacobian, jacobian_pq, lie_abelian,
                           lie_one_dim_ideals, lie_two_dim_nonabelian, ph_lie,
                           quantum_matrices, skew_symmetric, sl2, weyl)
+from pwb.formats import parse_lie
 from pwb.linalg import Matrix
 from pwb.rings import PolyRing
 from pwb.scalars import zeta
@@ -82,6 +83,16 @@ def test_lie_jacobi_guard():
             (0, 2): (1, 0, 0),
             (1, 2): (0, 1, 0),
         })
+
+
+def test_lie_jacobi_check_skips_an_empty_bracket_table(monkeypatch):
+    # no triple holds a nonzero bracket, so a large dim costs nothing
+    calls = []
+    ad = LieData.ad
+    monkeypatch.setattr(LieData, "ad", lambda self, i, j: calls.append((i, j)) or ad(self, i, j))
+    name, lie = parse_lie("lie g { dim: 200; }")
+    assert (name, lie.dimension, lie.brackets) == ("g", 200, {})
+    assert calls == []
 
 
 @pytest.mark.parametrize("dimension, brackets, triple", [

@@ -1,4 +1,5 @@
 import dataclasses
+import random
 from collections import Counter
 
 import pytest
@@ -610,3 +611,33 @@ def test_canonical_generators_of_reynolds_bases_match_the_poly_echelon(rows):
     ring = PolyRing([f"x{i}" for i in range(len(rows[0]))])
     bases = fixedrings._reynolds_bases(ring, G, 6)
     _assert_generators_match_poly_echelon(bases, bases, 6)
+
+
+# -- the bounded invariant-monoid search against the full enumeration ----------
+
+
+def test_monoid_generators_match_the_full_enumeration():
+    # the oracle works degree by degree, so its list at d = 12 cut at degree d
+    # is its list at d
+    rng = random.Random(20260809)
+    for n in range(1, 6):
+        ring = PolyRing([f"x{i}" for i in range(n)])
+        for e in (1, 2, 3, 4, 6, 12):
+            for rows in (1, 2, 3):
+                logs = [[rng.randrange(e) for _ in range(n)] for _ in range(rows)]
+                every = oracle.enumerated_monoid_generators(ring, logs, e, 12)
+                for d in range(13):
+                    assert (fixedrings._monoid_generators(ring, logs, e, d)
+                            == [x for x in every if sum(x) <= d]), (n, e, logs, d)
+
+
+def test_monoid_generators_enumerate_no_monomials(monkeypatch):
+    # diag(zeta6, 1, 1, 1, 1) at d = 12: only the box x_1 < 6 and y1^6 are searched
+    def refused(*args):
+        raise AssertionError("monomials_of_degree called")
+
+    monkeypatch.setattr(PolyRing, "monomials_of_degree", refused)
+    ring = PolyRing([f"x{i}" for i in range(5)])
+    e, logs = _character_logs([[zeta(6), Cyclo.of(1), Cyclo.of(1), Cyclo.of(1), Cyclo.of(1)]])
+    assert fixedrings._monoid_generators(ring, logs, e, 12) == [
+        (0, 0, 0, 0, 1), (0, 0, 0, 1, 0), (0, 0, 1, 0, 0), (0, 1, 0, 0, 0), (6, 0, 0, 0, 0)]

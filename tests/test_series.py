@@ -71,3 +71,15 @@ def test_series_equality_and_sum():
 def test_hilbert_weighted():
     s = hilbert_weighted([1, 2])
     assert [c.as_fraction() for c in s.taylor(4)] == [1, 1, 2, 2, 3]
+
+
+def test_hilbert_series_are_stored_as_the_general_constructor_stores_them():
+    # 1 over a denominator with den(0) = 1 is already in normal form, so the
+    # constructor's gcd and scaling would change no stored coefficient
+    def stored(p):
+        return [(c.n, c.num, c.den) for c in p.coeffs]
+
+    for s in (hilbert_weighted([1, 1, 2, 6]), hilbert_free(3),
+              RationalSeries.one_over([zeta(3), zeta(4), 1, zeta(12, 5)])):
+        general = RationalSeries(s.num, s.den)
+        assert stored(s.num) == stored(general.num) and stored(s.den) == stored(general.den)
