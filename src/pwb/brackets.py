@@ -20,7 +20,7 @@ from .errors import (JacobiFailsError, NotMonomialError, NotQuadraticError,
 from .linalg import Matrix, kernel, rank
 from .rings import Poly, PolyRing, _add_terms, _mul_terms, _partial_terms
 from .scalars import Cyclo
-from .solver import (DEFAULT_BUDGET, AffineResult, SolutionSet,
+from .solver import (DEFAULT_BUDGET, AffineResult, Ideal, SolutionSet,
                      aggregate_chart_results, classify_affine, groebner_basis)
 from .solver import EMPTY as solver_empty
 from .solver import IDEAL_ONLY as solver_ideal
@@ -421,12 +421,12 @@ class OreSplit:
         return transport(self.algebra, Matrix(cols).transpose(), names)
 
 
-def transport(A: PoissonAlgebra, basis: Matrix, names: Sequence[str],
-              check_jacobi: bool = False) -> PoissonAlgebra:
+def transport(A: PoissonAlgebra, basis: Matrix, names: Sequence[str]) -> PoissonAlgebra:
     """The bracket of A written in the linear coordinates y with x = basis * y.
 
     Column j of `basis` holds the x-coefficients of the new degree-one
-    element y_j.
+    element y_j.  A change of basis keeps the Jacobi identity, so it is not
+    checked again.
     """
     n = A.nvars
     inv = basis.inverse()
@@ -439,7 +439,7 @@ def transport(A: PoissonAlgebra, basis: Matrix, names: Sequence[str],
             br = A.bracket(new_elems[i], new_elems[j])
             if not br.is_zero():
                 table[(i, j)] = br.substitute(images, yring)
-    return PoissonAlgebra(yring, table, check_jacobi=check_jacobi)
+    return PoissonAlgebra(yring, table, check_jacobi=False)
 
 
 class DerivedIdeal:
@@ -478,7 +478,6 @@ class DerivedIdeal:
         return out
 
     def contains(self, f: Poly, budget: int = DEFAULT_BUDGET) -> bool:
-        from .solver import Ideal
         if f.is_zero():
             return True
         if self.is_monomial():

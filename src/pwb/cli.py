@@ -20,7 +20,7 @@ from .errors import (FileFormatError, InfiniteOrderError, InvalidDegreeError,
                      NotAutomorphismError, PwbError)
 from .families import (jacobian, jacobian_pq, homogenized_weyl, ph_lie,
                        quantum_matrices, skew_symmetric, weyl)
-from .fixedrings import fixed_group, group_molien, is_skew_presentation, rigidity_report
+from .fixedrings import fixed_group, is_skew_presentation, rigidity_report
 from .formats import (classification_json, cyclo_json, emit_algebra,
                       matrix_json, parse_algebra, parse_lie, parse_map, parse_matrix,
                       presented_json, reflections_json, rigidity_json, series_json,
@@ -29,7 +29,7 @@ from .rings import PolyRing
 from .solver import DEFAULT_BUDGET
 from .suite import run_suite
 from .symmetry import (PoissonGroup, classify, find_reflections, group_closure,
-                       is_poisson_automorphism, trace_series)
+                       is_poisson_automorphism, molien_series, trace_series)
 
 SCHEMA = "pwb/1"
 
@@ -140,7 +140,7 @@ def cmd_molien(args, inputs) -> CommandResult:
     _require_non_negative("order", args.order)
     name, A = _load_algebra(args.algebra, inputs, args.defer_jacobi)
     group = _load_group(args, A, name, inputs)
-    series = group_molien(group)
+    series = molien_series(group)
     return CommandResult({
         "algebra": name,
         "group_order": group.order,
@@ -275,9 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--group", required=True,
                            help="comma-separated map files generating the group")
             p.add_argument("--bound", type=int, default=512,
-                           help="cap on each generator's order and on any enumeration of "
-                                "the group's elements (not on the computed order of a "
-                                "diagonalizable abelian group)")
+                           help="cap on each generator's order and on the enumeration of "
+                                "a group without a common eigenbasis (an abelian group "
+                                "with one is never enumerated)")
 
     p = sub.add_parser("check", help="verify the Jacobi identity or map compatibility")
     common(p)

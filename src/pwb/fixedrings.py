@@ -15,18 +15,15 @@ from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from .brackets import PoissonAlgebra, transport
-from .errors import (BoundExceededError, DegreeBoundTooSmallError,
-                     InducedBracketNotClosedError, InvalidDegreeError, NotReflectionError,
-                     PwbError)
+from .errors import (DegreeBoundTooSmallError, InducedBracketNotClosedError,
+                     InvalidDegreeError, NotReflectionError, PwbError)
 from .linalg import Echelon, Matrix, realify, unrealify
 from .rings import Poly, PolyRing, grlex_key
-from .scalars import (Cyclo, conductor, cyclotomic_polynomial, divisors, euler_phi,
-                      zpoly_mul, zpoly_quotient)
+from .scalars import Cyclo, conductor, euler_phi
 from .series import RationalSeries, hilbert_weighted
 from .solver import DEFAULT_BUDGET, Subalgebra
-from .symmetry import (REFLECTION, GradedMap, PoissonGroup, _character_logs, classify,
-                       group_closure, molien_series)
-from .upoly import UPoly
+from .symmetry import (REFLECTION, GradedMap, PoissonGroup, _require_character_table,
+                       classify, group_closure, molien_series)
 
 TRUNCATION_CAVEAT = ("generator completeness certified only up to the degree bound; "
                      "higher-degree invariants are not excluded")
@@ -140,33 +137,29 @@ def fixed_group(A: PoissonAlgebra, group: PoissonGroup, bound: Optional[int] = N
                 budget: int = DEFAULT_BUDGET) -> PresentedPoisson:
     """Invariant generators up to the degree bound with the induced bracket.
 
-    The invariants of each degree come from one of two sources.  When the
-    group generators share an eigenbasis (a diagonal group; `group_closure`
-    keeps the eigenbasis in `group.diagonal`), their eigenvalues are roots of
-    unity, stored once as integer logs a_ij modulo the exponent e
-    (zeta_e^a_ij is the eigenvalue of generator i on y_j).
-    The invariants are then the eigenbasis monomials y^x with
-    sum_j a_ij x_j = 0 mod e for every i, and the Molien series is
-    N(t)/(1 - t^e)^n, where N counts the invariant x in [0, e)^n by degree
-    (character orthogonality); no cyclotomic arithmetic is left in either.
-    One integer rule picks a diagonal group's generators: the
-    non-decomposable invariant exponents x (`_monoid_generators`), and
-    `canonical` changes only the last step.  By default the invariant
-    monomials are expanded at the degrees of those x alone (elsewhere
-    products of lower-degree generators span every invariant) and reduced
-    there by `_canonical_generators`; with `canonical=False` the generators
-    are the y^x themselves, with a monomially factored bracket table.
-    Otherwise the invariants are the nonzero Reynolds averages of the
-    monomials over the group elements, reduced by `_canonical_generators` at
-    every degree, and the Molien series is the average of 1/det(1 - g t)
-    over the elements.  The induced bracket is written in the generators by
-    their `Subalgebra`, and every route ends in the same certification: the
-    Molien series against the free product over the generator degrees,
+    The invariants of each degree come from one of two sources.  For an
+    abelian form (`group.diagonal`: a common eigenbasis and the integer
+    logs a_ij of the characters modulo the exponent e, zeta_e^a_ij being
+    the eigenvalue of generator i on y_j), they are the eigenbasis
+    monomials y^x with sum_j a_ij x_j = 0 mod e for every i, and no
+    cyclotomic arithmetic is left in choosing them.  One integer rule picks
+    a diagonal group's generators: the non-decomposable invariant exponents
+    x (`_monoid_generators`), and `canonical` changes only the last step.
+    By default the invariant monomials are expanded at the degrees of those
+    x alone (elsewhere products of lower-degree generators span every
+    invariant) and reduced there by `_canonical_generators`; with
+    `canonical=False` the generators are the y^x themselves, with a
+    monomially factored bracket table.  Otherwise the invariants are the
+    nonzero Reynolds averages of the monomials over the enumerated
+    elements, reduced by `_canonical_generators` at every degree.  The
+    induced bracket is written in the generators by their `Subalgebra`,
+    and every route ends in the same certification: the group's
+    `molien_series` against the free product over the generator degrees,
     relations from the same `Subalgebra`, and `DegreeBoundTooSmallError`
     naming the first degree where the Molien series exceeds the generated
-    subalgebra.  A negative
-    bound raises `InvalidDegreeError`, and a diagonal group of order above
-    `CHARACTER_LIMIT` `BoundExceededError`, before any of this.
+    subalgebra.  A negative bound raises `InvalidDegreeError`, and an
+    abelian form of order above `CHARACTER_LIMIT` `BoundExceededError`,
+    before any of this.
     """
     if bound is not None and bound < 0:
         raise InvalidDegreeError(f"degree bound {bound} is negative")
@@ -197,18 +190,17 @@ def _fixed(A: PoissonAlgebra, group: PoissonGroup, d: int, canonical: bool,
     the bracket table and the relations read."""
     if group.diagonal is None:
         route = _canonical_route(A, _reynolds_bases(A.ring, group, d), budget)
-        molien = molien_series(group)
     else:
-        T, chars = group.diagonal
-        e, logs = _character_logs(chars)
+        T, logs = group.diagonal
+        e = group.exponent
         gen_exps = _monoid_generators(A.ring, logs, e, d)
         if canonical:
             bases = _diagonal_bases(A.ring, T, logs, e, {sum(x) for x in gen_exps})
             route = _canonical_route(A, bases, budget)
         else:
             route = _monomial_route(A, T, gen_exps, budget)
-        molien = _character_molien(logs, e, A.nvars)
     sub, degrees, table = route
+    molien = molien_series(group)
     product = hilbert_weighted(degrees)
     polynomial = molien == product
     diagnostics = [TRUNCATION_CAVEAT]
@@ -291,69 +283,6 @@ def _monoid_generators(ring: PolyRing, logs, e: int, d: int) -> list[tuple[int, 
         if not any(all(a >= b for a, b in zip(x, g)) for g in gen_exps):
             gen_exps.append(x)
     return gen_exps
-
-
-# `_character_molien` keeps one count per character of the group: a table of
-# |G| keys that a few generators of moderate order can make arbitrarily large.
-CHARACTER_LIMIT = 1 << 16
-
-
-def _require_character_table(group: PoissonGroup) -> None:
-    """`BoundExceededError` when the abelian form has more than
-    `CHARACTER_LIMIT` characters to count."""
-    if group.diagonal is not None and group.order > CHARACTER_LIMIT:
-        raise BoundExceededError(f"group of order {group.order} has more than "
-                                 f"{CHARACTER_LIMIT} characters to count")
-
-
-def _character_molien(logs, e: int, n: int) -> RationalSeries:
-    """Molien series of the diagonal group with these character logs.
-
-    The invariant exponents are closed under adding e to a coordinate, so
-    each is an invariant x in [0, e)^n plus e times an exponent vector, and
-    the series is N(t)/(1 - t^e)^n with N(t) = sum t^|x| over those x.  N
-    is counted coordinate by coordinate, keyed by the residue of each
-    character.  Then every factor of 1 - t^e = (1 - t) * prod_{1 < d | e}
-    Phi_d that divides N is cancelled, which leaves the normal form.
-    """
-    zero = (0,) * len(logs)
-    counts: dict[tuple[int, ...], list[int]] = {zero: [1]}
-    for j in range(n):
-        col = [row[j] for row in logs]
-        nxt: dict[tuple[int, ...], list[int]] = {}
-        for res, poly in counts.items():
-            for x in range(e):
-                key = tuple((r + a * x) % e for r, a in zip(res, col))
-                acc = nxt.setdefault(key, [])
-                if len(acc) < len(poly) + x:
-                    acc.extend([0] * (len(poly) + x - len(acc)))
-                for k, c in enumerate(poly):
-                    acc[k + x] += c
-        counts = nxt
-    num = counts[zero]
-    den = [1]
-    for d in divisors(e):
-        factor = [1, -1] if d == 1 else list(cyclotomic_polynomial(d))
-        power = n
-        while power:
-            q = zpoly_quotient(num, factor)
-            if q is None:
-                break
-            num, power = q, power - 1
-        for _ in range(power):
-            den = zpoly_mul(den, factor)
-    return RationalSeries.reduced(UPoly(num), UPoly(den))
-
-
-def group_molien(group: PoissonGroup) -> RationalSeries:
-    """The Molien series of a group: the charpoly sum `molien_series` over
-    its elements, or, for an abelian form past the enumeration bound, which
-    has no such sum, the character count `_character_molien`."""
-    if group.diagonal is None or group.order <= group.bound:
-        return molien_series(group)
-    _require_character_table(group)
-    e, logs = _character_logs(group.diagonal[1])
-    return _character_molien(logs, e, group.generators[0].n)
 
 
 def _expander(ring: PolyRing, T: Matrix):
@@ -523,6 +452,11 @@ class AlgebraProfile:
 DISTINGUISHED = "distinguished"
 NOT_DISTINGUISHED = "not_distinguished"
 
+# the (weighted) degrees up to which a profile computes the center and the
+# derived ideal
+CENTER_BOUND = 3
+DERIVED_BOUND = 4
+
 # invariants that do not depend on a choice of grading; compared in this order
 _ROBUST_INVARIANTS = ("polynomial", "unimodular", "center_gen_in_derived",
                       "derived_components")
@@ -538,11 +472,11 @@ class RigidityReport:
     notes: list[str] = field(default_factory=list)
 
 
-def profile_algebra(B: PoissonAlgebra, label: str, weights: Optional[Sequence[int]] = None,
-                    center_bound: int = 3, derived_bound: int = 4) -> AlgebraProfile:
+def profile_algebra(B: PoissonAlgebra, label: str,
+                    weights: Optional[Sequence[int]] = None) -> AlgebraProfile:
     w = list(weights) if weights is not None else [1] * B.nvars
-    derived = B.derived_ideal(derived_bound, w)
-    center = B.center_truncated(center_bound, w)
+    derived = B.derived_ideal(DERIVED_BOUND, w)
+    center = B.center_truncated(CENTER_BOUND, w)
     center_gen = next((basis[0] for k, basis in enumerate(center) if k and basis), None)
     monomial = derived.is_monomial()
     prof = AlgebraProfile(
@@ -561,8 +495,7 @@ def profile_algebra(B: PoissonAlgebra, label: str, weights: Optional[Sequence[in
     return prof
 
 
-def profile_presented(P: PresentedPoisson, label: str, center_bound: int = 3,
-                      derived_bound: int = 4) -> AlgebraProfile:
+def profile_presented(P: PresentedPoisson, label: str) -> AlgebraProfile:
     if not P.polynomial:
         return AlgebraProfile(
             label=label, polynomial=False,
@@ -570,21 +503,18 @@ def profile_presented(P: PresentedPoisson, label: str, center_bound: int = 3,
             notes=["non-polynomial presentation: only presentation-level data computed"]
                   + list(P.diagnostics))
     B = P.as_algebra(check_jacobi=False)
-    prof = profile_algebra(B, label, weights=P.degrees,
-                           center_bound=center_bound, derived_bound=derived_bound)
+    prof = profile_algebra(B, label, weights=P.degrees)
     prof.notes.extend(P.diagnostics)
     return prof
 
 
 def rigidity_report(A: PoissonAlgebra, group: PoissonGroup, bound: Optional[int] = None,
-                    center_bound: int = 3, derived_bound: int = 4,
                     budget: int = DEFAULT_BUDGET) -> RigidityReport:
     """Profiles of A and A^G compared on grading-independent invariants; the
     fixed ring comes first, so a negative bound is rejected before any work."""
     presented = fixed_group(A, group, bound=bound, budget=budget)
-    prof_a = profile_algebra(A, "A", center_bound=center_bound, derived_bound=derived_bound)
-    prof_g = profile_presented(presented, "A^G", center_bound=center_bound,
-                               derived_bound=derived_bound)
+    prof_a = profile_algebra(A, "A")
+    prof_g = profile_presented(presented, "A^G")
     verdict, witness = NOT_DISTINGUISHED, None
     for name in _ROBUST_INVARIANTS:
         va, vg = getattr(prof_a, name), getattr(prof_g, name)

@@ -83,6 +83,10 @@ def parse_algebra(text: str, check_jacobi: bool = True) -> tuple[str, PoissonAlg
     for v in vars_decl:
         if not _is_identifier(v):
             raise FileFormatError(f"variable name '{v}' is not an identifier")
+        if v.startswith("_"):
+            # helper rings join names such as _m1, _k1 and _tag1 to the user's
+            raise FileFormatError(f"variable name '{v}' starts with '_', a prefix reserved "
+                                  "for internal names")
     ring = PolyRing(tuple(vars_decl))
     table: dict = {}
     for a, b, expr in brackets:

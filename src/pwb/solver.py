@@ -410,20 +410,6 @@ def set_dedup(values: list[Cyclo]) -> list[Cyclo]:
     return out
 
 
-def _canonical_affine(particular: list[Cyclo], directions: list[list[Cyclo]]
-                      ) -> tuple[tuple, tuple]:
-    """Canonical (particular, direction-space) pair for affine-subspace equality."""
-    dirs, pivots, _ = rref([dict(enumerate(v)) for v in directions], len(particular))
-    p = list(particular)
-    for row, pv in zip(dirs, pivots):
-        f = p[pv]
-        if not f.is_zero():
-            p = [x - f * y for x, y in zip(p, row)]
-    key_dirs = tuple(tuple(str(x) for x in r) for r in dirs)
-    key_p = tuple(str(x) for x in p)
-    return key_p, key_dirs
-
-
 def solve_projective(gens: Sequence[Poly], ring: PolyRing,
                      budget: int = DEFAULT_BUDGET) -> SolutionSet:
     """Classify the projective zero set of a homogeneous system."""
@@ -503,8 +489,8 @@ def aggregate_chart_results(chart_results: list[AffineResult], n: int,
         uniq.sort(key=lambda p: tuple(str(c) for c in p))
         return SolutionSet(POINTS, n, points=tuple(uniq))
 
-    candidate = rref([dict(enumerate(v)) for v in span_vectors], n)[0]
-    if _verify_union_is_subspace(candidate, chart_results, n):
+    candidate, pivots, _ = rref([dict(enumerate(v)) for v in span_vectors], n)
+    if _union_is_subspace(pivots, chart_results):
         return SolutionSet(SUBSPACE, n, basis=tuple(tuple(r) for r in candidate))
     return SolutionSet(IDEAL_ONLY, n, generators=fallback)
 
@@ -514,36 +500,26 @@ def _linear_kernel(gens: Sequence[Poly], ring: PolyRing) -> list[list[Cyclo]]:
                    for e, c in g.terms.items()} for g in gens], ring.nvars)
 
 
-def _verify_union_is_subspace(basis: list[list[Cyclo]], chart_results: list[AffineResult],
-                              n: int) -> bool:
-    """Check the chart pieces assemble exactly to the candidate subspace."""
-    b = Matrix(basis)  # r x n
+def _union_is_subspace(pivots: list[int], chart_results: list[AffineResult]) -> bool:
+    """Whether the chart pieces make up all of P(V), for V the row space of
+    a reduced row echelon form with these pivot columns.
+
+    V meets chart m (coordinates before m zero, coordinate m one) only when
+    m is a pivot, and then in the row with pivot m plus the span of the rows
+    with later pivots.  Each piece lies in that set by construction, and
+    nested affine subspaces of equal dimension are equal, so the dimensions
+    decide: a piece must be empty off the pivots, and on a pivot have one
+    direction per later pivot (a points piece is one point, of dimension 0).
+    """
     for m, res in enumerate(chart_results):
-        # V intersect chart m: combinations s with (s.B)_i = 0 for i < m, = 1 at m
-        rows = [[b.rows[k][i] for k in range(b.nrows)] for i in range(m + 1)]
-        rhs = [_ZERO] * m + [_ONE]
-        s0 = solve_linear(Matrix(rows), rhs)
-        if s0 is None:
+        if m not in pivots:
             if res.kind != EMPTY:
                 return False
             continue
-        if res.kind == EMPTY:
-            return False
-        null = Matrix(rows).kernel_basis()
-        part = [sum((s0[k] * b.rows[k][i] for k in range(b.nrows)), _ZERO) for i in range(n)]
-        dirs = []
-        for kv in null:
-            d = [sum((kv[k] * b.rows[k][i] for k in range(b.nrows)), _ZERO) for i in range(n)]
-            dirs.append(d)
+        later = sum(1 for p in pivots if p > m)
         if res.kind == POINTS:
-            if len(res.points) != 1 or dirs and any(any(not x.is_zero() for x in d) for d in dirs):
+            if len(res.points) != 1 or later:
                 return False
-            expect = [_ZERO] * m + [_ONE] + list(res.points[0])
-            if _canonical_affine(part, [])[0] != _canonical_affine(expect, [])[0]:
-                return False
-        else:
-            expect_p = [_ZERO] * m + [_ONE] + list(res.particular)
-            expect_d = [[_ZERO] * (m + 1) + list(d) for d in res.directions]
-            if _canonical_affine(part, dirs) != _canonical_affine(expect_p, expect_d):
-                return False
+        elif res.kind != SUBSPACE or len(res.directions) != later:
+            return False
     return True

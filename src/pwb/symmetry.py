@@ -20,11 +20,12 @@ from .errors import (BoundExceededError, InfiniteOrderError, NotSkewError, PwbEr
                      SingularMatrixError)
 from .linalg import Matrix, hermite_normal_form
 from .rings import Poly, PolyRing, grlex_key
-from .scalars import Cyclo, lcm, zeta
+from .scalars import (Cyclo, cyclotomic_polynomial, divisors, lcm, zeta, zpoly_mul,
+                      zpoly_quotient)
 from .series import RationalSeries
 from .solver import (DEFAULT_BUDGET, EMPTY, IDEAL_ONLY, POINTS, SUBSPACE,
-                     AffineResult, classify_affine, groebner_basis,
-                     normal_form, set_dedup)
+                     AffineResult, _poly_to_upoly, _substitute_value, classify_affine,
+                     groebner_basis, normal_form, set_dedup)
 from .upoly import UPoly, extract_roots
 
 _ZERO = Cyclo.of(0)
@@ -181,26 +182,19 @@ def trace_series(g: GradedMap) -> RationalSeries:
 class PoissonGroup:
     """A finite group of graded maps, kept as its generators.
 
-    `diagonal` is a common eigenbasis T of the generators and each one's
-    eigenvalues on the columns of T, or None.  With it (the abelian form)
-    the order and exponent come from the eigenvalues alone; without it
-    `group_closure` has enumerated the elements.  Either way `elements` is
-    the breadth-first enumeration from the identity, built when first read
-    and capped at `bound` elements.
+    `diagonal` is the abelian form (T, logs), or None: a common eigenbasis T
+    of the generators and the integer logs of their characters modulo the
+    exponent e, so that zeta_e^logs[i][j] is generator i's eigenvalue on
+    column j of T.  The order and the Molien series of an abelian form come
+    from the logs, and `elements` is None.  Otherwise `elements` is the
+    breadth-first enumeration from the identity.
     """
 
     generators: tuple
     order: int
     exponent: int
     diagonal: Optional[tuple] = None
-    bound: int = 512
-    _elements: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
-
-    @property
-    def elements(self) -> tuple:
-        if self._elements is None:
-            object.__setattr__(self, "_elements", _enumerate(self.generators, self.bound))
-        return self._elements
+    elements: Optional[tuple] = None
 
 
 def group_closure(gens: Sequence[GradedMap], bound: int = 512) -> PoissonGroup:
@@ -209,11 +203,11 @@ def group_closure(gens: Sequence[GradedMap], bound: int = 512) -> PoissonGroup:
     A generator of infinite order raises `InfiniteOrderError` (carrying its
     position as `.index`), and then one of order above `bound` a plain
     `BoundExceededError`, before any element is built.  Commuting generators
-    with a common eigenbasis give the abelian form: the exponent is the lcm
-    of the generator orders, the order is the lattice index of
-    `_abelian_order`, and no element is built.  Otherwise the elements are
-    enumerated breadth-first, at most `bound` of them, and the exponent is
-    the lcm of their orders.
+    with a common eigenbasis give the abelian form: the character logs are
+    computed once, modulo the exponent (the lcm of the generator orders),
+    the order is the lattice index of `_abelian_order`, and no element is
+    built.  Otherwise the elements are enumerated breadth-first, at most
+    `bound` of them, and the exponent is the lcm of their orders.
     """
     if not gens:
         raise PwbError("need at least one generator")
@@ -226,14 +220,14 @@ def group_closure(gens: Sequence[GradedMap], bound: int = 512) -> PoissonGroup:
         exponent = lcm(exponent, k)
     diagonal = _try_diagonalize(gens)
     if diagonal is not None:
-        return PoissonGroup(gens, _abelian_order(diagonal[1]), exponent, diagonal, bound)
+        T, chars = diagonal
+        e, logs = _character_logs(chars)
+        return PoissonGroup(gens, _abelian_order(logs, e), e, (T, logs))
     elements = _enumerate(gens, bound)
-    for e in elements:
+    for h in elements:
         # an element's order is at most the group order, so within the bound
-        exponent = lcm(exponent, e.order())
-    group = PoissonGroup(gens, len(elements), exponent, None, bound)
-    object.__setattr__(group, "_elements", elements)
-    return group
+        exponent = lcm(exponent, h.order())
+    return PoissonGroup(gens, len(elements), exponent, None, elements)
 
 
 def _enumerate(gens: Sequence[GradedMap], bound: int) -> tuple:
@@ -315,16 +309,15 @@ def _character_logs(chars) -> tuple[int, list[list[int]]]:
     return e, [[a * e // m for a, m in row] for row in found]
 
 
-def _abelian_order(chars) -> int:
-    """Order of the abelian group with these characters on a common eigenbasis.
+def _abelian_order(logs, e: int) -> int:
+    """Order of the abelian group with these character logs modulo e.
 
-    With logs L (r x n) modulo the exponent e, the group is the image of
-    Z^r -> (Z/e)^n, x -> xL, so its order is the index of e*Z^n in the
-    lattice spanned by the rows of L and e*I_n: e^n over the product of the
-    pivots of that lattice's Hermite normal form.
+    With logs L (r x n), the group is the image of Z^r -> (Z/e)^n, x -> xL,
+    so its order is the index of e*Z^n in the lattice spanned by the rows of
+    L and e*I_n: e^n over the product of the pivots of that lattice's
+    Hermite normal form.
     """
-    e, logs = _character_logs(chars)
-    n = len(chars[0])
+    n = len(logs[0])
     lattice = hermite_normal_form(logs + [[e if i == j else 0 for j in range(n)]
                                           for i in range(n)])
     index = 1
@@ -333,10 +326,70 @@ def _abelian_order(chars) -> int:
     return e ** n // index
 
 
+# `_character_molien` keeps one count per character of the group: a table of
+# |G| keys that a few generators of moderate order can make arbitrarily large.
+CHARACTER_LIMIT = 1 << 16
+
+
+def _require_character_table(group: PoissonGroup) -> None:
+    """`BoundExceededError` when the abelian form has more than
+    `CHARACTER_LIMIT` characters to count."""
+    if group.diagonal is not None and group.order > CHARACTER_LIMIT:
+        raise BoundExceededError(f"group of order {group.order} has more than "
+                                 f"{CHARACTER_LIMIT} characters to count")
+
+
+def _character_molien(logs, e: int, n: int) -> RationalSeries:
+    """Molien series of the diagonal group with these character logs.
+
+    The invariant exponents are closed under adding e to a coordinate, so
+    each is an invariant x in [0, e)^n plus e times an exponent vector, and
+    the series is N(t)/(1 - t^e)^n with N(t) = sum t^|x| over those x.  N
+    is counted coordinate by coordinate, keyed by the residue of each
+    character.  Then every factor of 1 - t^e = (1 - t) * prod_{1 < d | e}
+    Phi_d that divides N is cancelled, which leaves the normal form.
+    """
+    zero = (0,) * len(logs)
+    counts: dict[tuple[int, ...], list[int]] = {zero: [1]}
+    for j in range(n):
+        col = [row[j] for row in logs]
+        nxt: dict[tuple[int, ...], list[int]] = {}
+        for res, poly in counts.items():
+            for x in range(e):
+                key = tuple((r + a * x) % e for r, a in zip(res, col))
+                acc = nxt.setdefault(key, [])
+                if len(acc) < len(poly) + x:
+                    acc.extend([0] * (len(poly) + x - len(acc)))
+                for k, c in enumerate(poly):
+                    acc[k + x] += c
+        counts = nxt
+    num = counts[zero]
+    den = [1]
+    for d in divisors(e):
+        factor = [1, -1] if d == 1 else list(cyclotomic_polynomial(d))
+        power = n
+        while power:
+            q = zpoly_quotient(num, factor)
+            if q is None:
+                break
+            num, power = q, power - 1
+        for _ in range(power):
+            den = zpoly_mul(den, factor)
+    return RationalSeries.reduced(UPoly(num), UPoly(den))
+
+
 def molien_series(group: PoissonGroup) -> RationalSeries:
+    """The Molien series, the average of 1/det(1 - g t) over the group.  An
+    abelian form counts its invariant eigenbasis monomials by character
+    (`_character_molien`, at most `CHARACTER_LIMIT` characters); any other
+    group sums `trace_series` over its elements."""
+    if group.diagonal is not None:
+        _require_character_table(group)
+        T, logs = group.diagonal
+        return _character_molien(logs, group.exponent, T.nrows)
     total = None
-    for e in group.elements:
-        s = trace_series(e)
+    for g in group.elements:
+        s = trace_series(g)
         total = s if total is None else total + s
     return total / Cyclo.of(group.order)
 
@@ -400,6 +453,9 @@ NO_REFLECTIONS = "no_reflections"
 FOUND = "found"
 INCONCLUSIVE = "inconclusive"
 
+# verified reflections exhibited per leaf of the search
+MAX_SAMPLES = 2
+
 
 @dataclass
 class ReflectionFamily:
@@ -428,8 +484,7 @@ class ReflectionsReport:
     diagnostics: list[str] = field(default_factory=list)
 
 
-def find_reflections(A: PoissonAlgebra, budget: int = DEFAULT_BUDGET,
-                     max_samples: int = 2) -> ReflectionsReport:
+def find_reflections(A: PoissonAlgebra, budget: int = DEFAULT_BUDGET) -> ReflectionsReport:
     A.require_quadratic("find_reflections")
     n = A.nvars
     charts: list[tuple[list, int]] = []  # (direction coefficient vectors over params, nparams)
@@ -471,7 +526,7 @@ def find_reflections(A: PoissonAlgebra, budget: int = DEFAULT_BUDGET,
     inconclusive = False
     for chart_idx, (vectors, nparams) in enumerate(charts):
         try:
-            found = _solve_reflection_chart(A, vectors, nparams, budget, max_samples)
+            found = _solve_reflection_chart(A, vectors, nparams, budget)
         except PwbError as exc:
             inconclusive = True
             diagnostics.append(f"chart {chart_idx}: {exc}")
@@ -494,8 +549,8 @@ def find_reflections(A: PoissonAlgebra, budget: int = DEFAULT_BUDGET,
     return ReflectionsReport(NO_REFLECTIONS, normal_set=normset, diagnostics=diagnostics)
 
 
-def _solve_reflection_chart(A: PoissonAlgebra, vectors, nparams: int, budget: int,
-                            max_samples: int) -> list[ReflectionFamily]:
+def _solve_reflection_chart(A: PoissonAlgebra, vectors, nparams: int,
+                            budget: int) -> list[ReflectionFamily]:
     """Reflections with eigenvector u = v0 + sum_l t_l v_(l+1)."""
     n = A.nvars
     param_names = tuple(f"_t{l+1}" for l in range(nparams))
@@ -582,7 +637,7 @@ def _solve_reflection_chart(A: PoissonAlgebra, vectors, nparams: int, budget: in
             continue
         seen.add(sig)
         samples = _sample_reflections(A, vectors, nparams, pk, assignments, residual,
-                                      xi_expr, xi_free, max_samples, budget)
+                                      xi_expr, xi_free, budget)
         families.append(ReflectionFamily(
             chart=-1,
             direction=tuple(d.as_scalar() if d.is_scalar() else d for d in direction),
@@ -594,7 +649,6 @@ def _solve_reflection_chart(A: PoissonAlgebra, vectors, nparams: int, budget: in
 
 
 def _apply_assignments(p: Poly, assignments: dict, ring: PolyRing) -> Poly:
-    from .solver import _substitute_value
     for var, value in assignments.items():
         p = _substitute_value(p, var, value)
     return p
@@ -611,7 +665,6 @@ def _branch_solve(equations: list[Poly], ring: PolyRing, assignments: dict,
     gb = groebner_basis(eqs, grlex_key, budget)
     if any(g.is_scalar() for g in gb):
         return
-    from .solver import _poly_to_upoly, _substitute_value
     # univariate generators: branch on their split roots
     for g in gb:
         for var in range(ring.nvars):
@@ -642,7 +695,7 @@ def _branch_solve(equations: list[Poly], ring: PolyRing, assignments: dict,
 
 def _sample_reflections(A: PoissonAlgebra, vectors, nparams: int, pk: PolyRing,
                         assignments: dict, residual: list, xi_expr: Poly,
-                        xi_free: bool, max_samples: int, budget: int) -> list[GradedMap]:
+                        xi_free: bool, budget: int) -> list[GradedMap]:
     """Concrete verified reflections on a leaf."""
     targets: list[list[Poly]] = []
     if xi_free:
@@ -653,7 +706,7 @@ def _sample_reflections(A: PoissonAlgebra, vectors, nparams: int, pk: PolyRing,
         targets.append(list(residual))
     out: list[GradedMap] = []
     for gens in targets:
-        if len(out) >= max_samples:
+        if len(out) >= MAX_SAMPLES:
             break
         point = _find_point(gens, pk, assignments, budget)
         if point is None:
@@ -671,7 +724,6 @@ def _sample_reflections(A: PoissonAlgebra, vectors, nparams: int, pk: PolyRing,
 def _find_point(gens: list[Poly], ring: PolyRing, assignments: dict,
                 budget: int, depth: int = 0) -> Optional[list[Cyclo]]:
     """One exact solution of the system, free variables getting small values."""
-    from .solver import _substitute_value
     if depth > ring.nvars + 2:
         return None
     values: dict = dict(assignments)

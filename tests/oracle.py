@@ -8,7 +8,9 @@ Fraction-tuple reference for that type itself.  The eliminations pwb ran
 before its integer kernel (dense Gauss-Jordan over Cyclo entries, and the
 fixed-ring generator echelon over pwb `Poly` values) are kept here as
 references for that kernel, and so are the `Poly`-product bracket and
-substitution and the fully enumerated invariant-monoid search.
+substitution, the fully enumerated invariant-monoid search, the Molien
+series summed over enumerated elements (with `pwb.series` for the sum of
+fractions) and the chart-union check of projective solving.
 """
 from __future__ import annotations
 
@@ -19,7 +21,11 @@ from math import gcd
 from typing import Optional
 
 from pwb.errors import ScalarError, ZeroElementError
+from pwb.linalg import Matrix, rref, solve_linear
 from pwb.scalars import Cyclo, cyclotomic_polynomial, euler_phi, lcm
+from pwb.solver import EMPTY, POINTS
+from pwb.series import RationalSeries
+from pwb.upoly import UPoly
 
 ZERO = Cyclo.of(0)
 ONE = Cyclo.of(1)
@@ -222,21 +228,20 @@ def matrix_order_by_iteration(rows, cap: int = 64):
     return None
 
 
-def group_by_products(mats, bound: int):
+def _dense_mul(a, b):
+    n = len(a)
+    return [[sum((a[i][k] * b[k][j] for k in range(n)), ZERO) for j in range(n)]
+            for i in range(n)]
+
+
+def group_elements(mats, bound: int):
     """The group generated by square matrices (lists of rows), as pwb enumerated
     it before it computed abelian groups from their characters: breadth-first
-    from the identity with products by the definition, and the exponent as the
-    lcm of the element orders by power iteration.  Returns (keys, exponent),
-    each element keyed by its entries lifted to the lcm conductor M of the
-    generators (see `matrix_key`), or (None, None) past `bound` elements."""
+    from the identity with products by the definition.  Returns the element
+    matrices (lists of Cyclo rows), or None past `bound` elements."""
     n = len(mats[0])
     gens = [[[Cyclo.of(x) for x in row] for row in m] for m in mats]
     m = conductor_of(gens)
-
-    def mul(a, b):
-        return [[sum((a[i][k] * b[k][j] for k in range(n)), ZERO) for j in range(n)]
-                for i in range(n)]
-
     identity = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
     seen = {matrix_key(identity, m)}
     elements = frontier = [identity]
@@ -244,19 +249,63 @@ def group_by_products(mats, bound: int):
         new_frontier = []
         for e in frontier:
             for g in gens:
-                h = mul(e, g)
+                h = _dense_mul(e, g)
                 key = matrix_key(h, m)
                 if key not in seen:
                     seen.add(key)
                     new_frontier.append(h)
                     if len(seen) > bound:
-                        return None, None
+                        return None
         elements = elements + new_frontier
         frontier = new_frontier
+    return elements
+
+
+def group_by_products(mats, bound: int):
+    """The `group_elements` of these generators as (keys, exponent): each
+    element keyed by its entries lifted to the lcm conductor M of the
+    generators (see `matrix_key`), and the exponent as the lcm of the element
+    orders by power iteration; or (None, None) past `bound` elements."""
+    elements = group_elements(mats, bound)
+    if elements is None:
+        return None, None
+    m = conductor_of([[[Cyclo.of(x) for x in row] for row in g] for g in mats])
     exponent = 1
     for e in elements:
         exponent = lcm(exponent, matrix_order_by_iteration(e, cap=bound))
-    return seen, exponent
+    return {matrix_key(e, m) for e in elements}, exponent
+
+
+def det_one_minus_t(rows) -> list[Cyclo]:
+    """Coefficients of det(1 - g t) in t, from the power sums p_k = tr(g^k) by
+    Newton's identities: det(1 - g t) = sum_k (-1)^k e_k t^k with
+    k e_k = sum_{i=1}^k (-1)^(i-1) e_(k-i) p_i."""
+    n = len(rows)
+    p = [ZERO]
+    power = rows
+    for _ in range(n):
+        p.append(sum((power[i][i] for i in range(n)), ZERO))
+        power = _dense_mul(power, rows)
+    e = [ONE]
+    for k in range(1, n + 1):
+        acc = ZERO
+        for i in range(1, k + 1):
+            term = e[k - i] * p[i]
+            acc = acc + term if i % 2 else acc - term
+        e.append(acc / k)
+    return [c if k % 2 == 0 else -c for k, c in enumerate(e)]
+
+
+def molien_by_charpoly_sum(mats):
+    """The Molien series of the group the matrices generate, as pwb summed it
+    before it counted the characters of an abelian group: 1/det(1 - g t)
+    summed over the `group_elements` (at most 512) and divided by their number."""
+    elements = group_elements(mats, 512)
+    total = None
+    for g in elements:
+        s = RationalSeries(UPoly.one(), UPoly(det_one_minus_t(g)))
+        total = s if total is None else total + s
+    return total / Cyclo.of(len(elements))
 
 
 def conductor_of(mats) -> int:
@@ -859,3 +908,59 @@ def _poly_modular_inverse(a: list[Fraction], mod: list[Fraction]) -> list[Fracti
         raise ZeroElementError("element is a zero divisor (not invertible)")
     inv_gcd = 1 / r0[0]
     return [c * inv_gcd for c in s0]
+
+
+# -- the chart-union check of projective solving ------------------------------
+#
+# `pwb.solver.aggregate_chart_results` accepts a union of chart pieces as the
+# subspace P(V) by counting pivots of V.  This is the check it ran before: it
+# solves for V's piece in each chart and compares it with the chart's piece as
+# canonical affine subspaces keyed by their printed entries.
+
+
+def canonical_affine(particular: list[Cyclo], directions: list[list[Cyclo]]
+                     ) -> tuple[tuple, tuple]:
+    """Canonical (particular, direction-space) pair for affine-subspace equality."""
+    dirs, pivots, _ = rref([dict(enumerate(v)) for v in directions], len(particular))
+    p = list(particular)
+    for row, pv in zip(dirs, pivots):
+        f = p[pv]
+        if not f.is_zero():
+            p = [x - f * y for x, y in zip(p, row)]
+    key_dirs = tuple(tuple(str(x) for x in r) for r in dirs)
+    key_p = tuple(str(x) for x in p)
+    return key_p, key_dirs
+
+
+def verify_union_is_subspace(basis: list[list[Cyclo]], chart_results, n: int) -> bool:
+    """Check the chart pieces assemble exactly to the candidate subspace."""
+    b = Matrix(basis)  # r x n
+    for m, res in enumerate(chart_results):
+        # V intersect chart m: combinations s with (s.B)_i = 0 for i < m, = 1 at m
+        rows = [[b.rows[k][i] for k in range(b.nrows)] for i in range(m + 1)]
+        rhs = [ZERO] * m + [ONE]
+        s0 = solve_linear(Matrix(rows), rhs)
+        if s0 is None:
+            if res.kind != EMPTY:
+                return False
+            continue
+        if res.kind == EMPTY:
+            return False
+        null = Matrix(rows).kernel_basis()
+        part = [sum((s0[k] * b.rows[k][i] for k in range(b.nrows)), ZERO) for i in range(n)]
+        dirs = []
+        for kv in null:
+            d = [sum((kv[k] * b.rows[k][i] for k in range(b.nrows)), ZERO) for i in range(n)]
+            dirs.append(d)
+        if res.kind == POINTS:
+            if len(res.points) != 1 or dirs and any(any(not x.is_zero() for x in d) for d in dirs):
+                return False
+            expect = [ZERO] * m + [ONE] + list(res.points[0])
+            if canonical_affine(part, [])[0] != canonical_affine(expect, [])[0]:
+                return False
+        else:
+            expect_p = [ZERO] * m + [ONE] + list(res.particular)
+            expect_d = [[ZERO] * (m + 1) + list(d) for d in res.directions]
+            if canonical_affine(part, dirs) != canonical_affine(expect_p, expect_d):
+                return False
+    return True

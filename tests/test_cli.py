@@ -1,10 +1,14 @@
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
-from pwb import cli, fixedrings, symmetry
+import oracle
+from pwb import fixedrings, symmetry
 from pwb.cli import main
+from pwb.formats import parse_map, series_json
+from pwb.rings import PolyRing
 
 JAC10 = """
 algebra jac {
@@ -427,14 +431,27 @@ def z_group(tmp_path, maps) -> list[str]:
     ["map r on Z { y -> z; z -> -y - z; }", "map m on Z { x -> -x; }"],
     ["map g on Z { x -> zeta(4)*x; y -> zeta(6)*y; }", "map h on Z { z -> -z; }"],
 ])
-def test_molien_of_a_diagonal_group_prints_the_charpoly_sum(tmp_path, capsys, monkeypatch, maps):
-    argv = ["molien", *z_group(tmp_path, maps), "--order", "8"]
-    assert main(argv) == 0
-    printed = capsys.readouterr()
-    monkeypatch.setattr(cli, "group_molien", symmetry.molien_series)
-    assert main(argv) == 0
-    by_charpoly_sum = capsys.readouterr()
-    assert (printed.out, printed.err) == (by_charpoly_sum.out, by_charpoly_sum.err)
+def test_molien_of_a_diagonal_group_prints_the_charpoly_sum(tmp_path, capsys, monkeypatch,
+                                                           maps):
+    # the character count prints the series and Taylor values of the oracle's
+    # sum of 1/det(1 - g t) over its own enumeration, every Taylor value at
+    # conductor 1; within the default --bound, the closure computes the
+    # character logs once and nothing enumerates the group
+    calls = Counter()
+    for name in ("_enumerate", "trace_series", "_character_logs"):
+        def call(*args, _name=name, _fn=getattr(symmetry, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(symmetry, name, call)
+    code, report = run(capsys, "molien", *z_group(tmp_path, maps), "--order", "8")
+    assert code == 0 and calls == Counter(_character_logs=1)
+    result = report["result"]
+    ring = PolyRing(("x", "y", "z"))
+    mats = [parse_map(text, ring)[2].matrix.rows for text in maps]
+    reference = oracle.molien_by_charpoly_sum(mats)
+    assert result["molien_series"] == series_json(reference)
+    assert [c["str"] for c in result["taylor"]] == [str(c) for c in reference.taylor(8)]
+    assert {c["conductor"] for c in result["taylor"]} == {1}
 
 
 @pytest.mark.parametrize("maps, bound", [
@@ -443,10 +460,9 @@ def test_molien_of_a_diagonal_group_prints_the_charpoly_sum(tmp_path, capsys, mo
 ])
 def test_molien_past_the_bound_counts_characters_to_the_same_series(tmp_path, capsys,
                                                                    maps, bound):
-    # a bound at the largest generator order is below the group order, so the
-    # characters are counted; the default bound enumerates the elements and
-    # takes the charpoly sum, whose coefficients may be stored at a larger
-    # conductor, so the printed values are compared
+    # a bound at the largest generator order is below the group order; the
+    # bound caps generator orders only, and an abelian form is counted by its
+    # characters at any bound
     argv = ["molien", *z_group(tmp_path, maps), "--order", "8"]
     reports = []
     for extra in (["--bound", str(bound)], []):
@@ -456,6 +472,50 @@ def test_molien_past_the_bound_counts_characters_to_the_same_series(tmp_path, ca
         reports.append((result["group_order"], result["exponent"],
                         result["molien_series"]["str"], [c["str"] for c in result["taylor"]]))
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("command, text, maps", [
+    # each helper ring joins names with one of these prefixes to the user's:
+    # the normal-element charts (_m), the reflection search (_t, _k) and the
+    # subalgebra tags (_tag)
+    ("normal", "algebra R {\n  vars: _m1, x, y;\n  bracket{x,y} = x*y;\n}\n", []),
+    ("reflections", "algebra R {\n  vars: _k1, x, y;\n  bracket{_k1,x} = 2*_k1*x;\n"
+                    "  bracket{x,y} = 3*x*y;\n  bracket{_k1,y} = -_k1*y;\n}\n", []),
+    ("fixed", "algebra R {\n  vars: _tag1, y;\n  bracket{_tag1,y} = _tag1*y;\n}\n",
+     ["map g on R { _tag1 -> -_tag1; }"]),
+], ids=["normal", "reflections", "fixed"])
+def test_a_variable_name_with_the_internal_prefix_is_refused(tmp_path, capsys, command,
+                                                            text, maps):
+    f = tmp_path / "r.pois"
+    f.write_text(text)
+    argv = [command, "--algebra", str(f)]
+    if maps:
+        m = tmp_path / "g.map"
+        m.write_text(maps[0])
+        argv += ["--group", str(m)]
+    code, report = run(capsys, *argv)
+    name = text.split("vars: ")[1].split(",")[0]
+    assert code == 1
+    assert report["diagnostics"] == [
+        f"FileFormatError: variable name '{name}' starts with '_', a prefix reserved "
+        "for internal names"]
+
+
+def test_molien_prints_the_same_bytes_within_and_past_the_bound(tmp_path, capsys):
+    # a swap times zeta3 on z, and diag(-1, -1, 1): a group of order 12 whose
+    # largest generator order is 6; both runs count the characters, so every
+    # Taylor value prints at conductor 1
+    maps = ["map s on Z { x -> y; y -> x; z -> zeta(3)*z; }",
+            "map m on Z { x -> -x; y -> -y; }"]
+    argv = ["molien", *z_group(tmp_path, maps), "--order", "8"]
+    printed = []
+    for extra in (["--bound", "6"], []):
+        assert main(argv + extra) == 0
+        printed.append(capsys.readouterr())
+    assert printed[0] == printed[1]
+    result = json.loads(printed[1].out)["result"]
+    assert result["group_order"] == 12
+    assert {c["conductor"] for c in result["taylor"]} == {1}
 
 
 @pytest.mark.parametrize("command", ["fixed", "report", "molien"])
@@ -471,13 +531,13 @@ def test_an_abelian_form_past_the_character_limit_fails_before_any_work(tmp_path
         maps.append(str(m))
     work = []
     monkeypatch.setattr(fixedrings, "_fixed", lambda *a: work.append("_fixed"))
-    monkeypatch.setattr(fixedrings, "_character_molien",
+    monkeypatch.setattr(symmetry, "_character_molien",
                         lambda *a: work.append("_character_molien"))
     code, report = run(capsys, command, "--algebra", str(f), "--group", ",".join(maps))
     assert code == 1 and work == []
     assert report["diagnostics"] == [
         "BoundExceededError: group of order 16777216 has more than "
-        f"{fixedrings.CHARACTER_LIMIT} characters to count"]
+        f"{symmetry.CHARACTER_LIMIT} characters to count"]
 
 
 def test_molien_on_a_group_past_the_enumeration_bound(tmp_path, capsys):

@@ -1,6 +1,6 @@
 """Every name a `pwb` module imports is used in it (`__init__.py` re-exports),
-every private module-level function is referenced, and every function the
-benchmark tracer wraps exists."""
+no function body imports anything, every private module-level function is
+referenced, and every function the benchmark tracer wraps exists."""
 import ast
 import importlib
 from pathlib import Path
@@ -45,6 +45,31 @@ def test_unused_import_is_found():
               "import os.path\n"
               "def f() -> \"PwbError\":\n    \"\"\"SingularMatrixError\"\"\"\n")
     assert unused_imports(source) == ["SingularMatrixError (line 1)", "os (line 2)"]
+
+
+def function_body_imports(source: str) -> list[str]:
+    """The import statements inside function bodies, as "function (line n)"."""
+    found = set()
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    found.add(f"{fn.name} (line {node.lineno})")
+    return sorted(found)
+
+
+def test_no_function_body_imports():
+    # every import is at a module top, where an import cycle would show at once
+    found = [f"{p.name}: {where}" for p in sorted(SRC.glob("*.py"))
+             for where in function_body_imports(p.read_text())]
+    assert found == []
+
+
+def test_function_body_import_is_found():
+    source = ("import os\n"
+              "class C:\n    def m(self):\n        from .errors import PwbError\n"
+              "def f():\n    def g():\n        import sys\n    return g\n")
+    assert function_body_imports(source) == ["f (line 7)", "g (line 7)", "m (line 4)"]
 
 
 def unreferenced_private_functions(sources: dict[str, str]) -> list[str]:

@@ -243,7 +243,7 @@ def test_fixed_ring_two_generator_group_consistency():
     p = fixed_group(A, G, bound=4)
     assert p.polynomial == (p.molien == hilbert_weighted(p.degrees))
     for e in p.expressions:
-        for h in G.elements:
+        for h in G.generators:
             assert h.apply(e) == e
     for (i, j), entry in p.table.items():
         assert entry.substitute(list(p.expressions), A.ring) == \

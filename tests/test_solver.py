@@ -1,10 +1,16 @@
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracle
+from pwb import linalg, solver
 from pwb.errors import DegreeBudgetExceededError
+from pwb.families import (homogenized_weyl, jacobian_pq, lie_two_dim_nonabelian, ph_lie,
+                          quantum_matrices, skew_symmetric, sl2)
+from pwb.linalg import Matrix
 from pwb.rings import PolyRing
 from pwb.scalars import Cyclo, zeta
 from pwb.solver import (EMPTY, IDEAL_ONLY, POINTS, SUBSPACE, Ideal, classify_affine,
@@ -205,3 +211,71 @@ def test_groebner_basis_matches_sympy(polys):
     got = {frozenset((e, c.as_fraction()) for e, c in g.terms.items())
            for g in groebner_basis(polys)}
     assert got == expected
+
+
+# -- chart unions: pivot counts against the old check ----------------------------
+
+
+def with_old_union_check(solve):
+    """Run `solve()` with `aggregate_chart_results` deciding a chart union by
+    the oracle's old check instead of by pivot counts."""
+    candidate = {}
+
+    def recorded_rref(rows, ncols):
+        candidate["rref"] = out = linalg.rref(rows, ncols)
+        candidate["n"] = ncols
+        return out
+
+    def old_check(pivots, chart_results):
+        return oracle.verify_union_is_subspace(candidate["rref"][0], chart_results,
+                                               candidate["n"])
+
+    with patch.object(solver, "rref", recorded_rref), \
+            patch.object(solver, "_union_is_subspace", old_check):
+        return solve()
+
+
+@st.composite
+def products_of_linear_forms(draw):
+    """(ring, system) in 2 to 4 unknowns: each equation l_i * f_k of a linear
+    form l_i cutting out a subspace V with a small integer linear form f_k.
+    Where every f_k is a coordinate, each chart sees the l_i alone, so the
+    pieces are affine and their union is P(V); other forms f_k make unions
+    that are or are not a subspace."""
+    n = draw(st.integers(2, 4))
+    ring = PolyRing([f"m{i}" for i in range(1, n + 1)])
+    coeff = st.sampled_from([-1, 0, 0, 1, 2])
+    cuts = [ring.linear_form([draw(coeff) for _ in range(n)])
+            for _ in range(draw(st.integers(1, n - 1)))]
+    factors = []
+    for _ in range(draw(st.integers(1, n))):
+        if draw(st.booleans()):
+            factors.append(ring.var(draw(st.integers(0, n - 1))))
+        else:
+            factors.append(ring.linear_form([draw(coeff) for _ in range(n)]))
+    return ring, [l * f for l in cuts for f in factors]
+
+
+MU3 = PolyRing(["m1", "m2", "m3"])
+
+
+@settings(max_examples=80, deadline=None)
+@given(products_of_linear_forms())
+@example((MU3, [MU3.parse("m1^2"), MU3.parse("m1*m2")]))   # the plane m1 = 0
+@example((MU3, [MU3.parse("m1*m2"), MU3.parse("m1*m3")]))  # a plane and a point
+@example((MU3, [MU3.parse("m1*m2"), MU3.parse("m2*m3"), MU3.parse("m1*m3")]))  # three points
+def test_chart_unions_by_pivot_counts_match_the_old_check(case):
+    ring, gens = case
+    expected = with_old_union_check(lambda: solve_projective(gens, ring))
+    assert solve_projective(gens, ring) == expected
+
+
+@pytest.mark.parametrize("algebra", [
+    quantum_matrices(2), jacobian_pq(1, 0), jacobian_pq(0, 1), homogenized_weyl(1),
+    ph_lie(sl2()), ph_lie(lie_two_dim_nonabelian()),
+    skew_symmetric(Matrix([[0, 1, 1], [-1, 0, 1], [-1, -1, 0]])),
+    skew_symmetric(Matrix([[0, 1, 0, 2], [-1, 0, 0, 0], [0, 0, 0, 3], [-2, 0, -3, 0]])),
+], ids=["qmatrix2", "jac_p", "jac_q", "hweyl1", "ph_sl2", "ph_lie2", "skew3", "skew4"])
+def test_normal_elements_by_pivot_counts_match_the_old_check(algebra):
+    expected = with_old_union_check(algebra.normal_find_deg1)
+    assert algebra.normal_find_deg1() == expected

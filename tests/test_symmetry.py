@@ -176,22 +176,16 @@ def checks(calls):
 
 
 def test_group_closure_products_skip_the_det(monkeypatch):
-    # a product of invertible maps is invertible: the closure of two commuting
-    # generators (12 elements, 24 products) runs no invertibility check per product
-    a = GradedMap(Matrix.diagonal([zeta(3), 1, 1]))
-    b = GradedMap(Matrix.diagonal([1, zeta(4), -1]))
+    # a product of invertible maps is invertible: the enumeration of Q8 (8
+    # elements, 16 products) runs no invertibility check per product
+    a, b = (GradedMap(Matrix(rows)) for rows in Q8)
     calls = record_calls(monkeypatch)
     G = group_closure([a, b])
-    assert G.order == 12 and G.exponent == 12
+    assert G.order == 8 and G.exponent == 4
     assert not checks(calls)
     # the elements are still the products, and still invertible
     assert all(not e.matrix.det().is_zero() for e in G.elements)
     assert G.elements[-1] == GradedMap(G.elements[-1].matrix)
-
-
-def _printed(diagonal):
-    T, chars = diagonal
-    return str(T), [[str(c) for c in row] for row in chars]
 
 
 @settings(max_examples=40, deadline=None)
@@ -199,49 +193,51 @@ def _printed(diagonal):
                        conjugated=st.booleans()))
 @example((2, [Matrix.diagonal([zeta(12), 1]), Matrix.diagonal([zeta(4), zeta(6)])]))
 def test_abelian_form_matches_the_enumeration(case):
-    # order, exponent and elements of the abelian form against a breadth-first
-    # enumeration; the eigenbasis and characters print as when computed afresh
+    # order and exponent of the abelian form against a breadth-first
+    # enumeration; the eigenbasis prints as when computed afresh, and the
+    # logs are those of the fresh characters, modulo the exponent
     n, mats = case
     G = group_closure([GradedMap(m) for m in mats])
-    assert G.diagonal is not None
-    assert _printed(G.diagonal) == _printed(symmetry._try_diagonalize(
-        [GradedMap(m) for m in mats]))
-    T, chars = G.diagonal
+    assert G.diagonal is not None and G.elements is None
+    T, logs = G.diagonal
+    fresh_T, chars = symmetry._try_diagonalize([GradedMap(m) for m in mats])
+    assert str(T) == str(fresh_T)
+    assert symmetry._character_logs(chars) == (G.exponent, logs)
     T_inv = T.inverse()
-    for m, row in zip(mats, chars):
-        assert T_inv * m * T == Matrix.diagonal(row)
+    for m, row in zip(mats, logs):
+        assert T_inv * m * T == Matrix.diagonal([zeta(G.exponent, a) for a in row])
     assume(G.order <= 512)
     keys, exponent = oracle.group_by_products([m.rows for m in mats], 512)
     assert (G.order, G.exponent) == (len(keys), exponent)
-    assert len(G.elements) == G.order
-    M = oracle.conductor_of([m.rows for m in mats])
-    assert {oracle.matrix_key(e.matrix.rows, M) for e in G.elements} == keys
 
 
 def test_bound_caps_the_enumeration_not_the_computed_order():
     gens = [GradedMap(Matrix.diagonal([zeta(12) if i == j else 1 for j in range(3)]))
             for i in range(3)]
     G = group_closure(gens, bound=12)
-    assert (G.order, G.exponent) == (1728, 12)
-    with pytest.raises(BoundExceededError, match="group closure exceeded 12 elements"):
-        G.elements
+    assert (G.order, G.exponent) == (1728, 12) and G.elements is None
+    # a group without a common eigenbasis is enumerated, within the bound
+    with pytest.raises(BoundExceededError, match="group closure exceeded 5 elements"):
+        group_closure([GradedMap(Matrix(r)) for r in S3], bound=5)
 
 
-def test_reading_the_elements_leaves_the_group_equal():
-    # the enumeration is a cache: not a constructor argument, not compared
+def test_an_abelian_form_holds_no_elements_and_groups_are_frozen():
+    # the elements are a field, set only for a group without a common eigenbasis
     gens = [GradedMap(Matrix.diagonal([zeta(3), 1])), GradedMap(Matrix.diagonal([1, -1]))]
     G, H = group_closure(gens), group_closure(gens)
-    assert len(G.elements) == 6
-    assert G == H
-    with pytest.raises(TypeError):
-        PoissonGroup(tuple(gens), 6, 6, None, 512, G.elements)
+    assert G.elements is None and G == H
+    assert G == PoissonGroup(tuple(gens), 6, 6, G.diagonal)
+    K, L = (group_closure([GradedMap(Matrix(r)) for r in S3]) for _ in range(2))
+    assert len(K.elements) == 6 and K == L
     with pytest.raises(AttributeError):
         G.order = 7
 
 
 def test_abelian_closure_multiplies_no_maps_and_diagonalizes_once(monkeypatch):
-    # commuting diagonalizable generators: no element is built, and the closure,
-    # the fixed ring and the rigidity report share one simultaneous diagonalization
+    # commuting diagonalizable generators: no element is built or enumerated,
+    # and the closure, the Molien series, the fixed ring and the rigidity
+    # report share one simultaneous diagonalization and one computation of
+    # the character logs, and sum no trace series
     calls = Counter()
 
     def counted(name, fn):
@@ -251,16 +247,17 @@ def test_abelian_closure_multiplies_no_maps_and_diagonalizes_once(monkeypatch):
         return call
 
     monkeypatch.setattr(GradedMap, "__mul__", counted("product", GradedMap.__mul__))
-    monkeypatch.setattr(symmetry, "_try_diagonalize",
-                        counted("diagonalize", symmetry._try_diagonalize))
+    for name in ("_try_diagonalize", "_character_logs", "_enumerate", "trace_series"):
+        monkeypatch.setattr(symmetry, name, counted(name, getattr(symmetry, name)))
     A = skew2(2)
     G = group_closure([GradedMap(Matrix.diagonal([zeta(3), 1])),
                        GradedMap(Matrix.diagonal([1, -1]))])
     assert (G.order, G.exponent) == (6, 6)
-    assert calls == Counter(diagonalize=1)
+    assert calls == Counter(_try_diagonalize=1, _character_logs=1)
+    assert molien_series(G) == hilbert_weighted([3, 2])
     assert fixed_group(A, G).degrees == (2, 3)
     assert rigidity_report(A, G, bound=3).presented.degrees == (2, 3)
-    assert calls == Counter(diagonalize=1)
+    assert calls == Counter(_try_diagonalize=1, _character_logs=1)
 
 
 S3 = ([[0, 1, 0], [1, 0, 0], [0, 0, 1]], [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
@@ -278,6 +275,11 @@ def test_enumerated_groups_take_orders_from_eigenvalues(monkeypatch):
         assert G.diagonal is None
         assert (G.order, G.exponent) == (order, exponent)
         assert all("order" in e._cache for e in G.elements)
+        # the elements themselves, against the oracle's enumeration
+        mats = [[[Cyclo.of(x) for x in row] for row in r] for r in rows]
+        keys, _ = oracle.group_by_products(mats, 512)
+        M = oracle.conductor_of(mats)
+        assert {oracle.matrix_key(e.matrix.rows, M) for e in G.elements} == keys
     assert calls == []
     # a generator order above the bound is a plain bound error, before any product
     with pytest.raises(BoundExceededError, match="generator 2 has order 3, above the bound 2"
