@@ -43,6 +43,13 @@ class DegreeBudgetExceededError(PwbError):
         self.budget = budget
 
 
+class UnsplittableConditionError(PwbError):
+    """A univariate condition has roots outside the cyclotomic numbers."""
+
+    def __init__(self, condition):
+        super().__init__(f"univariate condition {condition} does not split over cyclotomic numbers")
+
+
 class NotSkewError(PwbError):
     pass
 

@@ -2,9 +2,15 @@
 
 Buchberger with the coprime and chain criteria only; instance sizes here are
 a handful of variables with low-degree generators.  A degree budget converts
-nontermination risk into a typed error.  Projective solving classifies the
-zero set honestly: linear subspace, finitely many points enumerable over
-cyclotomic numbers, or the raw elimination ideal.
+nontermination risk into a typed error.
+
+`split` is the one routine that branches on a system.  It splits the zero set
+by three rules: on a univariate generator whose roots split over cyclotomic
+numbers, on monomial content, and, when a zero-dimensional grlex basis holds
+no univariate generator, on the univariate in the last variable that its lex
+basis always holds.  Affine and projective solving classify the zero set
+honestly: linear subspace, finitely many points (the leaves of `split`), or
+the raw elimination ideal.
 """
 from __future__ import annotations
 
@@ -12,13 +18,15 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
-from .errors import DegreeBudgetExceededError, PwbError
+from .errors import DegreeBudgetExceededError, PwbError, UnsplittableConditionError
 from .linalg import Matrix, kernel, rref, solve_linear
 from .rings import Poly, PolyRing, embed, grlex_key
 from .scalars import Cyclo
 from .upoly import UPoly, extract_roots
 
 DEFAULT_BUDGET = 24
+# deepest chain of branches `split` takes before it gives up
+BRANCH_DEPTH = 40
 
 _ZERO = Cyclo.of(0)
 _ONE = Cyclo.of(1)
@@ -178,10 +186,6 @@ class Ideal:
         return normal_form(f, gb).is_zero()
 
 
-def ideal_member(f: Poly, ideal: Ideal, budget: int = DEFAULT_BUDGET) -> bool:
-    return ideal.member(f, budget=budget)
-
-
 class Subalgebra:
     """k[g_1..g_r] in the ring of the g_i, by tag variables (Shannon-Sweedler):
     one basis of the ideal (g_i - t_i) with the ambient variables eliminated,
@@ -327,16 +331,25 @@ def classify_affine(gens: Sequence[Poly], ring: PolyRing,
         return AffineResult(EMPTY)
     if all(g.total_degree() <= 1 for g in gb):
         return _solve_linear_system(gb, ring)
-    # zero-dimensional iff every variable has a pure-power leading monomial
-    lead_exps = [g.leading(grlex_key)[0] for g in gb]
-    zero_dim = all(
-        any(e[i] and all(k == 0 for j, k in enumerate(e) if j != i) for e in lead_exps)
-        for i in range(n))
-    if zero_dim:
-        points = _enumerate_zero_dim(gens, ring, budget)
-        if points is not None:
-            return AffineResult(POINTS, points=points)
+    if _zero_dimensional(gb, range(n)):
+        try:
+            leaves = split(gb, ring, budget)
+        except (UnsplittableConditionError, DegreeBudgetExceededError):
+            return AffineResult(IDEAL_ONLY, gb=gb)
+        # a zero-dimensional system splits into leaves that fix every variable
+        points: list[list[Cyclo]] = []
+        for assignments, _ in leaves:
+            point = [assignments[i] for i in range(n)]
+            if point not in points:
+                points.append(point)
+        return AffineResult(POINTS, points=points)
     return AffineResult(IDEAL_ONLY, gb=gb)
+
+
+def _zero_dimensional(gb: Sequence[Poly], variables) -> bool:
+    """Whether each of `variables` is alone in some grlex leading monomial."""
+    leads = [g.leading(grlex_key)[0] for g in gb]
+    return all(any(e[i] and sum(e) == e[i] for e in leads) for i in variables)
 
 
 def _solve_linear_system(gens: Sequence[Poly], ring: PolyRing) -> AffineResult:
@@ -361,53 +374,98 @@ def _solve_linear_system(gens: Sequence[Poly], ring: PolyRing) -> AffineResult:
     return AffineResult(SUBSPACE, particular=particular, directions=directions)
 
 
-def _enumerate_zero_dim(gens: Sequence[Poly], ring: PolyRing,
-                        budget: int) -> Optional[list[list[Cyclo]]]:
-    n = ring.nvars
-    try:
-        gb = groebner_basis(gens, lex_order, budget)
-    except DegreeBudgetExceededError:
-        return None
-    points: list[list[Cyclo]] = []
+def split(equations: Sequence[Poly], ring: PolyRing,
+          budget: int = DEFAULT_BUDGET) -> list[tuple[dict[int, Cyclo], list[Poly]]]:
+    """The zero set of `equations` as a union of leaves (assignments, basis).
 
-    def rec(current: list[Poly], assignment: list[Optional[Cyclo]], var: int) -> bool:
-        current = [g for g in current if not g.is_zero()]
-        if any(g.is_scalar() for g in current):
-            return True
-        if var < 0:
-            points.append([assignment[i] or _ZERO for i in range(n)])
-            return True
-        uni = None
-        for g in current:
-            u = _poly_to_upoly(g, var)
-            if u is not None and u.degree() >= 1:
-                uni = u if uni is None or u.degree() < uni.degree() else uni
-        if uni is None:
-            # variable unconstrained: not zero-dimensional after all
-            return False
-        roots, rem = extract_roots(uni)
-        if rem.degree() >= 1:
-            return False
-        for r in set_dedup(roots):
-            assignment[var] = r
-            nxt = [_substitute_value(g, var, r) for g in current]
-            if not rec(nxt, assignment, var - 1):
-                return False
-            assignment[var] = None
-        return True
+    A leaf fixes some variables (indices into `ring`) to cyclotomic values and
+    keeps the reduced grlex basis of the rest of the system.  Three rules
+    branch, tried in order:
+    1. a univariate generator branches on each of its roots; a root outside
+       the cyclotomic numbers raises `UnsplittableConditionError`;
+    2. a generator x^a * h with monomial content branches on V(x_i) for each
+       x_i in x^a, and on V(h);
+    3. a zero-dimensional basis with no univariate generator is re-based in
+       lex, whose basis holds a univariate in the last free variable, and
+       rule 1 splits that.
+    A basis no rule applies to is a leaf.  Going past `BRANCH_DEPTH` nested
+    branches raises `PwbError`.
+    """
+    leaves: list[tuple[dict[int, Cyclo], list[Poly]]] = []
 
-    ok = rec(list(gb), [None] * n, n - 1)
-    if not ok:
-        return None
-    return points
+    def on_univariate(basis: list[Poly], assignments: dict, depth: int) -> bool:
+        for g in basis:
+            for var in range(ring.nvars):
+                if var in assignments:
+                    continue
+                u = _poly_to_upoly(g, var)
+                if u is not None and u.degree() >= 1:
+                    roots, rem = extract_roots(u)
+                    if rem.degree() >= 1:
+                        raise UnsplittableConditionError(g)
+                    for i, r in enumerate(roots):
+                        if r not in roots[:i]:
+                            branch([_substitute_value(h, var, r) for h in basis],
+                                   {**assignments, var: r}, depth + 1)
+                    return True
+        return False
+
+    def branch(eqs: list[Poly], assignments: dict, depth: int) -> None:
+        if depth > BRANCH_DEPTH:
+            raise PwbError(f"splitting went past depth {BRANCH_DEPTH} (solver.BRANCH_DEPTH)")
+        eqs = [e for e in eqs if not e.is_zero()]
+        if any(e.is_scalar() for e in eqs):
+            return
+        gb = groebner_basis(eqs, grlex_key, budget)
+        if any(g.is_scalar() for g in gb) or on_univariate(gb, assignments, depth):
+            return
+        # V(x^a * h) = V(x_i) for each x_i in x^a, union V(h)
+        for g in gb:
+            content, cofactor = g.monomial_content()
+            if any(content):
+                for v in (i for i, k in enumerate(content) if k):
+                    branch(gb + [ring.var(v)], assignments, depth + 1)
+                branch([cofactor if h is g else h for h in gb], assignments, depth + 1)
+                return
+        free = [v for v in range(ring.nvars) if v not in assignments]
+        if _zero_dimensional(gb, free) and \
+                on_univariate(groebner_basis(gb, lex_order, budget), assignments, depth):
+            return
+        leaves.append((assignments, gb))
+
+    branch(list(equations), {}, 0)
+    return leaves
 
 
-def set_dedup(values: list[Cyclo]) -> list[Cyclo]:
-    out: list[Cyclo] = []
-    for v in values:
-        if not any(v == w for w in out):
-            out.append(v)
-    return out
+def apply_assignments(p: Poly, assignments: dict[int, Cyclo]) -> Poly:
+    """p with each assigned variable replaced by its value."""
+    for var, value in assignments.items():
+        p = _substitute_value(p, var, value)
+    return p
+
+
+def find_point(gens: Sequence[Poly], ring: PolyRing, assignments: dict[int, Cyclo],
+               budget: int = DEFAULT_BUDGET) -> Optional[list[Cyclo]]:
+    """One exact solution of `gens` that extends `assignments`, or None.
+
+    A system that stays nonlinear gets its first free variable pinned to 1,
+    -1, 2, -2 and 0 in turn, and the search goes on from each.
+    """
+    gens = [apply_assignments(g, assignments) for g in gens]
+    res = classify_affine(gens, ring, budget)
+    if res.kind in (POINTS, SUBSPACE):
+        point = list(res.points[0] if res.kind == POINTS else res.particular)
+        for var, value in assignments.items():
+            point[var] = value
+        return point
+    if res.kind == IDEAL_ONLY:
+        var = next(v for v in range(ring.nvars)
+                   if any(e[v] for g in gens for e in g.terms))
+        for guess in (_ONE, Cyclo.of(-1), Cyclo.of(2), Cyclo.of(-2), _ZERO):
+            point = find_point(gens, ring, {**assignments, var: guess}, budget)
+            if point is not None:
+                return point
+    return None
 
 
 def solve_projective(gens: Sequence[Poly], ring: PolyRing,
@@ -430,9 +488,7 @@ def solve_projective(gens: Sequence[Poly], ring: PolyRing,
         sub = PolyRing(ring.names[m + 1:])
         chart_gens = []
         for g in gens:
-            h = _substitute_value(g, m, _ONE)
-            for i in range(m):
-                h = _substitute_value(h, i, _ZERO)
+            h = apply_assignments(g, {m: _ONE, **dict.fromkeys(range(m), _ZERO)})
             if not h.is_zero():
                 chart_gens.append(Poly(sub, {e[m + 1:]: c for e, c in h.terms.items()}))
         if sub.nvars == 0:

@@ -5,9 +5,8 @@ algebras, and the reflection search.
 A reflection g is a rank-one update I + u k^T whose update direction u must
 be a degree-one Poisson normal element, so the search runs over charts of
 the normal-element variety and solves the automorphism equations in the
-unknown covector k, splitting the solution variety on factorable and
-univariate generators until each leaf has a constant or visibly free
-eigenvalue.
+unknown covector k.  `solver.split` cuts that solution variety into leaves,
+and each leaf has a constant or visibly free eigenvalue.
 """
 from __future__ import annotations
 
@@ -23,9 +22,8 @@ from .rings import Poly, PolyRing, grlex_key
 from .scalars import (Cyclo, cyclotomic_polynomial, divisors, lcm, zeta, zpoly_mul,
                       zpoly_quotient)
 from .series import RationalSeries
-from .solver import (DEFAULT_BUDGET, EMPTY, IDEAL_ONLY, POINTS, SUBSPACE,
-                     AffineResult, _poly_to_upoly, _substitute_value, classify_affine,
-                     groebner_basis, normal_form, set_dedup)
+from .solver import (DEFAULT_BUDGET, EMPTY, IDEAL_ONLY, POINTS, apply_assignments,
+                     find_point, normal_form, split)
 from .upoly import UPoly, extract_roots
 
 _ZERO = Cyclo.of(0)
@@ -609,13 +607,10 @@ def _solve_reflection_chart(A: PoissonAlgebra, vectors, nparams: int,
     for i in range(n):
         xi_expr = xi_expr + kvar[i] * ucoef[i]
 
-    leaves: list[tuple[dict, list[Poly]]] = []
-    _branch_solve(equations, pk, {}, leaves, budget)
-
     families: list[ReflectionFamily] = []
     seen: set = set()
-    for assignments, residual in leaves:
-        xi_nf = _apply_assignments(xi_expr, assignments, pk)
+    for assignments, residual in split(equations, pk, budget):
+        xi_nf = apply_assignments(xi_expr, assignments)
         if residual:
             xi_nf = normal_form(xi_nf, residual, grlex_key)
         if xi_nf.is_zero():
@@ -629,7 +624,7 @@ def _solve_reflection_chart(A: PoissonAlgebra, vectors, nparams: int,
             xi_value, xi_free = xi, False
         else:
             xi_value, xi_free = None, True
-        direction = tuple(_apply_assignments(c, assignments, pk) for c in ucoef)
+        direction = tuple(apply_assignments(c, assignments) for c in ucoef)
         sig = (str(sorted((k, str(v)) for k, v in assignments.items())),
                str(sorted(str(g) for g in residual)),
                str(xi_value), xi_free)
@@ -648,51 +643,6 @@ def _solve_reflection_chart(A: PoissonAlgebra, vectors, nparams: int,
     return families
 
 
-def _apply_assignments(p: Poly, assignments: dict, ring: PolyRing) -> Poly:
-    for var, value in assignments.items():
-        p = _substitute_value(p, var, value)
-    return p
-
-
-def _branch_solve(equations: list[Poly], ring: PolyRing, assignments: dict,
-                  leaves: list, budget: int, depth: int = 0):
-    """Split the solution variety on univariate and monomial-content factors."""
-    if depth > 40:
-        raise PwbError("reflection search branch limit exceeded")
-    eqs = [e for e in equations if not e.is_zero()]
-    if any(e.is_scalar() for e in eqs):
-        return
-    gb = groebner_basis(eqs, grlex_key, budget)
-    if any(g.is_scalar() for g in gb):
-        return
-    # univariate generators: branch on their split roots
-    for g in gb:
-        for var in range(ring.nvars):
-            if var in assignments:
-                continue
-            u = _poly_to_upoly(g, var)
-            if u is not None and u.degree() >= 1:
-                roots, rem = extract_roots(u)
-                if rem.degree() >= 1:
-                    raise PwbError(
-                        f"univariate condition {g} does not split over cyclotomic numbers")
-                for r in set_dedup(roots):
-                    sub = [_substitute_value(h, var, r) for h in gb]
-                    _branch_solve(sub, ring, {**assignments, var: r}, leaves, budget, depth + 1)
-                return
-    # monomial-content factors: V(x^a * h) = V(x) u V(h)
-    for g in gb:
-        content, cofactor = g.monomial_content()
-        if any(content):
-            for v in (i for i, k in enumerate(content) if k):
-                _branch_solve(gb + [ring.var(v)], ring, dict(assignments),
-                              leaves, budget, depth + 1)
-            _branch_solve([cofactor if h is g else h for h in gb], ring,
-                          dict(assignments), leaves, budget, depth + 1)
-            return
-    leaves.append((assignments, gb))
-
-
 def _sample_reflections(A: PoissonAlgebra, vectors, nparams: int, pk: PolyRing,
                         assignments: dict, residual: list, xi_expr: Poly,
                         xi_free: bool, budget: int) -> list[GradedMap]:
@@ -700,7 +650,7 @@ def _sample_reflections(A: PoissonAlgebra, vectors, nparams: int, pk: PolyRing,
     targets: list[list[Poly]] = []
     if xi_free:
         for xi0 in (Cyclo.of(-1), zeta(3), zeta(4)):
-            extra = _apply_assignments(xi_expr, assignments, pk) - pk.scalar(xi0 - _ONE)
+            extra = apply_assignments(xi_expr, assignments) - pk.scalar(xi0 - _ONE)
             targets.append(list(residual) + [extra])
     else:
         targets.append(list(residual))
@@ -708,7 +658,7 @@ def _sample_reflections(A: PoissonAlgebra, vectors, nparams: int, pk: PolyRing,
     for gens in targets:
         if len(out) >= MAX_SAMPLES:
             break
-        point = _find_point(gens, pk, assignments, budget)
+        point = find_point(gens, pk, assignments, budget)
         if point is None:
             continue
         g = _build_reflection(A, vectors, nparams, point)
@@ -719,45 +669,6 @@ def _sample_reflections(A: PoissonAlgebra, vectors, nparams: int, pk: PolyRing,
             if not any(g == h for h in out):
                 out.append(g)
     return out
-
-
-def _find_point(gens: list[Poly], ring: PolyRing, assignments: dict,
-                budget: int, depth: int = 0) -> Optional[list[Cyclo]]:
-    """One exact solution of the system, free variables getting small values."""
-    if depth > ring.nvars + 2:
-        return None
-    values: dict = dict(assignments)
-    gens = [g for g in gens if not g.is_zero()]
-    for var, val in values.items():
-        gens = [_substitute_value(g, var, val) for g in gens]
-    gens = [g for g in gens if not g.is_zero()]
-    if any(g.is_scalar() for g in gens):
-        return None
-    remaining = [v for v in range(ring.nvars) if v not in values]
-    res = classify_affine(gens, ring, budget) if gens else AffineResult(SUBSPACE,
-        particular=[_ZERO] * ring.nvars, directions=[])
-    if res.kind == EMPTY:
-        return None
-    if res.kind == POINTS:
-        point = list(res.points[0])
-        for var, val in values.items():
-            point[var] = val
-        return point
-    if res.kind == SUBSPACE:
-        point = list(res.particular)
-        for var, val in values.items():
-            point[var] = val
-        return point
-    # stuck on a nonlinear leaf: pin one free variable and retry
-    for var in remaining:
-        if any(any(e[var] for e in g.terms) for g in gens):
-            for guess in (Cyclo.of(1), Cyclo.of(-1), Cyclo.of(2), Cyclo.of(-2), _ZERO):
-                sub = [_substitute_value(g, var, guess) for g in gens]
-                result = _find_point(sub, ring, {**values, var: guess}, budget, depth + 1)
-                if result is not None:
-                    return result
-            return None
-    return None
 
 
 def _build_reflection(A: PoissonAlgebra, vectors, nparams: int,

@@ -10,7 +10,9 @@ fixed-ring generator echelon over pwb `Poly` values) are kept here as
 references for that kernel, and so are the `Poly`-product bracket and
 substitution, the fully enumerated invariant-monoid search, the Molien
 series summed over enumerated elements (with `pwb.series` for the sum of
-fractions) and the chart-union check of projective solving.
+fractions), the chart-union check of projective solving, and the two
+splitters that `pwb.solver.split` replaced (over pwb's Groebner bases and
+root extraction).
 """
 from __future__ import annotations
 
@@ -20,12 +22,14 @@ from itertools import product
 from math import gcd
 from typing import Optional
 
-from pwb.errors import ScalarError, ZeroElementError
+from pwb.errors import (DegreeBudgetExceededError, PwbError, ScalarError,
+                        UnsplittableConditionError, ZeroElementError)
 from pwb.linalg import Matrix, rref, solve_linear
+from pwb.rings import grlex_key
 from pwb.scalars import Cyclo, cyclotomic_polynomial, euler_phi, lcm
-from pwb.solver import EMPTY, POINTS
 from pwb.series import RationalSeries
-from pwb.upoly import UPoly
+from pwb.solver import DEFAULT_BUDGET, EMPTY, POINTS, groebner_basis, lex_order
+from pwb.upoly import UPoly, extract_roots
 
 ZERO = Cyclo.of(0)
 ONE = Cyclo.of(1)
@@ -964,3 +968,109 @@ def verify_union_is_subspace(basis: list[list[Cyclo]], chart_results, n: int) ->
             if canonical_affine(part, dirs) != canonical_affine(expect_p, expect_d):
                 return False
     return True
+
+
+# -- the splitters pwb ran before `solver.split` ----------------------------------
+#
+# `pwb.solver.split` branches on a univariate generator, on monomial content,
+# and on the univariate of a lex basis when a zero-dimensional grlex basis
+# holds none.  These are the two splitters it replaced: the lex
+# back-substitution that gave a zero-dimensional chart its points, and the
+# reflection search's grlex-only splitter, which leaves such a basis unsplit.
+
+
+def _as_univariate(f, var: int) -> Optional[UPoly]:
+    """f as a polynomial in variable `var` alone, or None when another occurs."""
+    if any(k and i != var for e in f.terms for i, k in enumerate(e)):
+        return None
+    coeffs = [ZERO] * (1 + max(e[var] for e in f.terms))
+    for e, c in f.terms.items():
+        coeffs[e[var]] = c
+    return UPoly(coeffs)
+
+
+def _substitute(f, var: int, value: Cyclo):
+    ring = f.ring
+    images = [ring.scalar(value) if i == var else ring.var(i) for i in range(ring.nvars)]
+    return f.substitute(images, ring)
+
+
+def _distinct(values: list) -> list:
+    out: list = []
+    for v in values:
+        if v not in out:
+            out.append(v)
+    return out
+
+
+def lex_points(gens, ring, budget: int = DEFAULT_BUDGET) -> Optional[list[list[Cyclo]]]:
+    """The points of a zero-dimensional system, by back-substitution over its lex
+    basis from the last variable up; None when a univariate condition does not
+    split, a variable stays free, or the budget is hit."""
+    try:
+        gb = groebner_basis(gens, lex_order, budget)
+    except DegreeBudgetExceededError:
+        return None
+    n = ring.nvars
+    points: list[list[Cyclo]] = []
+
+    def back_substitute(current, assignment: list, var: int) -> bool:
+        current = [g for g in current if not g.is_zero()]
+        if any(g.is_scalar() for g in current):
+            return True
+        if var < 0:
+            points.append(list(assignment))
+            return True
+        univariates = [u for u in (_as_univariate(g, var) for g in current)
+                       if u is not None and u.degree() >= 1]
+        if not univariates:
+            return False
+        roots, rem = extract_roots(min(univariates, key=UPoly.degree))
+        if rem.degree() >= 1:
+            return False
+        for r in _distinct(roots):
+            assignment[var] = r
+            if not back_substitute([_substitute(g, var, r) for g in current], assignment,
+                                   var - 1):
+                return False
+        return True
+
+    return points if back_substitute(gb, [ZERO] * n, n - 1) else None
+
+
+def grlex_branch_solve(equations, ring, budget: int = DEFAULT_BUDGET) -> list:
+    """Leaves (assignments, grlex basis) of the zero set, split on univariate
+    generators and on monomial content only."""
+    leaves: list = []
+
+    def branch(eqs, assignments: dict, depth: int) -> None:
+        if depth > 40:
+            raise PwbError("reflection search branch limit exceeded")
+        eqs = [e for e in eqs if not e.is_zero()]
+        if any(e.is_scalar() for e in eqs):
+            return
+        gb = groebner_basis(eqs, grlex_key, budget)
+        if any(g.is_scalar() for g in gb):
+            return
+        for g in gb:
+            for var in range(ring.nvars):
+                u = None if var in assignments else _as_univariate(g, var)
+                if u is not None and u.degree() >= 1:
+                    roots, rem = extract_roots(u)
+                    if rem.degree() >= 1:
+                        raise UnsplittableConditionError(g)
+                    for r in _distinct(roots):
+                        branch([_substitute(h, var, r) for h in gb],
+                               {**assignments, var: r}, depth + 1)
+                    return
+        for g in gb:
+            content, cofactor = g.monomial_content()
+            if any(content):
+                for v in (i for i, k in enumerate(content) if k):
+                    branch(gb + [ring.var(v)], dict(assignments), depth + 1)
+                branch([cofactor if h is g else h for h in gb], dict(assignments), depth + 1)
+                return
+        leaves.append((assignments, gb))
+
+    branch(list(equations), {}, 0)
+    return leaves

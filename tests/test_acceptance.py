@@ -8,8 +8,6 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-import pytest
-
 from pwb.brackets import PoissonAlgebra
 from pwb.envelope import envelope_dims, envelope_trace
 from pwb.families import (homogenized_weyl, jacobian_pq, lie_one_dim_ideals,

@@ -132,7 +132,6 @@ def test_parse_matrix_roundtrip():
 def test_all_families_roundtrip_through_pois_files():
     from pwb.families import (homogenized_weyl, jacobian_pq, lie_two_dim_nonabelian,
                               ph_lie, quantum_matrices, skew_symmetric, weyl)
-    from pwb.scalars import Cyclo
     algebras = [
         skew_symmetric(Matrix([[0, zeta(3)], [-zeta(3), 0]])),
         jacobian_pq(-1, 1), jacobian_pq(1, 0),

@@ -1,6 +1,7 @@
-"""Every name a `pwb` module imports is used in it (`__init__.py` re-exports),
-no function body imports anything, every private module-level function is
-referenced, and every function the benchmark tracer wraps exists."""
+"""Every name a `pwb` module or a test module imports is used in it
+(`__init__.py` re-exports), no function body in `pwb` imports anything, every
+private module-level function is referenced, and every function the benchmark
+tracer wraps exists."""
 import ast
 import importlib
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "pwb"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 TRACING = SRC.parent.parent / "perfbench" / "tracing.py"
 
 
@@ -35,7 +37,8 @@ def unused_imports(source: str) -> list[str]:
                   if name not in used)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS,
+                         ids=lambda p: p.name if p.parent == SRC else f"tests/{p.name}")
 def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
 
@@ -77,18 +80,19 @@ def unreferenced_private_functions(sources: dict[str, str]) -> list[str]:
     `sources` reads, as a plain name or an attribute; a call from its own body
     does not count."""
     trees = {name: ast.parse(source) for name, source in sources.items()}
-    found = []
+    # each name read, with the (module, module-level function) around each read
+    readers: dict[str, set] = {}
     for module, tree in trees.items():
-        for fn in tree.body:
-            if not isinstance(fn, ast.FunctionDef) or not fn.name.startswith("_") \
-                    or fn.name.startswith("__"):
-                continue
-            own = {id(node) for node in ast.walk(fn)}
-            if not any(id(node) not in own
-                       and fn.name in (getattr(node, "id", None), getattr(node, "attr", None))
-                       for t in trees.values() for node in ast.walk(t)):
-                found.append(f"{module}:{fn.name}")
-    return found
+        for top in tree.body:
+            owner = (module, top.name) if isinstance(top, ast.FunctionDef) else None
+            for node in ast.walk(top):
+                for name in (getattr(node, "id", None), getattr(node, "attr", None)):
+                    if name is not None:
+                        readers.setdefault(name, set()).add(owner)
+    return [f"{module}:{fn.name}" for module, tree in trees.items() for fn in tree.body
+            if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_")
+            and not fn.name.startswith("__")
+            and not readers.get(fn.name, set()) - {(module, fn.name)}]
 
 
 def test_every_private_function_is_referenced():

@@ -1,21 +1,22 @@
 from fractions import Fraction
+from math import prod
 from unittest.mock import patch
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracle
 from pwb import linalg, solver
-from pwb.errors import DegreeBudgetExceededError
+from pwb.errors import DegreeBudgetExceededError, UnsplittableConditionError
 from pwb.families import (homogenized_weyl, jacobian_pq, lie_two_dim_nonabelian, ph_lie,
                           quantum_matrices, skew_symmetric, sl2)
 from pwb.linalg import Matrix
 from pwb.rings import PolyRing
 from pwb.scalars import Cyclo, zeta
 from pwb.solver import (EMPTY, IDEAL_ONLY, POINTS, SUBSPACE, Ideal, classify_affine,
-                        groebner_basis, ideal_member, lex_order, normal_form,
-                        solve_projective, subalgebra_member)
+                        groebner_basis, lex_order, normal_form, solve_projective, split,
+                        subalgebra_member)
 
 R2 = PolyRing(["x", "y"])
 R3 = PolyRing(["x", "y", "z"])
@@ -60,9 +61,9 @@ def test_budget():
 
 
 def test_ideal_membership():
-    assert ideal_member(R2.parse("x^2 + x*y"), Ideal.of([R2.parse("x")]))
-    assert ideal_member(R2.parse("1"), Ideal.of([R2.parse("x"), R2.parse("x+1")]))
-    assert not ideal_member(R3.parse("z"), Ideal.of([R3.parse("z^2")]))
+    assert Ideal.of([R2.parse("x")]).member(R2.parse("x^2 + x*y"))
+    assert Ideal.of([R2.parse("x"), R2.parse("x+1")]).member(R2.parse("1"))
+    assert not Ideal.of([R3.parse("z^2")]).member(R3.parse("z"))
 
 
 def test_subalgebra_member():
@@ -105,6 +106,85 @@ def test_classify_affine_unsplittable():
     # x^2 = 2 has no rational or root-of-unity solutions: stays ideal-only
     res = classify_affine([R2.parse("x^2 - 2"), R2.parse("y")], R2)
     assert res.kind == IDEAL_ONLY
+
+
+def test_split_raises_a_typed_error_on_an_unsplittable_condition():
+    with pytest.raises(UnsplittableConditionError,
+                       match=r"^univariate condition x\^2 - 2 does not split over "
+                             r"cyclotomic numbers$"):
+        split([R2.parse("x^2 - 2"), R2.parse("y")], R2)
+
+
+def same_points(got, expected) -> bool:
+    """Equal as sets of values: printed entries depend on the conductor reached."""
+    return len(got) == len(expected) and all(p in expected for p in got)
+
+
+def test_a_zero_dimensional_basis_without_univariate_is_split_in_lex():
+    # chart 0 of normal_find_deg1 on jacobian_pq(-1, 1): the grlex basis is
+    # zero-dimensional but holds no univariate element
+    mu = PolyRing(["m1", "m2"])
+    gens = [mu.parse("m2^2 - m1"), mu.parse("m1*m2 - 1"), mu.parse("m1^2 - m2")]
+    assert [str(g) for g in groebner_basis(gens)] == ["m2^2 - m1", "m1*m2 - 1", "m1^2 - m2"]
+    [(assignments, residual)] = oracle.grlex_branch_solve(gens, mu)
+    assert assignments == {} and residual == groebner_basis(gens)
+    assert all(residual == [] and len(values) == 2 for values, residual in split(gens, mu))
+    res = classify_affine(gens, mu)
+    assert res.kind == POINTS
+    assert same_points(res.points, oracle.lex_points(gens, mu))
+    assert same_points(res.points, [[Cyclo.of(1), Cyclo.of(1)], [zeta(3), zeta(3, 2)],
+                                    [zeta(3, 2), zeta(3)]])
+    assert jacobian_pq(-1, 1).normal_find_deg1().describe() == "3 points"
+
+
+RATIONAL_ROOTS = [Cyclo.of(0), Cyclo.of(1), Cyclo.of(-2), Cyclo.of(Fraction(1, 2))]
+ROOTS = RATIONAL_ROOTS + [Cyclo.of(-1), zeta(3), zeta(3, 2), zeta(4), zeta(6)]
+
+
+@st.composite
+def zero_dimensional_systems(draw):
+    """(ring, system, number of points) in 2 or 3 unknowns: f_i(x_i) = 0, each
+    f_i a product of one or two linear factors x_i - r with distinct roots r,
+    rational or roots of unity, written in y for an invertible change of
+    variables x = M y.  M mixes the unknowns whose roots are all rational by
+    an integer matrix and moves the others by a signed permutation, so each
+    coordinate of each point stays rational or a root of unity, which is what
+    the root extraction can find."""
+    n = draw(st.integers(2, 3))
+    ring = PolyRing(["y1", "y2", "y3"][:n])
+    rational = [draw(st.booleans()) for _ in range(n)]
+    roots = [draw(st.lists(st.sampled_from(RATIONAL_ROOTS if q else ROOTS), min_size=1,
+                           max_size=2, unique_by=str)) for q in rational]
+    mixed = [i for i in range(n) if rational[i]]
+    order = draw(st.permutations(range(n)))
+    rows = []
+    for i in range(n):
+        row = [0] * n
+        if i in mixed:
+            for j in mixed:
+                row[order[j]] = draw(st.integers(-1, 2))
+        else:
+            row[order[i]] = draw(st.sampled_from([1, -1]))
+        rows.append(row)
+    assume(not Matrix(rows).det().is_zero())
+    system = []
+    for row, rs in zip(rows, roots):
+        f = ring.one()
+        for r in rs:
+            f = f * (ring.linear_form(row) - ring.scalar(r))
+        system.append(f)
+    return ring, system, prod(len(rs) for rs in roots)
+
+
+@settings(max_examples=40, deadline=None)
+@given(zero_dimensional_systems())
+@example((R2, [R2.parse("x^2 - 1"), R2.parse("y^3 - 1")], 6))
+@example((R2, [R2.parse("(x + y)*(x + y - 1)"), R2.parse("(x - y)*(x - y + 2)")], 4))
+def test_zero_dimensional_points_match_the_lex_back_substitution(case):
+    ring, system, count = case
+    res = classify_affine(system, ring)
+    assert res.kind == POINTS and len(res.points) == count
+    assert same_points(res.points, oracle.lex_points(system, ring))
 
 
 def test_solve_projective_subspace():

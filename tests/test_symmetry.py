@@ -1,4 +1,5 @@
 from collections import Counter
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -9,8 +10,8 @@ from pwb import symmetry
 from pwb.brackets import PoissonAlgebra
 from pwb.errors import (BoundExceededError, InfiniteOrderError, NotSkewError,
                         SingularMatrixError)
-from pwb.families import (homogenized_weyl, jacobian_pq, lie_two_dim_nonabelian, ph_lie,
-                          quantum_matrices, skew_symmetric, sl2)
+from pwb.families import (homogenized_weyl, jacobian, jacobian_pq, lie_two_dim_nonabelian,
+                          ph_lie, quantum_matrices, skew_symmetric, sl2)
 from pwb.linalg import Matrix
 from pwb.fixedrings import fixed_group, rigidity_report
 from pwb.rings import Poly, PolyRing
@@ -361,6 +362,36 @@ def test_block_decomposition():
 def test_find_reflections_jacobian_p_only():
     report = find_reflections(jacobian_pq(1, 0))
     assert report.status == NO_REFLECTIONS
+
+
+XYZ = PolyRing(["x", "y", "z"])
+
+
+@pytest.mark.parametrize("algebra", [
+    quantum_matrices(2), jacobian_pq(1, 0), jacobian_pq(0, 1), jacobian_pq(-1, 1),
+    homogenized_weyl(1), ph_lie(sl2()), ph_lie(lie_two_dim_nonabelian()),
+    jacobian(XYZ.parse("-x^2*z - z^3")),
+    skew_symmetric(Matrix([[0, 1, 1], [-1, 0, 1], [-1, -1, 0]])),
+    skew_symmetric(Matrix([[0, 0, 1], [0, 0, 1], [-1, -1, 0]])),
+    skew_symmetric(Matrix([[0, 1, 0, 2], [-1, 0, 0, 0], [0, 0, 0, 3], [-2, 0, -3, 0]])),
+], ids=["qmatrix2", "jac_p", "jac_q", "jac_cubic", "hweyl1", "ph_sl2", "ph_lie2",
+        "jac_unsplit", "skew3", "skew3_block", "skew4"])
+def test_reflections_by_split_match_the_grlex_only_splitter(algebra):
+    # no leaf of these searches is a zero-dimensional basis without a
+    # univariate generator, so the lex rule of `split` never fires
+    with patch.object(symmetry, "split", oracle.grlex_branch_solve):
+        expected = find_reflections(algebra)
+    assert find_reflections(algebra) == expected
+
+
+def test_an_unsplittable_condition_is_reported_per_chart():
+    report = find_reflections(jacobian(XYZ.parse("-x^2*z - z^3")))
+    assert report.status == FOUND
+    assert report.diagnostics == [
+        "chart 1: univariate condition _k3^2 + 1/2*zeta(4)*_k3 does not split over "
+        "cyclotomic numbers",
+        "chart 2: univariate condition _k3^2 - 1/2*zeta(4)*_k3 does not split over "
+        "cyclotomic numbers"]
 
 
 def test_find_reflections_x_squared_bracket():
