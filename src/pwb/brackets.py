@@ -31,7 +31,7 @@ _ONE = Cyclo.of(1)
 
 
 class PoissonAlgebra:
-    __slots__ = ("ring", "table", "quadratic", "bracket_degree", "name")
+    __slots__ = ("ring", "table", "quadratic", "bracket_degree", "name", "_cache")
 
     def __init__(self, ring: PolyRing, table: dict, check_jacobi: bool = True,
                  name: str = "A"):
@@ -59,6 +59,7 @@ class PoissonAlgebra:
         object.__setattr__(self, "quadratic", quadratic)
         object.__setattr__(self, "bracket_degree", bdeg)
         object.__setattr__(self, "name", name)
+        object.__setattr__(self, "_cache", {})  # what is derived once per algebra
         if check_jacobi:
             ok, witness = self.jacobi_check()
             if not ok:

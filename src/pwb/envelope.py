@@ -6,9 +6,15 @@ h_i) subject to
     [m_i, m_j] = 0,
     [h_i, m_j] = mu({x_i, x_j})     (all i, j),
     [h_i, h_j] = eta({x_i, x_j})    (i < j),
-where mu(x_k x_l) = m_k m_l and eta(x_k x_l) = m_l h_k + m_k h_l.  No normal
-form is assumed: graded dimensions come from exact linear algebra on word
-truncations, checked against the expected series (1-t)^(-2n).
+where mu(x_k x_l) = m_k m_l and eta(x_k x_l) = m_l h_k + m_k h_l.  Graded
+dimensions come from exact linear algebra on word truncations through degree
+3.  The degree-2 echelon gives the leading words of the relations in deg-lex
+order with h above m; when the degree-3 dimension equals the number of words
+with no leading word as a factor, every overlap ambiguity resolves, the
+relations are a Groebner basis (Bergman's diamond lemma), and higher degrees
+count those normal words.  Otherwise elimination goes on in every degree.  A
+Poisson algebra satisfies Jacobi, so its envelope has a PBW basis (Oh) and
+takes the counting path; the expected series is (1-t)^(-2n).
 """
 from __future__ import annotations
 
@@ -68,14 +74,22 @@ def _quadratic_pairs(p: Poly) -> list[tuple[int, int, Cyclo]]:
 
 
 def envelope_presentation(A: PoissonAlgebra, aliases: bool = False) -> NCPresentation:
-    """The finite presentation on m- and h-symbols."""
+    """The finite presentation on m- and h-symbols; aliases renames them x1, x2.
+
+    The relations are built once per algebra and kept on it."""
     if not A.quadratic:
         raise NotQuadraticError("enveloping presentation needs a quadratic bracket")
-    n = A.nvars
     if aliases:
         names = tuple(f"{v}1" for v in A.ring.names) + tuple(f"{v}2" for v in A.ring.names)
     else:
         names = tuple(f"m_{v}" for v in A.ring.names) + tuple(f"h_{v}" for v in A.ring.names)
+    if "envelope_relations" not in A._cache:
+        A._cache["envelope_relations"] = _relations(A)
+    return NCPresentation(A, names, A._cache["envelope_relations"])
+
+
+def _relations(A: PoissonAlgebra) -> tuple[WordSum, ...]:
+    n = A.nvars
 
     def m(i: int) -> int:
         return i
@@ -115,7 +129,7 @@ def envelope_presentation(A: PoissonAlgebra, aliases: bool = False) -> NCPresent
                 add(r, (m(l), h(k)), -c)
                 add(r, (m(k), h(l)), -c)
             relations.append(r)
-    return NCPresentation(A, names, tuple(relations))
+    return tuple(relations)
 
 
 def _indexed(ws: WordSum, g: int) -> dict[int, Cyclo]:
@@ -129,7 +143,11 @@ def envelope_dims(A: PoissonAlgebra, d: int, cap: int = DEFAULT_DIM_CAP) -> list
     The degree-k relations u*r*v (words u, v with |u| + |v| = k - 2) are
     realified once over Q(zeta_N), N the conductor of the relations, and
     eliminated exactly over the integers: rank over Q(zeta_N) is the rank
-    over Q divided by phi(N).
+    over Q divided by phi(N).  Letters are indexed in reverse, so a pivot
+    column of degree 2 lies in the block of a leading word: the deg-lex
+    greatest word of some relation.  Once degree 3 holds exactly as many
+    dimensions as words free of leading words, the relations are a Groebner
+    basis and every higher degree is that count.
     """
     if d < 0:
         raise InvalidDegreeError(f"degree {d} is negative")
@@ -139,9 +157,12 @@ def envelope_dims(A: PoissonAlgebra, d: int, cap: int = DEFAULT_DIM_CAP) -> list
     g = pres.ngens
     n = conductor(c for r in pres.relations for c in r.values())
     phi = euler_phi(n)
-    # realified relations as (two-letter word index, coordinate, coefficient)
+    top = g - 1
+    # realified relations as (two-letter word index, coordinate, coefficient),
+    # letter a indexed as g - 1 - a
     rels = [[(*divmod(col, phi), c) for col, c in row.items()]
-            for r in pres.relations for row in realify(_indexed(r, g), n)]
+            for r in pres.relations
+            for row in realify({(top - a) * g + top - b: c for (a, b), c in r.items()}, n)]
     dims = [1, g][: d + 1]
     g2 = g * g
     for k in range(2, d + 1):
@@ -153,7 +174,27 @@ def envelope_dims(A: PoissonAlgebra, d: int, cap: int = DEFAULT_DIM_CAP) -> list
                     for v in range(gb):
                         span.insert({((u + w) * gb + v) * phi + t: c for w, t, c in rel})
         dims.append(g ** k - span.rank // phi)
+        if k == 2:
+            normal = _normal_word_counts({col // phi for col in span.pivots}, g, d)
+        elif k == 3 and dims[3] == normal[3]:
+            return dims + normal[4:]
     return dims
+
+
+def _normal_word_counts(leading: set[int], g: int, d: int) -> list[int]:
+    """Words of each length 0..d on g letters with no factor a*b, a*g + b in leading,
+    counted by the transfer matrix of the allowed two-letter words."""
+    follow = [[b for b in range(g) if a * g + b not in leading] for a in range(g)]
+    ending = [1] * g  # words of the current length by last letter
+    counts = [1, g]
+    for _ in range(2, d + 1):
+        nxt = [0] * g
+        for a, c in enumerate(ending):
+            for b in follow[a]:
+                nxt[b] += c
+        ending = nxt
+        counts.append(sum(ending))
+    return counts
 
 
 @dataclass

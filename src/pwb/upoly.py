@@ -3,7 +3,8 @@
 Root extraction is deliberately limited to what is exactly decidable here:
 rational roots (when all coefficients are rational) and roots of unity found
 by trial evaluation at zeta_d^j, plus cyclotomic factors Phi_d recognised by
-trial division.  Anything else is reported as an unsplit remainder.
+trial division; a remainder of degree one splits at its root.  Anything else
+is reported as an unsplit remainder.
 """
 from __future__ import annotations
 
@@ -199,7 +200,8 @@ def _root_of_unity_candidates(max_phi: int, base_conductor: int) -> list[Cyclo]:
 
 
 def extract_roots(p: UPoly) -> tuple[list[Cyclo], UPoly]:
-    """Find roots of p that are rational or roots of unity, with multiplicity.
+    """Find roots of p that are rational or roots of unity, with multiplicity,
+    and the root of a degree-one remainder.
 
     Returns (roots, remainder); remainder has no such roots left and
     degree(remainder) == 0 means p split completely.
@@ -239,6 +241,9 @@ def extract_roots(p: UPoly) -> tuple[list[Cyclo], UPoly]:
                     changed = True
                     continue
             d += 1
+    if p.degree() == 1:  # c1*t + c0 splits at -c0/c1 whatever its root
+        roots.append(-p[0] / p[1])
+        p = UPoly(p.coeffs[1:])
     return roots, p
 
 

@@ -12,7 +12,8 @@ substitution, the fully enumerated invariant-monoid search, the Molien
 series summed over enumerated elements (with `pwb.series` for the sum of
 fractions), the chart-union check of projective solving, and the two
 splitters that `pwb.solver.split` replaced (over pwb's Groebner bases and
-root extraction).
+root extraction), and the word-matrix elimination of every degree that
+`pwb.envelope.envelope_dims` ran before it counted normal words.
 """
 from __future__ import annotations
 
@@ -24,9 +25,10 @@ from typing import Optional
 
 from pwb.errors import (DegreeBudgetExceededError, PwbError, ScalarError,
                         UnsplittableConditionError, ZeroElementError)
-from pwb.linalg import Matrix, rref, solve_linear
+from pwb.envelope import envelope_presentation
+from pwb.linalg import Echelon, Matrix, realify, rref, solve_linear
 from pwb.rings import grlex_key
-from pwb.scalars import Cyclo, cyclotomic_polynomial, euler_phi, lcm
+from pwb.scalars import Cyclo, conductor, cyclotomic_polynomial, euler_phi, lcm
 from pwb.series import RationalSeries
 from pwb.solver import DEFAULT_BUDGET, EMPTY, POINTS, groebner_basis, lex_order
 from pwb.upoly import UPoly, extract_roots
@@ -1074,3 +1076,27 @@ def grlex_branch_solve(equations, ring, budget: int = DEFAULT_BUDGET) -> list:
 
     branch(list(equations), {}, 0)
     return leaves
+
+
+def envelope_dims_by_elimination(A, d: int) -> list[int]:
+    """dim of each degree k = 0..d of the enveloping presentation, by eliminating
+    all words u*r*v (r a relation) realified over Q(zeta_N), in every degree."""
+    pres = envelope_presentation(A)
+    g = pres.ngens
+    n = conductor(c for r in pres.relations for c in r.values())
+    phi = euler_phi(n)
+    rels = [[(*divmod(col, phi), c) for col, c in row.items()]
+            for r in pres.relations
+            for row in realify({a * g + b: c for (a, b), c in r.items()}, n)]
+    dims = [1, g][: d + 1]
+    g2 = g * g
+    for k in range(2, d + 1):
+        span = Echelon()
+        for a in range(k - 1):
+            gb = g ** (k - 2 - a)
+            for rel in rels:
+                for u in range(0, g ** a * g2, g2):
+                    for v in range(gb):
+                        span.insert({((u + w) * gb + v) * phi + t: c for w, t, c in rel})
+        dims.append(g ** k - span.rank // phi)
+    return dims

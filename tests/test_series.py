@@ -25,10 +25,15 @@ def test_extract_roots_rational_and_cyclotomic():
     roots, rem = extract_roots(x ** 3 - UPoly.one())
     assert rem.degree() == 0 and len(roots) == 3
 
-    # 2*zeta(3) is not recognized; remainder left honest
+    # 2*zeta(3) is no trial root, but the linear remainder it leaves splits
     p = UPoly.linear_root(zeta(3) * 2) * UPoly.linear_root(Cyclo.of(1))
     roots, rem = extract_roots(p)
-    assert len(roots) == 1 and rem.degree() == 1
+    assert roots == [Cyclo.of(1), zeta(3) * 2] and rem.degree() == 0
+
+    # +-2*zeta(3) are not recognized; remainder left honest
+    p = UPoly.linear_root(zeta(3) * 2) * UPoly.linear_root(zeta(3) * -2)
+    roots, rem = extract_roots(p * UPoly.linear_root(Cyclo.of(1)))
+    assert roots == [Cyclo.of(1)] and rem == p
 
 
 def test_taylor_binomial():

@@ -17,7 +17,7 @@ from pwb.fixedrings import fixed_group, rigidity_report
 from pwb.rings import Poly, PolyRing
 from pwb.scalars import Cyclo, zeta
 from pwb.series import RationalSeries, hilbert_free, hilbert_weighted
-from pwb.symmetry import (FINITE_NON_REFLECTION, FOUND, IDENTITY, INFINITE_ORDER,
+from pwb.symmetry import (FINITE_NON_REFLECTION, FOUND, IDENTITY, INCONCLUSIVE, INFINITE_ORDER,
                           NO_REFLECTIONS, NOT_AUTOMORPHISM, REFLECTION, GradedMap,
                           PoissonGroup, bicharacter, block_decomposition, classify, find_reflections,
                           group_closure, is_poisson_automorphism, l_degree,
@@ -384,14 +384,18 @@ def test_reflections_by_split_match_the_grlex_only_splitter(algebra):
     assert find_reflections(algebra) == expected
 
 
-def test_an_unsplittable_condition_is_reported_per_chart():
+def test_a_chart_that_fails_is_reported_per_chart():
+    report = find_reflections(jacobian(XYZ.parse("x^3 + x*y^2 + x*z^2")), budget=2)
+    assert report.status == INCONCLUSIVE
+    assert report.diagnostics == ["chart 0: S-polynomial degree 3 exceeds budget 2"]
+
+
+def test_a_condition_with_one_root_left_after_extraction_splits():
+    # charts 1 and 2 hold _k3^2 +- 1/2*zeta(4)*_k3: roots 0 and -+zeta(4)/2,
+    # the second neither rational nor a root of unity
     report = find_reflections(jacobian(XYZ.parse("-x^2*z - z^3")))
-    assert report.status == FOUND
-    assert report.diagnostics == [
-        "chart 1: univariate condition _k3^2 + 1/2*zeta(4)*_k3 does not split over "
-        "cyclotomic numbers",
-        "chart 2: univariate condition _k3^2 - 1/2*zeta(4)*_k3 does not split over "
-        "cyclotomic numbers"]
+    assert report.status == FOUND and report.diagnostics == []
+    assert sorted(f.chart for f in report.families) == [0, 1, 2]
 
 
 def test_find_reflections_x_squared_bracket():
