@@ -15,13 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import (JacobiFailsError, NotMonomialError, NotQuadraticError,
-                     NotSplittableError, PwbError)
+from .errors import JacobiFailsError, NotMonomialError, NotQuadraticError, PwbError
 from .linalg import Matrix, kernel, rank
 from .rings import Poly, PolyRing, _add_terms, _mul_terms, _partial_terms
 from .scalars import Cyclo
-from .solver import (DEFAULT_BUDGET, AffineResult, Ideal, SolutionSet,
-                     aggregate_chart_results, classify_affine, groebner_basis)
+from .solver import (DEFAULT_BUDGET, AffineResult, SolutionSet, aggregate_chart_results,
+                     classify_affine, groebner_basis, normal_form)
 from .solver import EMPTY as solver_empty
 from .solver import IDEAL_ONLY as solver_ideal
 from .solver import POINTS as solver_points
@@ -129,19 +128,6 @@ class PoissonAlgebra:
 
     # -- normal elements and derivations ---------------------------------
 
-    def normal_check(self, u: Poly) -> Optional["PoissonDerivation"]:
-        """pi_u with {u, x_j} = pi_u(x_j) * u for all j, or None."""
-        if u.is_zero():
-            raise PwbError("normality of zero is undefined")
-        images = []
-        for x in self.ring.gens():
-            b = self.bracket(u, x)
-            q = u.divides_into(b) if not b.is_zero() else self.ring.zero()
-            if q is None:
-                return None
-            images.append(q)
-        return PoissonDerivation(self, images)
-
     def modular_derivation(self) -> "PoissonDerivation":
         """f -> sum_j d{f, x_j}/dx_j evaluated on generators."""
         images = []
@@ -202,59 +188,6 @@ class PoissonAlgebra:
     def derived_ideal(self, d: int, weights: Optional[Sequence[int]] = None
                       ) -> "DerivedIdeal":
         return DerivedIdeal(self, d, weights)
-
-    # -- Ore splitting -----------------------------------------------------
-
-    def ore_split(self, u_coeffs: Sequence) -> "OreSplit":
-        """Split off a degree-one Poisson normal direction u: A = C[u; alpha]."""
-        u_vec = [Cyclo.of(c) for c in u_coeffs]
-        if all(c.is_zero() for c in u_vec):
-            raise PwbError("zero vector cannot be split off")
-        u = self.ring.linear_form(u_vec)
-        if self.normal_check(u) is None:
-            raise NotSplittableError("direction is not Poisson normal", witness=u)
-        n = self.nvars
-        pivot = next(i for i, c in enumerate(u_vec) if not c.is_zero())
-        comp_idx = [i for i in range(n) if i != pivot]
-        # columns of B: the new coordinate directions (u first, then kept variables)
-        cols = [u_vec] + [[_ONE if r == i else _ZERO for r in range(n)] for i in comp_idx]
-        B = Matrix(cols).transpose()  # columns: coefficient vectors of the new basis
-        Binv = B.inverse()
-        new_names = ("u_" + self.ring.names[pivot],) + tuple(self.ring.names[i] for i in comp_idx)
-        yring = PolyRing(new_names)
-        # old coordinates in terms of new: x_i = sum_j Binv[j][i] y_j
-        y_images = [yring.linear_form(Binv.column(i)) for i in range(n)]
-
-        def to_y(f: Poly) -> Poly:
-            return f.substitute(y_images, yring)
-
-        base_ring = PolyRing(new_names[1:])
-        base_table: dict = {}
-        alpha_images: list[Poly] = []
-        cvars = [self.ring.var(i) for i in comp_idx]
-        for a in range(len(comp_idx)):
-            bry = to_y(self.bracket(u, cvars[a]))
-            # {u, c} must equal alpha(c) * u with alpha(c) in the base
-            quot = yring.var(0).divides_into(bry) if not bry.is_zero() else yring.zero()
-            if quot is None or any(e[0] for e in quot.terms):
-                raise NotSplittableError(
-                    f"bracket {{u, {base_ring.names[a]}}} is not in u*C",
-                    witness=bry)
-            alpha_images.append(Poly(base_ring, {e[1:]: c for e, c in quot.terms.items()}))
-        for a in range(len(comp_idx)):
-            for b in range(a + 1, len(comp_idx)):
-                bry = to_y(self.bracket(cvars[a], cvars[b]))
-                if any(e[0] for e in bry.terms):
-                    raise NotSplittableError(
-                        f"complement does not close: {{{base_ring.names[a]}, "
-                        f"{base_ring.names[b]}}} involves the split variable",
-                        witness=bry)
-                if not bry.is_zero():
-                    base_table[(a, b)] = Poly(base_ring, {e[1:]: c for e, c in bry.terms.items()})
-        base = PoissonAlgebra(base_ring, base_table, check_jacobi=False)
-        alpha = PoissonDerivation(base, alpha_images)
-        complement = [[_ONE if r == i else _ZERO for r in range(n)] for i in comp_idx]
-        return OreSplit(self, u_vec, complement, base, alpha, pivot)
 
     # -- degree-one normal elements ----------------------------------------
 
@@ -350,76 +283,13 @@ class PoissonDerivation:
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "images", tuple(images))
 
-    def apply(self, f: Poly) -> Poly:
-        out = self.algebra.ring.zero()
-        for i, img in enumerate(self.images):
-            if not img.is_zero():
-                fi = f.partial(i)
-                if not fi.is_zero():
-                    out = out + fi * img
-        return out
-
     def is_zero(self) -> bool:
         return all(img.is_zero() for img in self.images)
-
-    def is_poisson(self) -> bool:
-        """Check alpha({x_i, x_j}) = {alpha(x_i), x_j} + {x_i, alpha(x_j)} on generators."""
-        A = self.algebra
-        xs = A.ring.gens()
-        for i in range(A.nvars):
-            for j in range(i + 1, A.nvars):
-                lhs = self.apply(A.pair(i, j))
-                rhs = A.bracket(self.images[i], xs[j]) + A.bracket(xs[i], self.images[j])
-                if lhs != rhs:
-                    return False
-        return True
 
     def __repr__(self):
         names = self.algebra.ring.names
         body = ", ".join(f"{v} -> {img}" for v, img in zip(names, self.images))
         return f"PoissonDerivation({body})"
-
-
-@dataclass(frozen=True)
-class OreSplit:
-    """A = C[u; alpha]: base algebra on the complement plus the twisting derivation."""
-
-    algebra: PoissonAlgebra
-    normal_var: tuple
-    complement: tuple
-    base: PoissonAlgebra
-    alpha: PoissonDerivation
-    pivot: int
-
-    def __init__(self, algebra, normal_var, complement, base, alpha, pivot):
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "normal_var", tuple(normal_var))
-        object.__setattr__(self, "complement", tuple(tuple(v) for v in complement))
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "pivot", pivot)
-
-    def reconstruct(self) -> PoissonAlgebra:
-        """Rebuild the bracket on (u, complement) coordinates from (base, alpha)."""
-        names = ("u_" + self.algebra.ring.names[self.pivot],) + self.base.ring.names
-        ring = PolyRing(names)
-        table: dict = {}
-        k = self.base.nvars
-        for a in range(k):
-            img = self.alpha.images[a]
-            # {u, c_a} = alpha(c_a) * u
-            lifted = Poly(ring, {(1,) + e: c for e, c in img.terms.items()})
-            if not lifted.is_zero():
-                table[(0, a + 1)] = lifted
-        for (a, b), p in self.base.table.items():
-            table[(a + 1, b + 1)] = Poly(ring, {(0,) + e: c for e, c in p.terms.items()})
-        return PoissonAlgebra(ring, table, check_jacobi=False)
-
-    def original_in_split_coordinates(self) -> PoissonAlgebra:
-        """The original bracket transported to the (u, complement) basis."""
-        cols = [list(self.normal_var)] + [list(v) for v in self.complement]
-        names = ("u_" + self.algebra.ring.names[self.pivot],) + self.base.ring.names
-        return transport(self.algebra, Matrix(cols).transpose(), names)
 
 
 def transport(A: PoissonAlgebra, basis: Matrix, names: Sequence[str]) -> PoissonAlgebra:
@@ -486,7 +356,7 @@ class DerivedIdeal:
             return all(
                 any(all(a >= b for a, b in zip(e, m)) for m in monos)
                 for e in f.terms)
-        return Ideal.of(self.generators, self.algebra.ring).member(f, budget=budget)
+        return normal_form(f, groebner_basis(self.generators, budget=budget)).is_zero()
 
     def is_monomial(self) -> bool:
         return all(len(g.terms) == 1 for g in self.generators)

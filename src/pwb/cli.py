@@ -17,7 +17,7 @@ from . import __version__
 from .brackets import PoissonAlgebra
 from .envelope import envelope_dims, envelope_extend, envelope_presentation, envelope_trace
 from .errors import (FileFormatError, InfiniteOrderError, InvalidDegreeError,
-                     NotAutomorphismError, PwbError)
+                     NotAutomorphismError, PwbError, UsageError)
 from .families import (jacobian, jacobian_pq, homogenized_weyl, ph_lie,
                        quantum_matrices, skew_symmetric, weyl)
 from .fixedrings import fixed_group, is_skew_presentation, rigidity_report
@@ -55,13 +55,23 @@ def _load_algebra(path: str, inputs: dict, defer_jacobi: bool) -> tuple[str, Poi
     return parse_algebra(_read(path, inputs), check_jacobi=not defer_jacobi)
 
 
-def _load_maps(paths: str, ring, inputs: dict):
+def _load_maps(paths: str, ring, inputs: dict, single: Optional[str] = None):
+    """The maps of comma-separated files; `single` names an option that takes one."""
+    paths = paths.split(",")
+    if single is not None and len(paths) > 1:
+        raise UsageError(f"{single} names one map file, not {len(paths)}")
     out = []
-    for path in paths.split(","):
+    for path in paths:
         path = path.strip()
         name, on, g = parse_map(_read(path, inputs), ring)
         out.append((name, g))
     return out
+
+
+def _required(value: Optional[str], flag: str, command: str) -> str:
+    if value is None:
+        raise UsageError(f"{command} needs {flag}")
+    return value
 
 
 def _require_non_negative(name: str, value: Optional[int]) -> None:
@@ -126,7 +136,7 @@ def cmd_reflections(args, inputs) -> CommandResult:
 
 def cmd_trace(args, inputs) -> CommandResult:
     name, A = _load_algebra(args.algebra, inputs, args.defer_jacobi)
-    (mname, g), = _load_maps(args.map, A.ring, inputs)
+    (mname, g), = _load_maps(args.map, A.ring, inputs, single="--map")
     cls = classify(A, g)
     series = trace_series(g)
     return CommandResult({
@@ -178,7 +188,7 @@ def cmd_report(args, inputs) -> CommandResult:
 def cmd_family(args, inputs) -> CommandResult:
     kind = args.family
     if kind == "skew":
-        m = parse_matrix(_read(args.matrix, inputs))
+        m = parse_matrix(_read(_required(args.matrix, "--matrix", "family skew"), inputs))
         A = skew_symmetric(m)
         name = "skew"
     elif kind == "jacobian":
@@ -198,7 +208,7 @@ def cmd_family(args, inputs) -> CommandResult:
         A = homogenized_weyl(args.n) if args.homogenized else weyl(args.n)
         name = ("h" if args.homogenized else "") + f"weyl{args.n}"
     elif kind == "ph-lie":
-        _, lie = parse_lie(_read(args.lie, inputs))
+        _, lie = parse_lie(_read(_required(args.lie, "--lie", "family ph-lie"), inputs))
         A = ph_lie(lie)
         name = "ph_lie"
     else:
@@ -227,14 +237,14 @@ def cmd_envelope(args, inputs) -> CommandResult:
         dims = envelope_dims(A, args.dims, cap=args.cap)
         result["dims"] = dims
     if args.extend:
-        (mname, g), = _load_maps(args.extend, A.ring, inputs)
+        (mname, g), = _load_maps(args.extend, A.ring, inputs, single="--extend")
         ext = envelope_extend(A, g)
         result["extension"] = {"map": mname, "matrix": matrix_json(ext.map.matrix),
                                "relations_preserved": ext.relations_preserved}
         if not ext.relations_preserved:
             exit_code = 2
     if args.trace:
-        (mname, g), = _load_maps(args.trace, A.ring, inputs)
+        (mname, g), = _load_maps(args.trace, A.ring, inputs, single="--trace")
         tr = envelope_trace(A, g)
         result["trace"] = {"map": mname, "series": series_json(tr.series),
                            "factored": series_json(tr.factored),

@@ -76,14 +76,6 @@ class ZeroPotentialError(PwbError):
     pass
 
 
-class NotSplittableError(PwbError):
-    """Normal-variable splitting failed; carries a witness bracket."""
-
-    def __init__(self, message: str, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
-
 class NotAutomorphismError(PwbError):
     pass
 
@@ -131,3 +123,7 @@ class InvalidDegreeError(PwbError):
 
 class FileFormatError(PwbError):
     pass
+
+
+class UsageError(PwbError):
+    """A command-line option is missing, or names more files than it takes."""

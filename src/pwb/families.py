@@ -233,10 +233,6 @@ def lie_two_dim_nonabelian() -> LieData:
     return LieData.of(2, {(0, 1): (Cyclo.of(0), Cyclo.of(1))})
 
 
-def lie_abelian(n: int) -> LieData:
-    return LieData.of(n, {})
-
-
 def lie_one_dim_ideals(lie: LieData, budget: int = DEFAULT_BUDGET) -> SolutionSet:
     """Directions b with [x_i, b] always proportional to b (common eigenvectors)."""
     n = lie.dimension

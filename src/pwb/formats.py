@@ -131,10 +131,7 @@ def parse_map(text: str, ring: PolyRing) -> tuple[str, str, GradedMap]:
         img = ring.parse(rhs.strip())
         if img.is_zero() or img.homogeneous_degree() != 1:
             raise FileFormatError(f"image of {var} must have degree one")
-        col = [Cyclo.of(0)] * n
-        for e, c in img.terms.items():
-            col[next(t for t, k in enumerate(e) if k)] = c
-        columns[i] = col
+        columns[i] = img.linear_coefficients()
     for i in range(n):
         if i not in columns:
             col = [Cyclo.of(0)] * n
@@ -186,21 +183,8 @@ def parse_lie(text: str) -> tuple[str, LieData]:
         p = ring.parse(expr)
         if not p.is_zero() and p.homogeneous_degree() != 1:
             raise FileFormatError(f"bracket{{{i},{j}}} must be linear")
-        vec = [Cyclo.of(0)] * dim
-        for e, c in p.terms.items():
-            vec[next(t for t, k in enumerate(e) if k)] = c
-        brackets[(i - 1, j - 1)] = tuple(vec)
+        brackets[(i - 1, j - 1)] = tuple(p.linear_coefficients())
     return name, LieData.of(dim, brackets)
-
-
-def emit_lie(name: str, lie: LieData) -> str:
-    ring = PolyRing(tuple(f"x{k+1}" for k in range(lie.dimension)))
-    lines = [f"lie {name} {{", f"  dim: {lie.dimension};"]
-    for (i, j), vec in sorted(lie.brackets.items()):
-        poly = ring.linear_form(vec)
-        lines.append(f"  bracket{{{i+1},{j+1}}} = {poly};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
 
 
 def parse_matrix(text: str) -> Matrix:
@@ -223,10 +207,6 @@ def parse_matrix(text: str) -> Matrix:
             raise FileFormatError(f"ragged matrix: row {i + 1} has {len(row)} entries, "
                                   f"row 1 has {len(rows[0])}")
     return Matrix(rows)
-
-
-def emit_matrix(m: Matrix) -> str:
-    return "\n".join(" ".join(str(x) for x in row) for row in m.rows) + "\n"
 
 
 # -- JSON value encoding -------------------------------------------------------

@@ -171,6 +171,17 @@ class Poly:
     def coefficient(self, exponents: Sequence[int]) -> Cyclo:
         return self.terms.get(tuple(exponents), _ZERO)
 
+    def linear_coefficients(self) -> list[Cyclo]:
+        """The coefficients of x_1..x_n of a polynomial of degree at most one,
+        the inverse of `PolyRing.linear_form`; the constant term is left out."""
+        out = [_ZERO] * self.ring.nvars
+        for e, c in self.terms.items():
+            if any(e):
+                if sum(e) > 1:
+                    raise PwbError(f"{self} has degree above one")
+                out[e.index(1)] = c
+        return out
+
     def support(self) -> list[tuple[int, ...]]:
         return sorted(self.terms, key=grlex_key, reverse=True)
 
@@ -293,25 +304,6 @@ class Poly:
             raise PwbError("matrix size does not match ring")
         images = [self.ring.linear_form(g.column(i)) for i in range(n)]
         return self.substitute(images)
-
-    def divides_into(self, f: "Poly") -> Optional["Poly"]:
-        """Exact quotient f/self, or None.  Errors if self == 0."""
-        if self.is_zero():
-            raise DivisorZeroError("division by the zero polynomial")
-        self._require_same_ring(f)
-        le, lc = self.leading()
-        lc_inv = lc.inverse()
-        quotient = self.ring.zero()
-        rem = f
-        while not rem.is_zero():
-            re, rc = rem.leading()
-            if any(a < b for a, b in zip(re, le)):
-                return None
-            qe = tuple(a - b for a, b in zip(re, le))
-            qt = self.ring.monomial(qe, rc * lc_inv)
-            quotient = quotient + qt
-            rem = rem - qt * self
-        return quotient
 
     def monomial_content(self) -> tuple[tuple[int, ...], "Poly"]:
         """Largest monomial dividing every term, and the cofactor."""

@@ -162,30 +162,6 @@ def _interreduce(basis: list[Poly], order: Callable) -> list[Poly]:
     return basis
 
 
-@dataclass(frozen=True)
-class Ideal:
-    """Generators in a fixed ring; `groebner` computes the reduced basis lazily."""
-
-    ring: PolyRing
-    gens: tuple[Poly, ...]
-
-    @staticmethod
-    def of(gens: Sequence[Poly], ring: Optional[PolyRing] = None) -> "Ideal":
-        gens = tuple(g for g in gens if not g.is_zero())
-        if ring is None:
-            if not gens:
-                raise PwbError("empty ideal needs an explicit ring")
-            ring = gens[0].ring
-        return Ideal(ring, gens)
-
-    def groebner(self, order: Callable = grlex_key, budget: int = DEFAULT_BUDGET) -> list[Poly]:
-        return groebner_basis(self.gens, order, budget)
-
-    def member(self, f: Poly, budget: int = DEFAULT_BUDGET) -> bool:
-        gb = self.groebner(budget=budget)
-        return normal_form(f, gb).is_zero()
-
-
 class Subalgebra:
     """k[g_1..g_r] in the ring of the g_i, by tag variables (Shannon-Sweedler):
     one basis of the ideal (g_i - t_i) with the ambient variables eliminated,
@@ -353,18 +329,9 @@ def _zero_dimensional(gb: Sequence[Poly], variables) -> bool:
 
 
 def _solve_linear_system(gens: Sequence[Poly], ring: PolyRing) -> AffineResult:
-    n = ring.nvars
-    zero_e = (0,) * n
-    rows, rhs = [], []
-    for g in gens:
-        row = [_ZERO] * n
-        for e, c in g.terms.items():
-            if e == zero_e:
-                continue
-            row[next(i for i, k in enumerate(e) if k)] = c
-        rows.append(row)
-        rhs.append(-g.coefficient(zero_e))
-    m = Matrix(rows)
+    zero_e = (0,) * ring.nvars
+    m = Matrix([g.linear_coefficients() for g in gens])
+    rhs = [-g.coefficient(zero_e) for g in gens]
     particular = solve_linear(m, rhs)
     if particular is None:
         return AffineResult(EMPTY)
@@ -552,8 +519,7 @@ def aggregate_chart_results(chart_results: list[AffineResult], n: int,
 
 
 def _linear_kernel(gens: Sequence[Poly], ring: PolyRing) -> list[list[Cyclo]]:
-    return kernel([{next(i for i, k in enumerate(e) if k): c
-                   for e, c in g.terms.items()} for g in gens], ring.nvars)
+    return kernel([dict(enumerate(g.linear_coefficients())) for g in gens], ring.nvars)
 
 
 def _union_is_subspace(pivots: list[int], chart_results: list[AffineResult]) -> bool:

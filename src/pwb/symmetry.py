@@ -395,30 +395,6 @@ def molien_series(group: PoissonGroup) -> RationalSeries:
 # -- skew-specific grading machinery ---------------------------------------
 
 
-def l_degree(A: PoissonAlgebra, exponents: Sequence[int]) -> list[Cyclo]:
-    """Diagonal-derivation degree of the monomial x^I: the vector q^T I."""
-    q = A.skew_matrix()
-    if q is None:
-        raise NotSkewError("algebra is not skew-symmetric")
-    n = A.nvars
-    return [sum((Cyclo.of(exponents[i]) * q.rows[i][j] for i in range(n)), _ZERO)
-            for j in range(n)]
-
-
-def bicharacter(A: PoissonAlgebra, I: Sequence[int], J: Sequence[int]) -> Cyclo:
-    """chi(alpha_I, alpha_J) = I^T q J, so that {x^I, x^J} = chi * x^(I+J)."""
-    q = A.skew_matrix()
-    if q is None:
-        raise NotSkewError("algebra is not skew-symmetric")
-    acc = _ZERO
-    for i, a in enumerate(I):
-        if a:
-            for j, b in enumerate(J):
-                if b:
-                    acc = acc + q.rows[i][j] * (a * b)
-    return acc
-
-
 def block_decomposition(q: Matrix) -> list[list[int]]:
     """Partition {0..n-1} by equal rows of the skew matrix q."""
     n = q.nrows

@@ -44,10 +44,6 @@ class UPoly:
         return UPoly((_ZERO, _ONE))
 
     @staticmethod
-    def constant(c) -> "UPoly":
-        return UPoly((Cyclo.of(c),))
-
-    @staticmethod
     def linear_root(r: Cyclo) -> "UPoly":
         """t - r."""
         return UPoly((-r, _ONE))

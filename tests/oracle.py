@@ -13,7 +13,9 @@ series summed over enumerated elements (with `pwb.series` for the sum of
 fractions), the chart-union check of projective solving, and the two
 splitters that `pwb.solver.split` replaced (over pwb's Groebner bases and
 root extraction), and the word-matrix elimination of every degree that
-`pwb.envelope.envelope_dims` ran before it counted normal words.
+`pwb.envelope.envelope_dims` ran before it counted normal words.  The
+pointwise normal-element check and the Poisson-derivation test on its answer
+live only here: pwb itself finds normal elements by `normal_find_deg1`.
 """
 from __future__ import annotations
 
@@ -23,8 +25,9 @@ from itertools import product
 from math import gcd
 from typing import Optional
 
-from pwb.errors import (DegreeBudgetExceededError, PwbError, ScalarError,
+from pwb.errors import (DegreeBudgetExceededError, DivisorZeroError, PwbError, ScalarError,
                         UnsplittableConditionError, ZeroElementError)
+from pwb.brackets import PoissonDerivation
 from pwb.envelope import envelope_presentation
 from pwb.linalg import Echelon, Matrix, realify, rref, solve_linear
 from pwb.rings import grlex_key
@@ -511,6 +514,72 @@ def poly_echelon_generators(bases_per_degree: dict, d: int) -> list:
             if new is not None:
                 chosen.append((new, k))
     return chosen
+
+
+# -- pointwise normality ------------------------------------------------------------
+#
+# `normal_find_deg1` solves for every degree-one normal direction at once; these
+# test one element at a time, by exact division, and check that the derivation a
+# normal element defines is a Poisson derivation.
+
+
+def divides_into(u, f):
+    """Exact quotient f/u of pwb `Poly`s, or None.  Errors if u == 0."""
+    if u.is_zero():
+        raise DivisorZeroError("division by the zero polynomial")
+    if u.ring != f.ring:
+        raise PwbError("polynomials from different rings")
+    le, lc = u.leading()
+    lc_inv = lc.inverse()
+    quotient = u.ring.zero()
+    rem = f
+    while not rem.is_zero():
+        re, rc = rem.leading()
+        if any(a < b for a, b in zip(re, le)):
+            return None
+        qe = tuple(a - b for a, b in zip(re, le))
+        qt = u.ring.monomial(qe, rc * lc_inv)
+        quotient = quotient + qt
+        rem = rem - qt * u
+    return quotient
+
+
+def normal_check(A, u):
+    """pi_u with {u, x_j} = pi_u(x_j) * u for all j, or None."""
+    if u.is_zero():
+        raise PwbError("normality of zero is undefined")
+    images = []
+    for x in A.ring.gens():
+        b = A.bracket(u, x)
+        q = divides_into(u, b) if not b.is_zero() else A.ring.zero()
+        if q is None:
+            return None
+        images.append(q)
+    return PoissonDerivation(A, images)
+
+
+def derivation_apply(D, f):
+    """D(f) for a `PoissonDerivation` D, by the chain rule on its images."""
+    out = D.algebra.ring.zero()
+    for i, img in enumerate(D.images):
+        if not img.is_zero():
+            fi = f.partial(i)
+            if not fi.is_zero():
+                out = out + fi * img
+    return out
+
+
+def derivation_is_poisson(D) -> bool:
+    """Check alpha({x_i, x_j}) = {alpha(x_i), x_j} + {x_i, alpha(x_j)} on generators."""
+    A = D.algebra
+    xs = A.ring.gens()
+    for i in range(A.nvars):
+        for j in range(i + 1, A.nvars):
+            lhs = derivation_apply(D, A.pair(i, j))
+            rhs = A.bracket(D.images[i], xs[j]) + A.bracket(xs[i], D.images[j])
+            if lhs != rhs:
+                return False
+    return True
 
 
 # -- Poly-level routines pwb ran before its term-dict bracket ----------------------

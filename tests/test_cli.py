@@ -259,6 +259,27 @@ def test_envelope_negative_dims(tmp_path, capsys):
     assert report["diagnostics"][0].startswith("InvalidDegreeError")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["trace", "--map", "{m},{m}"], "--map names one map file, not 2"),
+    (["envelope", "--extend", "{m},{m}"], "--extend names one map file, not 2"),
+    (["envelope", "--trace", "{m},{m}"], "--trace names one map file, not 2"),
+    (["family", "skew"], "family skew needs --matrix"),
+    (["family", "ph-lie"], "family ph-lie needs --lie"),
+])
+def test_a_missing_option_or_a_second_map_file_is_a_usage_error(tmp_path, capsys, argv,
+                                                                 message):
+    f = tmp_path / "s.pois"
+    f.write_text(SKEW)
+    m = tmp_path / "g.map"
+    m.write_text(ZETA3_MAP)
+    argv = [a.format(m=m) for a in argv]
+    if argv[0] != "family":
+        argv += ["--algebra", str(f)]
+    code, report = run(capsys, *argv)
+    assert code == 1 and report["result"] is None and report["exit_code"] == 1
+    assert report["diagnostics"] == [f"UsageError: {message}"]
+
+
 SINGULAR_MAP = """
 map s on S {
   x -> x + y;

@@ -1,17 +1,21 @@
 """Every name a `pwb` module or a test module imports is used in it
 (`__init__.py` re-exports), no function body in `pwb` imports anything, every
-private module-level function is referenced, and every function the benchmark
-tracer wraps exists."""
+private module-level function is referenced, every function, class and method
+of `pwb` has a caller in `pwb` or the benchmark (tests do not count), and every
+function the benchmark tracer wraps exists."""
 import ast
 import importlib
+import re
 from pathlib import Path
+from typing import Sequence
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "pwb"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
-TRACING = SRC.parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = SRC.parent.parent / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -75,24 +79,92 @@ def test_function_body_import_is_found():
     assert function_body_imports(source) == ["f (line 7)", "g (line 7)", "m (line 4)"]
 
 
+def read_names(trees: dict[str, ast.Module], callers: Sequence[ast.Module] = ()
+               ) -> dict[str, set]:
+    """Each name read in `trees` or `callers`, as a plain name or an attribute,
+    with the definition around each read: (module, "f"), (module, "C") or
+    (module, "C.m"), and None at a module's top level or in `callers`.  A name
+    `__init__.py` imports is read (it is an entry point of the package), and so
+    is each part of a "pwb.module:qualname" string in `callers` (a tracer target)."""
+    readers: dict[str, set] = {}
+
+    def read(name, owner):
+        readers.setdefault(name, set()).add(owner)
+
+    def walk(node, owner):
+        for sub in ast.walk(node):
+            for name in (getattr(sub, "id", None), getattr(sub, "attr", None)):
+                if name is not None:
+                    read(name, owner)
+
+    for module, tree in trees.items():
+        for top in tree.body:
+            if isinstance(top, ast.ClassDef):
+                for node in top.bases + top.keywords + top.decorator_list:
+                    walk(node, (module, top.name))
+                for node in top.body:
+                    method = isinstance(node, ast.FunctionDef)
+                    walk(node, (module, f"{top.name}.{node.name}" if method else top.name))
+            elif isinstance(top, ast.FunctionDef):
+                walk(top, (module, top.name))
+            else:
+                walk(top, None)
+                if module == "__init__.py" and isinstance(top, ast.ImportFrom):
+                    for alias in top.names:
+                        read(alias.name, None)
+    for tree in callers:
+        walk(tree, None)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                target = re.fullmatch(r"pwb\.\w+:([\w.]+)", node.value)
+                for name in target.group(1).split(".") if target else ():
+                    read(name, None)
+    return readers
+
+
 def unreferenced_private_functions(sources: dict[str, str]) -> list[str]:
     """Module-level functions named `_x` (not dunders) whose name no other code in
     `sources` reads, as a plain name or an attribute; a call from its own body
     does not count."""
     trees = {name: ast.parse(source) for name, source in sources.items()}
-    # each name read, with the (module, module-level function) around each read
-    readers: dict[str, set] = {}
-    for module, tree in trees.items():
-        for top in tree.body:
-            owner = (module, top.name) if isinstance(top, ast.FunctionDef) else None
-            for node in ast.walk(top):
-                for name in (getattr(node, "id", None), getattr(node, "attr", None)):
-                    if name is not None:
-                        readers.setdefault(name, set()).add(owner)
+    readers = read_names(trees)
     return [f"{module}:{fn.name}" for module, tree in trees.items() for fn in tree.body
             if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_")
             and not fn.name.startswith("__")
             and not readers.get(fn.name, set()) - {(module, fn.name)}]
+
+
+def unreferenced_definitions(sources: dict[str, str], callers: Sequence[str] = ()) -> list[str]:
+    """Module-level functions and classes of `sources`, and the methods of those
+    classes (not dunders), that nothing live calls, as "module:qualname".
+
+    A name counts as called where it is read as `read_names` finds, outside
+    the definition itself (a class's methods are inside the class), and the
+    reader is live: a module's top level, `callers`, or a definition not found
+    here.  A definition read only by found ones is found too, and so are the
+    methods of a found class; the search repeats until nothing more is found.
+    Names are matched, not types, so a method shares its callers with every
+    method of the same name."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    readers = read_names(trees, [ast.parse(source) for source in callers])
+    # (module, qualname) -> (name, the definitions inside it, its class or None)
+    defs: dict[tuple, tuple] = {}
+    for module, tree in trees.items():
+        for top in tree.body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                cls = (module, top.name)
+                methods = {(module, f"{top.name}.{fn.name}"): fn.name for fn in top.body
+                           if isinstance(top, ast.ClassDef) and isinstance(fn, ast.FunctionDef)}
+                defs[cls] = (top.name, {cls, *methods}, None)
+                defs.update({key: (name, {key}, cls) for key, name in methods.items()})
+    defs = {key: d for key, d in defs.items() if not d[0].startswith("__")}
+    found: set = set()
+    while True:
+        new = {key for key, (name, inside, cls) in defs.items() if key not in found
+               and (cls in found or not readers.get(name, set()) - found - inside)}
+        if not new:
+            return [f"{module}:{qual}" for module, qual in defs if (module, qual) in found]
+        found |= new
 
 
 def test_every_private_function_is_referenced():
@@ -104,6 +176,36 @@ def test_unreferenced_private_function_is_found():
     sources = {"a.py": "def _used():\n    pass\n\ndef _left(n):\n    return _left(n - 1)\n",
                "b.py": "from .a import _used\nx = _used()\n\ndef __getattr__(name):\n    pass\n"}
     assert unreferenced_private_functions(sources) == ["a.py:_left"]
+
+
+def test_every_definition_is_called():
+    # tests are no callers; the benchmark in perfbench/ is
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    callers = [p.read_text() for p in sorted(PERFBENCH.glob("*.py"))]
+    assert unreferenced_definitions(sources, callers) == []
+
+
+def test_unreferenced_definition_is_found():
+    sources = {
+        "__init__.py": "from .a import entry\n",
+        "a.py": ("def entry():\n    return Used().run()\n\n"
+                 "def dead():\n    return Helper()\n\n"
+                 "def traced():\n    pass\n\n"
+                 "class Used:\n    def run(self):\n        return self.step()\n\n"
+                 "    def step(self):\n        return Used()\n\n"
+                 "    def left(self):\n        return self.left()\n\n"
+                 "    def __repr__(self):\n        pass\n\n"
+                 "class Helper:\n    def run(self):\n        pass\n\n"
+                 "    def only_helper(self):\n        pass\n"),
+    }
+    callers = ["TARGETS = ['pwb.a:traced']\n"]
+    # Helper is read only by dead(), so it goes with it, and with it its methods;
+    # Helper.run shares its name with Used.run, which entry() calls, but goes
+    # with its class
+    assert unreferenced_definitions(sources, callers) == [
+        "a.py:dead", "a.py:Used.left", "a.py:Helper", "a.py:Helper.run",
+        "a.py:Helper.only_helper"]
+    assert "a.py:traced" in unreferenced_definitions(sources)
 
 
 def tracing_targets() -> dict[str, list[str]]:

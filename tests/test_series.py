@@ -3,18 +3,21 @@ from pwb.series import RationalSeries, hilbert_free, hilbert_weighted
 from pwb.upoly import UPoly, cyclotomic_upoly, extract_roots, gcd_upoly
 
 
+def t_minus(c) -> UPoly:
+    return UPoly.linear_root(Cyclo.of(c))
+
+
 def test_upoly_divmod_and_gcd():
-    x = UPoly.x()
-    p = (x - UPoly.constant(1)) * (x - UPoly.constant(2))
-    q, r = p.divmod(x - UPoly.constant(1))
-    assert r.is_zero() and q == x - UPoly.constant(2)
-    g = gcd_upoly(p, x - UPoly.constant(2))
-    assert g == (x - UPoly.constant(2)).monic()
+    p = t_minus(1) * t_minus(2)
+    q, r = p.divmod(t_minus(1))
+    assert r.is_zero() and q == t_minus(2)
+    g = gcd_upoly(p, t_minus(2))
+    assert g == t_minus(2).monic()
 
 
 def test_extract_roots_rational_and_cyclotomic():
     x = UPoly.x()
-    p = (x - UPoly.constant(2)) * cyclotomic_upoly(3)
+    p = t_minus(2) * cyclotomic_upoly(3)
     roots, rem = extract_roots(p)
     assert rem.degree() == 0
     assert any(r == 2 for r in roots)

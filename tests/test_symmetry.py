@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 import oracle
 from pwb import symmetry
 from pwb.brackets import PoissonAlgebra
-from pwb.errors import (BoundExceededError, InfiniteOrderError, NotSkewError,
-                        SingularMatrixError)
+from pwb.errors import BoundExceededError, InfiniteOrderError, SingularMatrixError
 from pwb.families import (homogenized_weyl, jacobian, jacobian_pq, lie_two_dim_nonabelian,
                           ph_lie, quantum_matrices, skew_symmetric, sl2)
 from pwb.linalg import Matrix
@@ -19,9 +18,8 @@ from pwb.scalars import Cyclo, zeta
 from pwb.series import RationalSeries, hilbert_free, hilbert_weighted
 from pwb.symmetry import (FINITE_NON_REFLECTION, FOUND, IDENTITY, INCONCLUSIVE, INFINITE_ORDER,
                           NO_REFLECTIONS, NOT_AUTOMORPHISM, REFLECTION, GradedMap,
-                          PoissonGroup, bicharacter, block_decomposition, classify, find_reflections,
-                          group_closure, is_poisson_automorphism, l_degree,
-                          molien_series, trace_series)
+                          PoissonGroup, block_decomposition, classify, find_reflections,
+                          group_closure, is_poisson_automorphism, molien_series, trace_series)
 from pwb.upoly import UPoly
 from test_fixedrings import diagonal_groups
 
@@ -334,20 +332,18 @@ def test_graded_map_rejects_a_singular_matrix(rows):
 
 
 def test_l_degree_and_bicharacter():
-    A = skew_symmetric(Matrix([[0, 1], [-1, 0]]), names=["x", "y"])
-    assert [str(c) for c in l_degree(A, (1, 0))] == ["0", "1"]
-    assert bicharacter(A, (1, 0), (1, 0)).is_zero()
-    assert bicharacter(A, (2, 0), (0, 1)) == 2
-    # {x^I, x^J} = chi(I, J) x^(I+J)
+    # on a skew algebra {x^I, x^J} = (I^T q J) x^(I+J)
+    q = Matrix([[0, 1, zeta(3)], [-1, 0, 2], [-zeta(3), -2, 0]])
+    A = skew_symmetric(q, names=["x", "y", "z"])
+    assert A.skew_matrix() == q
     ring = A.ring
-    for I in [(1, 0), (2, 1), (0, 3)]:
-        for J in [(0, 1), (1, 1), (3, 0)]:
-            chi = bicharacter(A, I, J)
+    for I in [(1, 0, 0), (2, 1, 0), (0, 3, 1)]:
+        for J in [(0, 1, 0), (1, 1, 2), (3, 0, 0)]:
+            chi = sum((q.rows[i][j] * (a * b) for i, a in enumerate(I)
+                       for j, b in enumerate(J)), Cyclo.of(0))
             lhs = A.bracket(ring.monomial(I), ring.monomial(J))
-            rhs = ring.monomial(tuple(a + b for a, b in zip(I, J)), chi)
-            assert lhs == rhs
-    with pytest.raises(NotSkewError):
-        l_degree(quantum_matrices(2), (1, 0, 0, 0))
+            assert lhs == ring.monomial(tuple(a + b for a, b in zip(I, J)), chi)
+    assert quantum_matrices(2).skew_matrix() is None
 
 
 def test_block_decomposition():
