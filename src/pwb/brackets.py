@@ -29,6 +29,11 @@ _ZERO = Cyclo.of(0)
 _ONE = Cyclo.of(1)
 
 
+def _variables(terms: dict) -> set:
+    """The indices of the variables that occur in a term dict."""
+    return {k for e in terms for k, x in enumerate(e) if x}
+
+
 class PoissonAlgebra:
     __slots__ = ("ring", "table", "quadratic", "bracket_degree", "name", "_cache")
 
@@ -88,18 +93,21 @@ class PoissonAlgebra:
 
     def bracket(self, f: Poly, g: Poly) -> Poly:
         """{f, g}: over the table pairs in order, (f_i g_j - f_j g_i) {x_i, x_j}
-        is added in, a cancelled sum dropped.  The work runs on term dicts, and
-        each partial derivative of f and g is taken once."""
+        is added in, a cancelled sum dropped.  A pair is visited only when x_i
+        occurs in f and x_j in g, or the other way round, since otherwise both
+        products vanish.  The work runs on term dicts, and each partial
+        derivative of f and g is taken once."""
+        vf, vg = _variables(f.terms), _variables(g.terms)
         df: dict = {}
         dg: dict = {}
         out: dict = {}
         for (i, j), p in self.table.items():
+            if not (i in vf and j in vg or j in vf and i in vg):
+                continue
             for k in (i, j):
                 if k not in df:
                     df[k], dg[k] = _partial_terms(f.terms, k), _partial_terms(g.terms, k)
             fi, fj, gi, gj = df[i], df[j], dg[i], dg[j]
-            if not (fi and gj or fj and gi):
-                continue
             term = _mul_terms(fi, gj)
             _add_terms(term, ((e, -c) for e, c in _mul_terms(fj, gi).items()))
             if term:

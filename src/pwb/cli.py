@@ -55,14 +55,16 @@ def _load_algebra(path: str, inputs: dict, defer_jacobi: bool) -> tuple[str, Poi
     return parse_algebra(_read(path, inputs), check_jacobi=not defer_jacobi)
 
 
-def _load_maps(paths: str, ring, inputs: dict, single: Optional[str] = None):
-    """The maps of comma-separated files; `single` names an option that takes one."""
-    paths = paths.split(",")
-    if single is not None and len(paths) > 1:
-        raise UsageError(f"{single} names one map file, not {len(paths)}")
+def _load_maps(value: str, ring, inputs: dict, option: str, single: bool = False):
+    """The maps of the comma-separated files `option` names; `single` when it
+    takes one."""
+    paths = [path.strip() for path in value.split(",")]
+    if single and len(paths) > 1:
+        raise UsageError(f"{option} names one map file, not {len(paths)}")
     out = []
-    for path in paths:
-        path = path.strip()
+    for k, path in enumerate(paths, 1):
+        if not path:
+            raise UsageError(f"{option} entry {k} of '{value}' is empty")
         name, on, g = parse_map(_read(path, inputs), ring)
         out.append((name, g))
     return out
@@ -82,7 +84,7 @@ def _require_non_negative(name: str, value: Optional[int]) -> None:
 def _load_group(args, A: PoissonAlgebra, name: str, inputs: dict) -> PoissonGroup:
     """Group closure of the --group maps.  A map that is not a Poisson
     automorphism of A, or has infinite order, is reported by name."""
-    maps = _load_maps(args.group, A.ring, inputs)
+    maps = _load_maps(args.group, A.ring, inputs, "--group")
     for mname, g in maps:
         ok, witness = is_poisson_automorphism(A, g)
         if not ok:
@@ -101,7 +103,7 @@ def cmd_check(args, inputs) -> CommandResult:
     # is this command's negative finding, not a load error
     name, A = _load_algebra(args.algebra, inputs, defer_jacobi=True)
     if args.map:
-        maps = _load_maps(args.map, A.ring, inputs)
+        maps = _load_maps(args.map, A.ring, inputs, "--map")
         results = []
         all_ok = True
         for mname, g in maps:
@@ -136,7 +138,7 @@ def cmd_reflections(args, inputs) -> CommandResult:
 
 def cmd_trace(args, inputs) -> CommandResult:
     name, A = _load_algebra(args.algebra, inputs, args.defer_jacobi)
-    (mname, g), = _load_maps(args.map, A.ring, inputs, single="--map")
+    (mname, g), = _load_maps(args.map, A.ring, inputs, "--map", single=True)
     cls = classify(A, g)
     series = trace_series(g)
     return CommandResult({
@@ -237,14 +239,14 @@ def cmd_envelope(args, inputs) -> CommandResult:
         dims = envelope_dims(A, args.dims, cap=args.cap)
         result["dims"] = dims
     if args.extend:
-        (mname, g), = _load_maps(args.extend, A.ring, inputs, single="--extend")
+        (mname, g), = _load_maps(args.extend, A.ring, inputs, "--extend", single=True)
         ext = envelope_extend(A, g)
         result["extension"] = {"map": mname, "matrix": matrix_json(ext.map.matrix),
                                "relations_preserved": ext.relations_preserved}
         if not ext.relations_preserved:
             exit_code = 2
     if args.trace:
-        (mname, g), = _load_maps(args.trace, A.ring, inputs, single="--trace")
+        (mname, g), = _load_maps(args.trace, A.ring, inputs, "--trace", single=True)
         tr = envelope_trace(A, g)
         result["trace"] = {"map": mname, "series": series_json(tr.series),
                            "factored": series_json(tr.factored),

@@ -35,10 +35,12 @@ class SingularMatrixError(PwbError):
 
 
 class DegreeBudgetExceededError(PwbError):
-    """Groebner computation hit the S-polynomial degree cap."""
+    """Groebner computation hit the S-polynomial degree cap.  The message names
+    the least budget that gets past this stop: the degree it reached."""
 
     def __init__(self, degree: int, budget: int):
-        super().__init__(f"S-polynomial degree {degree} exceeds budget {budget}")
+        super().__init__(f"S-polynomial degree {degree} exceeds budget {budget}; "
+                         f"budget {degree} gets past this stop")
         self.degree = degree
         self.budget = budget
 

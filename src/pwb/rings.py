@@ -191,12 +191,6 @@ class Poly:
         e = max(self.terms, key=key)
         return e, self.terms[e]
 
-    def monic(self, key: Callable = grlex_key) -> "Poly":
-        if self.is_zero():
-            return self
-        _, c = self.leading(key)
-        return self * c.inverse()
-
     # -- arithmetic ----------------------------------------------------
 
     def _require_same_ring(self, other: "Poly"):

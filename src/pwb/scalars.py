@@ -197,6 +197,16 @@ def _apply_rows(a: tuple[int, ...], rows, size: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def conjugate_product(num: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """The product of the conjugates sigma_k(a), k in (Z/n)^* other than 1, of
+    the integer vector a at conductor n > 1: a times it is a rational integer,
+    the norm of a.  The product starts from 1 at conductor n, so it stays there."""
+    rest = _power_vector(n, 0)
+    for rows in _galois_maps(n):
+        rest = _mul_mod(rest, _apply_rows(num, rows, len(num)), n)
+    return rest
+
+
 def scaled_term(cs: str, mono: str) -> str:
     """The term c*mono from c printed as cs: 1 and -1 print as a sign, and a
     coefficient printed as a sum is parenthesised."""
@@ -341,10 +351,7 @@ class Cyclo:
             if not p:
                 raise ZeroElementError("cannot invert zero")
             return _new(n, (self.den if p > 0 else -self.den,) + num[1:], abs(p))
-        # rest starts from 1 at conductor n, so the inverse stays at conductor n
-        rest = _power_vector(n, 0)
-        for rows in _galois_maps(n):
-            rest = _mul_mod(rest, _apply_rows(num, rows, len(num)), n)
+        rest = conjugate_product(num, n)
         norm = _mul_mod(num, rest, n)[0]
         d = self.den if norm > 0 else -self.den
         return _new(n, tuple(x * d for x in rest), abs(norm))

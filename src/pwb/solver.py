@@ -16,12 +16,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from heapq import heappop, heappush
+from itertools import chain
+from math import gcd
+from operator import add, ge as ge_, le as le_, sub
 from typing import Callable, Optional, Sequence
 
-from .errors import DegreeBudgetExceededError, PwbError, UnsplittableConditionError
+from .errors import (DegreeBudgetExceededError, DivisorZeroError, PwbError,
+                     UnsplittableConditionError)
 from .linalg import Matrix, kernel, rref, solve_linear
 from .rings import Poly, PolyRing, embed, grlex_key
-from .scalars import Cyclo
+from .scalars import Cyclo, _mul_mod, _new, conductor, conjugate_product, lcm
 from .upoly import UPoly, extract_roots
 
 DEFAULT_BUDGET = 24
@@ -49,99 +54,227 @@ def elim_order(k: int) -> Callable:
     return key
 
 
-# -- division ------------------------------------------------------------
+# -- Buchberger on integer numerators --------------------------------------
+#
+# One kernel for every conductor.  On entry N is the lcm of the input
+# conductors, and a polynomial becomes a term dict from exponent to integer
+# numerator over one positive common denominator: an int when N = 1, a tuple
+# of phi(N) ints otherwise (the `Cyclo` layout one level up).  A divisor is
+# kept primitive with a positive rational-integer leading coefficient D: a
+# non-rational leading coefficient is multiplied by its conjugate product, as
+# `Cyclo.inverse` does.  Division is fraction-free, W <- s*W - q*x^m*G with
+# s = D/g and q = a/g for a the leading numerator of W and g = gcd(D, a), and
+# the content W shares with its denominator is divided out.  On exit a
+# coefficient is a `Cyclo` at conductor 1 when it is rational, at N otherwise.
+
+
+class _Keys(dict):
+    """The order key of each exponent, computed once."""
+
+    __slots__ = ("order",)
+
+    def __init__(self, order: Callable):
+        super().__init__()
+        self.order = order
+
+    def __missing__(self, e):
+        k = self[e] = self.order(e)
+        return k
+
+
+def _content(values, n: int) -> int:
+    """The gcd of the integers of some numerators."""
+    return gcd(*values) if n == 1 else gcd(*chain.from_iterable(values))
+
+
+def _apply(w: dict, f: Callable, n: int) -> None:
+    """Apply f to each integer of the numerators in w, in place."""
+    if n == 1:
+        for e, v in w.items():
+            w[e] = f(v)
+    else:
+        for e, v in w.items():
+            w[e] = tuple(map(f, v))
+
+
+def _numerators(p: Poly, n: int) -> tuple[dict, int]:
+    """The numerators of p at conductor n over their common denominator."""
+    return _integral([(e, c.num[0] if n == 1 else c.lift_to(n).num, c.den)
+                      for e, c in p.terms.items()], n)
+
+
+def _divisor(w: dict, n: int, keys: _Keys) -> tuple:
+    """(leading exponent, D, the other terms, all terms) of the primitive
+    multiple of the numerators w whose leading coefficient D is a positive
+    rational integer.  Consumes w."""
+    lead = max(w, key=keys.__getitem__)
+    a = w[lead]
+    if n != 1 and any(a[1:]):
+        rest = conjugate_product(a, n)
+        for e, v in w.items():
+            w[e] = _mul_mod(v, rest, n)
+    d, g = w[lead] if n == 1 else w[lead][0], _content(w.values(), n)
+    _apply(w, (g if d > 0 else -g).__rfloordiv__, n)
+    return lead, abs(d) // g, [(e, c) for e, c in w.items() if e != lead], w
+
+
+def _reduce(w: dict, den: int, divisors: Sequence[tuple], n: int,
+            keys: _Keys) -> tuple[list, bool]:
+    """Divide w/den by the divisors, by the first whose leading exponent
+    divides the leading exponent of the rest each time.  Returns the remainder
+    as (exponent, numerator, denominator) in decreasing order, and whether a
+    division step was taken.  Consumes w."""
+    rem: list = []
+    stepped = False
+    key = keys.__getitem__
+    while w:
+        we = max(w, key=key)
+        for ge, d, tail, _ in divisors:
+            if all(map(ge_, we, ge)):
+                break
+        else:
+            rem.append((we, w.pop(we), den))
+            continue
+        stepped = True
+        a = w.pop(we)
+        m = tuple(map(sub, we, ge))
+        g = gcd(d, a) if n == 1 else gcd(d, *a)
+        if g != d:
+            _apply(w, (d // g).__mul__, n)
+            den *= d // g
+        if n == 1:
+            q = a // g
+            for e, c in tail:
+                e = tuple(map(add, e, m))
+                v = w.get(e, 0) - q * c
+                if v:
+                    w[e] = v
+                else:
+                    del w[e]
+        else:
+            q = tuple(x // g for x in a)
+            for e, c in tail:
+                e = tuple(map(add, e, m))
+                v = tuple(map(sub, w.get(e, (0,) * len(q)), _mul_mod(q, c, n)))
+                if any(v):
+                    w[e] = v
+                else:
+                    w.pop(e, None)
+        if den != 1 and w:
+            g = gcd(den, _content(w.values(), n))
+            if g != 1:
+                _apply(w, g.__rfloordiv__, n)
+                den //= g
+    return rem, stepped
+
+
+def _integral(terms: list, n: int) -> tuple[dict, int]:
+    """Terms (exponent, numerator, denominator) as numerators over their
+    common denominator."""
+    den = 1
+    for _, _, d in terms:
+        if den % d:
+            den = lcm(den, d)
+    if n == 1:
+        return {e: c * (den // d) for e, c, d in terms}, den
+    return {e: tuple(x * (den // d) for x in c) for e, c, d in terms}, den
+
+
+def _cyclo(num, den: int, n: int) -> Cyclo:
+    """num/den at conductor 1 when rational, at n otherwise."""
+    if n == 1:
+        return _new(1, (num,), den)
+    return _new(n, num, den) if any(num[1:]) else _new(1, num[:1], den)
 
 
 def normal_form(f: Poly, basis: Sequence[Poly], order: Callable = grlex_key) -> Poly:
     """Remainder of f under multivariate division by basis."""
     if not basis:
         return f
-    ring = f.ring
-    leads = [g.leading(order) for g in basis]
-    rem = ring.zero()
-    work = f
-    while not work.is_zero():
-        we, wc = work.leading(order)
-        divided = False
-        for g, (ge, gc) in zip(basis, leads):
-            if all(a >= b for a, b in zip(we, ge)):
-                q = ring.monomial(tuple(a - b for a, b in zip(we, ge)), wc * gc.inverse())
-                work = work - q * g
-                divided = True
-                break
-        if not divided:
-            t = ring.monomial(we, wc)
-            rem = rem + t
-            work = work - t
-    return rem
-
-
-def _spoly(f: Poly, g: Poly, order: Callable) -> Poly:
-    fe, fc = f.leading(order)
-    ge, gc = g.leading(order)
-    lcm_e = tuple(max(a, b) for a, b in zip(fe, ge))
-    mf = f.ring.monomial(tuple(l - a for l, a in zip(lcm_e, fe)), fc.inverse())
-    mg = f.ring.monomial(tuple(l - b for l, b in zip(lcm_e, ge)), gc.inverse())
-    return mf * f - mg * g
+    if any(g.is_zero() for g in basis):
+        raise DivisorZeroError("zero polynomial has no leading term")
+    n = conductor(c for p in (f, *basis) for c in p.terms.values())
+    keys = _Keys(order)
+    divisors = [_divisor(_numerators(g, n)[0], n, keys) for g in basis]
+    rem, _ = _reduce(*_numerators(f, n), divisors, n, keys)
+    return Poly(f.ring, {e: _cyclo(c, d, n) for e, c, d in rem})
 
 
 def groebner_basis(gens: Sequence[Poly], order: Callable = grlex_key,
                    budget: int = DEFAULT_BUDGET) -> list[Poly]:
-    """Reduced Groebner basis, deterministic output."""
-    ring = None
-    basis: list[Poly] = []
-    for g in gens:
-        if not g.is_zero():
-            ring = g.ring
-            basis.append(g.monic(order))
-    if not basis:
+    """Reduced Groebner basis, deterministic output.  A pair lcm or a reduced
+    S-polynomial of total degree above `budget` raises
+    `DegreeBudgetExceededError`."""
+    gens = [g for g in gens if not g.is_zero()]
+    if not gens:
         return []
-    basis = _interreduce(basis, order)
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i)}
+    ring = gens[-1].ring
+    n = conductor(c for g in gens for c in g.terms.values())
+    keys = _Keys(order)
+    basis = _interreduce([_divisor(_numerators(g, n)[0], n, keys) for g in gens], n, keys)
+    leads = [b[0] for b in basis]
+    pairs: list = []  # a heap of (lcm degree, lcm, i, j), i > j
+    pending: set = set()
+
+    def add_pairs(new: int) -> None:
+        for t in range(new):
+            lcm_e = tuple(map(max, leads[new], leads[t]))
+            heappush(pairs, (sum(lcm_e), lcm_e, new, t))
+            pending.add((new, t))
+
+    for new in range(len(basis)):
+        add_pairs(new)
     while pairs:
         # normal selection: smallest lcm degree first, deterministic tiebreak
-        def pair_key(ij):
-            i, j = ij
-            le = basis[i].leading(order)[0]
-            ge = basis[j].leading(order)[0]
-            lcm_e = tuple(max(a, b) for a, b in zip(le, ge))
-            return (sum(lcm_e), lcm_e, i, j)
-
-        i, j = min(pairs, key=pair_key)
-        pairs.discard((i, j))
-        fe = basis[i].leading(order)[0]
-        ge = basis[j].leading(order)[0]
-        lcm_e = tuple(max(a, b) for a, b in zip(fe, ge))
-        if sum(lcm_e) > budget:
-            raise DegreeBudgetExceededError(sum(lcm_e), budget)
+        deg, lcm_e, i, j = heappop(pairs)
+        pending.discard((i, j))
+        if deg > budget:
+            raise DegreeBudgetExceededError(deg, budget)
         # coprime criterion
-        if all(a == 0 or b == 0 for a, b in zip(fe, ge)):
+        if not any(map(min, leads[i], leads[j])):
             continue
         # chain criterion: some k with LT(k) | lcm and both pairs done
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            ke = basis[k].leading(order)[0]
-            if all(a <= l for a, l in zip(ke, lcm_e)):
-                if (max(i, k), min(i, k)) not in pairs and (max(j, k), min(j, k)) not in pairs:
-                    skip = True
-                    break
-        if skip:
+        if any(k != i and k != j and all(map(le_, ke, lcm_e))
+               and (max(i, k), min(i, k)) not in pending
+               and (max(j, k), min(j, k)) not in pending
+               for k, ke in enumerate(leads)):
             continue
-        s = normal_form(_spoly(basis[i], basis[j], order), basis, order)
-        if not s.is_zero():
-            if s.total_degree() > budget:
-                raise DegreeBudgetExceededError(s.total_degree(), budget)
-            s = s.monic(order)
-            basis.append(s)
-            new = len(basis) - 1
-            pairs.update((new, t) for t in range(new))
-    return _interreduce(basis, order)
+        rem, _ = _reduce(_spoly(basis[i], basis[j], lcm_e, n), 1, basis, n, keys)
+        if rem:
+            top = max(sum(e) for e, _, _ in rem)
+            if top > budget:
+                raise DegreeBudgetExceededError(top, budget)
+            basis.append(_divisor(_integral(rem, n)[0], n, keys))
+            leads.append(basis[-1][0])
+            add_pairs(len(basis) - 1)
+    return [Poly(ring, {e: _cyclo(c, d, n) for e, c in w.items()})
+            for _, d, _, w in _interreduce(basis, n, keys)]
 
 
-def _interreduce(basis: list[Poly], order: Callable) -> list[Poly]:
-    basis = [g for g in basis if not g.is_zero()]
+def _spoly(f: tuple, g: tuple, lcm_e: tuple, n: int) -> dict:
+    """(D_g/h) x^(lcm - LT f) f - (D_f/h) x^(lcm - LT g) g, h = gcd(D_f, D_g),
+    for two divisors: the leading terms cancel, so they are left out."""
+    (fe, df, ftail, _), (ge, dg, gtail, _) = f, g
+    h = gcd(df, dg)
+    out: dict = {}
+    for tail, lead, k in ((ftail, fe, dg // h), (gtail, ge, -(df // h))):
+        m = tuple(map(sub, lcm_e, lead))
+        for e, c in tail:
+            e = tuple(map(add, e, m))
+            if n == 1:
+                v = out.get(e, 0) + c * k
+            else:
+                v = tuple(x + y * k for x, y in zip(out.get(e, (0,) * len(c)), c))
+            if v if n == 1 else any(v):
+                out[e] = v
+            else:
+                out.pop(e, None)
+    return out
+
+
+def _interreduce(basis: list, n: int, keys: _Keys) -> list:
+    """Reduce each element by the others until none changes, then sort by
+    leading term."""
     changed = True
     while changed:
         changed = False
@@ -149,16 +282,12 @@ def _interreduce(basis: list[Poly], order: Callable) -> list[Poly]:
             others = basis[:i] + basis[i + 1:]
             if not others:
                 continue
-            r = normal_form(basis[i], others, order)
-            if r != basis[i]:
+            rem, stepped = _reduce(dict(basis[i][3]), 1, others, n, keys)
+            if stepped:
                 changed = True
-                if r.is_zero():
-                    basis = others
-                else:
-                    basis = others + [r.monic(order)]
+                basis = others + [_divisor(_integral(rem, n)[0], n, keys)] if rem else others
                 break
-    basis = [g.monic(order) for g in basis]
-    basis.sort(key=lambda g: order(g.leading(order)[0]))
+    basis.sort(key=lambda b: keys[b[0]])
     return basis
 
 

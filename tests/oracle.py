@@ -13,7 +13,9 @@ series summed over enumerated elements (with `pwb.series` for the sum of
 fractions), the chart-union check of projective solving, and the two
 splitters that `pwb.solver.split` replaced (over pwb's Groebner bases and
 root extraction), and the word-matrix elimination of every degree that
-`pwb.envelope.envelope_dims` ran before it counted normal words.  The
+`pwb.envelope.envelope_dims` ran before it counted normal words, and the
+Buchberger on monic `Poly` values that `pwb.solver` ran before its integer
+kernel.  The
 pointwise normal-element check and the Poisson-derivation test on its answer
 live only here: pwb itself finds normal elements by `normal_find_deg1`.
 """
@@ -1169,3 +1171,105 @@ def envelope_dims_by_elimination(A, d: int) -> list[int]:
                         span.insert({((u + w) * gb + v) * phi + t: c for w, t, c in rel})
         dims.append(g ** k - span.rank // phi)
     return dims
+
+
+# -- the Buchberger pwb ran before its integer kernel -----------------------------
+#
+# `pwb.solver.groebner_basis` and `normal_form` reduce integer numerator vectors
+# at one conductor, fraction-free.  This is the `Cyclo` version they replaced:
+# every division step builds new `Poly` values, and basis elements are monic.
+
+
+def monic(p, order=grlex_key):
+    """p over its leading coefficient."""
+    if p.is_zero():
+        return p
+    return p * p.leading(order)[1].inverse()
+
+
+def cyclo_normal_form(f, basis, order=grlex_key):
+    """Remainder of f under multivariate division by basis."""
+    if not basis:
+        return f
+    ring = f.ring
+    leads = [g.leading(order) for g in basis]
+    rem = ring.zero()
+    work = f
+    while not work.is_zero():
+        we, wc = work.leading(order)
+        for g, (ge, gc) in zip(basis, leads):
+            if all(a >= b for a, b in zip(we, ge)):
+                q = ring.monomial(tuple(a - b for a, b in zip(we, ge)), wc * gc.inverse())
+                work = work - q * g
+                break
+        else:
+            t = ring.monomial(we, wc)
+            rem = rem + t
+            work = work - t
+    return rem
+
+
+def _cyclo_spoly(f, g, order):
+    fe, fc = f.leading(order)
+    ge, gc = g.leading(order)
+    lcm_e = tuple(max(a, b) for a, b in zip(fe, ge))
+    mf = f.ring.monomial(tuple(l - a for l, a in zip(lcm_e, fe)), fc.inverse())
+    mg = f.ring.monomial(tuple(l - b for l, b in zip(lcm_e, ge)), gc.inverse())
+    return mf * f - mg * g
+
+
+def cyclo_groebner_basis(gens, order=grlex_key, budget: int = DEFAULT_BUDGET) -> list:
+    """Reduced Groebner basis: the same pair selection, criteria and budget
+    checks as pwb's, on monic `Poly` values."""
+    basis = [monic(g, order) for g in gens if not g.is_zero()]
+    if not basis:
+        return []
+    basis = _cyclo_interreduce(basis, order)
+    pairs = {(i, j) for i in range(len(basis)) for j in range(i)}
+    while pairs:
+        def pair_key(ij):
+            i, j = ij
+            lcm_e = tuple(map(max, basis[i].leading(order)[0], basis[j].leading(order)[0]))
+            return (sum(lcm_e), lcm_e, i, j)
+
+        i, j = min(pairs, key=pair_key)
+        pairs.discard((i, j))
+        fe = basis[i].leading(order)[0]
+        ge = basis[j].leading(order)[0]
+        lcm_e = tuple(max(a, b) for a, b in zip(fe, ge))
+        if sum(lcm_e) > budget:
+            raise DegreeBudgetExceededError(sum(lcm_e), budget)
+        if all(a == 0 or b == 0 for a, b in zip(fe, ge)):
+            continue
+        if any(k not in (i, j)
+               and all(a <= l for a, l in zip(basis[k].leading(order)[0], lcm_e))
+               and (max(i, k), min(i, k)) not in pairs
+               and (max(j, k), min(j, k)) not in pairs
+               for k in range(len(basis))):
+            continue
+        s = cyclo_normal_form(_cyclo_spoly(basis[i], basis[j], order), basis, order)
+        if not s.is_zero():
+            if s.total_degree() > budget:
+                raise DegreeBudgetExceededError(s.total_degree(), budget)
+            basis.append(monic(s, order))
+            new = len(basis) - 1
+            pairs.update((new, t) for t in range(new))
+    return _cyclo_interreduce(basis, order)
+
+
+def _cyclo_interreduce(basis: list, order) -> list:
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(basis)):
+            others = basis[:i] + basis[i + 1:]
+            if not others:
+                continue
+            r = cyclo_normal_form(basis[i], others, order)
+            if r != basis[i]:
+                changed = True
+                basis = others if r.is_zero() else others + [monic(r, order)]
+                break
+    basis = [monic(g, order) for g in basis]
+    basis.sort(key=lambda g: order(g.leading(order)[0]))
+    return basis

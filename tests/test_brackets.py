@@ -342,3 +342,19 @@ def test_bracket_takes_each_partial_once_and_forms_no_poly_product(monkeypatch):
     assert calls.count(id(f)) <= 8 and calls.count(id(g)) <= 8
     assert "mul" not in calls
     assert br == oracle.poly_bracket(A, f, g)
+
+
+def test_bracket_visits_only_the_pairs_that_can_contribute(monkeypatch):
+    # {x0, x1} on a table with pairs (0, 1), (2, 3) and (1, 3): only (0, 1)
+    # holds a variable of f and one of g, so only x0 and x1 are differentiated
+    from pwb import brackets
+    seen = []
+    partial = brackets._partial_terms
+    monkeypatch.setattr(brackets, "_partial_terms",
+                        lambda terms, i: seen.append(i) or partial(terms, i))
+    ring = PolyRing(["x0", "x1", "x2", "x3"])
+    A = PoissonAlgebra(ring, {(0, 1): ring.parse("x0*x1"), (2, 3): ring.parse("x2*x3"),
+                              (1, 3): ring.parse("x1*x3")}, check_jacobi=False)
+    f, g = ring.var(0), ring.var(1)
+    assert A.bracket(f, g) == ring.parse("x0*x1")
+    assert sorted(seen) == [0, 0, 1, 1]

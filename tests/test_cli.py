@@ -280,6 +280,21 @@ def test_a_missing_option_or_a_second_map_file_is_a_usage_error(tmp_path, capsys
     assert report["diagnostics"] == [f"UsageError: {message}"]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["molien", "--group", "{m},"], "--group entry 2 of '{m},' is empty"),
+    (["trace", "--map", ""], "--map entry 1 of '' is empty"),
+])
+def test_an_empty_map_file_entry_is_a_usage_error(tmp_path, capsys, argv, message):
+    f = tmp_path / "s.pois"
+    f.write_text(SKEW)
+    m = tmp_path / "g.map"
+    m.write_text(ZETA3_MAP)
+    argv = [a.format(m=m) for a in argv] + ["--algebra", str(f), "--json"]
+    code, report = run(capsys, *argv)
+    assert code == 1 and report["result"] is None and report["exit_code"] == 1
+    assert report["diagnostics"] == [f"UsageError: {message.format(m=m)}"]
+
+
 SINGULAR_MAP = """
 map s on S {
   x -> x + y;

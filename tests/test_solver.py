@@ -12,9 +12,9 @@ from pwb.errors import DegreeBudgetExceededError, UnsplittableConditionError
 from pwb.families import (homogenized_weyl, jacobian_pq, lie_two_dim_nonabelian, ph_lie,
                           quantum_matrices, skew_symmetric, sl2)
 from pwb.linalg import Matrix
-from pwb.rings import PolyRing
-from pwb.scalars import Cyclo, zeta
-from pwb.solver import (EMPTY, IDEAL_ONLY, POINTS, SUBSPACE, classify_affine,
+from pwb.rings import Poly, PolyRing, grlex_key
+from pwb.scalars import Cyclo, conductor, zeta
+from pwb.solver import (EMPTY, IDEAL_ONLY, POINTS, SUBSPACE, classify_affine, elim_order,
                         groebner_basis, lex_order, normal_form, solve_projective, split,
                         subalgebra_member)
 
@@ -279,21 +279,23 @@ def rational_systems(draw):
 @example([R3.parse("x^2 - y*z"), R3.parse("x*y - z^2"), R3.parse("y^2 - x*z")])
 @example([R3.parse("x"), R3.parse("x + 1")])
 def test_groebner_basis_matches_sympy(polys):
-    # both sides are reduced grlex bases with x > y > z, made monic: equal as sets
+    # both sides are reduced grlex (then lex) bases with x > y > z, made monic:
+    # equal as sets
     sympy = pytest.importorskip("sympy")
     gens = sympy.symbols("x y z")
     system = [sympy.Poly.from_dict({e: sympy.Rational(c.as_fraction())
                                     for e, c in p.terms.items()}, gens, domain="QQ")
               for p in polys]
 
-    def monic(g):
-        lc = g.LC(order="grlex")
+    def monic(g, name):
+        lc = g.LC(order=name)
         return frozenset((e, Fraction(str(c / lc))) for e, c in g.terms())
 
-    expected = {monic(g) for g in sympy.groebner(system, *gens, order="grlex").polys}
-    got = {frozenset((e, c.as_fraction()) for e, c in g.terms.items())
-           for g in groebner_basis(polys)}
-    assert got == expected
+    for name, order in (("grlex", grlex_key), ("lex", lex_order)):
+        expected = {monic(g, name) for g in sympy.groebner(system, *gens, order=name).polys}
+        got = {frozenset((e, c.as_fraction()) for e, c in g.terms.items())
+               for g in groebner_basis(polys, order)}
+        assert got == expected
 
 
 # -- chart unions: pivot counts against the old check ----------------------------
@@ -362,3 +364,99 @@ def test_chart_unions_by_pivot_counts_match_the_old_check(case):
 def test_normal_elements_by_pivot_counts_match_the_old_check(algebra):
     expected = with_old_union_check(algebra.normal_find_deg1)
     assert algebra.normal_find_deg1() == expected
+
+
+# -- the integer kernel against the Cyclo Buchberger ------------------------------
+
+FIELDS = {
+    "Q": [1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)],
+    "Q(zeta3)": [1, -2, Fraction(1, 3), zeta(3), -zeta(3), 1 + zeta(3), 2 * zeta(3, 2)],
+    "Q(zeta4)": [1, -1, Fraction(3, 2), zeta(4), 1 - zeta(4), Fraction(1, 2) * zeta(4)],
+    "Q(zeta3, zeta4)": [1, -1, Fraction(1, 2), zeta(3), zeta(4), zeta(3) + zeta(4),
+                        zeta(12)],
+}
+ORDER_NAMES = ["grlex", "lex", "elim"]
+
+
+def _order(name: str, nvars: int, draw):
+    if name == "grlex":
+        return grlex_key
+    if name == "lex":
+        return lex_order
+    return elim_order(draw(st.integers(1, nvars - 1)))
+
+
+@st.composite
+def drawn_polys(draw, ring, field, count, degree=2):
+    """`count` nonzero polynomials of degree <= `degree` and one to four terms,
+    coefficients from the field's sample."""
+    monos = [e for k in range(degree + 1) for e in ring.monomials_of_degree(k)]
+    coeffs = st.sampled_from(FIELDS[field])
+    polys = []
+    for _ in range(count):
+        exps = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=4, unique=True))
+        polys.append(Poly(ring, {e: Cyclo.of(draw(coeffs)) for e in exps}))
+    return polys
+
+
+@st.composite
+def drawn_systems(draw):
+    """(ring, gens, order, budget): one to three generators in two or three
+    unknowns over one of the fields, under grlex, lex or an elimination order."""
+    ring = draw(st.sampled_from([R2, R3]))
+    gens = draw(drawn_polys(ring, draw(st.sampled_from(sorted(FIELDS))),
+                            draw(st.integers(1, 3))))
+    order = _order(draw(st.sampled_from(ORDER_NAMES)), ring.nvars, draw)
+    return ring, gens, order, draw(st.sampled_from([3, 4, 6]))
+
+
+def _outcome(fn):
+    """fn()'s value, or the degree of the budget stop it raised."""
+    try:
+        return fn()
+    except DegreeBudgetExceededError as exc:
+        return ("budget", exc.degree, exc.budget)
+
+
+def _stored_at_conductor(polys, n: int) -> bool:
+    """Every coefficient is stored at conductor 1 when rational, at n otherwise."""
+    return all(c.n == (1 if c.is_rational() else n) for p in polys for c in p.terms.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn_systems())
+@example((R2, [R2.parse("x^2 - y"), R2.parse("x*y - 1")], lex_order, 6))
+@example((R3, [R3.parse("x^5 + y^4 + z^3 - 1"), R3.parse("x^3 + y^3 + z^2 - 1")],
+          grlex_key, 5))
+@example((R2, [R2.parse("zeta(3)*x^2 + y"), R2.parse("zeta(4)*x*y - 1")], grlex_key, 6))
+def test_groebner_basis_matches_the_cyclo_buchberger(case):
+    # equal value by value, in order, or stopped by the budget at the same degree
+    ring, gens, order, budget = case
+    got = _outcome(lambda: groebner_basis(gens, order, budget))
+    assert got == _outcome(lambda: oracle.cyclo_groebner_basis(gens, order, budget))
+    if isinstance(got, list):
+        assert _stored_at_conductor(got, conductor(c for g in gens for c in g.terms.values()))
+
+
+@st.composite
+def divisions(draw):
+    """(f, divisors, order): a polynomial of degree <= 3 and one to three
+    divisors, neither monic nor a Groebner basis, over one field."""
+    ring = draw(st.sampled_from([R2, R3]))
+    field = draw(st.sampled_from(sorted(FIELDS)))
+    f, = draw(drawn_polys(ring, field, 1, degree=3))
+    divisors = draw(drawn_polys(ring, field, draw(st.integers(1, 3))))
+    return f, divisors, _order(draw(st.sampled_from(ORDER_NAMES)), ring.nvars, draw)
+
+
+@settings(max_examples=200, deadline=None)
+@given(divisions())
+@example((R2.parse("x^3 + zeta(3)*y^2"), [R2.parse("2*x*y + 1"), R2.parse("3*zeta(4)*y^2 - x")],
+          grlex_key))
+def test_normal_form_matches_the_cyclo_division(case):
+    f, divisors, order = case
+    got = normal_form(f, divisors, order)
+    assert got == oracle.cyclo_normal_form(f, divisors, order)
+    n = conductor(c for p in (f, *divisors) for c in p.terms.values())
+    assert _stored_at_conductor([got], n)
+
