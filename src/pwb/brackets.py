@@ -13,6 +13,7 @@ suffices, again by Leibniz).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Optional, Sequence
 
 from .errors import JacobiFailsError, NotMonomialError, NotQuadraticError, PwbError
@@ -171,9 +172,18 @@ class PoissonAlgebra:
 
     def center_truncated(self, d: int, weights: Optional[Sequence[int]] = None
                          ) -> list[list[Poly]]:
-        """Per degree k <= d, a basis of {f in A_k : {f, x_j} = 0 for all j}."""
+        """Per degree k <= d, a basis of {f in A_k : {f, x_j} = 0 for all j}.
+
+        The column of x^I in the map ad(x_j) comes from the table by Leibniz,
+        {x^I, x_j} = sum_a I_a x^(I - e_a) {x_a, x_j}, its terms added over
+        the table pairs in the order `bracket` adds them."""
         out: list[list[Poly]] = [[self.ring.one()]]
-        xs = self.ring.gens()
+        # per j, the table pairs holding x_j: (the other index a, the sign
+        # that makes the entry {x_a, x_j}, the entry's terms)
+        with_var: list[list] = [[] for _ in range(self.nvars)]
+        for (a, b), p in self.table.items():
+            with_var[b].append((a, 1, p.terms))
+            with_var[a].append((b, -1, p.terms))
         for k in range(1, d + 1):
             monos = self.ring.monomials_of_degree(k, weights)
             if not monos:
@@ -182,9 +192,15 @@ class PoissonAlgebra:
             # equation (j, e): sum_I c_I [x^e]{x^I, x_j} = 0, as monomial index I -> coefficient
             columns: dict = {}
             for i, mexp in enumerate(monos):
-                mono = self.ring.monomial(mexp)
-                for j, x in enumerate(xs):
-                    for ee, c in self.bracket(mono, x).terms.items():
+                for j, pairs in enumerate(with_var):
+                    column: dict = {}
+                    for a, sign, terms in pairs:
+                        if mexp[a]:
+                            low = mexp[:a] + (mexp[a] - 1,) + mexp[a + 1:]
+                            factor = sign * mexp[a]
+                            _add_terms(column, ((tuple(map(add, e, low)), c * factor)
+                                                for e, c in terms.items()))
+                    for ee, c in column.items():
                         columns.setdefault((j, ee), {})[i] = c
             if not columns:
                 out.append([self.ring.monomial(m) for m in monos])

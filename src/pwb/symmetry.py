@@ -18,8 +18,8 @@ from .brackets import PoissonAlgebra
 from .errors import (BoundExceededError, InfiniteOrderError, NotSkewError, PwbError,
                      SingularMatrixError)
 from .linalg import Matrix, hermite_normal_form
-from .rings import Poly, PolyRing, grlex_key
-from .scalars import (Cyclo, cyclotomic_polynomial, divisors, lcm, zeta, zpoly_mul,
+from .rings import Poly, PolyRing, _add_terms, grlex_key
+from .scalars import (Cyclo, conductor, cyclotomic_polynomial, divisors, lcm, zeta, zpoly_mul,
                       zpoly_quotient)
 from .series import RationalSeries
 from .solver import (DEFAULT_BUDGET, EMPTY, IDEAL_ONLY, POINTS, apply_assignments,
@@ -79,12 +79,35 @@ class GradedMap:
 
     __hash__ = None
 
+    def update_rank(self) -> int:
+        """The rank of g - I when it is 0 or 1, else 2 (for 2 or more)."""
+        if "update_rank" not in self._cache:
+            self._cache["update_rank"] = _update_rank(self.matrix)
+        return self._cache["update_rank"]
+
     def eigenvalues(self) -> Optional[tuple[Cyclo, ...]]:
         """The distinct eigenvalues, 1 first and then by printed form, or None
         unless the matrix is diagonalizable with eigenvalues `extract_roots`
-        finds (a squarefree minimal polynomial that splits over them)."""
+        finds (a squarefree minimal polynomial that splits over them).
+
+        A rank-one update g = I + u k^T has the eigenvalue 1, n - 1 times, and
+        xi = 1 + k.u = tr g - (n - 1), and is diagonalizable iff xi != 1, so
+        its eigenvalues are read off the trace; only a map with g - I of rank
+        2 or more takes the minimal polynomial."""
         if "eigenvalues" not in self._cache:
-            self._cache["eigenvalues"] = _eigenvalues(self.matrix)
+            m = self.matrix
+            rank = self.update_rank()
+            if rank == 0:
+                found = (_ONE,)
+            elif rank == 2:
+                found = _eigenvalues(m)
+            else:
+                xi = _as_extracted(m.trace() - Cyclo.of(m.nrows - 1), m)
+                if m.nrows == 1:
+                    found = (xi,)
+                else:
+                    found = None if xi.is_one() else (_ONE, xi)
+            self._cache["eigenvalues"] = found
         return self._cache["eigenvalues"]
 
     def order(self) -> Optional[int]:
@@ -98,6 +121,7 @@ class GradedMap:
 
 
 def _eigenvalues(m: Matrix) -> Optional[tuple[Cyclo, ...]]:
+    """The eigenvalues by the minimal polynomial and `extract_roots`."""
     mp = UPoly(m.minpoly_coeffs())
     if not mp.is_squarefree():
         return None
@@ -105,6 +129,35 @@ def _eigenvalues(m: Matrix) -> Optional[tuple[Cyclo, ...]]:
     if rem.degree() >= 1:
         return None
     return tuple(sorted(roots, key=lambda c: (not c.is_one(), str(c))))
+
+
+def _update_rank(m: Matrix) -> int:
+    """The rank of m - I when it is 0 or 1, else 2: each row of m - I is tested
+    for proportionality to the first nonzero one, by 2n products a row."""
+    first = None
+    for i, row in enumerate(m.rows):
+        d = list(row)
+        d[i] = d[i] - _ONE
+        if first is None:
+            lead = next((j for j, c in enumerate(d) if c), None)
+            if lead is not None:
+                first = d
+        elif any(d[j] * first[lead] != d[lead] * first[j] for j in range(len(d))):
+            return 2
+    return 0 if first is None else 1
+
+
+def _as_extracted(xi: Cyclo, m: Matrix) -> Cyclo:
+    """xi stored as `extract_roots` stores a root of the minimal polynomial of
+    m: a rational at conductor 1, a root of unity of order d at conductor d,
+    any other value at the lcm conductor of the entries of m."""
+    if xi.is_rational():
+        return Cyclo.of(xi.as_fraction())
+    log = xi.root_of_unity_log()
+    if log is not None:
+        a, e = log
+        return zeta(e // gcd(a, e), a // gcd(a, e))
+    return xi.lift_to(conductor(c for row in m.rows for c in row))
 
 
 def _finite_order(eigenvalues: Optional[tuple[Cyclo, ...]]) -> Optional[int]:
@@ -132,14 +185,22 @@ class Classification:
 
 def is_poisson_automorphism(A: PoissonAlgebra, g: GradedMap
                             ) -> tuple[bool, Optional[tuple[str, str]]]:
-    """Check g({x_i, x_j}) = {g(x_i), g(x_j)} on all generator pairs."""
-    ring = A.ring
+    """Check g({x_i, x_j}) = {g(x_i), g(x_j)} on all generator pairs, the
+    first failing pair as witness.  The images of the generators are built
+    once; the right side is read off the bracket table by 2x2 minors of g:
+    {g(x_i), g(x_j)} = sum_(a<b) (g_ai g_bj - g_bi g_aj) {x_a, x_b}."""
+    ring, m = A.ring, g.matrix.rows
     images = [g.image_of_var(ring, i) for i in range(A.nvars)]
     for i in range(A.nvars):
         for j in range(i + 1, A.nvars):
-            lhs = A.pair(i, j).apply_linear(g.matrix)
-            rhs = A.bracket(images[i], images[j])
-            if lhs != rhs:
+            rhs: dict = {}
+            for (a, b), p in A.table.items():
+                gai, gbi = m[a][i], m[b][i]
+                if gai or gbi:
+                    minor = gai * m[b][j] - gbi * m[a][j]
+                    if minor:
+                        _add_terms(rhs, ((e, minor * c) for e, c in p.terms.items()))
+            if A.pair(i, j).substitute(images) != Poly(ring, rhs):
                 return False, (ring.names[i], ring.names[j])
     return True, None
 
@@ -154,8 +215,7 @@ def classify(A: PoissonAlgebra, g: GradedMap) -> Classification:
     if order is None:
         return Classification(INFINITE_ORDER)
     n = g.n
-    delta = g.matrix - Matrix.identity(n)
-    if delta.rank() == 1:
+    if g.update_rank() == 1:
         xi = g.matrix.trace() - Cyclo.of(n - 1)
         eig = (g.matrix - Matrix.diagonal([xi] * n)).kernel_basis()
         return Classification(REFLECTION, order=order, xi=xi, eigenvector=tuple(eig[0]))
@@ -229,16 +289,27 @@ def group_closure(gens: Sequence[GradedMap], bound: int = 512) -> PoissonGroup:
 
 
 def _enumerate(gens: Sequence[GradedMap], bound: int) -> tuple:
-    """The elements generated by `gens`, breadth-first from the identity."""
+    """The elements generated by `gens`, breadth-first from the identity.
+    Every product lies in Q(zeta_N), N the lcm conductor of the generators'
+    entries, so the entries lifted to N key an element exactly."""
     n = gens[0].n
+    N = conductor(c for g in gens for row in g.matrix.rows for c in row)
+
+    def key(h: GradedMap) -> tuple:
+        lifted = (c.lift_to(N) for row in h.matrix.rows for c in row)
+        return tuple((c.num, c.den) for c in lifted)
+
     elements: list[GradedMap] = [GradedMap._invertible(Matrix.identity(n))]
+    seen = {key(elements[0])}
     frontier = list(elements)
     while frontier:
         new_frontier = []
         for e in frontier:
             for g in gens:
                 h = e * g
-                if not any(h == known for known in elements):
+                k = key(h)
+                if k not in seen:
+                    seen.add(k)
                     elements.append(h)
                     new_frontier.append(h)
                     if len(elements) > bound:

@@ -15,7 +15,9 @@ splitters that `pwb.solver.split` replaced (over pwb's Groebner bases and
 root extraction), and the word-matrix elimination of every degree that
 `pwb.envelope.envelope_dims` ran before it counted normal words, and the
 Buchberger on monic `Poly` values that `pwb.solver` ran before its integer
-kernel.  The
+kernel, and the minimal-polynomial eigenvalues, the image-and-bracket
+automorphism check and the bracket-built center that `pwb.symmetry` and
+`pwb.brackets` ran before they read the bracket table.  The
 pointwise normal-element check and the Poisson-derivation test on its answer
 live only here: pwb itself finds normal elements by `normal_find_deg1`.
 """
@@ -31,11 +33,13 @@ from pwb.errors import (DegreeBudgetExceededError, DivisorZeroError, PwbError, S
                         UnsplittableConditionError, ZeroElementError)
 from pwb.brackets import PoissonDerivation
 from pwb.envelope import envelope_presentation
-from pwb.linalg import Echelon, Matrix, realify, rref, solve_linear
-from pwb.rings import grlex_key
+from pwb.linalg import Echelon, Matrix, kernel, realify, rref, solve_linear
+from pwb.rings import Poly, grlex_key
 from pwb.scalars import Cyclo, conductor, cyclotomic_polynomial, euler_phi, lcm
 from pwb.series import RationalSeries
 from pwb.solver import DEFAULT_BUDGET, EMPTY, POINTS, groebner_basis, lex_order
+from pwb.symmetry import (FINITE_NON_REFLECTION, IDENTITY, INFINITE_ORDER, NOT_AUTOMORPHISM,
+                          REFLECTION, Classification)
 from pwb.upoly import UPoly, extract_roots
 
 ZERO = Cyclo.of(0)
@@ -1273,3 +1277,96 @@ def _cyclo_interreduce(basis: list, order) -> list:
     basis = [monic(g, order) for g in basis]
     basis.sort(key=lambda g: order(g.leading(order)[0]))
     return basis
+
+
+# -- what pwb ran before reading the bracket table --------------------------------
+#
+# pwb now reads the eigenvalues of a rank-one update g = I + u k^T off its trace,
+# the right side of the automorphism check off 2x2 minors of g, and each column
+# of the center's linear map off the table by Leibniz.  These are the earlier
+# versions, unchanged but for their names: every map takes the minimal
+# polynomial, the check brackets the images of the generators, and the center
+# brackets each monomial with each generator.
+
+
+def minpoly_eigenvalues(m: Matrix) -> Optional[tuple]:
+    """The distinct eigenvalues, 1 first and then by printed form, or None,
+    by the minimal polynomial and `extract_roots`."""
+    mp = UPoly(m.minpoly_coeffs())
+    if not mp.is_squarefree():
+        return None
+    roots, rem = extract_roots(mp)
+    if rem.degree() >= 1:
+        return None
+    return tuple(sorted(roots, key=lambda c: (not c.is_one(), str(c))))
+
+
+def minpoly_order(m: Matrix) -> Optional[int]:
+    """The order of m from `minpoly_eigenvalues`, or None if infinite."""
+    eigenvalues = minpoly_eigenvalues(m)
+    if eigenvalues is None:
+        return None
+    order = 1
+    for r in eigenvalues:
+        k = r.root_of_unity_order()
+        if k is None:
+            return None
+        order = lcm(order, k)
+    return order
+
+
+def bracket_automorphism_check(A, g) -> tuple:
+    """g({x_i, x_j}) = {g(x_i), g(x_j)} on all generator pairs, by the general
+    bracket of the generator images: (verdict, first failing pair)."""
+    ring = A.ring
+    images = [g.image_of_var(ring, i) for i in range(A.nvars)]
+    for i in range(A.nvars):
+        for j in range(i + 1, A.nvars):
+            lhs = A.pair(i, j).apply_linear(g.matrix)
+            rhs = A.bracket(images[i], images[j])
+            if lhs != rhs:
+                return False, (ring.names[i], ring.names[j])
+    return True, None
+
+
+def minpoly_classify(A, g) -> Classification:
+    """`pwb.symmetry.classify` by `bracket_automorphism_check`, the order from
+    `minpoly_order` and the rank of g - I by elimination."""
+    ok, witness = bracket_automorphism_check(A, g)
+    if not ok:
+        return Classification(NOT_AUTOMORPHISM, witness_pair=witness)
+    if g.matrix.is_identity():
+        return Classification(IDENTITY, order=1)
+    order = minpoly_order(g.matrix)
+    if order is None:
+        return Classification(INFINITE_ORDER)
+    n = g.n
+    if (g.matrix - Matrix.identity(n)).rank() == 1:
+        xi = g.matrix.trace() - Cyclo.of(n - 1)
+        eig = (g.matrix - Matrix.diagonal([xi] * n)).kernel_basis()
+        return Classification(REFLECTION, order=order, xi=xi, eigenvector=tuple(eig[0]))
+    return Classification(FINITE_NON_REFLECTION, order=order)
+
+
+def center_by_bracket(A, d: int, weights=None) -> list:
+    """`PoissonAlgebra.center_truncated` with each column {x^I, x_j} taken by
+    the general bracket."""
+    out = [[A.ring.one()]]
+    xs = A.ring.gens()
+    for k in range(1, d + 1):
+        monos = A.ring.monomials_of_degree(k, weights)
+        if not monos:
+            out.append([])
+            continue
+        columns: dict = {}
+        for i, mexp in enumerate(monos):
+            mono = A.ring.monomial(mexp)
+            for j, x in enumerate(xs):
+                for ee, c in A.bracket(mono, x).terms.items():
+                    columns.setdefault((j, ee), {})[i] = c
+        if not columns:
+            out.append([A.ring.monomial(m) for m in monos])
+            continue
+        out.append([Poly(A.ring, {m: c for c, m in zip(vec, monos) if c})
+                    for vec in kernel(list(columns.values()), len(monos))])
+    return out

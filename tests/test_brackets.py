@@ -358,3 +358,46 @@ def test_bracket_visits_only_the_pairs_that_can_contribute(monkeypatch):
     f, g = ring.var(0), ring.var(1)
     assert A.bracket(f, g) == ring.parse("x0*x1")
     assert sorted(seen) == [0, 0, 1, 1]
+
+
+# -- the center's columns by Leibniz against the bracket-built ones -------------
+
+
+def _center_cases(rng):
+    """Algebras over Q and Q(zeta_3), with weights where their brackets are
+    weighted-homogeneous, and unchecked random tables."""
+    q = Matrix([[0, 1, zeta(3)], [-1, 0, 2], [-zeta(3), -2, 0]])
+    yield skew_symmetric(q), None, 3
+    yield skew_symmetric(Matrix([[0, 2, 0], [-2, 0, 0], [0, 0, 0]])), [1, 1, 2], 4
+    yield homogenized_weyl(1), None, 3
+    yield homogenized_weyl(2), None, 2
+    yield jacobian_pq(1, zeta(3)), None, 3
+    yield quantum_matrices(2), None, 2
+    yield jacobian(PolyRing(["x", "y", "z"]).parse("x*y*z")), [1, 2, 3], 5
+    for _ in range(30):
+        ring = PolyRing([f"x{i}" for i in range(rng.randint(2, 4))])
+        weights = None if rng.random() < 0.5 else [rng.randint(1, 2) for _ in ring.names]
+        yield (PoissonAlgebra(ring, _random_table(rng, ring), check_jacobi=False), weights,
+               rng.randint(1, 3))
+
+
+def test_center_by_leibniz_matches_the_bracket_built_columns():
+    # each basis polynomial printed and stored as by the bracket-built columns
+    rng = random.Random(1972)
+    for A, weights, d in _center_cases(rng):
+        found = A.center_truncated(d, weights)
+        expected = oracle.center_by_bracket(A, d, weights)
+        assert [[str(p) for p in b] for b in found] == [[str(p) for p in b] for b in expected]
+        assert [[_stored(p) for p in b] for b in found] == [[_stored(p) for p in b]
+                                                           for b in expected]
+
+
+def test_center_takes_no_bracket(monkeypatch):
+    H, Q = homogenized_weyl(2), quantum_matrices(2)
+    calls = []
+    bracket = PoissonAlgebra.bracket
+    monkeypatch.setattr(PoissonAlgebra, "bracket",
+                        lambda A, f, g: calls.append(A) or bracket(A, f, g))
+    assert [len(b) for b in H.center_truncated(3)] == [1, 1, 1, 1]
+    assert [len(b) for b in Q.center_truncated(2)] == [1, 0, 1]
+    assert calls == []

@@ -1,4 +1,6 @@
+import random
 from collections import Counter
+from fractions import Fraction
 from unittest.mock import patch
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 import oracle
 from pwb import symmetry
 from pwb.brackets import PoissonAlgebra
+from pwb.cli import main
 from pwb.errors import BoundExceededError, InfiniteOrderError, SingularMatrixError
 from pwb.families import (homogenized_weyl, jacobian, jacobian_pq, lie_two_dim_nonabelian,
                           ph_lie, quantum_matrices, skew_symmetric, sl2)
@@ -307,7 +310,7 @@ def test_build_reflection_runs_one_invertibility_check(monkeypatch):
 
 def test_apply_linear_runs_no_invertibility_check(monkeypatch):
     # a GradedMap is checked when it is built: the automorphism check and the
-    # Reynolds averages of S3 permuting three variables apply maps unchecked
+    # Reynolds averages of S3 permuting three variables run no rank or det
     A = skew_symmetric(Matrix([[0, 1, 2], [-1, 0, 3], [-2, -3, 0]]))
     g = GradedMap(Matrix.diagonal([zeta(3), zeta(3), zeta(3)]))
     ring = PolyRing(["x", "y", "z"])
@@ -316,7 +319,7 @@ def test_apply_linear_runs_no_invertibility_check(monkeypatch):
     cycle = GradedMap(Matrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]]))
     calls = record_calls(monkeypatch)
     assert is_poisson_automorphism(A, g) == (True, None)
-    assert calls.count(("apply_linear", False)) == 3
+    assert not checks(calls)
     G = group_closure([swap, cycle])
     assert G.order == 6
     assert fixed_group(Z, G, bound=6).polynomial
@@ -458,3 +461,179 @@ def test_find_reflections_ph_lie():
     assert cls.kind == REFLECTION
     # eigenvector is x2: g fixes x1 and z
     assert g.matrix.rows[0][0] == 1 and g.matrix.rows[2][2] == 1
+
+
+# -- rank-one eigenvalues, the automorphism check and the enumeration, against
+# the routes pwb ran before reading the bracket table ----------------------------
+
+
+def _field_value(rng, n):
+    """A value of Q(zeta_n) with small coefficients, zero a quarter of the time."""
+    if rng.random() < 0.25:
+        return Cyclo.of(0)
+    a = Cyclo.of(Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 1, 2, 3))))
+    return a * zeta(n, rng.randrange(n)) + Cyclo.of(rng.randint(-1, 1)) * zeta(n, rng.randrange(n))
+
+
+# xi = 1 + k.u for a drawn update: a shear, rationals, roots of unity of
+# several orders, and a value that is neither
+XI_TARGETS = (1, -1, 2, Fraction(1, 2), zeta(3), -zeta(3), zeta(4), zeta(12, 5), zeta(3) + 2)
+
+
+def _rank_one_update(rng, n, N):
+    """Rows of I + u k^T over Q(zeta_N); k is solved for a target xi two
+    times in three."""
+    u = [_field_value(rng, N) for _ in range(n)]
+    k = [_field_value(rng, N) for _ in range(n)]
+    if rng.random() < 0.67 and any(u):
+        lead = next(i for i, c in enumerate(u) if c)
+        rest = sum((k[i] * u[i] for i in range(n) if i != lead), Cyclo.of(0))
+        k[lead] = (Cyclo.of(rng.choice(XI_TARGETS)) - 1 - rest) / u[lead]
+    return [[Cyclo.of(int(r == c)) + u[r] * k[c] for c in range(n)] for r in range(n)]
+
+
+def _drawn_map(rng):
+    """A rank-one update over Q, Q(zeta_3), Q(zeta_4) or Q(zeta_12), or a
+    product of two (rank two or less), its entries lifted to conductor 12 one
+    time in four; None when singular."""
+    N, n = rng.choice((1, 3, 4, 12)), rng.randint(1, 4)
+    m = Matrix(_rank_one_update(rng, n, N))
+    if n > 1 and rng.random() < 0.3:
+        m = m * Matrix(_rank_one_update(rng, n, N))
+    if rng.random() < 0.25:
+        m = Matrix([[c.lift_to(12) for c in row] for row in m.rows])
+    try:
+        return GradedMap(m)
+    except SingularMatrixError:
+        return None
+
+
+def _stored_values(values):
+    return None if values is None else [(c.n, c.num, c.den) for c in values]
+
+
+def _printed(cls):
+    vector = None if cls.eigenvector is None else [str(c) for c in cls.eigenvector]
+    return cls.kind, cls.order, str(cls.xi), vector, cls.witness_pair
+
+
+def test_rank_one_eigenvalues_match_the_minimal_polynomial():
+    # value by value and stored conductor by stored conductor, with the order
+    # and the printed classification on a zero and a skew bracket
+    rng = random.Random(1995)
+    seen = Counter()
+    # xi = 2 + zeta(3) is neither rational nor a root of unity: the minimal
+    # polynomial stores it at the entries' conductor 12, not the trace's 3
+    drawn = [GradedMap(Matrix([[zeta(3) + 2, zeta(4)], [0, 1]]))]
+    drawn += [_drawn_map(rng) for _ in range(250)]
+    for g in drawn:
+        if g is None:
+            continue
+        n = g.n
+        assert g.update_rank() == min(2, (g.matrix - Matrix.identity(n)).rank())
+        assert _stored_values(g.eigenvalues()) == _stored_values(
+            oracle.minpoly_eigenvalues(g.matrix))
+        assert g.order() == oracle.minpoly_order(g.matrix)
+        ring = PolyRing([f"x{i}" for i in range(n)])
+        q = [[_field_value(rng, 3) if r < c else Cyclo.of(0) for c in range(n)]
+             for r in range(n)]
+        skew = skew_symmetric(Matrix([[q[r][c] - q[c][r] for c in range(n)] for r in range(n)]),
+                              names=ring.names)
+        for A in (PoissonAlgebra(ring, {}), skew):
+            assert _printed(classify(A, g)) == _printed(oracle.minpoly_classify(A, g))
+        seen[g.update_rank(), g.eigenvalues() is None, n == 1] += 1
+    # identities, shears, diagonalizable rank-one maps, n = 1 and rank two
+    assert {(0, False, False), (1, True, False), (1, False, False), (1, False, True),
+            (2, False, False)} <= set(seen)
+
+
+def test_rank_one_maps_take_no_minimal_polynomial(monkeypatch, tmp_path, capsys):
+    # the reflection samples of a 5-variable skew algebra and a reflection
+    # --group map of `pwb report` classify from the trace
+    calls = []
+    minpoly = Matrix.minpoly_coeffs
+    monkeypatch.setattr(Matrix, "minpoly_coeffs", lambda m: calls.append(m) or minpoly(m))
+    q = Matrix([[0, 1, 0, 2, 0], [-1, 0, 0, 0, 1], [0, 0, 0, 3, 0], [-2, 0, -3, 0, 0],
+                [0, -1, 0, 0, 0]])
+    report = find_reflections(skew_symmetric(q))
+    assert report.status == FOUND and all(f.samples for f in report.families)
+    algebra, group = tmp_path / "s.pois", tmp_path / "g.map"
+    algebra.write_text("algebra S {\n  vars: x, y;\n  bracket{x,y} = 2*x*y;\n}\n")
+    group.write_text("map g on S {\n  x -> zeta(3)*x;\n}\n")
+    assert main(["report", "--algebra", str(algebra), "--group", str(group),
+                 "--degree", "3", "--json"]) == 0
+    assert capsys.readouterr().out
+    assert calls == []
+
+
+def _automorphism_cases(rng, family):
+    """(algebra, map) pairs of one family, about half of them automorphisms:
+    scalar and structure-preserving diagonal maps, and those perturbed by one
+    off-diagonal entry or replaced by a random map."""
+    if family == "skew":
+        n = rng.randint(2, 4)
+        q = [[_field_value(rng, 3) if r < c else Cyclo.of(0) for c in range(n)]
+             for r in range(n)]
+        A = skew_symmetric(Matrix([[q[r][c] - q[c][r] for c in range(n)] for r in range(n)]))
+    elif family == "jacobian_pq":
+        A = jacobian_pq(rng.randint(-2, 2), rng.choice((-2, -1, 1, 2)))
+    elif family == "quantum_matrices":
+        A = quantum_matrices(2)
+    else:  # a table loaded without the Jacobi check
+        ring = PolyRing([f"x{i}" for i in range(rng.randint(2, 4))])
+        pairs = [(i, j) for i in range(ring.nvars) for j in range(i + 1, ring.nvars)]
+        table = {}
+        for pair in rng.sample(pairs, rng.randint(1, len(pairs))):
+            table[pair] = sum((ring.monomial(tuple(rng.randint(0, 1) for _ in ring.names),
+                                             _field_value(rng, 3) or Cyclo.of(1))
+                               for _ in range(2)), ring.zero())
+        A = PoissonAlgebra(ring, table, check_jacobi=False)
+    n = A.nvars
+    roots = (Cyclo.of(1), Cyclo.of(-1), zeta(3), zeta(4), zeta(3, 2))
+    if family == "skew":
+        diagonal = [rng.choice(roots) for _ in range(n)]
+    elif family == "quantum_matrices":
+        a, b, c = (rng.choice(roots) for _ in range(3))
+        diagonal = [a, b, c, b * c / a]
+    else:
+        diagonal = [rng.choice(roots)] * n
+    rows = [[diagonal[r] if r == c else Cyclo.of(0) for c in range(n)] for r in range(n)]
+    shape = rng.random()
+    if shape < 0.3:
+        r, c = rng.sample(range(n), 2)
+        rows[r][c] = _field_value(rng, 4) or Cyclo.of(1)
+    elif shape < 0.45:
+        rows = [[_field_value(rng, 12) for _ in range(n)] for _ in range(n)]
+    try:
+        return A, GradedMap(Matrix(rows))
+    except SingularMatrixError:
+        return A, GradedMap(Matrix.identity(n))
+
+
+@pytest.mark.parametrize("family", ["skew", "jacobian_pq", "quantum_matrices", "unchecked"])
+def test_automorphism_check_by_minors_matches_the_bracket_of_images(family):
+    # verdict and witness pair, on maps that are and are not automorphisms
+    rng = random.Random(family)
+    verdicts = Counter()
+    for _ in range(60):
+        A, g = _automorphism_cases(rng, family)
+        found = is_poisson_automorphism(A, g)
+        assert found == oracle.bracket_automorphism_check(A, g)
+        verdicts[found[0]] += 1
+    assert verdicts[True] and verdicts[False]
+
+
+G313 = ([[zeta(3), 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 1, 0], [1, 0, 0], [0, 0, 1]],
+        [[1, 0, 0], [0, 0, 1], [0, 1, 0]])
+
+
+def test_the_enumeration_compares_no_maps(monkeypatch):
+    # elements are keyed by their entries at the generators' lcm conductor,
+    # not found by a scan of GradedMap.__eq__
+    calls = []
+    eq = GradedMap.__eq__
+    monkeypatch.setattr(GradedMap, "__eq__", lambda g, h: calls.append(g) or eq(g, h))
+    for rows, order, exponent in ((S3, 6, 6), (Q8, 8, 4), (G313, 162, 18)):
+        G = group_closure([GradedMap(Matrix(r)) for r in rows])
+        assert G.diagonal is None and (G.order, G.exponent) == (order, exponent)
+    assert calls == []
