@@ -115,6 +115,19 @@ class PoissonAlgebra:
                 _add_terms(out, _mul_terms(term, p.terms).items())
         return Poly(self.ring, out)
 
+    def linear_bracket_terms(self, rows: Sequence[Sequence[Cyclo]], i: int, j: int) -> dict:
+        """The terms of {y_i, y_j} for the linear forms y_j = sum_a rows[a][j] x_a,
+        read off the table by 2x2 minors: sum_(a<b) (B_ai B_bj - B_bi B_aj)
+        {x_a, x_b}, each minor built from its nonzero products and added over
+        the table pairs in order, so every coefficient is stored as `bracket`
+        of the two linear forms stores it."""
+        out: dict = {}
+        for (a, b), p in self.table.items():
+            minor = _minor(rows[a][i], rows[b][j], rows[b][i], rows[a][j])
+            if minor:
+                _add_terms(out, ((e, c * minor) for e, c in p.terms.items()))
+        return out
+
     def jacobi_check(self) -> tuple[bool, Optional[tuple[str, str, str]]]:
         """Jacobi on every triple of variables, or the first failing triple.
 
@@ -320,21 +333,30 @@ def transport(A: PoissonAlgebra, basis: Matrix, names: Sequence[str]) -> Poisson
     """The bracket of A written in the linear coordinates y with x = basis * y.
 
     Column j of `basis` holds the x-coefficients of the new degree-one
-    element y_j.  A change of basis keeps the Jacobi identity, so it is not
-    checked again.
+    element y_j.  Its bracket with y_i is read off the table by 2x2 minors of
+    the basis (`linear_bracket_terms`), then written in y by substituting
+    x = basis * y.  A change of basis keeps the Jacobi identity, so it is
+    not checked again.
     """
     n = A.nvars
     inv = basis.inverse()
     yring = PolyRing(tuple(names))
     images = [yring.linear_form(inv.column(i)) for i in range(n)]
-    new_elems = [A.ring.linear_form(basis.column(j)) for j in range(n)]
     table: dict = {}
     for i in range(n):
         for j in range(i + 1, n):
-            br = A.bracket(new_elems[i], new_elems[j])
-            if not br.is_zero():
-                table[(i, j)] = br.substitute(images, yring)
+            br = A.linear_bracket_terms(basis.rows, i, j)
+            if br:
+                table[(i, j)] = Poly(A.ring, br).substitute(images, yring)
     return PoissonAlgebra(yring, table, check_jacobi=False)
+
+
+def _minor(w: Cyclo, x: Cyclo, y: Cyclo, z: Cyclo) -> Optional[Cyclo]:
+    """w x - y z from its nonzero products, or None when both vanish."""
+    first = w * x if w and x else None
+    if not (y and z):
+        return first
+    return -(y * z) if first is None else first - y * z
 
 
 class DerivedIdeal:
@@ -365,9 +387,9 @@ class DerivedIdeal:
                 if gdeg > k:
                     continue
                 for K in ring.monomials_of_degree(k - gdeg, self.weights):
-                    prod = ring.monomial(K) * g
-                    rows.append({col_index.setdefault(e, len(col_index)): c
-                                 for e, c in prod.terms.items()})
+                    # the terms of x^K * g: g's terms shifted by K
+                    rows.append({col_index.setdefault(tuple(map(add, e, K)), len(col_index)): c
+                                 for e, c in g.terms.items()})
             out.append(rank(rows))
         self._dims = out
         return out

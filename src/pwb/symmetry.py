@@ -17,8 +17,8 @@ from typing import Optional, Sequence
 from .brackets import PoissonAlgebra
 from .errors import (BoundExceededError, InfiniteOrderError, NotSkewError, PwbError,
                      SingularMatrixError)
-from .linalg import Matrix, hermite_normal_form
-from .rings import Poly, PolyRing, _add_terms, grlex_key
+from .linalg import Matrix, _dot, hermite_normal_form
+from .rings import Poly, PolyRing, _add_terms, _mul_terms, grlex_key
 from .scalars import (Cyclo, conductor, cyclotomic_polynomial, divisors, lcm, zeta, zpoly_mul,
                       zpoly_quotient)
 from .series import RationalSeries
@@ -82,8 +82,14 @@ class GradedMap:
     def update_rank(self) -> int:
         """The rank of g - I when it is 0 or 1, else 2 (for 2 or more)."""
         if "update_rank" not in self._cache:
-            self._cache["update_rank"] = _update_rank(self.matrix)
+            self._cache["update_rank"], self._cache["update"] = _update(self.matrix)
         return self._cache["update_rank"]
+
+    def update(self) -> Optional[tuple[list[Cyclo], list[Cyclo]]]:
+        """(u, k) with g - I = u k^T when g - I has rank one, else None: k is
+        the first nonzero row of g - I, and u is 1 at that row."""
+        self.update_rank()
+        return self._cache["update"]
 
     def eigenvalues(self) -> Optional[tuple[Cyclo, ...]]:
         """The distinct eigenvalues, 1 first and then by printed form, or None
@@ -131,20 +137,30 @@ def _eigenvalues(m: Matrix) -> Optional[tuple[Cyclo, ...]]:
     return tuple(sorted(roots, key=lambda c: (not c.is_one(), str(c))))
 
 
-def _update_rank(m: Matrix) -> int:
-    """The rank of m - I when it is 0 or 1, else 2: each row of m - I is tested
-    for proportionality to the first nonzero one, by 2n products a row."""
-    first = None
+def _update(m: Matrix) -> tuple[int, Optional[tuple[list[Cyclo], list[Cyclo]]]]:
+    """The rank of m - I when it is 0 or 1, else 2, and for rank one (u, k)
+    with m - I = u k^T.  k is the first nonzero row of m - I, and each later
+    row is tested for proportionality to it by 2n products; u_i is the
+    ratio (m - I)_(i, lead) / k_lead, lead the first nonzero column of k,
+    so u is 1 at k's row."""
+    first, at_lead = None, []
     for i, row in enumerate(m.rows):
         d = list(row)
         d[i] = d[i] - _ONE
         if first is None:
             lead = next((j for j, c in enumerate(d) if c), None)
-            if lead is not None:
-                first = d
+            if lead is None:
+                at_lead.append(_ZERO)
+                continue
+            first, top = d, i
         elif any(d[j] * first[lead] != d[lead] * first[j] for j in range(len(d))):
-            return 2
-    return 0 if first is None else 1
+            return 2, None
+        at_lead.append(d[lead])
+    if first is None:
+        return 0, None
+    inv = first[lead].inverse()
+    u = [_ONE if i == top else c * inv if c else _ZERO for i, c in enumerate(at_lead)]
+    return 1, (u, first)
 
 
 def _as_extracted(xi: Cyclo, m: Matrix) -> Cyclo:
@@ -186,21 +202,31 @@ class Classification:
 def is_poisson_automorphism(A: PoissonAlgebra, g: GradedMap
                             ) -> tuple[bool, Optional[tuple[str, str]]]:
     """Check g({x_i, x_j}) = {g(x_i), g(x_j)} on all generator pairs, the
-    first failing pair as witness.  The images of the generators are built
-    once; the right side is read off the bracket table by 2x2 minors of g:
-    {g(x_i), g(x_j)} = sum_(a<b) (g_ai g_bj - g_bi g_aj) {x_a, x_b}."""
+    first failing pair as witness.  The left side substitutes the images of
+    the generators, each product of images formed once per check; the right
+    side is read off the bracket table by 2x2 minors of g
+    (`PoissonAlgebra.linear_bracket_terms`)."""
     ring, m = A.ring, g.matrix.rows
-    images = [g.image_of_var(ring, i) for i in range(A.nvars)]
+    images = [g.image_of_var(ring, i).terms for i in range(A.nvars)]
+    products: dict = {}
+
+    def image(e: tuple) -> dict:
+        """The terms of g(x^e)."""
+        found = products.get(e)
+        if found is None:
+            c = next((i for i, x in enumerate(e) if x), None)
+            if c is None:
+                return {e: _ONE}
+            rest = e[:c] + (e[c] - 1,) + e[c + 1:]
+            found = products[e] = _mul_terms(image(rest), images[c]) if any(rest) else images[c]
+        return found
+
     for i in range(A.nvars):
         for j in range(i + 1, A.nvars):
-            rhs: dict = {}
-            for (a, b), p in A.table.items():
-                gai, gbi = m[a][i], m[b][i]
-                if gai or gbi:
-                    minor = gai * m[b][j] - gbi * m[a][j]
-                    if minor:
-                        _add_terms(rhs, ((e, minor * c) for e, c in p.terms.items()))
-            if A.pair(i, j).substitute(images) != Poly(ring, rhs):
+            lhs: dict = {}
+            for e, c in A.pair(i, j).terms.items():
+                _add_terms(lhs, ((f, c * d) for f, d in image(e).items()))
+            if Poly(ring, lhs) != Poly(ring, A.linear_bracket_terms(m, i, j)):
                 return False, (ring.names[i], ring.names[j])
     return True, None
 
@@ -214,12 +240,19 @@ def classify(A: PoissonAlgebra, g: GradedMap) -> Classification:
     order = g.order()
     if order is None:
         return Classification(INFINITE_ORDER)
-    n = g.n
-    if g.update_rank() == 1:
-        xi = g.matrix.trace() - Cyclo.of(n - 1)
-        eig = (g.matrix - Matrix.diagonal([xi] * n)).kernel_basis()
-        return Classification(REFLECTION, order=order, xi=xi, eigenvector=tuple(eig[0]))
-    return Classification(FINITE_NON_REFLECTION, order=order)
+    update = g.update()
+    if update is None:
+        return Classification(FINITE_NON_REFLECTION, order=order)
+    # the xi-eigenvector u in the reduced echelon shape of the kernel of
+    # g - xi I: 1 at its last nonzero entry, every entry stored at the lcm
+    # conductor N of g's entries and xi
+    m = g.matrix
+    xi = m.trace() - Cyclo.of(g.n - 1)
+    u = update[0]
+    N = lcm(conductor(c for row in m.rows for c in row), xi.n)
+    last = next(c for c in reversed(u) if c)
+    eigenvector = tuple((c / last).lift_to(N) if c else _ZERO.lift_to(N) for c in u)
+    return Classification(REFLECTION, order=order, xi=xi, eigenvector=eigenvector)
 
 
 def trace_series(g: GradedMap) -> RationalSeries:
@@ -328,37 +361,181 @@ def _require_finite_order(g: GradedMap, index: int) -> int:
 
 
 def _try_diagonalize(gens: Sequence[GradedMap]):
-    """Common eigenbasis T and per-generator eigenvalue lists, or None."""
-    mats = [g.matrix for g in gens]
-    n = mats[0].nrows
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            if mats[i] * mats[j] != mats[j] * mats[i]:
+    """Common eigenbasis T and per-generator eigenvalue lists, or None.
+
+    The common eigenspaces are kept whole until every generator has split
+    them.  A space is a basis B of column vectors with its identity
+    positions: the rows where B is the identity, as every basis
+    `kernel_basis` returns is on its free columns, and recombining keeps
+    that.  A generator g splits B into the kernels of (g - lam I) B, each
+    written as `kernel_basis` writes it (`_eigenspace_kernel`, or
+    `_rank_one_kernel` for a rank-one g), and B times each kernel vector
+    is a column of the new space.  A recombined entry i is stored at the
+    lcm of the kernel's conductor N and the conductors of every B[t][i],
+    as the sum over all t, zero terms included, would store it.
+    """
+    n = gens[0].n
+    for i in range(len(gens)):
+        for j in range(i + 1, len(gens)):
+            if not _commute(gens[i], gens[j]):
                 return None
-    # common eigenspaces, kept whole until every generator has split them:
-    # (basis column vectors, eigenvalue of each generator processed so far)
-    spaces: list[tuple[list[list[Cyclo]], list[Cyclo]]] = [
-        ([list(r) for r in Matrix.identity(n).rows], [])]
+    # (basis column vectors, their identity positions, eigenvalue of each
+    # generator processed so far)
+    spaces: list[tuple[list[list[Cyclo]], list[int], list[Cyclo]]] = [
+        ([list(r) for r in Matrix.identity(n).rows], list(range(n)), [])]
     for g in gens:
         eigenvalues = g.eigenvalues()
         if eigenvalues is None:
             return None
-        shifted = [(lam, g.matrix - Matrix.diagonal([lam] * n)) for lam in eigenvalues]
+        update = g.update()
+        columns = None if update is None else _column_conductors(g.matrix, eigenvalues)
         new_spaces = []
-        for basis, chars in spaces:
-            k = len(basis)
-            B = Matrix(basis).transpose()
-            for lam, delta in shifted:
-                # B has full column rank: the kernel of (g - lam) B is the
-                # lam-eigenspace of g restricted to the span of B
-                cols = [[sum((vec[t] * basis[t][i] for t in range(k)), _ZERO)
-                         for i in range(n)] for vec in (delta * B).kernel_basis()]
-                if cols:
-                    new_spaces.append((cols, chars + [lam]))
+        for basis, positions, chars in spaces:
+            reach = [conductor(b[i] for b in basis) for i in range(n)]
+            for i, lam in enumerate(eigenvalues):
+                found = None
+                if update is not None:
+                    found = _rank_one_kernel(update, lam, columns[i], basis, positions)
+                if found is None:
+                    found = _eigenspace_kernel(g.matrix, lam, basis)
+                N, vecs = found
+                if vecs:
+                    cols = [_recombined(vec, basis, reach, N) for _, vec in vecs]
+                    new_spaces.append((cols, [positions[f] for f, _ in vecs], chars + [lam]))
         spaces = new_spaces
-    T = Matrix([col for basis, _ in spaces for col in basis]).transpose()
-    chars = [[lams[gi] for basis, lams in spaces for _ in basis] for gi in range(len(mats))]
+    T = Matrix([col for basis, _, _ in spaces for col in basis]).transpose()
+    chars = [[lams[gi] for basis, _, lams in spaces for _ in basis] for gi in range(len(gens))]
     return T, chars
+
+
+def _commute(g: GradedMap, h: GradedMap) -> bool:
+    """gh == hg.  For a rank-one g = I + u k^T that is u (h^T k)^T == (h u) k^T,
+    an equation of two rank-one matrices (h is invertible, so h u != 0): it
+    holds iff h u = alpha u and h^T k = alpha k for one alpha, which is
+    (h u)_i at the row where u is 1."""
+    if g.update() is None:
+        g, h = h, g
+    update = g.update()
+    if update is None:
+        return g.matrix * h.matrix == h.matrix * g.matrix
+    u, k = update
+    m = h.matrix
+    hu = [_dot(row, u) for row in m.rows]
+    alpha = hu[next(i for i, c in enumerate(u) if c)]
+    return (all(x == alpha * c for x, c in zip(hu, u))
+            and all(_dot(m.column(j), k) == alpha * c for j, c in enumerate(k)))
+
+
+def _eigenspace_kernel(m: Matrix, lam: Cyclo, basis: list[list[Cyclo]]):
+    """(N, [(free column, {t: nonzero entry})]) for the kernel vectors of
+    (m - lam I) B by `kernel_basis`: B has full column rank, so they span the
+    lam-eigenspace of m in the span of B.  Every entry is stored at N, and
+    a vector's free column is its last nonzero entry."""
+    delta = m - Matrix.diagonal([lam] * m.nrows)
+    vecs = (delta * Matrix(basis).transpose()).kernel_basis()
+    if not vecs:
+        return 1, []
+    return vecs[0][0].n, [(max(t for t, c in enumerate(v) if c),
+                           {t: c for t, c in enumerate(v) if c}) for v in vecs]
+
+
+def _column_conductors(m: Matrix, eigenvalues) -> list[list[Optional[int]]]:
+    """Per eigenvalue lam and column t of m - lam I, the lcm of the conductors
+    of its nonzero entries (m_tt - lam at lcm(m_tt, lam)), or None for a zero
+    column."""
+    rows = m.rows
+    off = []
+    for t in range(m.nrows):
+        found = None
+        for i, row in enumerate(rows):
+            c = row[t]
+            if i != t and c:
+                found = c.n if found is None else lcm(found, c.n)
+        off.append(found)
+    out = []
+    for lam in eigenvalues:
+        cols = []
+        for t, found in enumerate(off):
+            d = rows[t][t]
+            if d != lam:
+                found = lcm(d.n, lam.n) if found is None else lcm(found, lcm(d.n, lam.n))
+            cols.append(found)
+        out.append(cols)
+    return out
+
+
+def _rank_one_kernel(update, lam: Cyclo, columns: list[Optional[int]],
+                     basis: list[list[Cyclo]], positions: list[int]):
+    """`_eigenspace_kernel` for m = I + u k^T, by no elimination, or None when
+    an entry is neither stored at a divisor of N nor rational.
+
+    N is the conductor `kernel_basis` stores at: the lcm of the conductors
+    of (m - lam I) B's entries, that is of both factors of every nonzero
+    product (m - lam I)_it B_tj, read from `columns` (`_column_conductors`)
+    and the rows of B.  Since (m - I) B = u (k^T B), the kernel for lam = 1
+    is that of the row r = k^T B: with p its first nonzero entry, the
+    vector of free column f is 1 at f and -r_f / r_p at p.  For lam = xi
+    it is spanned by the coordinates c of u, read at the identity
+    positions, when B c = u, normalised at the last nonzero coordinate,
+    which is the one free column; otherwise it is zero."""
+    u, k = update
+    n, dim = len(u), len(basis)
+    N = 1
+    for t, col in enumerate(columns):
+        if col is not None:
+            row = [b[t] for b in basis if b[t]]
+            if row:
+                N = lcm(N, lcm(col, conductor(row)))
+    if lam.is_one():
+        r = [_dot(k, b) for b in basis]
+        p = next((j for j, c in enumerate(r) if c), None)
+        if p is None:
+            return N, [(f, {f: _ONE}) for f in range(dim)]
+        vecs = []
+        for f in range(dim):
+            if f != p:
+                vec = {f: _ONE}
+                if r[f]:
+                    vec[p] = _stored_at(-(r[f] / r[p]), N)
+                    if vec[p] is None:
+                        return None
+                vecs.append((f, vec))
+        return N, vecs
+    c = [u[pos] for pos in positions]
+    if any(_dot(c, [b[i] for b in basis]) != u[i] for i in range(n) if i not in positions):
+        return N, []
+    f = max(t for t, x in enumerate(c) if x)
+    vec = {f: _ONE}
+    for t in range(f):
+        if c[t]:
+            vec[t] = _stored_at(c[t] / c[f], N)
+            if vec[t] is None:
+                return None
+    return N, [(f, vec)]
+
+
+def _stored_at(value: Cyclo, N: int) -> Optional[Cyclo]:
+    """A value known to lie in Q(zeta_N) at a conductor dividing N: as it is
+    stored, or a rational stored at 1; None for any other value."""
+    if N % value.n == 0:
+        return value
+    if value.is_rational():
+        return Cyclo.of(value.as_fraction())
+    return None
+
+
+def _recombined(vec: dict, basis: list[list[Cyclo]], reach: list[int], N: int) -> list[Cyclo]:
+    """B times a kernel vector, from its nonzero coordinates: entry i is
+    stored at lcm(N, reach[i]), reach[i] the lcm conductor of every B[t][i]."""
+    out = []
+    for i, target in enumerate(reach):
+        acc = _ZERO
+        for t, c in vec.items():
+            b = basis[t][i]
+            if b:
+                acc = acc + c * b
+        out.append(acc.lift_to(lcm(N, target)))
+    return out
 
 
 def _character_logs(chars) -> tuple[int, list[list[int]]]:

@@ -17,7 +17,10 @@ root extraction), and the word-matrix elimination of every degree that
 Buchberger on monic `Poly` values that `pwb.solver` ran before its integer
 kernel, and the minimal-polynomial eigenvalues, the image-and-bracket
 automorphism check and the bracket-built center that `pwb.symmetry` and
-`pwb.brackets` ran before they read the bracket table.  The
+`pwb.brackets` ran before they read the bracket table, and the eigenspaces
+by `kernel_basis`, the bracket-built transport and the `Poly`-product rows
+of the derived ideal that they ran before they read a rank-one update's
+eigenspaces in closed form.  The
 pointwise normal-element check and the Poisson-derivation test on its answer
 live only here: pwb itself finds normal elements by `normal_find_deg1`.
 """
@@ -31,10 +34,10 @@ from typing import Optional
 
 from pwb.errors import (DegreeBudgetExceededError, DivisorZeroError, PwbError, ScalarError,
                         UnsplittableConditionError, ZeroElementError)
-from pwb.brackets import PoissonDerivation
+from pwb.brackets import PoissonAlgebra, PoissonDerivation
 from pwb.envelope import envelope_presentation
-from pwb.linalg import Echelon, Matrix, kernel, realify, rref, solve_linear
-from pwb.rings import Poly, grlex_key
+from pwb.linalg import Echelon, Matrix, kernel, rank, realify, rref, solve_linear
+from pwb.rings import Poly, PolyRing, grlex_key
 from pwb.scalars import Cyclo, conductor, cyclotomic_polynomial, euler_phi, lcm
 from pwb.series import RationalSeries
 from pwb.solver import DEFAULT_BUDGET, EMPTY, POINTS, groebner_basis, lex_order
@@ -1369,4 +1372,83 @@ def center_by_bracket(A, d: int, weights=None) -> list:
             continue
         out.append([Poly(A.ring, {m: c for c, m in zip(vec, monos) if c})
                     for vec in kernel(list(columns.values()), len(monos))])
+    return out
+
+
+# -- what pwb ran before it read rank-one eigenspaces off the update ---------------
+#
+# pwb now reads the eigenspaces of a rank-one update g = I + u k^T and the
+# xi-eigenvector that `classify` reports in closed form, transports a bracket
+# table by 2x2 minors of the basis, and builds each row of the derived ideal by
+# shifting a generator's terms.  These are the earlier versions, unchanged but
+# for their names: every eigenspace is a `kernel_basis` of (g - lam I) B,
+# transport brackets the new coordinates, and a row is the `Poly` product of a
+# monomial and a generator.  The eigenvector by `kernel_basis` of g - xi I is
+# the one `minpoly_classify` above reports.
+
+
+def kernel_try_diagonalize(gens):
+    """Common eigenbasis T and per-generator eigenvalue lists, or None, each
+    eigenspace by `kernel_basis`."""
+    mats = [g.matrix for g in gens]
+    n = mats[0].nrows
+    for i in range(len(mats)):
+        for j in range(i + 1, len(mats)):
+            if mats[i] * mats[j] != mats[j] * mats[i]:
+                return None
+    spaces = [([list(r) for r in Matrix.identity(n).rows], [])]
+    for g in gens:
+        eigenvalues = g.eigenvalues()
+        if eigenvalues is None:
+            return None
+        shifted = [(lam, g.matrix - Matrix.diagonal([lam] * n)) for lam in eigenvalues]
+        new_spaces = []
+        for basis, chars in spaces:
+            k = len(basis)
+            B = Matrix(basis).transpose()
+            for lam, delta in shifted:
+                cols = [[sum((vec[t] * basis[t][i] for t in range(k)), ZERO)
+                         for i in range(n)] for vec in (delta * B).kernel_basis()]
+                if cols:
+                    new_spaces.append((cols, chars + [lam]))
+        spaces = new_spaces
+    T = Matrix([col for basis, _ in spaces for col in basis]).transpose()
+    chars = [[lams[gi] for basis, lams in spaces for _ in basis] for gi in range(len(mats))]
+    return T, chars
+
+
+def bracket_transport(A, basis: Matrix, names) -> PoissonAlgebra:
+    """The bracket of A in the coordinates y with x = basis * y, each new pair
+    by the general bracket of the new degree-one elements."""
+    n = A.nvars
+    inv = basis.inverse()
+    yring = PolyRing(tuple(names))
+    images = [yring.linear_form(inv.column(i)) for i in range(n)]
+    new_elems = [A.ring.linear_form(basis.column(j)) for j in range(n)]
+    table: dict = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            br = A.bracket(new_elems[i], new_elems[j])
+            if not br.is_zero():
+                table[(i, j)] = br.substitute(images, yring)
+    return PoissonAlgebra(yring, table, check_jacobi=False)
+
+
+def derived_dims_by_products(ideal) -> list[int]:
+    """`DerivedIdeal.dims` with each row the `Poly` product of a monomial and
+    a generator."""
+    ring = ideal.algebra.ring
+    out = [0]
+    for k in range(1, ideal.bound + 1):
+        col_index: dict = {}
+        rows = []
+        for g in ideal.generators:
+            gdeg = g.weighted_degree(ideal.weights)
+            if gdeg > k:
+                continue
+            for K in ring.monomials_of_degree(k - gdeg, ideal.weights):
+                prod = ring.monomial(K) * g
+                rows.append({col_index.setdefault(e, len(col_index)): c
+                             for e, c in prod.terms.items()})
+        out.append(rank(rows))
     return out

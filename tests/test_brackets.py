@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import oracle
-from pwb.brackets import PoissonAlgebra
+from pwb.brackets import PoissonAlgebra, transport
 from pwb.errors import JacobiFailsError
 from pwb.families import (homogenized_weyl, jacobian, jacobian_pq, quantum_matrices,
                           skew_symmetric, weyl)
@@ -400,4 +400,80 @@ def test_center_takes_no_bracket(monkeypatch):
                         lambda A, f, g: calls.append(A) or bracket(A, f, g))
     assert [len(b) for b in H.center_truncated(3)] == [1, 1, 1, 1]
     assert [len(b) for b in Q.center_truncated(2)] == [1, 0, 1]
+    assert calls == []
+
+
+# -- transport by 2x2 minors and the derived ideal's shifted rows ---------------
+
+
+def _invertible_basis(rng, n):
+    """An invertible matrix over Q, Q(zeta_3), Q(zeta_4) or Q(zeta_12), with
+    zero entries, some entries lifted to a larger conductor."""
+    N = rng.choice((1, 3, 4, 12))
+    values = [Cyclo.of(0), Cyclo.of(1), Cyclo.of(-1), Cyclo.of(2), zeta(N), -zeta(N, N - 1)]
+    while True:
+        rows = [[rng.choice(values) for _ in range(n)] for _ in range(n)]
+        rows = [[c.lift_to(12) if rng.random() < 0.15 else c for c in row] for row in rows]
+        T = Matrix(rows)
+        if T.rank() == n:
+            return T
+
+
+def test_transport_by_minors_matches_the_bracket_built_table():
+    # each entry printed and stored as by bracketing the new coordinates
+    rng = random.Random(2021)
+    for _ in range(120):
+        n = rng.randint(2, 4)
+        ring = PolyRing([f"x{i}" for i in range(n)])
+        A = PoissonAlgebra(ring, _random_table(rng, ring), check_jacobi=False)
+        T = _invertible_basis(rng, n)
+        names = tuple(f"y{i}" for i in range(n))
+        found, expected = transport(A, T, names), oracle.bracket_transport(A, T, names)
+        assert list(found.table) == list(expected.table)
+        for pair, p in expected.table.items():
+            assert str(found.table[pair]) == str(p)
+            assert _stored(found.table[pair]) == _stored(p)
+
+
+def test_transport_takes_no_bracket(monkeypatch):
+    A = quantum_matrices(2)  # built, and its Jacobi identity checked, first
+    calls = []
+    bracket = PoissonAlgebra.bracket
+    monkeypatch.setattr(PoissonAlgebra, "bracket",
+                        lambda A, f, g: calls.append(A) or bracket(A, f, g))
+    T = Matrix([[1, 0, 0, 0], [0, 1, 1, 0], [0, 1, -1, 0], [0, 0, 0, 1]])
+    found = transport(A, T, ("a", "p", "m", "d"))
+    assert calls == []
+    # {p, m} = {b + c, b - c} = -2 {b, c} = 0
+    assert str(found) == ("PoissonAlgebra(a, p, m, d; {a,p}=a*p, {a,m}=a*m, "
+                          "{a,d}=1/2*p^2 - 1/2*m^2, {p,d}=p*d, {m,d}=m*d)")
+
+
+def _derived_cases():
+    """Built-in families, with and without weights that keep them homogeneous."""
+    xyz = PolyRing(["x", "y", "z"])
+    yield quantum_matrices(2), None, 4
+    yield quantum_matrices(2), [1, 2, 2, 3], 6
+    yield homogenized_weyl(1), None, 4
+    yield homogenized_weyl(2), [1, 1, 2, 2, 1], 4
+    yield jacobian_pq(1, zeta(3)), None, 4
+    yield jacobian(xyz.parse("x*y*z")), [1, 2, 3], 8
+    yield skew_symmetric(Matrix([[0, 1, zeta(3)], [-1, 0, 2], [-zeta(3), -2, 0]])), None, 4
+    yield skew_symmetric(Matrix([[0, 2, 0], [-2, 0, 0], [0, 0, 0]])), [1, 1, 2], 5
+    yield weyl(1), None, 3
+
+
+def test_derived_dims_match_the_product_rows():
+    for A, weights, d in _derived_cases():
+        ideal = A.derived_ideal(d, weights)
+        assert ideal.dims() == oracle.derived_dims_by_products(A.derived_ideal(d, weights))
+
+
+def test_derived_dims_build_no_monomial(monkeypatch):
+    ideal = quantum_matrices(2).derived_ideal(4)
+    calls = []
+    monomial = PolyRing.monomial
+    monkeypatch.setattr(PolyRing, "monomial",
+                        lambda ring, *args: calls.append(args) or monomial(ring, *args))
+    assert ideal.dims() == [0, 0, 5, 14, 28]
     assert calls == []

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracle
 from pwb import symmetry
-from pwb.brackets import PoissonAlgebra
+from pwb.brackets import PoissonAlgebra, transport
 from pwb.cli import main
 from pwb.errors import BoundExceededError, InfiniteOrderError, SingularMatrixError
 from pwb.families import (homogenized_weyl, jacobian, jacobian_pq, lie_two_dim_nonabelian,
@@ -24,6 +24,8 @@ from pwb.symmetry import (FINITE_NON_REFLECTION, FOUND, IDENTITY, INCONCLUSIVE, 
                           PoissonGroup, block_decomposition, classify, find_reflections,
                           group_closure, is_poisson_automorphism, molien_series, trace_series)
 from pwb.upoly import UPoly
+from test_acceptance import _block_reflection, _random_skew
+from test_brackets import _stored
 from test_fixedrings import diagonal_groups
 
 
@@ -637,3 +639,207 @@ def test_the_enumeration_compares_no_maps(monkeypatch):
         G = group_closure([GradedMap(Matrix(r)) for r in rows])
         assert G.diagonal is None and (G.order, G.exponent) == (order, exponent)
     assert calls == []
+
+
+# -- rank-one eigenspaces in closed form, against the kernel routes --------------
+
+
+@st.composite
+def commuting_generators(draw):
+    """(n, generator maps): one to three commuting
+    diagonalizable maps on n = 1..4 variables, each a reflection or a map with
+    any eigenvalues, of orders 2, 3, 4, 6 and 12, diagonal in the standard
+    basis, in the basis of a rational S or in that of S with one zeta_3 entry.
+    One time in five the last map is conjugated by another S, so the maps
+    need not commute, and in half the draws some entries are stored at a
+    larger conductor, 3, 4 or 12, than their own."""
+    n = draw(st.integers(1, 4))
+    diagonals = []
+    for _ in range(draw(st.integers(1, 3))):
+        order = draw(st.sampled_from((2, 3, 4, 6, 12)))
+        if draw(st.booleans()):
+            pos, power = draw(st.integers(0, n - 1)), draw(st.integers(1, order - 1))
+            diagonals.append([zeta(order, power) if t == pos else 1 for t in range(n)])
+        else:
+            diagonals.append([zeta(order, draw(st.integers(0, order - 1))) for _ in range(n)])
+    kind = draw(st.sampled_from(("standard", "rational", "zeta3")))
+    lifted = draw(st.booleans())
+
+    def stored(m):
+        if not lifted:
+            return GradedMap(m)
+        return GradedMap(Matrix([[c.lift_to(draw(st.sampled_from(
+            [N for N in (c.n, 3, 4, 12) if N % c.n == 0]))) if 12 % c.n == 0 else c
+            for c in row] for row in m.rows]))
+
+    if kind == "standard":
+        return n, [stored(Matrix.diagonal(d)) for d in diagonals]
+
+    def base_change():
+        entry = st.sampled_from([-1, 0, 1, 2])
+        # unit lower times invertible upper triangular: always invertible
+        lower = [[1 if i == j else draw(entry) if j < i else 0 for j in range(n)]
+                 for i in range(n)]
+        upper = [[draw(st.sampled_from([1, -1, 2])) if i == j else draw(entry) if j > i else 0
+                  for j in range(n)] for i in range(n)]
+        if kind == "zeta3":
+            if n == 1:
+                upper[0][0] = zeta(3)
+            else:
+                i = draw(st.integers(1, n - 1))
+                lower[i][draw(st.integers(0, i - 1))] = draw(st.sampled_from([1, -1])) * zeta(3)
+        return Matrix(lower) * Matrix(upper)
+
+    S = base_change()
+    mats = [S * Matrix.diagonal(d) * S.inverse() for d in diagonals]
+    if len(mats) > 1 and draw(st.integers(0, 4)) == 0:
+        R = base_change()
+        mats[-1] = R * Matrix.diagonal(diagonals[-1]) * R.inverse()
+    return n, [stored(m) for m in mats]
+
+
+def _stored_rows(rows):
+    return [_stored_values(row) for row in rows]
+
+
+@settings(max_examples=60, deadline=None)
+@given(commuting_generators(), st.integers(0, 1000))
+@example((3, [GradedMap(m) for m in (
+    Matrix([[zeta(3), 0, 0], [0, 1, 0], [0, 0, 1]]),
+    Matrix([[1, 0, 0], [0, zeta(4), 0], [0, 0, 1]]))]), 0)
+def test_rank_one_eigenspaces_match_the_kernel_route(case, seed):
+    # T and the characters entry by entry as stored, each generator's
+    # classification with its stored eigenvector, and the transported table
+    # printed and stored, against the routes that eliminate
+    n, gens = case
+    found = symmetry._try_diagonalize(gens)
+    expected = oracle.kernel_try_diagonalize(gens)
+    assert (found is None) == (expected is None)
+    Z = PoissonAlgebra(PolyRing([f"x{i + 1}" for i in range(n)]), {})
+    for g in gens:
+        cls, ref = classify(Z, g), oracle.minpoly_classify(Z, g)
+        assert _printed(cls) == _printed(ref)
+        assert _stored_values(cls.eigenvector) == _stored_values(ref.eigenvector)
+        assert _stored_values([cls.xi] if cls.xi else None) == _stored_values(
+            [ref.xi] if ref.xi else None)
+    if found is None:
+        return
+    (T, chars), (T_ref, chars_ref) = found, expected
+    assert _stored_rows(T.rows) == _stored_rows(T_ref.rows)
+    assert _stored_rows(chars) == _stored_rows(chars_ref)
+    A = skew_symmetric(_random_skew(random.Random(seed), n))
+    names = tuple(f"_y{i + 1}" for i in range(n))
+    By, By_ref = transport(A, T, names), oracle.bracket_transport(A, T, names)
+    assert str(By) == str(By_ref)
+    assert {pair: _stored(p) for pair, p in By.table.items()} == {
+        pair: _stored(p) for pair, p in By_ref.table.items()}
+
+
+def test_a_value_at_a_foreign_conductor_is_restored_or_routed_to_the_kernel(monkeypatch):
+    # entries stored at conductors of their own.  In the first map u_1 =
+    # (4 zeta_6 - 2) / (zeta_3 - 1) is stored at 12 (zeta_3 is stored there)
+    # while the kernel's N is 6, so its xi-eigenspace takes `kernel_basis`;
+    # in the second u_1 = (2 + zeta_3) / (-1 - zeta_6) = -1 is stored at 12
+    # with N = 3, and goes back to conductor 1 before its lift
+    routed, restored = [], []
+    kernel, stored_at = symmetry._eigenspace_kernel, symmetry._stored_at
+    monkeypatch.setattr(symmetry, "_eigenspace_kernel",
+                        lambda m, lam, basis: routed.append(lam) or kernel(m, lam, basis))
+
+    def counted(value, N):
+        found = stored_at(value, N)
+        restored.append(N % value.n != 0 and found is not None)
+        return found
+
+    monkeypatch.setattr(symmetry, "_stored_at", counted)
+    for rows, route, restore in (
+            ([[zeta(12, 2) - 1, 0], [4 * zeta(6) - 2, zeta(3, 0)]], [zeta(3)], False),
+            ([[-zeta(12, 2), 0], [zeta(3) + 2, 1]], [], True)):
+        gens = [GradedMap(Matrix(rows))]
+        assert gens[0].update() is not None
+        routed.clear()
+        restored.clear()
+        T, chars = symmetry._try_diagonalize(gens)
+        T_ref, chars_ref = oracle.kernel_try_diagonalize(gens)
+        assert _stored_rows(T.rows) == _stored_rows(T_ref.rows)
+        assert _stored_rows(chars) == _stored_rows(chars_ref)
+        assert routed == route and any(restored) == restore
+
+
+def _map_pairs(rng):
+    """Pairs of maps: drawn ones, which rarely commute, and a map with its
+    square, its inverse, a scalar map, and a map diagonal in its eigenbasis."""
+    for _ in range(150):
+        g, h = _drawn_map(rng), _drawn_map(rng)
+        if g is None or h is None or g.n != h.n:
+            continue
+        yield g, h
+        yield g, g * g
+        yield h, g.inverse() if rng.random() < 0.5 else g
+        yield g, GradedMap(Matrix.diagonal([zeta(3)] * g.n))
+
+
+def test_commutation_of_a_rank_one_map_matches_the_products():
+    rng = random.Random(144)
+    verdicts = Counter()
+    for g, h in _map_pairs(rng):
+        expected = g.matrix * h.matrix == h.matrix * g.matrix
+        assert symmetry._commute(g, h) == expected
+        assert symmetry._commute(h, g) == expected
+        verdicts[expected, g.update() is not None or h.update() is not None] += 1
+    assert {(True, True), (False, True), (True, False), (False, False)} <= set(verdicts)
+
+
+def test_a_reflection_trial_eliminates_for_no_eigenspace(monkeypatch):
+    # n = 3 with a two-variable block: reflections of orders 3 and 4 in it,
+    # classified, closed, and the fixed ring built on their common eigenbasis
+    from pwb import brackets, fixedrings
+    from pwb.fixedrings import is_skew_presentation
+    A = skew_symmetric(Matrix([[0, 0, zeta(3)], [0, 0, zeta(3)], [-zeta(3), -zeta(3), 0]]))
+    S = Matrix([[2, 1], [-1, 1]])
+    gens = [_block_reflection(3, [0, 1], S, pos, order) for pos, order in ((0, 3), (1, 4))]
+    stack, inside = [], []
+
+    def spanned(name, fn):
+        def call(*args, **kwargs):
+            stack.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                stack.pop()
+        return call
+
+    def recorded(name, fn):
+        def call(*args, **kwargs):
+            inside.append((name, tuple(stack)))
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(Matrix, "kernel_basis", recorded("kernel_basis", Matrix.kernel_basis))
+    monkeypatch.setattr(PoissonAlgebra, "bracket", recorded("bracket", PoissonAlgebra.bracket))
+    monkeypatch.setattr(symmetry, "_try_diagonalize",
+                        spanned("_try_diagonalize", symmetry._try_diagonalize))
+    classify_spanned = spanned("classify", symmetry.classify)
+    transport_spanned = spanned("transport", brackets.transport)
+    monkeypatch.setattr(fixedrings, "transport", transport_spanned)
+    kinds = [classify_spanned(A, g) for g in gens]
+    assert [(c.kind, c.order) for c in kinds] == [(REFLECTION, 3), (REFLECTION, 4)]
+    G = group_closure(gens)
+    assert G.diagonal is not None and (G.order, G.exponent) == (12, 12)
+    p = fixed_group(A, G, bound=12, canonical=False, with_relations=False)
+    assert p.polynomial and is_skew_presentation(p) is not None
+    assert [call for call in inside
+            if call[0] == "kernel_basis" and {"_try_diagonalize", "classify"} & set(call[1])
+            or call[0] == "bracket" and "transport" in call[1]] == []
+
+
+def test_the_automorphism_check_forms_each_product_of_images_once(monkeypatch):
+    # quantum_matrices(2) under the b <-> c swap: every pair is checked, and
+    # each monomial of the table is the image of one product
+    A = quantum_matrices(2)
+    g = GradedMap(Matrix([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]))
+    calls = []
+    mul_terms = symmetry._mul_terms
+    monkeypatch.setattr(symmetry, "_mul_terms", lambda a, b: calls.append(1) or mul_terms(a, b))
+    assert is_poisson_automorphism(A, g) == (True, None)
+    assert len(calls) == len({e for p in A.table.values() for e in p.terms})
