@@ -118,9 +118,8 @@ class PoissonAlgebra:
     def linear_bracket_terms(self, rows: Sequence[Sequence[Cyclo]], i: int, j: int) -> dict:
         """The terms of {y_i, y_j} for the linear forms y_j = sum_a rows[a][j] x_a,
         read off the table by 2x2 minors: sum_(a<b) (B_ai B_bj - B_bi B_aj)
-        {x_a, x_b}, each minor built from its nonzero products and added over
-        the table pairs in order, so every coefficient is stored as `bracket`
-        of the two linear forms stores it."""
+        {x_a, x_b}, each minor built from its nonzero products only and added
+        over the table pairs in order."""
         out: dict = {}
         for (a, b), p in self.table.items():
             minor = _minor(rows[a][i], rows[b][j], rows[b][i], rows[a][j])

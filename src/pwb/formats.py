@@ -213,6 +213,8 @@ def parse_matrix(text: str) -> Matrix:
 
 
 def cyclo_json(c: Cyclo) -> dict:
+    """The value at its least conductor, as it prints."""
+    c = c.least()
     return {"conductor": c.n, "coeffs": [str(x) for x in c.c], "str": str(c)}
 
 

@@ -6,9 +6,9 @@ invertibility is a rank.  Rows over Q(zeta_N), N the lcm conductor of their
 entries, reach it through `realify`: phi(N) integer rows each, so a rank
 over Q(zeta_N) is a rank over Q divided by phi(N).  `rref`, `rank` and `kernel`
 take sparse rows; the `Matrix` methods and `solve_linear` read them.  Results
-are stored at N, rationals and zeros included, since the printed form of what
-is computed from a value depends on the conductor it is stored at.  Integer
-lattices have their own small kernel, `hermite_normal_form`.
+are stored at N, rationals and zeros included; each prints at its least
+conductor all the same.  Integer lattices have their own small kernel,
+`hermite_normal_form`.
 """
 from __future__ import annotations
 

@@ -10,9 +10,10 @@ divided by the norm, which is rational, so no step leaves the integers or
 uses a modular or randomized method.
 
 Mixed-conductor arithmetic lifts both operands to the lcm of the conductors,
-and results stay at that conductor: they are never descended to a smaller
-field, so the conductor a value is stored at (which its printed form shows)
-records the arithmetic that produced it.
+and results stay at that conductor: arithmetic never descends to a smaller
+field.  Printing does: `Cyclo.least` writes a value at its least conductor,
+the field GAP keeps each cyclotomic in, so one value prints the same however
+it was computed.
 """
 from __future__ import annotations
 
@@ -52,17 +53,23 @@ def divisors(n: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def euler_phi(n: int) -> int:
-    result, m, p = n, n, 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
+def prime_factors(n: int) -> tuple[int, ...]:
+    """The distinct primes dividing n, ascending."""
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
         p += 1
-    if m > 1:
-        result -= result // m
-    return result
+    return tuple(out + [n] if n > 1 else out)
+
+
+@lru_cache(maxsize=None)
+def euler_phi(n: int) -> int:
+    for p in prime_factors(n):
+        n -= n // p
+    return n
 
 
 def zpoly_mul(a: list[int], b: list[int]) -> list[int]:
@@ -178,6 +185,34 @@ def _lift_matrix(n: int, m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
                  for k in range(euler_phi(n)))
 
 
+def _descended(n: int, num: tuple[int, ...], p: int) -> Optional[tuple[int, ...]]:
+    """The numerators at m = n / p of the integer vector num at conductor n,
+    or None when its value does not lie in Q(zeta_m).  When p | m,
+    Phi_n(x) = Phi_m(x^p), so Q(zeta_m) holds exactly the vectors that vanish
+    off the multiples of p.  Otherwise 1, zeta_p, ..., zeta_p^(p-2) is a
+    basis of Q(zeta_n) over Q(zeta_m), and zeta_n = zeta_m^a zeta_p^b with
+    a p + b m = 1 (mod n): the value lies in Q(zeta_m) iff its coordinates
+    on every zeta_p^i but 1 vanish (zeta_p^(p-1) is minus the sum of the
+    others)."""
+    m = n // p
+    if m % p == 0:
+        return None if any(x for j, x in enumerate(num) if j % p) else num[::p]
+    a, b = pow(p, -1, m), pow(m, -1, p)
+    parts = [[0] * euler_phi(m) for _ in range(p - 1)]
+    for j, x in enumerate(num):
+        if x:
+            i = b * j % p
+            if i == p - 1:
+                x, targets = -x, parts
+            else:
+                targets = (parts[i],)
+            for k, v in enumerate(_power_vector(m, a * j)):
+                if v:
+                    for part in targets:
+                        part[k] += x * v
+    return None if any(any(part) for part in parts[1:]) else tuple(parts[0])
+
+
 @lru_cache(maxsize=None)
 def _galois_maps(n: int) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
     """For each k in (Z/n)^*, k != 1: row j holds the nonzero (t, v) of the
@@ -285,6 +320,23 @@ class Cyclo:
         if n == 1:
             return _new(m, self.num + (0,) * (euler_phi(m) - 1), self.den)
         return _new(m, _apply_rows(self.num, _lift_matrix(n, m), euler_phi(m)), self.den)
+
+    def least(self) -> "Cyclo":
+        """This value stored at its least conductor, which it prints at.  The
+        conductors whose field holds it are closed under gcd, so descending
+        one prime at a time, while some prime descends, ends at the least.
+        Rationals and prime conductors take no search."""
+        n, num = self.n, self.num
+        if not any(num[1:]):
+            return self if n == 1 else _new(1, num[:1], self.den)
+        while True:
+            for p in prime_factors(n):
+                found = _descended(n, num, p) if p < n else None
+                if found is not None:
+                    n, num = n // p, found
+                    break
+            else:
+                return self if n == self.n else _new(n, num, self.den)
 
     def is_zero(self) -> bool:
         return not any(self.num)
@@ -428,12 +480,12 @@ class Cyclo:
     # -- printing -------------------------------------------------------
 
     def __str__(self):
-        c = self.c
         if self.is_rational():
-            return str(c[0])
+            return str(Fraction(self.num[0], self.den))
+        least = self.least()
         parts = [str(ck) if k == 0 else
-                 scaled_term(str(ck), f"zeta({self.n})" + (f"^{k}" if k > 1 else ""))
-                 for k, ck in enumerate(c) if ck]
+                 scaled_term(str(ck), f"zeta({least.n})" + (f"^{k}" if k > 1 else ""))
+                 for k, ck in enumerate(least.c) if ck]
         return signed_sum(parts)
 
     def __repr__(self):

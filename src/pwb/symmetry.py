@@ -108,7 +108,7 @@ class GradedMap:
             elif rank == 2:
                 found = _eigenvalues(m)
             else:
-                xi = _as_extracted(m.trace() - Cyclo.of(m.nrows - 1), m)
+                xi = m.trace() - Cyclo.of(m.nrows - 1)
                 if m.nrows == 1:
                     found = (xi,)
                 else:
@@ -161,19 +161,6 @@ def _update(m: Matrix) -> tuple[int, Optional[tuple[list[Cyclo], list[Cyclo]]]]:
     inv = first[lead].inverse()
     u = [_ONE if i == top else c * inv if c else _ZERO for i, c in enumerate(at_lead)]
     return 1, (u, first)
-
-
-def _as_extracted(xi: Cyclo, m: Matrix) -> Cyclo:
-    """xi stored as `extract_roots` stores a root of the minimal polynomial of
-    m: a rational at conductor 1, a root of unity of order d at conductor d,
-    any other value at the lcm conductor of the entries of m."""
-    if xi.is_rational():
-        return Cyclo.of(xi.as_fraction())
-    log = xi.root_of_unity_log()
-    if log is not None:
-        a, e = log
-        return zeta(e // gcd(a, e), a // gcd(a, e))
-    return xi.lift_to(conductor(c for row in m.rows for c in row))
 
 
 def _finite_order(eigenvalues: Optional[tuple[Cyclo, ...]]) -> Optional[int]:
@@ -244,14 +231,11 @@ def classify(A: PoissonAlgebra, g: GradedMap) -> Classification:
     if update is None:
         return Classification(FINITE_NON_REFLECTION, order=order)
     # the xi-eigenvector u in the reduced echelon shape of the kernel of
-    # g - xi I: 1 at its last nonzero entry, every entry stored at the lcm
-    # conductor N of g's entries and xi
-    m = g.matrix
-    xi = m.trace() - Cyclo.of(g.n - 1)
+    # g - xi I: 1 at its last nonzero entry
+    xi = g.matrix.trace() - Cyclo.of(g.n - 1)
     u = update[0]
-    N = lcm(conductor(c for row in m.rows for c in row), xi.n)
     last = next(c for c in reversed(u) if c)
-    eigenvector = tuple((c / last).lift_to(N) if c else _ZERO.lift_to(N) for c in u)
+    eigenvector = tuple(c / last if c else _ZERO for c in u)
     return Classification(REFLECTION, order=order, xi=xi, eigenvector=eigenvector)
 
 
@@ -368,11 +352,9 @@ def _try_diagonalize(gens: Sequence[GradedMap]):
     positions: the rows where B is the identity, as every basis
     `kernel_basis` returns is on its free columns, and recombining keeps
     that.  A generator g splits B into the kernels of (g - lam I) B, each
-    written as `kernel_basis` writes it (`_eigenspace_kernel`, or
-    `_rank_one_kernel` for a rank-one g), and B times each kernel vector
-    is a column of the new space.  A recombined entry i is stored at the
-    lcm of the kernel's conductor N and the conductors of every B[t][i],
-    as the sum over all t, zero terms included, would store it.
+    in the reduced echelon shape `kernel_basis` gives (`_eigenspace_kernel`,
+    or `_rank_one_kernel` for a rank-one g), and B times each kernel vector
+    is a column of the new space.
     """
     n = gens[0].n
     for i in range(len(gens)):
@@ -388,19 +370,15 @@ def _try_diagonalize(gens: Sequence[GradedMap]):
         if eigenvalues is None:
             return None
         update = g.update()
-        columns = None if update is None else _column_conductors(g.matrix, eigenvalues)
         new_spaces = []
         for basis, positions, chars in spaces:
-            reach = [conductor(b[i] for b in basis) for i in range(n)]
-            for i, lam in enumerate(eigenvalues):
-                found = None
-                if update is not None:
-                    found = _rank_one_kernel(update, lam, columns[i], basis, positions)
-                if found is None:
-                    found = _eigenspace_kernel(g.matrix, lam, basis)
-                N, vecs = found
+            for lam in eigenvalues:
+                if update is None:
+                    vecs = _eigenspace_kernel(g.matrix, lam, basis)
+                else:
+                    vecs = _rank_one_kernel(update, lam, basis, positions)
                 if vecs:
-                    cols = [_recombined(vec, basis, reach, N) for _, vec in vecs]
+                    cols = [_recombined(vec, basis) for _, vec in vecs]
                     new_spaces.append((cols, [positions[f] for f, _ in vecs], chars + [lam]))
         spaces = new_spaces
     T = Matrix([col for basis, _, _ in spaces for col in basis]).transpose()
@@ -427,114 +405,52 @@ def _commute(g: GradedMap, h: GradedMap) -> bool:
 
 
 def _eigenspace_kernel(m: Matrix, lam: Cyclo, basis: list[list[Cyclo]]):
-    """(N, [(free column, {t: nonzero entry})]) for the kernel vectors of
+    """[(free column, {t: nonzero entry})] for the kernel vectors of
     (m - lam I) B by `kernel_basis`: B has full column rank, so they span the
-    lam-eigenspace of m in the span of B.  Every entry is stored at N, and
-    a vector's free column is its last nonzero entry."""
+    lam-eigenspace of m in the span of B.  A vector's free column is its
+    last nonzero entry."""
     delta = m - Matrix.diagonal([lam] * m.nrows)
     vecs = (delta * Matrix(basis).transpose()).kernel_basis()
-    if not vecs:
-        return 1, []
-    return vecs[0][0].n, [(max(t for t, c in enumerate(v) if c),
-                           {t: c for t, c in enumerate(v) if c}) for v in vecs]
+    return [(max(t for t, c in enumerate(v) if c), {t: c for t, c in enumerate(v) if c})
+            for v in vecs]
 
 
-def _column_conductors(m: Matrix, eigenvalues) -> list[list[Optional[int]]]:
-    """Per eigenvalue lam and column t of m - lam I, the lcm of the conductors
-    of its nonzero entries (m_tt - lam at lcm(m_tt, lam)), or None for a zero
-    column."""
-    rows = m.rows
-    off = []
-    for t in range(m.nrows):
-        found = None
-        for i, row in enumerate(rows):
-            c = row[t]
-            if i != t and c:
-                found = c.n if found is None else lcm(found, c.n)
-        off.append(found)
-    out = []
-    for lam in eigenvalues:
-        cols = []
-        for t, found in enumerate(off):
-            d = rows[t][t]
-            if d != lam:
-                found = lcm(d.n, lam.n) if found is None else lcm(found, lcm(d.n, lam.n))
-            cols.append(found)
-        out.append(cols)
-    return out
+def _rank_one_kernel(update, lam: Cyclo, basis: list[list[Cyclo]], positions: list[int]):
+    """`_eigenspace_kernel` for m = I + u k^T, by no elimination.
 
-
-def _rank_one_kernel(update, lam: Cyclo, columns: list[Optional[int]],
-                     basis: list[list[Cyclo]], positions: list[int]):
-    """`_eigenspace_kernel` for m = I + u k^T, by no elimination, or None when
-    an entry is neither stored at a divisor of N nor rational.
-
-    N is the conductor `kernel_basis` stores at: the lcm of the conductors
-    of (m - lam I) B's entries, that is of both factors of every nonzero
-    product (m - lam I)_it B_tj, read from `columns` (`_column_conductors`)
-    and the rows of B.  Since (m - I) B = u (k^T B), the kernel for lam = 1
-    is that of the row r = k^T B: with p its first nonzero entry, the
-    vector of free column f is 1 at f and -r_f / r_p at p.  For lam = xi
-    it is spanned by the coordinates c of u, read at the identity
-    positions, when B c = u, normalised at the last nonzero coordinate,
-    which is the one free column; otherwise it is zero."""
+    Since (m - I) B = u (k^T B), the kernel for lam = 1 is that of the row
+    r = k^T B: with p its first nonzero entry, the vector of free column f
+    is 1 at f and -r_f / r_p at p.  For lam = xi it is spanned by the
+    coordinates c of u, read at the identity positions, when B c = u,
+    normalised at the last nonzero coordinate, which is the one free
+    column; otherwise it is zero."""
     u, k = update
-    n, dim = len(u), len(basis)
-    N = 1
-    for t, col in enumerate(columns):
-        if col is not None:
-            row = [b[t] for b in basis if b[t]]
-            if row:
-                N = lcm(N, lcm(col, conductor(row)))
     if lam.is_one():
         r = [_dot(k, b) for b in basis]
         p = next((j for j, c in enumerate(r) if c), None)
         if p is None:
-            return N, [(f, {f: _ONE}) for f in range(dim)]
-        vecs = []
-        for f in range(dim):
-            if f != p:
-                vec = {f: _ONE}
-                if r[f]:
-                    vec[p] = _stored_at(-(r[f] / r[p]), N)
-                    if vec[p] is None:
-                        return None
-                vecs.append((f, vec))
-        return N, vecs
+            return [(f, {f: _ONE}) for f in range(len(basis))]
+        return [(f, {f: _ONE, p: -(r[f] / r[p])} if r[f] else {f: _ONE})
+                for f in range(len(basis)) if f != p]
     c = [u[pos] for pos in positions]
-    if any(_dot(c, [b[i] for b in basis]) != u[i] for i in range(n) if i not in positions):
-        return N, []
+    if any(_dot(c, [b[i] for b in basis]) != u[i] for i in range(len(u)) if i not in positions):
+        return []
     f = max(t for t, x in enumerate(c) if x)
-    vec = {f: _ONE}
-    for t in range(f):
-        if c[t]:
-            vec[t] = _stored_at(c[t] / c[f], N)
-            if vec[t] is None:
-                return None
-    return N, [(f, vec)]
+    vec = {t: c[t] / c[f] for t in range(f) if c[t]}
+    vec[f] = _ONE
+    return [(f, vec)]
 
 
-def _stored_at(value: Cyclo, N: int) -> Optional[Cyclo]:
-    """A value known to lie in Q(zeta_N) at a conductor dividing N: as it is
-    stored, or a rational stored at 1; None for any other value."""
-    if N % value.n == 0:
-        return value
-    if value.is_rational():
-        return Cyclo.of(value.as_fraction())
-    return None
-
-
-def _recombined(vec: dict, basis: list[list[Cyclo]], reach: list[int], N: int) -> list[Cyclo]:
-    """B times a kernel vector, from its nonzero coordinates: entry i is
-    stored at lcm(N, reach[i]), reach[i] the lcm conductor of every B[t][i]."""
+def _recombined(vec: dict, basis: list[list[Cyclo]]) -> list[Cyclo]:
+    """B times a kernel vector, from its nonzero coordinates."""
     out = []
-    for i, target in enumerate(reach):
+    for i in range(len(basis[0])):
         acc = _ZERO
         for t, c in vec.items():
             b = basis[t][i]
             if b:
                 acc = acc + c * b
-        out.append(acc.lift_to(lcm(N, target)))
+        out.append(acc)
     return out
 
 

@@ -20,7 +20,8 @@ automorphism check and the bracket-built center that `pwb.symmetry` and
 `pwb.brackets` ran before they read the bracket table, and the eigenspaces
 by `kernel_basis`, the bracket-built transport and the `Poly`-product rows
 of the derived ideal that they ran before they read a rank-one update's
-eigenspaces in closed form.  The
+eigenspaces in closed form.  `least_conductor` solves for a value's least
+conductor divisor by divisor, as the reference of `Cyclo.least`.  The
 pointwise normal-element check and the Poisson-derivation test on its answer
 live only here: pwb itself finds normal elements by `normal_find_deg1`.
 """
@@ -283,15 +284,28 @@ def group_by_products(mats, bound: int):
     """The `group_elements` of these generators as (keys, exponent): each
     element keyed by its entries lifted to the lcm conductor M of the
     generators (see `matrix_key`), and the exponent as the lcm of the element
-    orders by power iteration; or (None, None) past `bound` elements."""
+    orders; or (None, None) past `bound` elements.  Each cyclic subgroup is
+    walked once, by products up to the identity: if h has order k, its power
+    h^j has order k / gcd(j, k)."""
     elements = group_elements(mats, bound)
     if elements is None:
         return None, None
     m = conductor_of([[[Cyclo.of(x) for x in row] for row in g] for g in mats])
+    identity = matrix_key(elements[0], m)
+    orders: dict = {}
+    for h in elements:
+        if matrix_key(h, m) in orders:
+            continue
+        powers = [h]
+        while matrix_key(powers[-1], m) != identity:
+            powers.append(_dense_mul(powers[-1], h))
+        k = len(powers)
+        for j, p in enumerate(powers, 1):
+            orders.setdefault(matrix_key(p, m), k // gcd(j, k))
     exponent = 1
-    for e in elements:
-        exponent = lcm(exponent, matrix_order_by_iteration(e, cap=bound))
-    return {matrix_key(e, m) for e in elements}, exponent
+    for k in orders.values():
+        exponent = lcm(exponent, k)
+    return set(orders), exponent
 
 
 def det_one_minus_t(rows) -> list[Cyclo]:
@@ -944,6 +958,38 @@ def oracle_zeta(n: int, power: int = 1) -> OracleCyclo:
     if n < 1:
         raise ScalarError("conductor must be >= 1")
     return OracleCyclo(n, _power_vector(n, power))
+
+
+def least_conductor(value) -> OracleCyclo:
+    """The value (anything with a conductor `n` and Fraction coordinates `c`)
+    at its least conductor: the first divisor M of n, in ascending order,
+    for which x L = c has an exact solution over Fractions, L the rows of
+    zeta_M^k (k < phi(M)) lifted to n."""
+    n, target = value.n, list(value.c)
+    for m in (d for d in range(1, n + 1) if n % d == 0):
+        x = _solve_rows(_lift_matrix(m, n), target)
+        if x is not None:
+            return OracleCyclo(m, x)
+    raise AssertionError("a value lies in the field it is stored in")
+
+
+def _solve_rows(rows, target: list[Fraction]) -> Optional[list[Fraction]]:
+    """x with sum_k x_k rows[k] == target, or None: Gauss-Jordan on the
+    transposed system [rows^T | target].  The rows are independent."""
+    k = len(rows)
+    system = [[row[j] for row in rows] + [t] for j, t in enumerate(target)]
+    for col in range(k):
+        pivot = next(i for i in range(col, len(system)) if system[i][col])
+        system[col], system[pivot] = system[pivot], system[col]
+        top = system[col][col]
+        system[col] = [x / top for x in system[col]]
+        for i, row in enumerate(system):
+            f = row[col]
+            if i != col and f:
+                system[i] = [x - f * y for x, y in zip(row, system[col])]
+    if any(row[-1] for row in system[k:]):
+        return None
+    return [system[i][-1] for i in range(k)]
 
 
 # -- Fraction-coefficient univariate helpers (internal) -----------------

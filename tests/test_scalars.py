@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pwb.errors import ScalarError, ZeroElementError
+from pwb.formats import cyclo_json
 from pwb.scalars import Cyclo, cyclotomic_polynomial, euler_phi, rational, zeta
 
 
@@ -125,9 +126,11 @@ def coefficient_lists(draw, n):
 
 
 def same(new, old):
+    # stored alike, and printed as the reference prints at the least conductor
+    from oracle import least_conductor
     assert new.n == old.n, (new, old)
     assert new.c == old.c, (new, old)
-    assert str(new) == str(old)
+    assert str(new) == str(least_conductor(old))
 
 
 @settings(max_examples=150, deadline=None)
@@ -175,12 +178,62 @@ def test_cyclo_matches_fraction_reference(operands, r, k, stretch):
 
 
 def test_inverse_stays_at_the_stored_conductor():
-    # -2 + 2*zeta(6) = 2*zeta(3); its inverse at conductor 2 must stay there
+    # -2 + 2*zeta(6) = 2*zeta(3); its inverse at conductor 6 stays there, and
+    # both print at conductor 3
     x = Cyclo(2, [3])
     assert x.inverse().n == 2 and str(x.inverse()) == "1/3"
     y = zeta(6) * 2 - 2
-    assert str(y) == "-2 + 2*zeta(6)"
+    assert y == 2 * zeta(3) and str(y) == "2*zeta(3)"
     assert y.inverse().n == 6 and y * y.inverse() == 1
+    assert y.inverse() == zeta(3, 2) / 2 and str(y.inverse()) == "-1/2 - 1/2*zeta(3)"
+
+
+# -- one value, one print ------------------------------------------------------
+
+LEAST_BASES = (1, 3, 4, 5, 8, 9, 12)
+
+
+@st.composite
+def stored_values(draw):
+    """(x, k): x a value drawn at conductor 1, 3, 4, 5, 8, 9 or 12, plus one
+    time in two a value drawn at 1, 3 or 4 (so it may need the lcm), and k a
+    stretch with N k <= 120, N the conductor of x.  The test lifts x to N k
+    and 2 N k, which is 2 (mod 4) when N k is odd."""
+    n = draw(st.sampled_from(LEAST_BASES))
+    x = Cyclo(n, draw(coefficient_lists(n)))
+    if draw(st.booleans()):
+        m = draw(st.sampled_from((1, 3, 4)))
+        x = x + Cyclo(m, draw(coefficient_lists(m)))
+    return x, draw(st.sampled_from([k for k in (1, 2, 3, 5, 6) if x.n * k <= 120]))
+
+
+def printed(x):
+    return str(x), cyclo_json(x)
+
+
+@settings(max_examples=120, deadline=None)
+@given(stored_values())
+def test_a_value_prints_at_its_least_conductor_however_it_is_stored(case):
+    from oracle import OracleCyclo, least_conductor
+    x, stretch = case
+    ref = least_conductor(OracleCyclo(x.n, x.c))
+    expected = (str(ref), {"conductor": ref.n, "coeffs": [str(c) for c in ref.c],
+                           "str": str(ref)})
+    for y in (x, x.lift_to(x.n * stretch), x.lift_to(2 * x.n * stretch)):
+        assert y == x and printed(y) == expected
+        least = y.least()
+        assert least == x and least.n == ref.n and least.least() is least
+
+
+def test_a_root_prints_alike_at_conductor_1_or_2():
+    # extract_roots stores the root -1 of a rational polynomial at conductor
+    # 1, and of (t + 1)(t + zeta_4) at conductor 2
+    from pwb.upoly import UPoly, extract_roots
+    found = [r for p in (UPoly([1, 1]), UPoly([zeta(4), 1]) * UPoly([1, 1]))
+             for r in extract_roots(p)[0] if r == -1]
+    assert [r.n for r in found] == [1, 2]
+    assert [printed(r) for r in found] == [("-1", {"conductor": 1, "coeffs": ["-1"],
+                                                   "str": "-1"})] * 2
 
 
 # -- scalar contract --------------------------------------------------------
@@ -219,7 +272,8 @@ def test_numerators_share_no_factor_with_the_denominator():
     x = Cyclo(6, [Fraction(2, 4), Fraction(-3, 6)])
     assert x == Cyclo(6, [1, -1]) / 2
     assert (x.num, x.den) == ((1, -1), 2)
-    assert str(x) == "1/2 - 1/2*zeta(6)"
+    # (1 - zeta_6) / 2 = -zeta_3 / 2, printed at conductor 3
+    assert x == -zeta(3) / 2 and str(x) == "-1/2*zeta(3)"
     assert x.c == (Fraction(1, 2), Fraction(-1, 2))
     zero = x - x
     assert (zero.n, zero.num, zero.den) == (6, (0, 0), 1)

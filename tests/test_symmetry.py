@@ -510,8 +510,9 @@ def _drawn_map(rng):
         return None
 
 
-def _stored_values(values):
-    return None if values is None else [(c.n, c.num, c.den) for c in values]
+def _values(values):
+    """The values with their printed forms, compared by value (`Cyclo.__eq__`)."""
+    return None if values is None else [(c, str(c)) for c in values]
 
 
 def _printed(cls):
@@ -520,12 +521,13 @@ def _printed(cls):
 
 
 def test_rank_one_eigenvalues_match_the_minimal_polynomial():
-    # value by value and stored conductor by stored conductor, with the order
-    # and the printed classification on a zero and a skew bracket
+    # value by value and printed form by printed form, with the order and
+    # the printed classification on a zero and a skew bracket
     rng = random.Random(1995)
     seen = Counter()
     # xi = 2 + zeta(3) is neither rational nor a root of unity: the minimal
-    # polynomial stores it at the entries' conductor 12, not the trace's 3
+    # polynomial stores it at the entries' conductor 12, the trace at 3, and
+    # both print it at 3
     drawn = [GradedMap(Matrix([[zeta(3) + 2, zeta(4)], [0, 1]]))]
     drawn += [_drawn_map(rng) for _ in range(250)]
     for g in drawn:
@@ -533,8 +535,7 @@ def test_rank_one_eigenvalues_match_the_minimal_polynomial():
             continue
         n = g.n
         assert g.update_rank() == min(2, (g.matrix - Matrix.identity(n)).rank())
-        assert _stored_values(g.eigenvalues()) == _stored_values(
-            oracle.minpoly_eigenvalues(g.matrix))
+        assert _values(g.eigenvalues()) == _values(oracle.minpoly_eigenvalues(g.matrix))
         assert g.order() == oracle.minpoly_order(g.matrix)
         ring = PolyRing([f"x{i}" for i in range(n)])
         q = [[_field_value(rng, 3) if r < c else Cyclo.of(0) for c in range(n)]
@@ -698,8 +699,8 @@ def commuting_generators(draw):
     return n, [stored(m) for m in mats]
 
 
-def _stored_rows(rows):
-    return [_stored_values(row) for row in rows]
+def _rows(rows):
+    return [_values(row) for row in rows]
 
 
 @settings(max_examples=60, deadline=None)
@@ -708,9 +709,9 @@ def _stored_rows(rows):
     Matrix([[zeta(3), 0, 0], [0, 1, 0], [0, 0, 1]]),
     Matrix([[1, 0, 0], [0, zeta(4), 0], [0, 0, 1]]))]), 0)
 def test_rank_one_eigenspaces_match_the_kernel_route(case, seed):
-    # T and the characters entry by entry as stored, each generator's
-    # classification with its stored eigenvector, and the transported table
-    # printed and stored, against the routes that eliminate
+    # T and the characters entry by entry, each generator's classification
+    # with its eigenvector, and the transported table printed and stored,
+    # against the routes that eliminate
     n, gens = case
     found = symmetry._try_diagonalize(gens)
     expected = oracle.kernel_try_diagonalize(gens)
@@ -719,14 +720,13 @@ def test_rank_one_eigenspaces_match_the_kernel_route(case, seed):
     for g in gens:
         cls, ref = classify(Z, g), oracle.minpoly_classify(Z, g)
         assert _printed(cls) == _printed(ref)
-        assert _stored_values(cls.eigenvector) == _stored_values(ref.eigenvector)
-        assert _stored_values([cls.xi] if cls.xi else None) == _stored_values(
-            [ref.xi] if ref.xi else None)
+        assert _values(cls.eigenvector) == _values(ref.eigenvector)
+        assert _values([cls.xi] if cls.xi else None) == _values([ref.xi] if ref.xi else None)
     if found is None:
         return
     (T, chars), (T_ref, chars_ref) = found, expected
-    assert _stored_rows(T.rows) == _stored_rows(T_ref.rows)
-    assert _stored_rows(chars) == _stored_rows(chars_ref)
+    assert _rows(T.rows) == _rows(T_ref.rows)
+    assert _rows(chars) == _rows(chars_ref)
     A = skew_symmetric(_random_skew(random.Random(seed), n))
     names = tuple(f"_y{i + 1}" for i in range(n))
     By, By_ref = transport(A, T, names), oracle.bracket_transport(A, T, names)
@@ -735,35 +735,25 @@ def test_rank_one_eigenspaces_match_the_kernel_route(case, seed):
         pair: _stored(p) for pair, p in By_ref.table.items()}
 
 
-def test_a_value_at_a_foreign_conductor_is_restored_or_routed_to_the_kernel(monkeypatch):
+def test_a_value_at_a_foreign_conductor_takes_no_kernel(monkeypatch):
     # entries stored at conductors of their own.  In the first map u_1 =
-    # (4 zeta_6 - 2) / (zeta_3 - 1) is stored at 12 (zeta_3 is stored there)
-    # while the kernel's N is 6, so its xi-eigenspace takes `kernel_basis`;
-    # in the second u_1 = (2 + zeta_3) / (-1 - zeta_6) = -1 is stored at 12
-    # with N = 3, and goes back to conductor 1 before its lift
-    routed, restored = [], []
-    kernel, stored_at = symmetry._eigenspace_kernel, symmetry._stored_at
-    monkeypatch.setattr(symmetry, "_eigenspace_kernel",
-                        lambda m, lam, basis: routed.append(lam) or kernel(m, lam, basis))
-
-    def counted(value, N):
-        found = stored_at(value, N)
-        restored.append(N % value.n != 0 and found is not None)
-        return found
-
-    monkeypatch.setattr(symmetry, "_stored_at", counted)
-    for rows, route, restore in (
-            ([[zeta(12, 2) - 1, 0], [4 * zeta(6) - 2, zeta(3, 0)]], [zeta(3)], False),
-            ([[-zeta(12, 2), 0], [zeta(3) + 2, 1]], [], True)):
+    # (4 zeta_6 - 2) / (zeta_3 - 1) is stored at 12 (zeta_3 is stored
+    # there), though `kernel_basis` of g - xi I would store at 6; in the
+    # second u_1 = (2 + zeta_3) / (-1 - zeta_6) = -1 is stored at 12.  Both
+    # eigenspaces are read off u and k, and T is the kernel route's T
+    calls = []
+    kernel_basis = Matrix.kernel_basis
+    monkeypatch.setattr(Matrix, "kernel_basis", lambda m: calls.append(m) or kernel_basis(m))
+    for rows in ([[zeta(12, 2) - 1, 0], [4 * zeta(6) - 2, zeta(3, 0)]],
+                 [[-zeta(12, 2), 0], [zeta(3) + 2, 1]]):
         gens = [GradedMap(Matrix(rows))]
         assert gens[0].update() is not None
-        routed.clear()
-        restored.clear()
+        calls.clear()
         T, chars = symmetry._try_diagonalize(gens)
+        assert calls == []
         T_ref, chars_ref = oracle.kernel_try_diagonalize(gens)
-        assert _stored_rows(T.rows) == _stored_rows(T_ref.rows)
-        assert _stored_rows(chars) == _stored_rows(chars_ref)
-        assert routed == route and any(restored) == restore
+        assert T == T_ref and str(T) == str(T_ref)
+        assert _rows(chars) == _rows(chars_ref)
 
 
 def _map_pairs(rng):
