@@ -27,7 +27,6 @@ from .solver import IDEAL_ONLY as solver_ideal
 from .solver import POINTS as solver_points
 
 _ZERO = Cyclo.of(0)
-_ONE = Cyclo.of(1)
 
 
 def _variables(terms: dict) -> set:
@@ -131,21 +130,45 @@ class PoissonAlgebra:
         """Jacobi on every triple of variables, or the first failing triple.
 
         A triple whose three inner brackets all vanish satisfies Jacobi, so
-        only triples containing a pair of the table are visited, in the same
-        lexicographic order.
+        only triples containing a pair of the table are visited, in
+        lexicographic order, each by its Jacobiator read off the table.
         """
         names = self.ring.names
-        xs = self.ring.gens()
         triples = {tuple(sorted((i, j, k))) for i, j in self.table
                    for k in range(self.nvars) if k != i and k != j}
         for i, j, k in sorted(triples):
-            # {x_i, {x_j, x_k}} + cyclic, each term as -{{x_j, x_k}, x_i}
-            total = (self.bracket(self.pair(j, k), xs[i])
-                     + self.bracket(self.pair(k, i), xs[j])
-                     + self.bracket(self.pair(i, j), xs[k]))
-            if not total.is_zero():
+            if self._jacobiator(i, j, k):
                 return False, (names[i], names[j], names[k])
         return True, None
+
+    def _jacobiator(self, i: int, j: int, k: int) -> dict:
+        """The terms of {{x_j, x_k}, x_i} + cyclic for i < j < k, each bracket
+        by Leibniz, {x^e, x_v} = sum_a e_a x^(e - e_a) {x_a, x_v}."""
+        pairs_with = self._pairs_with()
+        out: dict = {}
+        for entry, sign, v in ((self.table.get((j, k)), 1, i), (self.table.get((i, k)), -1, j),
+                               (self.table.get((i, j)), 1, k)):
+            if entry is None:
+                continue
+            for e, c in entry.terms.items():
+                for a, s, terms in pairs_with[v]:
+                    if e[a]:
+                        low = e[:a] + (e[a] - 1,) + e[a + 1:]
+                        factor = c * (sign * s * e[a])
+                        _add_terms(out, ((tuple(map(add, f, low)), factor * d)
+                                         for f, d in terms.items()))
+        return out
+
+    def _pairs_with(self) -> list[list]:
+        """Per variable j, the table pairs holding x_j: (the other index a,
+        the sign that makes the entry {x_a, x_j}, the entry's terms)."""
+        found = self._cache.get("pairs_with")
+        if found is None:
+            found = self._cache["pairs_with"] = [[] for _ in range(self.nvars)]
+            for (a, b), p in self.table.items():
+                found[b].append((a, 1, p.terms))
+                found[a].append((b, -1, p.terms))
+        return found
 
     # -- normal elements and derivations ---------------------------------
 
@@ -190,12 +213,7 @@ class PoissonAlgebra:
         {x^I, x_j} = sum_a I_a x^(I - e_a) {x_a, x_j}, its terms added over
         the table pairs in the order `bracket` adds them."""
         out: list[list[Poly]] = [[self.ring.one()]]
-        # per j, the table pairs holding x_j: (the other index a, the sign
-        # that makes the entry {x_a, x_j}, the entry's terms)
-        with_var: list[list] = [[] for _ in range(self.nvars)]
-        for (a, b), p in self.table.items():
-            with_var[b].append((a, 1, p.terms))
-            with_var[a].append((b, -1, p.terms))
+        with_var = self._pairs_with()
         for k in range(1, d + 1):
             monos = self.ring.monomials_of_degree(k, weights)
             if not monos:
@@ -232,7 +250,7 @@ class PoissonAlgebra:
 
         Chart m fixes u = x_m + sum_{i>m} mu_i x_i; the requirement
         {u, x_j} in (u) becomes polynomial equations in the mu after
-        substituting the solved variable, which is exactly the linear
+        eliminating x_m (`_normal_chart`), which is exactly the linear
         elimination of the quotient unknowns.
         """
         self.require_quadratic("normal_find_deg1")
@@ -241,55 +259,17 @@ class PoissonAlgebra:
         chart_equations: list[list[Poly]] = []
         diagnostics: list[Poly] = []
         for m in range(n):
-            tail = list(range(m + 1, n))
-            mu_names = tuple(f"_m{i}" for i in tail)
-            mixed = PolyRing(mu_names + self.ring.names)
-            nmu = len(mu_names)
-            xoff = nmu
-
-            def lift_poly(p: Poly) -> Poly:
-                return Poly(mixed, {(0,) * nmu + e: c for e, c in p.terms.items()})
-
-            # u = x_m + sum mu_i x_i ; substitution x_m -> -(sum mu_i x_i)
-            subst_images = [mixed.var(t) for t in range(nmu)]
-            for i in range(n):
-                if i == m:
-                    img = mixed.zero()
-                    for t, gi in enumerate(tail):
-                        e = [0] * mixed.nvars
-                        e[t] = 1
-                        e[xoff + gi] = 1
-                        img = img + Poly(mixed, {tuple(e): -_ONE})
-                    subst_images.append(img)
-                else:
-                    subst_images.append(mixed.var(xoff + i))
-            equations: list[Poly] = []
-            mu_ring = PolyRing(mu_names)
-            for j in range(n):
-                w = lift_poly(self.pair(m, j))
-                for t, gi in enumerate(tail):
-                    p = self.pair(gi, j)
-                    if not p.is_zero():
-                        w = w + mixed.var(t) * lift_poly(p)
-                if w.is_zero():
-                    continue
-                rem = w.substitute(subst_images, mixed)
-                # group by the x-part of the exponent
-                grouped: dict = {}
-                for e, c in rem.terms.items():
-                    grouped.setdefault(e[xoff:], {})[e[:nmu]] = c
-                for _, mu_terms in grouped.items():
-                    equations.append(Poly(mu_ring, dict(mu_terms)))
-            if nmu:
+            mu_ring, equations = self._normal_chart(m)
+            if mu_ring.nvars:
                 res = classify_affine(equations, mu_ring, budget)
-            elif any(not e.is_zero() for e in equations):
+            elif equations:
                 res = AffineResult(solver_empty)
             else:
                 res = AffineResult(solver_points, points=[[]])
             if res.kind == solver_ideal:
                 diagnostics.extend(res.gb)
             chart_results.append(res)
-            chart_equations.append([e for e in equations if not e.is_zero()])
+            chart_equations.append(equations)
         result = aggregate_chart_results(chart_results, n, fallback=tuple(diagnostics))
         if result.kind == solver_ideal and not result.generators:
             # no chart is of kind ideal, but the pieces do not form a subspace:
@@ -301,6 +281,46 @@ class PoissonAlgebra:
                         gens.setdefault(str(g), g)
             result = SolutionSet(solver_ideal, n, generators=tuple(gens.values()))
         return result
+
+    def _normal_chart(self, m: int) -> tuple[PolyRing, list[Poly]]:
+        """Chart m's equations in the ring of the mu: per j, the x-coefficients
+        of {x_m, x_j} + sum_t mu_t {x_(g_t), x_j} with x_m -> -sum_t mu_t
+        x_(g_t), the g_t = m+1..n-1.  The terms come off the table, x_m^2
+        by the square of that sum written out once, and are added in the
+        order that substituting into the expanded polynomial adds them."""
+        n = self.nvars
+        tail = range(m + 1, n)
+        mu_ring = PolyRing(tuple(f"_m{i}" for i in tail))
+        nmu = mu_ring.nvars
+        mu_unit = [tuple(int(s == t) for s in range(nmu)) for t in range(nmu)]
+        x_unit = [tuple(int(s == g) for s in range(n)) for g in range(n)]
+        # x_m and x_m^2 as (mu exponent, x exponent, coefficient)
+        image = [(mu_unit[t], x_unit[g], -1) for t, g in enumerate(tail)]
+        square = [(tuple(map(add, mu_unit[t], mu_unit[s])),
+                   tuple(map(add, x_unit[m + 1 + t], x_unit[m + 1 + s])), 1 if s == t else 2)
+                  for s in range(nmu) for t in range(s, nmu)]
+        sources = [((0,) * nmu, m)] + [(mu_unit[t], g) for t, g in enumerate(tail)]
+        equations: list[Poly] = []
+        for j, pairs in enumerate(self._pairs_with()):
+            entries = {a: (sign, terms) for a, sign, terms in pairs}
+            out: dict = {}
+            for mu, g in sources:
+                sign, terms = entries.get(g, (1, {}))
+                for e, c in terms.items():
+                    c = -c if sign < 0 else c  # {x_g, x_j}
+                    k = e[m]
+                    if not k:
+                        _add_terms(out, (((e, mu), c),))
+                        continue
+                    rest = e[:m] + (0,) + e[m + 1:]
+                    _add_terms(out, (((tuple(map(add, rest, x)), tuple(map(add, mu, nu))),
+                                      c * s) for nu, x, s in (image if k == 1 else square)))
+            # group by the x-part of the exponent
+            grouped: dict = {}
+            for (x, mu), c in out.items():
+                grouped.setdefault(x, {})[mu] = c
+            equations.extend(Poly(mu_ring, terms) for terms in grouped.values())
+        return mu_ring, equations
 
     def __repr__(self):
         entries = ", ".join(

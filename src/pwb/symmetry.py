@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd
+from operator import add
 from typing import Optional, Sequence
 
 from .brackets import PoissonAlgebra
@@ -28,6 +29,7 @@ from .upoly import UPoly, extract_roots
 
 _ZERO = Cyclo.of(0)
 _ONE = Cyclo.of(1)
+_MINUS_ONE = Cyclo.of(-1)
 
 NOT_AUTOMORPHISM = "not_automorphism"
 IDENTITY = "identity"
@@ -689,64 +691,12 @@ def find_reflections(A: PoissonAlgebra, budget: int = DEFAULT_BUDGET) -> Reflect
 
 def _solve_reflection_chart(A: PoissonAlgebra, vectors, nparams: int,
                             budget: int) -> list[ReflectionFamily]:
-    """Reflections with eigenvector u = v0 + sum_l t_l v_(l+1)."""
-    n = A.nvars
-    param_names = tuple(f"_t{l+1}" for l in range(nparams))
-    k_names = tuple(f"_k{i+1}" for i in range(n))
-    pk = PolyRing(param_names + k_names)
-    kvar = [pk.var(nparams + i) for i in range(n)]
-    # u coefficients as elements of pk
-    ucoef = []
-    for i in range(n):
-        acc = pk.scalar(vectors[0][i])
-        for l in range(nparams):
-            acc = acc + pk.var(l) * pk.scalar(vectors[l + 1][i])
-        ucoef.append(acc)
-    # mixed ring for the polynomial identities: params + k + x
-    mixed = PolyRing(pk.names + A.ring.names)
-    off = pk.nvars
-
-    def lift_pk(p: Poly) -> Poly:
-        return Poly(mixed, {e + (0,) * n: c for e, c in p.terms.items()})
-
-    def lift_x(p: Poly) -> Poly:
-        return Poly(mixed, {(0,) * off + e: c for e, c in p.terms.items()})
-
-    u_mixed = mixed.zero()
-    for i in range(n):
-        u_mixed = u_mixed + lift_pk(ucoef[i]) * mixed.var(off + i)
-    # g(x_i) = x_i + k_i u
-    images = [mixed.var(l) for l in range(off)] + \
-             [mixed.var(off + i) + lift_pk(kvar[i]) * u_mixed for i in range(n)]
-    # {x_i, u} = sum_l u_l {x_i, x_l}
-    bracket_with_u = []
-    for i in range(n):
-        acc = mixed.zero()
-        for l in range(n):
-            p = A.pair(i, l)
-            if not p.is_zero():
-                acc = acc + lift_pk(ucoef[l]) * lift_x(p)
-        bracket_with_u.append(acc)
-    equations: list[Poly] = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            pij = A.pair(i, j)
-            lhs = lift_x(pij).substitute(images, mixed) if not pij.is_zero() else mixed.zero()
-            rhs = lift_x(pij) \
-                + lift_pk(kvar[j]) * bracket_with_u[i] \
-                - lift_pk(kvar[i]) * bracket_with_u[j]
-            diff = lhs - rhs
-            if diff.is_zero():
-                continue
-            grouped: dict = {}
-            for e, c in diff.terms.items():
-                grouped.setdefault(e[off:], {})[e[:off]] = c
-            for _, pk_terms in grouped.items():
-                equations.append(Poly(pk, dict(pk_terms)))
+    """Reflections g(x_i) = x_i + k_i u with eigenvector u = v0 + sum_l t_l
+    v_(l+1), from the equations of `_reflection_equations`."""
+    pk, ucoef, equations = _reflection_equations(A, vectors, nparams)
     xi_expr = pk.zero()
-    for i in range(n):
-        xi_expr = xi_expr + kvar[i] * ucoef[i]
-
+    for i in range(A.nvars):
+        xi_expr = xi_expr + pk.var(nparams + i) * ucoef[i]
     families: list[ReflectionFamily] = []
     seen: set = set()
     for assignments, residual in split(equations, pk, budget):
@@ -781,6 +731,64 @@ def _solve_reflection_chart(A: PoissonAlgebra, vectors, nparams: int,
             assignments=tuple(sorted((pk.names[i], str(v)) for i, v in assignments.items())),
             samples=tuple(samples)))
     return families
+
+
+def _reflection_equations(A: PoissonAlgebra, vectors, nparams: int
+                          ) -> tuple[PolyRing, list[Poly], list[Poly]]:
+    """The ring of the t and k, the coefficients of u in it, and the
+    equations: the x-coefficients of g{x_i, x_j} - {g x_i, g x_j}, i < j.
+
+    Each table monomial x_a x_b of {x_i, x_j} moves under g by
+    k_b x_a u + k_a x_b u + k_a k_b u^2, and {g x_i, g x_j} - {x_i, x_j} =
+    k_j {x_i, u} - k_i {x_j, u} with {x_i, u} = sum_l u_l {x_i, x_l}; the
+    table entries themselves cancel and are never formed.  x_a u, u^2 and
+    {x_i, u} are written out once per chart, as x-monomial -> terms in t, k.
+    """
+    n = A.nvars
+    pk = PolyRing(tuple(f"_t{l+1}" for l in range(nparams)) + tuple(f"_k{i+1}" for i in range(n)))
+    unit = [tuple(int(s == r) for s in range(pk.nvars)) for r in range(pk.nvars)]
+    k_unit = unit[nparams:]
+    # u_i = v0_i + sum_l t_l v_(l+1),i
+    ucoef = [{e: Cyclo.of(v[i]) for e, v in zip([(0,) * pk.nvars] + unit, vectors) if v[i]}
+             for i in range(n)]
+    x_unit = [tuple(int(s == a) for s in range(n)) for a in range(n)]
+    x_times_u = [{tuple(map(add, x_unit[a], x_unit[l])): ucoef[l] for l in range(n) if ucoef[l]}
+                 for a in range(n)]
+    u_squared: dict = {}
+    for l in range(n):
+        for r in range(n):
+            if ucoef[l] and ucoef[r]:
+                _add_terms(u_squared.setdefault(tuple(map(add, x_unit[l], x_unit[r])), {}),
+                           _mul_terms(ucoef[l], ucoef[r]).items())
+    bracket_u: list[dict] = []
+    for pairs in A._pairs_with():
+        acc: dict = {}
+        for l, sign, terms in pairs:
+            for e, c in terms.items():
+                c = c if sign < 0 else -c  # {x_i, x_l} = -sign * terms
+                _add_terms(acc.setdefault(e, {}), ((f, c * d) for f, d in ucoef[l].items()))
+        bracket_u.append(acc)
+
+    def add_in(out: dict, xterms: dict, c: Cyclo, shift: tuple) -> None:
+        """out += c * k^shift * xterms, per x-monomial."""
+        for x, terms in xterms.items():
+            _add_terms(out.setdefault(x, {}),
+                       ((tuple(map(add, e, shift)), c * d) for e, d in terms.items()))
+
+    equations: list[Poly] = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            diff: dict = {}
+            for e, c in A.pair(i, j).terms.items():
+                a = next(v for v, x in enumerate(e) if x)
+                b = a if e[a] == 2 else next(v for v in range(a + 1, n) if e[v])
+                add_in(diff, x_times_u[a], c, k_unit[b])
+                add_in(diff, x_times_u[b], c, k_unit[a])
+                add_in(diff, u_squared, c, tuple(map(add, k_unit[a], k_unit[b])))
+            add_in(diff, bracket_u[i], _MINUS_ONE, k_unit[j])
+            add_in(diff, bracket_u[j], _ONE, k_unit[i])
+            equations.extend(Poly(pk, terms) for terms in diff.values() if terms)
+    return pk, [Poly(pk, terms) for terms in ucoef], equations
 
 
 def _sample_reflections(A: PoissonAlgebra, vectors, nparams: int, pk: PolyRing,

@@ -20,8 +20,11 @@ automorphism check and the bracket-built center that `pwb.symmetry` and
 `pwb.brackets` ran before they read the bracket table, and the eigenspaces
 by `kernel_basis`, the bracket-built transport and the `Poly`-product rows
 of the derived ideal that they ran before they read a rank-one update's
-eigenspaces in closed form.  `least_conductor` solves for a value's least
-conductor divisor by divisor, as the reference of `Cyclo.least`.  The
+eigenspaces in closed form, and the mixed-ring builders of the
+normal-element and reflection charts and the bracket-built Jacobi check
+that they ran before they read those systems off the table.
+`least_conductor` solves for a value's least conductor divisor by divisor,
+as the reference of `Cyclo.least`.  The
 pointwise normal-element check and the Poisson-derivation test on its answer
 live only here: pwb itself finds normal elements by `normal_find_deg1`.
 """
@@ -1498,3 +1501,129 @@ def derived_dims_by_products(ideal) -> list[int]:
                              for e, c in prod.terms.items()})
         out.append(rank(rows))
     return out
+
+
+# -- what pwb ran before it read its solve-path systems off the table -----------
+#
+# pwb now builds the equations of a normal-element chart and of a reflection
+# chart from the table entries on term dicts, and checks Jacobi by Leibniz on
+# the table.  These are the earlier versions, unchanged but for their names:
+# each chart lifts the table into a mixed ring of parameters and variables,
+# substitutes the images there and splits the result by its x-part, and
+# Jacobi takes three general brackets per triple.
+
+
+def mixed_ring_normal_equations(A, m: int) -> tuple:
+    """Chart m of `PoissonAlgebra.normal_find_deg1`: the ring of the mu and
+    the equations, by substituting x_m -> -sum mu_i x_i in a mixed ring."""
+    n = A.nvars
+    tail = list(range(m + 1, n))
+    mu_names = tuple(f"_m{i}" for i in tail)
+    mixed = PolyRing(mu_names + A.ring.names)
+    nmu = len(mu_names)
+    xoff = nmu
+
+    def lift_poly(p):
+        return Poly(mixed, {(0,) * nmu + e: c for e, c in p.terms.items()})
+
+    subst_images = [mixed.var(t) for t in range(nmu)]
+    for i in range(n):
+        if i == m:
+            img = mixed.zero()
+            for t, gi in enumerate(tail):
+                e = [0] * mixed.nvars
+                e[t] = 1
+                e[xoff + gi] = 1
+                img = img + Poly(mixed, {tuple(e): -ONE})
+            subst_images.append(img)
+        else:
+            subst_images.append(mixed.var(xoff + i))
+    equations = []
+    mu_ring = PolyRing(mu_names)
+    for j in range(n):
+        w = lift_poly(A.pair(m, j))
+        for t, gi in enumerate(tail):
+            p = A.pair(gi, j)
+            if not p.is_zero():
+                w = w + mixed.var(t) * lift_poly(p)
+        if w.is_zero():
+            continue
+        rem = w.substitute(subst_images, mixed)
+        grouped: dict = {}
+        for e, c in rem.terms.items():
+            grouped.setdefault(e[xoff:], {})[e[:nmu]] = c
+        for _, mu_terms in grouped.items():
+            equations.append(Poly(mu_ring, dict(mu_terms)))
+    return mu_ring, equations
+
+
+def mixed_ring_reflection_equations(A, vectors, nparams: int) -> tuple:
+    """The ring of the t and k and the equations of a reflection chart with
+    eigenvector u = v0 + sum_l t_l v_(l+1), by substituting g(x_i) = x_i +
+    k_i u into each table entry in a mixed ring."""
+    n = A.nvars
+    param_names = tuple(f"_t{l+1}" for l in range(nparams))
+    k_names = tuple(f"_k{i+1}" for i in range(n))
+    pk = PolyRing(param_names + k_names)
+    kvar = [pk.var(nparams + i) for i in range(n)]
+    ucoef = []
+    for i in range(n):
+        acc = pk.scalar(vectors[0][i])
+        for l in range(nparams):
+            acc = acc + pk.var(l) * pk.scalar(vectors[l + 1][i])
+        ucoef.append(acc)
+    mixed = PolyRing(pk.names + A.ring.names)
+    off = pk.nvars
+
+    def lift_pk(p):
+        return Poly(mixed, {e + (0,) * n: c for e, c in p.terms.items()})
+
+    def lift_x(p):
+        return Poly(mixed, {(0,) * off + e: c for e, c in p.terms.items()})
+
+    u_mixed = mixed.zero()
+    for i in range(n):
+        u_mixed = u_mixed + lift_pk(ucoef[i]) * mixed.var(off + i)
+    images = [mixed.var(l) for l in range(off)] + \
+             [mixed.var(off + i) + lift_pk(kvar[i]) * u_mixed for i in range(n)]
+    bracket_with_u = []
+    for i in range(n):
+        acc = mixed.zero()
+        for l in range(n):
+            p = A.pair(i, l)
+            if not p.is_zero():
+                acc = acc + lift_pk(ucoef[l]) * lift_x(p)
+        bracket_with_u.append(acc)
+    equations = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            pij = A.pair(i, j)
+            lhs = lift_x(pij).substitute(images, mixed) if not pij.is_zero() else mixed.zero()
+            rhs = lift_x(pij) \
+                + lift_pk(kvar[j]) * bracket_with_u[i] \
+                - lift_pk(kvar[i]) * bracket_with_u[j]
+            diff = lhs - rhs
+            if diff.is_zero():
+                continue
+            grouped: dict = {}
+            for e, c in diff.terms.items():
+                grouped.setdefault(e[off:], {})[e[:off]] = c
+            for _, pk_terms in grouped.items():
+                equations.append(Poly(pk, dict(pk_terms)))
+    return pk, equations
+
+
+def bracket_jacobi_check(A) -> tuple:
+    """`PoissonAlgebra.jacobi_check` with {x_i, {x_j, x_k}} + cyclic taken by
+    three general brackets per triple."""
+    names = A.ring.names
+    xs = A.ring.gens()
+    triples = {tuple(sorted((i, j, k))) for i, j in A.table
+               for k in range(A.nvars) if k != i and k != j}
+    for i, j, k in sorted(triples):
+        total = (A.bracket(A.pair(j, k), xs[i])
+                 + A.bracket(A.pair(k, i), xs[j])
+                 + A.bracket(A.pair(i, j), xs[k]))
+        if not total.is_zero():
+            return False, (names[i], names[j], names[k])
+    return True, None

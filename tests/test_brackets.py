@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracle
 from pwb.brackets import PoissonAlgebra, transport
@@ -64,20 +66,20 @@ def test_jacobi_failure_witness():
 
 def test_jacobi_check_visits_only_triples_with_a_nonzero_bracket(monkeypatch):
     calls = []
-    bracket = PoissonAlgebra.bracket
+    jacobiator = PoissonAlgebra._jacobiator
 
-    def counted(self, f, g):
-        calls.append((f, g))
-        return bracket(self, f, g)
+    def counted(self, i, j, k):
+        calls.append((i, j, k))
+        return jacobiator(self, i, j, k)
 
-    monkeypatch.setattr(PoissonAlgebra, "bracket", counted)
+    monkeypatch.setattr(PoissonAlgebra, "_jacobiator", counted)
     ring = PolyRing([f"x{i}" for i in range(6)])
     assert PoissonAlgebra(ring, {}).jacobi_check() == (True, None)
     assert calls == []
     A = PoissonAlgebra(ring, {(1, 3): ring.parse("x1*x3")}, check_jacobi=False)
     assert A.jacobi_check() == (True, None)
-    # the four triples that contain {x1, x3}, three brackets each
-    assert len(calls) == 3 * 4
+    # the four triples that contain {x1, x3}, in lexicographic order
+    assert calls == [(0, 1, 3), (1, 2, 3), (1, 3, 4), (1, 3, 5)]
 
 
 def test_jacobian_brackets_satisfy_jacobi():
@@ -477,3 +479,95 @@ def test_derived_dims_build_no_monomial(monkeypatch):
                         lambda ring, *args: calls.append(args) or monomial(ring, *args))
     assert ideal.dims() == [0, 0, 5, 14, 28]
     assert calls == []
+
+
+# -- the solve path's systems off the table against the mixed-ring builders ------
+
+
+@st.composite
+def drawn_algebras(draw, degrees=(2,)):
+    """An algebra on 2-5 variables over Q, Q(zeta_3), Q(zeta_4) or Q(zeta_12),
+    some coefficients stored at conductor 12: a skew table, the Jacobian
+    bracket of a cubic (both satisfy Jacobi), or a table whose entries are
+    each a skew monomial or a sum of monomials of the given degrees, built
+    without the Jacobi check (it often fails)."""
+    N = draw(st.sampled_from((1, 3, 4, 12)))
+
+    def coefficient(nonzero=False):
+        top = draw(st.integers(1, 3) if nonzero else st.integers(0, 3))
+        c = Cyclo.of(Fraction(draw(st.sampled_from((-1, 1))) * top, draw(st.sampled_from((1, 1, 2)))))
+        c = c * zeta(N, draw(st.integers(0, N - 1)))
+        return c.lift_to(12) if draw(st.integers(0, 6)) == 0 else c
+
+    kind = draw(st.sampled_from(("skew", "jacobian", "table")))
+    if kind == "jacobian":
+        xyz = PolyRing(["x", "y", "z"])
+        cubics = xyz.monomials_of_degree(3)
+        chosen = draw(st.lists(st.sampled_from(cubics), min_size=1, max_size=4, unique=True))
+        return jacobian(Poly(xyz, {e: coefficient(nonzero=True) for e in chosen}))
+    n = draw(st.integers(2, 5))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    if kind == "skew":
+        q = [[Cyclo.of(0)] * n for _ in range(n)]
+        for i, j in pairs:
+            q[i][j] = coefficient()
+            q[j][i] = -q[i][j]
+        return skew_symmetric(Matrix(q))
+    ring = PolyRing([f"x{i}" for i in range(n)])
+    table = {}
+    for i, j in draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True)):
+        if draw(st.booleans()):
+            e = [0] * n
+            e[i] = e[j] = 1
+            table[(i, j)] = ring.monomial(e, coefficient(nonzero=True))
+            continue
+        entry = ring.zero()
+        for _ in range(draw(st.integers(1, 3))):
+            e = [0] * n
+            for _ in range(draw(st.sampled_from(degrees))):
+                e[draw(st.integers(0, n - 1))] += 1
+            # added one term at a time, so equal monomials sum and may cancel
+            entry = entry + ring.monomial(e, coefficient())
+        table[(i, j)] = entry
+    return PoissonAlgebra(ring, table, check_jacobi=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn_algebras())
+@example(quantum_matrices(2))
+@example(homogenized_weyl(2))
+@example(jacobian_pq(1, zeta(3)))
+def test_normal_charts_match_the_mixed_ring_equations(A):
+    # every chart's equations, in order, term by term as stored
+    for m in range(A.nvars):
+        ring, equations = A._normal_chart(m)
+        expected_ring, expected = oracle.mixed_ring_normal_equations(A, m)
+        assert ring == expected_ring
+        assert [_stored(p) for p in equations] == [_stored(p) for p in expected]
+
+
+_XYZ = PolyRing(["x", "y", "z"])
+_FAILING = PoissonAlgebra(_XYZ, {(0, 1): _XYZ.parse("x^2"), (2, 0): _XYZ.parse("z^2")},
+                          check_jacobi=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn_algebras(degrees=(0, 1, 2, 3)))
+@example(_FAILING)
+@example(quantum_matrices(3))
+def test_jacobi_check_by_leibniz_matches_the_bracket_built_check(A):
+    assert A.jacobi_check() == oracle.bracket_jacobi_check(A)
+
+
+def test_drawn_algebras_include_jacobi_failures():
+    # the differential Jacobi test above sees failing tables, not just
+    # the skew and Jacobian ones that hold by construction
+    verdicts = []
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(drawn_algebras(degrees=(0, 1, 2, 3)))
+    def record(A):
+        verdicts.append(A.jacobi_check()[0])
+
+    record()
+    assert True in verdicts and False in verdicts

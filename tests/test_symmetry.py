@@ -19,13 +19,14 @@ from pwb.fixedrings import fixed_group, rigidity_report
 from pwb.rings import Poly, PolyRing
 from pwb.scalars import Cyclo, zeta
 from pwb.series import RationalSeries, hilbert_free, hilbert_weighted
+from pwb.solver import POINTS
 from pwb.symmetry import (FINITE_NON_REFLECTION, FOUND, IDENTITY, INCONCLUSIVE, INFINITE_ORDER,
                           NO_REFLECTIONS, NOT_AUTOMORPHISM, REFLECTION, GradedMap,
                           PoissonGroup, block_decomposition, classify, find_reflections,
                           group_closure, is_poisson_automorphism, molien_series, trace_series)
 from pwb.upoly import UPoly
 from test_acceptance import _block_reflection, _random_skew
-from test_brackets import _stored
+from test_brackets import _stored, drawn_algebras
 from test_fixedrings import diagonal_groups
 
 
@@ -327,6 +328,52 @@ def test_apply_linear_runs_no_invertibility_check(monkeypatch):
     assert fixed_group(Z, G, bound=6).polynomial
     assert calls.count(("apply_linear", False)) > 6
     assert not [c for c in checks(calls) if c[0] == "det" or c[1]]
+
+
+def test_solve_path_substitutes_nothing_and_builds_no_mixed_ring(monkeypatch):
+    # normal charts, reflection charts and the Jacobi check read their
+    # systems off the table: no Poly.substitute, and every ring built is a
+    # ring of chart parameters, none that also holds the algebra's variables
+    Q, J = quantum_matrices(3), jacobian_pq(1, -zeta(3))
+    substituted, rings = [], []
+    substitute, init = Poly.substitute, PolyRing.__init__
+
+    def recorded_init(ring, names):
+        names = tuple(names)
+        rings.append(names)
+        init(ring, names)
+
+    monkeypatch.setattr(Poly, "substitute",
+                        lambda f, *args: substituted.append(f) or substitute(f, *args))
+    monkeypatch.setattr(PolyRing, "__init__", recorded_init)
+    for A, status in ((Q, NO_REFLECTIONS), (J, FOUND)):
+        assert A.jacobi_check() == (True, None)
+        assert A.normal_find_deg1().kind == POINTS
+        assert find_reflections(A).status == status
+    assert substituted == []
+    assert rings and all(name.startswith("_") for names in rings for name in names)
+    assert max(map(len, rings)) <= 2 * Q.nvars - 1
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_reflection_charts_match_the_mixed_ring_equations(data):
+    # equal by value as a multiset; the order is free
+    A = data.draw(drawn_algebras())
+    n = A.nvars
+    nparams = data.draw(st.integers(0, n - 1))
+    entry = st.sampled_from((Cyclo.of(0), Cyclo.of(0), Cyclo.of(1), Cyclo.of(-2), zeta(3),
+                             zeta(4, 3), zeta(12, 5), Cyclo.of(Fraction(1, 2)).lift_to(12)))
+    vectors = [[data.draw(entry) for _ in range(n)] for _ in range(nparams + 1)]
+    pk, _, equations = symmetry._reflection_equations(A, vectors, nparams)
+    expected_ring, expected = oracle.mixed_ring_reflection_equations(A, vectors, nparams)
+    assert pk == expected_ring
+    rest = list(expected)
+    for p in equations:
+        match = next((k for k, q in enumerate(rest) if q == p), None)
+        assert match is not None, p
+        rest.pop(match)
+    assert rest == []
 
 
 @pytest.mark.parametrize("rows", [[[1, 2], [2, 4]], [[1, zeta(3)], [zeta(3, 2), 1]]])
