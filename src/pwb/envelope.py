@@ -6,19 +6,21 @@ h_i) subject to
     [m_i, m_j] = 0,
     [h_i, m_j] = mu({x_i, x_j})     (all i, j),
     [h_i, h_j] = eta({x_i, x_j})    (i < j),
-where mu(x_k x_l) = m_k m_l and eta(x_k x_l) = m_l h_k + m_k h_l.  Graded
-dimensions come from exact linear algebra on word truncations through degree
-3.  The degree-2 echelon gives the leading words of the relations in deg-lex
-order with h above m; when the degree-3 dimension equals the number of words
-with no leading word as a factor, every overlap ambiguity resolves, the
-relations are a Groebner basis (Bergman's diamond lemma), and higher degrees
-count those normal words.  Otherwise elimination goes on in every degree.  A
-Poisson algebra satisfies Jacobi, so its envelope has a PBW basis (Oh) and
-takes the counting path; the expected series is (1-t)^(-2n).
+where mu(x_k x_l) = m_k m_l and eta(x_k x_l) = m_l h_k + m_k h_l.  The
+relations and their reduced degree-2 echelon, realified over Q(zeta_N), are
+built once per algebra and kept on it; graded dimensions and the extension
+of an automorphism both read that echelon.  It gives the leading words of
+the relations in deg-lex order with h above m.  When every overlap x*y*z of
+two leading words x*y and y*z resolves (Bergman's diamond lemma), the
+relations are a Groebner basis and each degree from 3 on counts the words
+with no leading word as a factor.  Otherwise elimination goes on in every
+degree.  A Poisson algebra satisfies Jacobi, so its envelope has a PBW basis
+(Oh) and takes the counting path; the expected series is (1-t)^(-2n).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from .brackets import PoissonAlgebra
 from .errors import (CapExceededError, InvalidDegreeError, NotAutomorphismError,
@@ -132,22 +134,42 @@ def _relations(A: PoissonAlgebra) -> tuple[WordSum, ...]:
     return tuple(relations)
 
 
-def _indexed(ws: WordSum, g: int) -> dict[int, Cyclo]:
-    """A quadratic relation with each two-letter word a*b as column a*g + b."""
-    return {a * g + b: c for (a, b), c in ws.items()}
+def _realified_relations(pres: NCPresentation, n: int) -> list[dict[int, int]]:
+    """The relations realified over Q(zeta_n), the two-letter word a*b as column
+    (g-1-a)*g + g-1-b: letters indexed in reverse, so the least column of a
+    row lies in the block of its deg-lex greatest word."""
+    g = pres.ngens
+    top = g - 1
+    return [row for r in pres.relations
+            for row in realify({(top - a) * g + top - b: c for (a, b), c in r.items()}, n)]
+
+
+def _relation_echelon(pres: NCPresentation, n: int) -> Echelon:
+    """The reduced echelon of the realified relations over Q(zeta_n), built once
+    per algebra and conductor and kept on the algebra.  Only `reduce` reads it
+    after that."""
+    kept = pres.algebra._cache.setdefault("envelope_echelon", {})
+    span = kept.get(n)
+    if span is None:
+        span = Echelon()
+        for row in _realified_relations(pres, n):
+            span.insert(row)
+        for lead in sorted(span.pivots, reverse=True):  # each row cleared by cleared rows
+            span.clear(lead)
+        kept[n] = span
+    return span
 
 
 def envelope_dims(A: PoissonAlgebra, d: int, cap: int = DEFAULT_DIM_CAP) -> list[int]:
     """dim of the degree-k component of the presented algebra, k = 0..d.
 
-    The degree-k relations u*r*v (words u, v with |u| + |v| = k - 2) are
-    realified once over Q(zeta_N), N the conductor of the relations, and
-    eliminated exactly over the integers: rank over Q(zeta_N) is the rank
-    over Q divided by phi(N).  Letters are indexed in reverse, so a pivot
-    column of degree 2 lies in the block of a leading word: the deg-lex
-    greatest word of some relation.  Once degree 3 holds exactly as many
-    dimensions as words free of leading words, the relations are a Groebner
-    basis and every higher degree is that count.
+    Degree 2 reads the kept relation echelon, realified over Q(zeta_N), N the
+    conductor of the relations: rank over Q(zeta_N) is the rank over Q
+    divided by phi(N), and each pivot block is a leading word.  Degree 3 is
+    decided by the overlaps x*y*z of two leading words (`_overlaps_resolve`):
+    when all resolve, the relations are a Groebner basis and every degree
+    from 3 on is the count of words free of leading words.  Otherwise each
+    degree k >= 3 eliminates the words u*r*v (|u| + |v| = k - 2) exactly.
     """
     if d < 0:
         raise InvalidDegreeError(f"degree {d} is negative")
@@ -155,17 +177,22 @@ def envelope_dims(A: PoissonAlgebra, d: int, cap: int = DEFAULT_DIM_CAP) -> list
         raise CapExceededError(f"degree {d} exceeds the cap {cap}")
     pres = envelope_presentation(A)
     g = pres.ngens
+    dims = [1, g][: d + 1]
+    if d < 2:
+        return dims
     n = conductor(c for r in pres.relations for c in r.values())
     phi = euler_phi(n)
-    top = g - 1
-    # realified relations as (two-letter word index, coordinate, coefficient),
-    # letter a indexed as g - 1 - a
+    span = _relation_echelon(pres, n)
+    dims.append(g * g - span.rank // phi)
+    if d == 2:
+        return dims
+    leading = {col // phi for col in span.pivots}
+    if _overlaps_resolve(span.pivots, leading, g, phi):
+        return dims + _normal_word_counts(leading, g, d)[3:]
     rels = [[(*divmod(col, phi), c) for col, c in row.items()]
-            for r in pres.relations
-            for row in realify({(top - a) * g + top - b: c for (a, b), c in r.items()}, n)]
-    dims = [1, g][: d + 1]
+            for row in _realified_relations(pres, n)]
     g2 = g * g
-    for k in range(2, d + 1):
+    for k in range(3, d + 1):
         span = Echelon()
         for a in range(k - 1):
             gb = g ** (k - 2 - a)
@@ -174,11 +201,59 @@ def envelope_dims(A: PoissonAlgebra, d: int, cap: int = DEFAULT_DIM_CAP) -> list
                     for v in range(gb):
                         span.insert({((u + w) * gb + v) * phi + t: c for w, t, c in rel})
         dims.append(g ** k - span.rank // phi)
-        if k == 2:
-            normal = _normal_word_counts({col // phi for col in span.pivots}, g, d)
-        elif k == 3 and dims[3] == normal[3]:
-            return dims + normal[4:]
     return dims
+
+
+class _ShiftedPivots(dict):
+    """Pivot rows of degree 3 built on first lookup from the reduced degree-2
+    rows: for a word x*y*z with a leading factor and t < phi, (pivot of x*y)*z
+    if x*y leads, else x*(pivot of y*z).  Their leads are distinct and cover
+    every column of a word with a leading factor."""
+
+    def __init__(self, pivots: dict, leading: set[int], g: int, phi: int):
+        super().__init__()
+        self.pivots, self.leading, self.g, self.phi = pivots, leading, g, phi
+
+    def __contains__(self, col: int) -> bool:
+        word, g = col // self.phi, self.g
+        return word // g in self.leading or word % (g * g) in self.leading
+
+    def __missing__(self, col: int) -> dict[int, int]:
+        g, phi, pivots = self.g, self.phi, self.pivots
+        word, t = divmod(col, phi)
+        left, z = divmod(word, g)
+        if left in self.leading:
+            row = {(c // phi * g + z) * phi + c % phi: v for c, v in pivots[left * phi + t].items()}
+        else:
+            x, right = divmod(word, g * g)
+            row = _left_shifted(pivots[right * phi + t], x * g * g * phi)
+        self[col] = row
+        return row
+
+
+def _left_shifted(row: dict[int, int], offset: int) -> dict[int, int]:
+    return {c + offset: v for c, v in row.items()}
+
+
+def _overlaps_resolve(pivots: dict, leading: set[int], g: int, phi: int) -> bool:
+    """Does x*(pivot of y*z) reduce to zero against the `_ShiftedPivots` rows for
+    every overlap x*y*z of leading words x*y and y*z, and every t < phi?
+
+    Those rows together with the overlaps span the degree-3 relations, and
+    the rows alone span #(words with a leading factor) * phi dimensions.  So
+    all overlaps resolve iff degree 3 has exactly as many dimensions as
+    words free of leading words, iff the relations are a Groebner basis.
+    """
+    shifted = Echelon(_ShiftedPivots(pivots, leading, g, phi))
+    block = g * g * phi  # the degree-3 columns of one first letter
+    for xy in leading:
+        x, y = divmod(xy, g)
+        for yz in range(y * g, y * g + g):
+            if yz in leading:
+                for t in range(phi):
+                    if shifted.reduce(_left_shifted(pivots[yz * phi + t], x * block)):
+                        return False
+    return True
 
 
 def _normal_word_counts(leading: set[int], g: int, d: int) -> list[int]:
@@ -204,38 +279,54 @@ class EnvelopeExtension:
 
 
 def envelope_extend(A: PoissonAlgebra, g: GradedMap) -> EnvelopeExtension:
-    """Extend a Poisson automorphism to the 2n generators and verify relations."""
-    ok, pair = is_poisson_automorphism(A, g)
-    if not ok:
-        raise NotAutomorphismError(f"map does not preserve the bracket on {pair}")
+    """Extend a graded map to the 2n generators as diag(g, g) and check that it
+    maps each relation into their span, reduced against the kept echelon.
+
+    The image of [h_i, m_j] - mu({x_i, x_j}) is mu({g x_i, g x_j} - g{x_i, x_j})
+    modulo the relations, and a combination of relations on m-words alone is
+    one of the [m_k, m_l].  So every relation is preserved iff g preserves the
+    bracket on generators, and `is_poisson_automorphism` runs only when a
+    relation fails: it raises NotAutomorphismError with the failing pair, or
+    passes and leaves relations_preserved False.  A non-quadratic algebra is
+    checked first, so that error still comes before NotQuadraticError.
+    """
+    if not A.quadratic:
+        _require_automorphism(A, g)
     rows, zeros = g.matrix.rows, [_ZERO] * A.nvars
     # block-diagonal copies of an invertible map: invertible, so no rank check
     extended = GradedMap._invertible(Matrix([r + zeros for r in rows] + [zeros + r for r in rows]))
     pres = envelope_presentation(A)
     gsz = pres.ngens
-    # nonzero entries of each column: generator a maps to sum ca * generator a2
-    cols = [[(a2, ca) for a2, ca in enumerate(col) if not ca.is_zero()]
+    top = gsz - 1
+    # nonzero entries of each column: generator a maps to sum ca * generator a2,
+    # letters indexed in reverse as in the kept echelon
+    cols = [[(top - a2, ca) for a2, ca in enumerate(col) if not ca.is_zero()]
             for col in extended.matrix.transpose().rows]
     # each relation's image must lie in the span of the relations over
     # Q(zeta_N); realified, that is membership in a Q-span
     N = conductor([c for r in pres.relations for c in r.values()]
                   + [c for col in cols for _, c in col])
-    span = Echelon()
-    for r in pres.relations:
-        for row in realify(_indexed(r, gsz), N):
-            span.insert(row)
-    preserved = True
-    for r in pres.relations:
+    span = _relation_echelon(pres, N)
+
+    def preserved(r: WordSum) -> bool:
         image: dict = {}
         for (a, b), c in r.items():
             for a2, ca in cols[a]:
                 for b2, cb in cols[b]:
                     idx = a2 * gsz + b2
                     image[idx] = image.get(idx, _ZERO) + c * ca * cb
-        if span.reduce(realify(image, N)[0]):
-            preserved = False
-            break
-    return EnvelopeExtension(extended, preserved)
+        return not span.reduce(realify(image, N)[0])
+
+    if all(preserved(r) for r in pres.relations):
+        return EnvelopeExtension(extended, True)
+    _require_automorphism(A, g)
+    return EnvelopeExtension(extended, False)
+
+
+def _require_automorphism(A: PoissonAlgebra, g: GradedMap) -> None:
+    ok, pair = is_poisson_automorphism(A, g)
+    if not ok:
+        raise NotAutomorphismError(f"map does not preserve the bracket on {pair}")
 
 
 @dataclass
@@ -246,31 +337,33 @@ class EnvelopeTrace:
 
 
 def envelope_trace(A: PoissonAlgebra, g: GradedMap) -> EnvelopeTrace:
-    """Trace series of the extended action: the square of the base trace."""
+    """Trace series of the extended action: the square of the base trace,
+    reduced because the base trace is."""
     cls = classify(A, g)
     if cls.kind != REFLECTION:
         raise NotReflectionError(f"map classifies as {cls.kind}")
     base = trace_series(g)
-    squared = base * base
+    squared = RationalSeries.reduced(base.num * base.num, base.den * base.den)
     n = A.nvars
     # normalizing-sequence form: 1/((1-xi t)^2 (1-t)^(2n-2))
-    factored = RationalSeries.one_over([cls.xi, cls.xi] + [_ONE] * (2 * n - 2))
+    xi = cls.xi
+    den = UPoly((_ONE, -2 * xi, xi * xi)) * _one_minus_t_power(2 * n - 2)
+    factored = RationalSeries.reduced(UPoly.one(), den)
     quasi = _has_quasi_reflection_shape(squared, 2 * n)
     return EnvelopeTrace(squared, factored, quasi)
+
+
+def _one_minus_t_power(k: int) -> UPoly:
+    """(1 - t)^k by the binomial theorem."""
+    return UPoly(Cyclo.of((-1) ** j * comb(k, j)) for j in range(k + 1))
 
 
 def _has_quasi_reflection_shape(series: RationalSeries, total: int) -> bool:
     """Is the series 1/((1 - xi t)(1 - t)^(total-1)) for some root of unity xi != 1?"""
     if series.num.degree() != 0:
         return False
-    den = series.den
-    one_minus_t = UPoly.one_minus(_ONE)
-    for _ in range(total - 1):
-        q, rem = den.divmod(one_minus_t)
-        if not rem.is_zero():
-            return False
-        den = q
-    if den.degree() != 1:
+    den, rem = series.den.divmod(_one_minus_t_power(total - 1))
+    if not rem.is_zero() or den.degree() != 1:
         return False
     xi = -den[1]  # den = 1 - xi t after normalization
     if den[0] != _ONE:

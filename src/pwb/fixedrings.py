@@ -479,6 +479,7 @@ def profile_algebra(B: PoissonAlgebra, label: str,
     center = B.center_truncated(CENTER_BOUND, w)
     center_gen = next((basis[0] for k, basis in enumerate(center) if k and basis), None)
     monomial = derived.is_monomial()
+    components = derived.components() if monomial else None
     prof = AlgebraProfile(
         label=label,
         polynomial=True,
@@ -489,8 +490,8 @@ def profile_algebra(B: PoissonAlgebra, label: str,
         center_gen_in_derived=(derived.contains(center_gen) if center_gen is not None else None),
         derived_dims=derived.dims(),
         derived_monomial=monomial,
-        derived_components=len(derived.components()) if monomial else None,
-        component_summary=[list(c) for c in derived.components()] if monomial else None,
+        derived_components=len(components) if monomial else None,
+        component_summary=[list(c) for c in components] if monomial else None,
     )
     return prof
 

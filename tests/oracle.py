@@ -22,7 +22,10 @@ by `kernel_basis`, the bracket-built transport and the `Poly`-product rows
 of the derived ideal that they ran before they read a rank-one update's
 eigenspaces in closed form, and the mixed-ring builders of the
 normal-element and reflection charts and the bracket-built Jacobi check
-that they ran before they read those systems off the table.
+that they ran before they read those systems off the table, and the
+envelope tasks `pwb.envelope` ran before it resolved overlaps of leading
+words and kept its degree-2 echelon: degree 3 by elimination, the extension
+checked before its relations, and the trace by products and divisions.
 `least_conductor` solves for a value's least conductor divisor by divisor,
 as the reference of `Cyclo.least`.  The
 pointwise normal-element check and the Poisson-derivation test on its answer
@@ -36,17 +39,17 @@ from itertools import product
 from math import gcd
 from typing import Optional
 
-from pwb.errors import (DegreeBudgetExceededError, DivisorZeroError, PwbError, ScalarError,
-                        UnsplittableConditionError, ZeroElementError)
+from pwb.errors import (DegreeBudgetExceededError, DivisorZeroError, NotAutomorphismError,
+                        PwbError, ScalarError, UnsplittableConditionError, ZeroElementError)
 from pwb.brackets import PoissonAlgebra, PoissonDerivation
-from pwb.envelope import envelope_presentation
+from pwb.envelope import EnvelopeExtension, envelope_presentation
 from pwb.linalg import Echelon, Matrix, kernel, rank, realify, rref, solve_linear
 from pwb.rings import Poly, PolyRing, grlex_key
 from pwb.scalars import Cyclo, conductor, cyclotomic_polynomial, euler_phi, lcm
 from pwb.series import RationalSeries
 from pwb.solver import DEFAULT_BUDGET, EMPTY, POINTS, groebner_basis, lex_order
 from pwb.symmetry import (FINITE_NON_REFLECTION, IDENTITY, INFINITE_ORDER, NOT_AUTOMORPHISM,
-                          REFLECTION, Classification)
+                          REFLECTION, Classification, GradedMap, is_poisson_automorphism)
 from pwb.upoly import UPoly, extract_roots
 
 ZERO = Cyclo.of(0)
@@ -1227,6 +1230,106 @@ def envelope_dims_by_elimination(A, d: int) -> list[int]:
                         span.insert({((u + w) * gb + v) * phi + t: c for w, t, c in rel})
         dims.append(g ** k - span.rank // phi)
     return dims
+
+
+# -- the envelope tasks pwb ran before it resolved overlaps -------------------------
+#
+# `pwb.envelope` decides degree 3 by the overlaps of leading words against one
+# reduced degree-2 echelon kept on the algebra, extends a map by testing the
+# relations first, and divides a trace denominator by (1 - t)^k once.  These
+# are the versions they replaced: degree 3 by elimination of every u*r*v, a
+# fresh relation span per extension after the automorphism check, and a trace
+# squared, factored and tested by repeated products and divisions.
+
+
+def envelope_dims_through_degree_3(A, d: int) -> list[int]:
+    """`pwb.envelope.envelope_dims` by elimination through degree 3, then the
+    count of words free of leading words when degree 3 holds exactly that
+    many dimensions, elimination in every degree otherwise."""
+    pres = envelope_presentation(A)
+    g = pres.ngens
+    n = conductor(c for r in pres.relations for c in r.values())
+    phi = euler_phi(n)
+    top = g - 1
+    rels = [[(*divmod(col, phi), c) for col, c in row.items()]
+            for r in pres.relations
+            for row in realify({(top - a) * g + top - b: c for (a, b), c in r.items()}, n)]
+    dims = [1, g][: d + 1]
+    g2 = g * g
+    for k in range(2, d + 1):
+        span = Echelon()
+        for a in range(k - 1):
+            gb = g ** (k - 2 - a)
+            for rel in rels:
+                for u in range(0, g ** a * g2, g2):
+                    for v in range(gb):
+                        span.insert({((u + w) * gb + v) * phi + t: c for w, t, c in rel})
+        dims.append(g ** k - span.rank // phi)
+        if k == 2:
+            leading = {col // phi for col in span.pivots}
+            normal = [sum(1 for word in product(range(g), repeat=j)
+                          if not any(a * g + b in leading for a, b in zip(word, word[1:])))
+                      for j in range(d + 1)]
+        elif k == 3 and dims[3] == normal[3]:
+            return dims + normal[4:]
+    return dims
+
+
+def checked_envelope_extend(A, g):
+    """`pwb.envelope.envelope_extend` with the automorphism check first and the
+    relation span eliminated again for each map, words indexed a*g + b."""
+    ok, pair = is_poisson_automorphism(A, g)
+    if not ok:
+        raise NotAutomorphismError(f"map does not preserve the bracket on {pair}")
+    rows, zeros = g.matrix.rows, [ZERO] * A.nvars
+    extended = GradedMap(Matrix([r + zeros for r in rows] + [zeros + r for r in rows]))
+    pres = envelope_presentation(A)
+    gsz = pres.ngens
+    cols = [[(a2, ca) for a2, ca in enumerate(col) if not ca.is_zero()]
+            for col in extended.matrix.transpose().rows]
+    N = conductor([c for r in pres.relations for c in r.values()]
+                  + [c for col in cols for _, c in col])
+    span = Echelon()
+    for r in pres.relations:
+        for row in realify({a * gsz + b: c for (a, b), c in r.items()}, N):
+            span.insert(row)
+    for r in pres.relations:
+        image: dict = {}
+        for (a, b), c in r.items():
+            for a2, ca in cols[a]:
+                for b2, cb in cols[b]:
+                    idx = a2 * gsz + b2
+                    image[idx] = image.get(idx, ZERO) + c * ca * cb
+        if span.reduce(realify(image, N)[0]):
+            return EnvelopeExtension(extended, False)
+    return EnvelopeExtension(extended, True)
+
+
+def squared_trace_by_products(base, xi, n: int) -> tuple:
+    """The square of a trace series by `RationalSeries` multiplication, and
+    1/((1 - xi t)^2 (1 - t)^(2n-2)) as a product of 2n linear factors."""
+    return base * base, RationalSeries.one_over([xi, xi] + [ONE] * (2 * n - 2))
+
+
+def quasi_reflection_shape_by_division(series, total: int) -> bool:
+    """Is the series 1/((1 - xi t)(1 - t)^(total-1)), xi != 1 a root of unity?
+    Divides by 1 - t one factor at a time."""
+    if series.num.degree() != 0:
+        return False
+    den = series.den
+    one_minus_t = UPoly.one_minus(ONE)
+    for _ in range(total - 1):
+        q, rem = den.divmod(one_minus_t)
+        if not rem.is_zero():
+            return False
+        den = q
+    if den.degree() != 1:
+        return False
+    xi = -den[1]
+    if den[0] != ONE:
+        return False
+    order = xi.root_of_unity_order() if not xi.is_zero() else None
+    return order is not None and order > 1
 
 
 # -- the Buchberger pwb ran before its integer kernel -----------------------------

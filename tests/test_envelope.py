@@ -14,9 +14,10 @@ from pwb.families import (homogenized_weyl, jacobian, jacobian_pq, quantum_matri
                           skew_symmetric, weyl)
 from pwb.linalg import Echelon, Matrix
 from pwb.rings import PolyRing
-from pwb.scalars import Cyclo, zeta
-from pwb.series import hilbert_free
-from pwb.symmetry import GradedMap, trace_series
+from pwb.scalars import Cyclo, conductor, euler_phi, zeta
+from pwb.series import RationalSeries, hilbert_free
+from pwb.symmetry import GradedMap, classify, is_poisson_automorphism, trace_series
+from pwb.upoly import UPoly
 
 
 def skew2(p):
@@ -86,18 +87,20 @@ def jacobi_failing():
 
 
 RATIONALS = [Cyclo.of(c) for c in (1, -1, 2, -3)] + [Cyclo.of(1) / 2]
-SCALARS = {1: RATIONALS, 3: RATIONALS + [zeta(3), -zeta(3, 2)], 4: RATIONALS + [zeta(4)]}
+SCALARS = {1: RATIONALS, 3: RATIONALS + [zeta(3), -zeta(3, 2)], 4: RATIONALS + [zeta(4)],
+           12: RATIONALS + [zeta(12), zeta(3) - zeta(4), zeta(12, 5) / 2]}
 
 
 @st.composite
-def quadratic_tables(draw):
-    """A 2- or 3-variable quadratic bracket with entries in Q, Q(zeta_3) or
-    Q(zeta_4): a skew-symmetric or Jacobian one (Jacobi holds), or a table of
-    drawn quadratics loaded with check_jacobi=False (Jacobi fails for about
-    half of the 3-variable ones)."""
-    n = draw(st.integers(2, 3))
-    ring = PolyRing(["x", "y", "z"][:n])
-    scalars = SCALARS[draw(st.sampled_from([3, 4, 1]))]
+def quadratic_tables(draw, nvars=(2, 3), conductors=(3, 4, 1)):
+    """A quadratic bracket on nvars[0]..nvars[1] variables with entries in
+    Q(zeta_N), N drawn from conductors: a skew-symmetric or (on three
+    variables) Jacobian one (Jacobi holds), or a table of drawn quadratics
+    loaded with check_jacobi=False (Jacobi fails for about half of the
+    3-variable ones)."""
+    n = draw(st.integers(*nvars))
+    ring = PolyRing(["x", "y", "z", "w"][:n])
+    scalars = SCALARS[draw(st.sampled_from(conductors))]
     scalar = st.sampled_from(scalars)
     kind = draw(st.sampled_from(["skew", "jacobian", "table", "table"] if n == 3
                                 else ["skew", "table"]))
@@ -140,20 +143,22 @@ def test_envelope_dims_of_a_jacobi_failing_table_are_eliminated():
 
 
 def test_envelope_dims_past_degree_3_count_normal_words_of_a_groebner_basis(monkeypatch):
-    # a PBW algebra inserts no row of degree 4 or more; a Jacobi-failing
-    # table is no Groebner basis and is eliminated in degree 4 too
+    # on a fresh algebra, a PBW algebra inserts no row past degree 2 (its
+    # relations, kept on it); a Jacobi-failing table is no Groebner basis and
+    # is eliminated in degree 4 too
     inserted, insert = [], Echelon.insert
     monkeypatch.setattr(Echelon, "insert",
                         lambda self, row: inserted.append(row) or insert(self, row))
 
-    def rows(A, d):
+    def rows(build, d):
         inserted.clear()
-        envelope_dims(A, d)
+        envelope_dims(build(), d)
         return len(inserted)
 
-    for A in (quantum_matrices(2), jacobian_pq(1, 2), homogenized_weyl(1)):
-        assert rows(A, 4) == rows(A, 3)
-    assert rows(jacobi_failing(), 4) > rows(jacobi_failing(), 3)
+    for build in (lambda: quantum_matrices(2), lambda: jacobian_pq(1, 2),
+                  lambda: homogenized_weyl(1)):
+        assert rows(build, 4) == rows(build, 2) > 0
+    assert rows(jacobi_failing, 4) > rows(jacobi_failing, 3)
     assert envelope_dims(quantum_matrices(2), 6, cap=6) == [1, 8, 36, 120, 330, 792, 1716]
 
 
@@ -250,3 +255,196 @@ def test_envelope_trace_never_quasi():
     tr = envelope_trace(H, g)
     assert not tr.quasi_reflection
     assert tr.series == tr.factored
+
+
+# -- differential tests against the eliminations and checks the envelope replaced --
+
+WIDE_TABLES = quadratic_tables(nvars=(2, 4), conductors=(1, 3, 4, 12))
+
+
+def wide_degree(A) -> int:
+    # full elimination in degree 4 takes seconds on 8 letters, or on 6 letters
+    # realified over Q(zeta_12); degree 3 there
+    n = conductor(c for r in envelope_presentation(A).relations for c in r.values())
+    return 4 if A.nvars < 4 and n < 12 else 3
+
+
+@settings(max_examples=30, deadline=None)
+@given(WIDE_TABLES)
+def test_envelope_dims_resolve_overlaps_as_the_eliminations_do(A):
+    d = wide_degree(A)
+    dims = envelope_dims(A, d)
+    assert dims == oracle.envelope_dims_through_degree_3(A, d)
+    assert dims == oracle.envelope_dims_by_elimination(A, d)
+    assert envelope_dims(A, d) == dims  # again, from the kept echelon
+
+
+def test_drawn_tables_take_the_counting_path_and_the_fallback(monkeypatch):
+    verdicts, resolve = [], envelope._overlaps_resolve
+    monkeypatch.setattr(envelope, "_overlaps_resolve",
+                        lambda *a: verdicts.append(resolve(*a)) or verdicts[-1])
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(WIDE_TABLES)
+    def record(A):
+        envelope_dims(A, 3)
+
+    record()
+    assert True in verdicts and False in verdicts
+
+
+def test_the_kept_echelon_holds_only_relation_rows():
+    A = jacobi_failing()
+    envelope_dims(A, 4)
+    envelope_extend(A, GradedMap(Matrix.diagonal([zeta(4)] * 3)))
+    assert set(A._cache) == {"envelope_relations", "envelope_echelon"}
+    assert sorted(A._cache["envelope_echelon"]) == [1, 4]
+    for n, span in A._cache["envelope_echelon"].items():
+        # two-letter words on 6 letters, phi(n) columns each
+        assert span.pivots and all(col < 36 * euler_phi(n) for col in span.pivots)
+
+
+MAP_SCALARS = [Cyclo.of(c) for c in (1, -1, 2, 0)] + [zeta(3), zeta(4), -zeta(12)]
+
+
+@st.composite
+def algebras_and_maps(draw):
+    """A drawn quadratic table, or the non-quadratic weyl(1), with a square map
+    of its size: scalar, diagonal, a permutation, or dense small entries."""
+    if draw(st.integers(0, 3)) == 0:
+        A = weyl(1)
+    else:
+        A = draw(WIDE_TABLES)
+    n = A.nvars
+    kind = draw(st.sampled_from(["scalar", "diagonal", "permutation", "dense"]))
+    nonzero = st.sampled_from([c for c in MAP_SCALARS if not c.is_zero()])
+    if kind == "scalar":
+        rows = Matrix.diagonal([draw(nonzero)] * n).rows
+    elif kind == "diagonal":
+        rows = Matrix.diagonal([draw(nonzero) for _ in range(n)]).rows
+    elif kind == "permutation":
+        perm = draw(st.permutations(range(n)))
+        rows = [[Cyclo.of(1) if perm[i] == j else Cyclo.of(0) for j in range(n)]
+                for i in range(n)]
+    else:
+        rows = [[draw(st.sampled_from(MAP_SCALARS)) for _ in range(n)] for _ in range(n)]
+    if Matrix(rows).rank() < n:
+        rows = Matrix.identity(n).rows
+    return A, GradedMap(Matrix(rows))
+
+
+def outcome(call, *args):
+    try:
+        ext = call(*args)
+    except Exception as exc:  # the exception type and text are the outcome
+        return type(exc), str(exc)
+    return ext.map.matrix, ext.relations_preserved
+
+
+@settings(max_examples=60, deadline=None)
+@given(algebras_and_maps())
+def test_envelope_extend_matches_the_checked_extension(pair):
+    A, g = pair
+    assert outcome(envelope_extend, A, g) == outcome(oracle.checked_envelope_extend, A, g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(algebras_and_maps())
+def test_relations_are_preserved_iff_the_map_is_an_automorphism(pair):
+    # with the bracket check passed over, the relation test alone decides
+    A, g = pair
+    if not A.quadratic:
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(envelope, "is_poisson_automorphism", lambda A, g: (True, None))
+        preserved = envelope_extend(A, g).relations_preserved
+    assert preserved == is_poisson_automorphism(A, g)[0]
+
+
+def test_drawn_maps_include_automorphisms_and_non_automorphisms():
+    verdicts = []
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(algebras_and_maps())
+    def record(pair):
+        verdicts.append((pair[0].quadratic, is_poisson_automorphism(*pair)[0]))
+
+    record()
+    assert {(True, True), (True, False), (False, True), (False, False)} <= set(verdicts)
+
+
+def test_envelope_extend_checks_the_bracket_only_when_a_relation_fails(monkeypatch):
+    calls = []
+    check = envelope.is_poisson_automorphism
+    monkeypatch.setattr(envelope, "is_poisson_automorphism",
+                        lambda A, g: calls.append(A) or check(A, g))
+    assert envelope_extend(skew2(2), GradedMap(Matrix.diagonal([-1, 1]))).relations_preserved
+    assert calls == []
+    with pytest.raises(NotAutomorphismError, match=r"\('x', 'y'\)"):
+        envelope_extend(skew2(2), GradedMap(Matrix([[0, 1], [1, 0]])))
+    # non-quadratic: the automorphism error comes first, then the quadratic one
+    with pytest.raises(NotAutomorphismError):
+        envelope_extend(weyl(1), GradedMap(Matrix.diagonal([2, 1])))
+    with pytest.raises(NotQuadraticError):
+        envelope_extend(weyl(1), GradedMap(Matrix.diagonal([2, Cyclo.of(1) / 2])))
+    assert len(calls) == 3
+
+
+REFLECTION_XI = [Cyclo.of(-1), zeta(3), zeta(3, 2), zeta(4), -zeta(4), zeta(6), zeta(12)]
+
+
+@st.composite
+def reflections(draw):
+    """A reflection of a skew algebra (diag with xi at one place) or of the zero
+    bracket on 2-4 variables (I + u v^T with v^T u = xi - 1, dense)."""
+    n = draw(st.integers(2, 4))
+    xi = draw(st.sampled_from(REFLECTION_XI))
+    q = [[Cyclo.of(0)] * n for _ in range(n)]
+    if draw(st.booleans()):
+        for i in range(n):
+            for j in range(i + 1, n):
+                q[i][j] = draw(st.sampled_from(SCALARS[3]))
+                q[j][i] = -q[i][j]
+        k = draw(st.integers(0, n - 1))
+        return skew_symmetric(Matrix(q)), GradedMap(
+            Matrix.diagonal([xi if i == k else 1 for i in range(n)]))
+    A = skew_symmetric(Matrix(q))
+    u = [Cyclo.of(draw(st.integers(-2, 2))) for _ in range(n)]
+    k = draw(st.integers(0, n - 1))
+    u[k] = Cyclo.of(1)
+    v = [Cyclo.of(draw(st.integers(-2, 2))) if i != k else Cyclo.of(0) for i in range(n)]
+    v[k] = xi - 1 - sum((a * b for a, b in zip(u, v)), Cyclo.of(0))
+    rows = [[Cyclo.of(int(i == j)) + u[i] * v[j] for j in range(n)] for i in range(n)]
+    return A, GradedMap(Matrix(rows))
+
+
+@settings(max_examples=40, deadline=None)
+@given(reflections())
+def test_envelope_trace_series_match_the_products(pair):
+    A, g = pair
+    tr = envelope_trace(A, g)
+    squared, factored = oracle.squared_trace_by_products(trace_series(g), classify(A, g).xi,
+                                                          A.nvars)
+    assert tr.series == squared and str(tr.series) == str(squared)
+    assert tr.factored == factored and str(tr.factored) == str(factored)
+    assert tr.series == tr.factored
+    assert tr.quasi_reflection == oracle.quasi_reflection_shape_by_division(tr.series,
+                                                                            2 * A.nvars)
+
+
+QUASI_XI = [Cyclo.of(1), Cyclo.of(-1), zeta(3), zeta(4), zeta(12), Cyclo.of(2),
+            Cyclo.of(1) / 2, Cyclo.of(1) + zeta(3), Cyclo.of(0)]
+NUMERATORS = [UPoly.one(), UPoly([2]), UPoly([1, 1]), UPoly([1, -1]), UPoly([1, 0, zeta(3)])]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(QUASI_XI), st.integers(0, 6), st.integers(1, 8),
+       st.sampled_from(NUMERATORS))
+def test_quasi_reflection_shape_matches_the_repeated_division(xi, k, total, num):
+    series = RationalSeries(num, UPoly.one_minus(xi) * UPoly.one_minus(1) ** k)
+    assert (envelope._has_quasi_reflection_shape(series, total)
+            == oracle.quasi_reflection_shape_by_division(series, total))
+    if num == UPoly.one() and k == total - 1:
+        order = xi.root_of_unity_order() if not xi.is_zero() else None
+        assert envelope._has_quasi_reflection_shape(series, total) == (
+            order is not None and order > 1)

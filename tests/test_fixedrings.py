@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import oracle
 from pwb import fixedrings, solver, symmetry
-from pwb.brackets import PoissonAlgebra
+from pwb.brackets import DerivedIdeal, PoissonAlgebra
 from pwb.families import (homogenized_weyl, jacobian_pq, lie_two_dim_nonabelian, ph_lie,
                           quantum_matrices, skew_symmetric)
 from pwb.fixedrings import (DISTINGUISHED, NOT_DISTINGUISHED, _is_invariant,
@@ -646,3 +646,17 @@ def test_monoid_generators_enumerate_no_monomials(monkeypatch):
     e, logs = _character_logs([[zeta(6), Cyclo.of(1), Cyclo.of(1), Cyclo.of(1), Cyclo.of(1)]])
     assert fixedrings._monoid_generators(ring, logs, e, 12) == [
         (0, 0, 0, 0, 1), (0, 0, 0, 1, 0), (0, 0, 1, 0, 0), (0, 1, 0, 0, 0), (6, 0, 0, 0, 0)]
+
+
+def test_a_profile_finds_its_minimal_primes_once(monkeypatch):
+    # derived_components and component_summary share one components() call
+    calls = []
+    primes = DerivedIdeal.minimal_primes
+    monkeypatch.setattr(DerivedIdeal, "minimal_primes",
+                        lambda self: calls.append(self) or primes(self))
+    q = Matrix([[0, 1, 2, -1, 3], [-1, 0, 1, 2, -2], [-2, -1, 0, 1, 1],
+                [1, -2, -1, 0, 2], [-3, 2, -1, -2, 0]])
+    A = skew_symmetric(q)
+    rep = rigidity_report(A, group_closure([GradedMap(Matrix.diagonal([-1, 1, 1, 1, 1]))]))
+    assert rep.ambient.derived_monomial and rep.fixed.derived_monomial
+    assert len(calls) == 2
