@@ -149,7 +149,6 @@ def cmd_trace(args, inputs) -> CommandResult:
 
 
 def cmd_molien(args, inputs) -> CommandResult:
-    _require_non_negative("order", args.order)
     name, A = _load_algebra(args.algebra, inputs, args.defer_jacobi)
     group = _load_group(args, A, name, inputs)
     series = molien_series(group)
@@ -163,7 +162,6 @@ def cmd_molien(args, inputs) -> CommandResult:
 
 
 def cmd_fixed(args, inputs) -> CommandResult:
-    _require_non_negative("degree", args.degree)
     name, A = _load_algebra(args.algebra, inputs, args.defer_jacobi)
     group = _load_group(args, A, name, inputs)
     presented = fixed_group(A, group, bound=args.degree, budget=args.budget)
@@ -177,7 +175,6 @@ def cmd_fixed(args, inputs) -> CommandResult:
 
 
 def cmd_report(args, inputs) -> CommandResult:
-    _require_non_negative("degree", args.degree)
     name, A = _load_algebra(args.algebra, inputs, args.defer_jacobi)
     group = _load_group(args, A, name, inputs)
     rep = rigidity_report(A, group, bound=args.degree, budget=args.budget)
@@ -234,7 +231,6 @@ def cmd_envelope(args, inputs) -> CommandResult:
         "generators": list(pres.names),
         "relations": pres.relation_strings(),
     }
-    exit_code = 0
     if args.dims is not None:
         dims = envelope_dims(A, args.dims, cap=args.cap)
         result["dims"] = dims
@@ -243,15 +239,13 @@ def cmd_envelope(args, inputs) -> CommandResult:
         ext = envelope_extend(A, g)
         result["extension"] = {"map": mname, "matrix": matrix_json(ext.map.matrix),
                                "relations_preserved": ext.relations_preserved}
-        if not ext.relations_preserved:
-            exit_code = 2
     if args.trace:
         (mname, g), = _load_maps(args.trace, A.ring, inputs, "--trace", single=True)
         tr = envelope_trace(A, g)
         result["trace"] = {"map": mname, "series": series_json(tr.series),
                            "factored": series_json(tr.factored),
                            "quasi_reflection": tr.quasi_reflection}
-    return CommandResult(result, exit_code=exit_code,
+    return CommandResult(result,
                          summary=f"enveloping presentation of {name}: "
                                  f"{len(pres.relations)} relations")
 
@@ -365,6 +359,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
     inputs: dict = {}
     try:
+        # integer options are bounds and counts: rejected before any file is read
+        for option in ("order", "degree", "budget", "bound", "cap"):
+            _require_non_negative(option, getattr(args, option, None))
         out: CommandResult = args.handler(args, inputs)
     except PwbError as exc:
         out = CommandResult(None, 1, [f"{type(exc).__name__}: {exc}"], f"error: {exc}")

@@ -7,10 +7,10 @@ h_i) subject to
     [h_i, m_j] = mu({x_i, x_j})     (all i, j),
     [h_i, h_j] = eta({x_i, x_j})    (i < j),
 where mu(x_k x_l) = m_k m_l and eta(x_k x_l) = m_l h_k + m_k h_l.  The
-relations and their reduced degree-2 echelon, realified over Q(zeta_N), are
-built once per algebra and kept on it; graded dimensions and the extension
-of an automorphism both read that echelon.  It gives the leading words of
-the relations in deg-lex order with h above m.  When every overlap x*y*z of
+relations and their reduced degree-2 echelon, realified over Q(zeta_N) at
+the relations' conductor N, are built once per algebra and kept on it;
+graded dimensions read that echelon.  It gives the leading words of the
+relations in deg-lex order with h above m.  When every overlap x*y*z of
 two leading words x*y and y*z resolves (Bergman's diamond lemma), the
 relations are a Groebner basis and each degree from 3 on counts the words
 with no leading word as a factor.  Otherwise elimination goes on in every
@@ -145,19 +145,18 @@ def _realified_relations(pres: NCPresentation, n: int) -> list[dict[int, int]]:
 
 
 def _relation_echelon(pres: NCPresentation, n: int) -> Echelon:
-    """The reduced echelon of the realified relations over Q(zeta_n), built once
-    per algebra and conductor and kept on the algebra.  Only `reduce` reads it
+    """The reduced echelon of the realified relations over Q(zeta_n), n their
+    conductor, built once per algebra and kept on it.  Only `reduce` reads it
     after that."""
-    kept = pres.algebra._cache.setdefault("envelope_echelon", {})
-    span = kept.get(n)
-    if span is None:
+    kept = pres.algebra._cache
+    if "envelope_echelon" not in kept:
         span = Echelon()
         for row in _realified_relations(pres, n):
             span.insert(row)
         for lead in sorted(span.pivots, reverse=True):  # each row cleared by cleared rows
             span.clear(lead)
-        kept[n] = span
-    return span
+        kept["envelope_echelon"] = span
+    return kept["envelope_echelon"]
 
 
 def envelope_dims(A: PoissonAlgebra, d: int, cap: int = DEFAULT_DIM_CAP) -> list[int]:
@@ -173,6 +172,8 @@ def envelope_dims(A: PoissonAlgebra, d: int, cap: int = DEFAULT_DIM_CAP) -> list
     """
     if d < 0:
         raise InvalidDegreeError(f"degree {d} is negative")
+    if cap < 0:
+        raise InvalidDegreeError(f"cap {cap} is negative")
     if d > cap:
         raise CapExceededError(f"degree {d} exceeds the cap {cap}")
     pres = envelope_presentation(A)
@@ -236,23 +237,24 @@ def _left_shifted(row: dict[int, int], offset: int) -> dict[int, int]:
 
 
 def _overlaps_resolve(pivots: dict, leading: set[int], g: int, phi: int) -> bool:
-    """Does x*(pivot of y*z) reduce to zero against the `_ShiftedPivots` rows for
-    every overlap x*y*z of leading words x*y and y*z, and every t < phi?
+    """Does x*(pivot of y*z) at t = 0 reduce to zero against the `_ShiftedPivots`
+    rows for every overlap x*y*z of leading words x*y and y*z?
 
     Those rows together with the overlaps span the degree-3 relations, and
     the rows alone span #(words with a leading factor) * phi dimensions.  So
     all overlaps resolve iff degree 3 has exactly as many dimensions as
     words free of leading words, iff the relations are a Groebner basis.
+    One t decides each overlap: the relation span is Q(zeta_N)-closed, so its
+    reduced echelon has pivot (v, t) = zeta^t * pivot (v, 0), and the shifted
+    rows, letter shifts of those, span a Q(zeta_N)-closed space.
     """
     shifted = Echelon(_ShiftedPivots(pivots, leading, g, phi))
     block = g * g * phi  # the degree-3 columns of one first letter
     for xy in leading:
         x, y = divmod(xy, g)
         for yz in range(y * g, y * g + g):
-            if yz in leading:
-                for t in range(phi):
-                    if shifted.reduce(_left_shifted(pivots[yz * phi + t], x * block)):
-                        return False
+            if yz in leading and shifted.reduce(_left_shifted(pivots[yz * phi], x * block)):
+                return False
     return True
 
 
@@ -279,54 +281,25 @@ class EnvelopeExtension:
 
 
 def envelope_extend(A: PoissonAlgebra, g: GradedMap) -> EnvelopeExtension:
-    """Extend a graded map to the 2n generators as diag(g, g) and check that it
-    maps each relation into their span, reduced against the kept echelon.
+    """Extend a Poisson automorphism g to the 2n generators as G = diag(g, g).
 
-    The image of [h_i, m_j] - mu({x_i, x_j}) is mu({g x_i, g x_j} - g{x_i, x_j})
-    modulo the relations, and a combination of relations on m-words alone is
-    one of the [m_k, m_l].  So every relation is preserved iff g preserves the
-    bracket on generators, and `is_poisson_automorphism` runs only when a
-    relation fails: it raises NotAutomorphismError with the failing pair, or
-    passes and leaves relations_preserved False.  A non-quadratic algebra is
-    checked first, so that error still comes before NotQuadraticError.
+    G preserves the relations iff g is a Poisson automorphism, so the one
+    check is `is_poisson_automorphism`.  Modulo the relations, G maps
+    [h_i, m_j] - mu({x_i, x_j}) to mu({g x_i, g x_j} - g{x_i, x_j}), and
+    [h_i, h_j] - eta({x_i, x_j}) to eta({g x_i, g x_j} - g{x_i, x_j}), since
+    G eta(p) = eta(g p) for quadratic p.  The only combinations of relations
+    made of m-words alone are those of the [m_k, m_l].  A map that is no
+    automorphism raises NotAutomorphismError with the failing pair, before
+    the NotQuadraticError of a non-quadratic algebra.
     """
-    if not A.quadratic:
-        _require_automorphism(A, g)
-    rows, zeros = g.matrix.rows, [_ZERO] * A.nvars
-    # block-diagonal copies of an invertible map: invertible, so no rank check
-    extended = GradedMap._invertible(Matrix([r + zeros for r in rows] + [zeros + r for r in rows]))
-    pres = envelope_presentation(A)
-    gsz = pres.ngens
-    top = gsz - 1
-    # nonzero entries of each column: generator a maps to sum ca * generator a2,
-    # letters indexed in reverse as in the kept echelon
-    cols = [[(top - a2, ca) for a2, ca in enumerate(col) if not ca.is_zero()]
-            for col in extended.matrix.transpose().rows]
-    # each relation's image must lie in the span of the relations over
-    # Q(zeta_N); realified, that is membership in a Q-span
-    N = conductor([c for r in pres.relations for c in r.values()]
-                  + [c for col in cols for _, c in col])
-    span = _relation_echelon(pres, N)
-
-    def preserved(r: WordSum) -> bool:
-        image: dict = {}
-        for (a, b), c in r.items():
-            for a2, ca in cols[a]:
-                for b2, cb in cols[b]:
-                    idx = a2 * gsz + b2
-                    image[idx] = image.get(idx, _ZERO) + c * ca * cb
-        return not span.reduce(realify(image, N)[0])
-
-    if all(preserved(r) for r in pres.relations):
-        return EnvelopeExtension(extended, True)
-    _require_automorphism(A, g)
-    return EnvelopeExtension(extended, False)
-
-
-def _require_automorphism(A: PoissonAlgebra, g: GradedMap) -> None:
     ok, pair = is_poisson_automorphism(A, g)
     if not ok:
         raise NotAutomorphismError(f"map does not preserve the bracket on {pair}")
+    envelope_presentation(A)  # NotQuadraticError for a non-quadratic algebra
+    rows, zeros = g.matrix.rows, [_ZERO] * A.nvars
+    # block-diagonal copies of an invertible map: invertible, so no rank check
+    extended = GradedMap._invertible(Matrix([r + zeros for r in rows] + [zeros + r for r in rows]))
+    return EnvelopeExtension(extended, True)
 
 
 @dataclass

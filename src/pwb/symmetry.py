@@ -252,7 +252,7 @@ def trace_series(g: GradedMap) -> RationalSeries:
     coeffs = m.charpoly_coeffs()  # det(tI - M) = t^n + a_{n-1}t^{n-1} + ... + a_0
     n = m.nrows
     den = UPoly([_ONE] + [coeffs[n - k] for k in range(1, n + 1)])
-    return RationalSeries(UPoly.one(), den)
+    return RationalSeries.reduced(UPoly.one(), den)  # numerator 1, den(0) = 1
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,9 @@
 
 Root extraction is deliberately limited to what is exactly decidable here:
 rational roots (when all coefficients are rational) and roots of unity found
-by trial evaluation at zeta_d^j, plus cyclotomic factors Phi_d recognised by
-trial division; a remainder of degree one splits at its root.  Anything else
-is reported as an unsplit remainder.
+by trial evaluation at zeta_d^j, for every d with [Q(zeta_N, zeta_d) : Q(zeta_N)]
+at most the degree; a remainder of degree one splits at its root.  Anything
+else is reported as an unsplit remainder.
 """
 from __future__ import annotations
 
@@ -13,8 +13,8 @@ from math import gcd
 from typing import Iterable
 
 from .errors import DivisorZeroError
-from .scalars import (Cyclo, conductor, cyclotomic_polynomial, divisors, euler_phi, lcm,
-                      scaled_term, signed_sum, zeta)
+from .scalars import (Cyclo, conductor, divisors, euler_phi, lcm, scaled_term, signed_sum,
+                      zeta)
 
 _ZERO = Cyclo.of(0)
 _ONE = Cyclo.of(1)
@@ -176,10 +176,6 @@ def gcd_upoly(a: UPoly, b: UPoly) -> UPoly:
     return a.monic() if not a.is_zero() else a
 
 
-def cyclotomic_upoly(d: int) -> UPoly:
-    return UPoly([Cyclo.of(c) for c in cyclotomic_polynomial(d)])
-
-
 def _root_of_unity_candidates(max_phi: int, base_conductor: int) -> list[Cyclo]:
     """All zeta_d^j whose degree over Q(zeta_N) can be at most max_phi."""
     out = []
@@ -200,7 +196,11 @@ def extract_roots(p: UPoly) -> tuple[list[Cyclo], UPoly]:
     and the root of a degree-one remainder.
 
     Returns (roots, remainder); remainder has no such roots left and
-    degree(remainder) == 0 means p split completely.
+    degree(remainder) == 0 means p split completely.  A root zeta_d of p
+    over Q(zeta_N) has [Q(zeta_N, zeta_d) : Q(zeta_N)] <= deg p, so it is
+    among the candidates of the first pass, which divides out each
+    candidate's multiplicity.  Later passes find the rational roots of a
+    quotient that only became rational then, as of (t - zeta_3)(t - 2)(t - 3).
     """
     roots: list[Cyclo] = []
     if p.is_zero():
@@ -224,19 +224,6 @@ def extract_roots(p: UPoly) -> tuple[list[Cyclo], UPoly]:
                 p = p // UPoly.linear_root(r)
                 roots.append(r)
                 changed = True
-        # cyclotomic factors catch conjugate sets whose individual roots
-        # were already tried above; harmless but kept for larger factors
-        d = 1
-        while p.degree() >= 2 and d <= 2 * p.degree() ** 2 + 4:
-            if euler_phi(d) <= p.degree():
-                phi_d = cyclotomic_upoly(d)
-                q, rem = p.divmod(phi_d)
-                if rem.is_zero():
-                    p = q
-                    roots.extend(zeta(d, j) for j in range(d) if gcd(j, d) == 1 or d == 1)
-                    changed = True
-                    continue
-            d += 1
     if p.degree() == 1:  # c1*t + c0 splits at -c0/c1 whatever its root
         roots.append(-p[0] / p[1])
         p = UPoly(p.coeffs[1:])

@@ -24,10 +24,12 @@ eigenspaces in closed form, and the mixed-ring builders of the
 normal-element and reflection charts and the bracket-built Jacobi check
 that they ran before they read those systems off the table, and the
 envelope tasks `pwb.envelope` ran before it resolved overlaps of leading
-words and kept its degree-2 echelon: degree 3 by elimination, the extension
-checked before its relations, and the trace by products and divisions.
+words and kept its degree-2 echelon: degree 3 by elimination, the relation
+images of an extension reduced against the relations, and the trace by
+products and divisions.
 `least_conductor` solves for a value's least conductor divisor by divisor,
-as the reference of `Cyclo.least`.  The
+as the reference of `Cyclo.least`, and the root extraction with cyclotomic
+trial division is the reference of `pwb.upoly.extract_roots`.  The
 pointwise normal-element check and the Poisson-derivation test on its answer
 live only here: pwb itself finds normal elements by `normal_find_deg1`.
 """
@@ -45,12 +47,12 @@ from pwb.brackets import PoissonAlgebra, PoissonDerivation
 from pwb.envelope import EnvelopeExtension, envelope_presentation
 from pwb.linalg import Echelon, Matrix, kernel, rank, realify, rref, solve_linear
 from pwb.rings import Poly, PolyRing, grlex_key
-from pwb.scalars import Cyclo, conductor, cyclotomic_polynomial, euler_phi, lcm
+from pwb.scalars import Cyclo, conductor, cyclotomic_polynomial, euler_phi, lcm, zeta
 from pwb.series import RationalSeries
 from pwb.solver import DEFAULT_BUDGET, EMPTY, POINTS, groebner_basis, lex_order
 from pwb.symmetry import (FINITE_NON_REFLECTION, IDENTITY, INFINITE_ORDER, NOT_AUTOMORPHISM,
                           REFLECTION, Classification, GradedMap, is_poisson_automorphism)
-from pwb.upoly import UPoly, extract_roots
+from pwb.upoly import UPoly, _rational_root_candidates, _root_of_unity_candidates, extract_roots
 
 ZERO = Cyclo.of(0)
 ONE = Cyclo.of(1)
@@ -1235,11 +1237,13 @@ def envelope_dims_by_elimination(A, d: int) -> list[int]:
 # -- the envelope tasks pwb ran before it resolved overlaps -------------------------
 #
 # `pwb.envelope` decides degree 3 by the overlaps of leading words against one
-# reduced degree-2 echelon kept on the algebra, extends a map by testing the
-# relations first, and divides a trace denominator by (1 - t)^k once.  These
-# are the versions they replaced: degree 3 by elimination of every u*r*v, a
-# fresh relation span per extension after the automorphism check, and a trace
-# squared, factored and tested by repeated products and divisions.
+# reduced degree-2 echelon kept on the algebra, extends a map by the
+# automorphism check alone, and divides a trace denominator by (1 - t)^k once.
+# These are the versions they replaced: degree 3 by elimination of every
+# u*r*v, the relation images of an extension reduced against a relation span
+# eliminated for each map (the reference for the theorem that they are
+# preserved iff the map is an automorphism), and a trace squared, factored and
+# tested by repeated products and divisions.
 
 
 def envelope_dims_through_degree_3(A, d: int) -> list[int]:
@@ -1276,17 +1280,27 @@ def envelope_dims_through_degree_3(A, d: int) -> list[int]:
 
 
 def checked_envelope_extend(A, g):
-    """`pwb.envelope.envelope_extend` with the automorphism check first and the
-    relation span eliminated again for each map, words indexed a*g + b."""
+    """`pwb.envelope.envelope_extend` with the automorphism check first, then
+    the relation test `relations_preserved`."""
     ok, pair = is_poisson_automorphism(A, g)
     if not ok:
         raise NotAutomorphismError(f"map does not preserve the bracket on {pair}")
     rows, zeros = g.matrix.rows, [ZERO] * A.nvars
     extended = GradedMap(Matrix([r + zeros for r in rows] + [zeros + r for r in rows]))
+    return EnvelopeExtension(extended, relations_preserved(A, g))
+
+
+def relations_preserved(A, g) -> bool:
+    """Does diag(g, g) map every relation of the enveloping presentation into
+    their span?  Each image is reduced against the relation span eliminated
+    for this map, realified over Q(zeta_N), N the conductor of the relations
+    and the map, words indexed a*g + b."""
     pres = envelope_presentation(A)
     gsz = pres.ngens
+    rows, zeros = g.matrix.rows, [ZERO] * A.nvars
+    extended = Matrix([r + zeros for r in rows] + [zeros + r for r in rows])
     cols = [[(a2, ca) for a2, ca in enumerate(col) if not ca.is_zero()]
-            for col in extended.matrix.transpose().rows]
+            for col in extended.transpose().rows]
     N = conductor([c for r in pres.relations for c in r.values()]
                   + [c for col in cols for _, c in col])
     span = Echelon()
@@ -1301,8 +1315,8 @@ def checked_envelope_extend(A, g):
                     idx = a2 * gsz + b2
                     image[idx] = image.get(idx, ZERO) + c * ca * cb
         if span.reduce(realify(image, N)[0]):
-            return EnvelopeExtension(extended, False)
-    return EnvelopeExtension(extended, True)
+            return False
+    return True
 
 
 def squared_trace_by_products(base, xi, n: int) -> tuple:
@@ -1730,3 +1744,53 @@ def bracket_jacobi_check(A) -> tuple:
         if not total.is_zero():
             return False, (names[i], names[j], names[k])
     return True, None
+
+
+# -- the root extraction pwb ran before it dropped trial division -----------------
+#
+# `pwb.upoly.extract_roots` finds every root of unity among its trial
+# candidates.  This is the version it replaced, unchanged but for its name: it
+# also divides out each cyclotomic polynomial Phi_d with phi(d) <= deg p.
+
+
+def cyclotomic_upoly(d: int) -> UPoly:
+    return UPoly([Cyclo.of(c) for c in cyclotomic_polynomial(d)])
+
+
+def extract_roots_with_trial_division(p: UPoly) -> tuple[list, UPoly]:
+    """`pwb.upoly.extract_roots` with Phi_d trial division after the candidates."""
+    roots: list = []
+    if p.is_zero():
+        return roots, p
+    k = 0
+    while k < len(p.coeffs) and p.coeffs[k].is_zero():
+        k += 1
+    if k:
+        roots.extend([ZERO] * k)
+        p = UPoly(p.coeffs[k:])
+    changed = True
+    while changed and p.degree() >= 1:
+        changed = False
+        candidates: list = []
+        if p.all_rational():
+            candidates.extend(_rational_root_candidates(p))
+        candidates.extend(_root_of_unity_candidates(p.degree(), p.conductor()))
+        for r in candidates:
+            while p.degree() >= 1 and p.evaluate(r).is_zero():
+                p = p // UPoly.linear_root(r)
+                roots.append(r)
+                changed = True
+        d = 1
+        while p.degree() >= 2 and d <= 2 * p.degree() ** 2 + 4:
+            if euler_phi(d) <= p.degree():
+                q, rem = p.divmod(cyclotomic_upoly(d))
+                if rem.is_zero():
+                    p = q
+                    roots.extend(zeta(d, j) for j in range(d) if gcd(j, d) == 1 or d == 1)
+                    changed = True
+                    continue
+            d += 1
+    if p.degree() == 1:
+        roots.append(-p[0] / p[1])
+        p = UPoly(p.coeffs[1:])
+    return roots, p

@@ -251,6 +251,35 @@ def test_envelope(tmp_path, capsys):
     assert any("m_x" in s for s in r["relations"])
 
 
+WEYL1 = """
+algebra weyl1 {
+  vars: x1, y1;
+  bracket{x1,y1} = 1;
+}
+"""
+
+
+@pytest.mark.parametrize("algebra, map_text, code, diagnostics", [
+    (SKEW, ZETA3_MAP, 0, []),
+    (SKEW, "map swap on S { x -> y; y -> x; }", 1,
+     ["NotAutomorphismError: map does not preserve the bracket on ('x', 'y')"]),
+    (WEYL1, "map t on weyl1 { x1 -> 2*x1; y1 -> 1/2*y1; }", 1,
+     ["NotQuadraticError: enveloping presentation needs a quadratic bracket"]),
+])
+def test_envelope_extend_outcomes(tmp_path, capsys, algebra, map_text, code, diagnostics):
+    f = tmp_path / "a.pois"
+    f.write_text(algebra)
+    m = tmp_path / "g.map"
+    m.write_text(map_text)
+    got, report = run(capsys, "envelope", "--algebra", str(f), "--extend", str(m))
+    assert got == report["exit_code"] == code
+    assert report["diagnostics"] == diagnostics
+    if code == 0:
+        assert report["result"]["extension"]["relations_preserved"] is True
+    else:
+        assert report["result"] is None
+
+
 def test_envelope_negative_dims(tmp_path, capsys):
     f = tmp_path / "s.pois"
     f.write_text(SKEW)
@@ -315,17 +344,24 @@ def test_singular_map_is_reported(tmp_path, capsys, argv):
     assert report["diagnostics"] == ["SingularMatrixError: graded map must be invertible"]
 
 
-@pytest.mark.parametrize("argv", [["molien", "--order", "-1"], ["fixed", "--degree", "-1"],
-                                  ["report", "--degree", "-2"]])
+@pytest.mark.parametrize("argv", [["molien", "--group", "--order", "-1"],
+                                  ["fixed", "--group", "--degree", "-1"],
+                                  ["report", "--group", "--degree", "-2"],
+                                  ["fixed", "--group", "--budget", "-1"],
+                                  ["normal", "--budget", "-3"],
+                                  ["fixed", "--group", "--bound", "-1"],
+                                  ["molien", "--group", "--bound", "-2"],
+                                  ["envelope", "--dims", "3", "--cap", "-1"]])
 def test_negative_order_or_degree_is_rejected_before_the_group(tmp_path, capsys, argv):
     f = tmp_path / "s.pois"
     f.write_text(SKEW)
     m = tmp_path / "g.map"
     m.write_text(ZETA3_MAP)
-    code, report = run(capsys, argv[0], "--algebra", str(f), "--group", str(m), *argv[1:])
+    argv = [a for arg in argv for a in ([arg, str(m)] if arg == "--group" else [arg])]
+    code, report = run(capsys, argv[0], "--algebra", str(f), *argv[1:])
     assert code == 1 and report["result"] is None
-    assert report["diagnostics"] == [f"InvalidDegreeError: {argv[1][2:]} {argv[2]} is negative"]
-    assert str(m) not in report["inputs"]
+    assert report["diagnostics"] == [f"InvalidDegreeError: {argv[-2][2:]} {argv[-1]} is negative"]
+    assert report["inputs"] == {}
 
 
 @pytest.mark.parametrize("argv", [["molien", "--order", "0"], ["fixed", "--degree", "0"],

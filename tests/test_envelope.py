@@ -14,7 +14,7 @@ from pwb.families import (homogenized_weyl, jacobian, jacobian_pq, quantum_matri
                           skew_symmetric, weyl)
 from pwb.linalg import Echelon, Matrix
 from pwb.rings import PolyRing
-from pwb.scalars import Cyclo, conductor, euler_phi, zeta
+from pwb.scalars import Cyclo, conductor, zeta
 from pwb.series import RationalSeries, hilbert_free
 from pwb.symmetry import GradedMap, classify, is_poisson_automorphism, trace_series
 from pwb.upoly import UPoly
@@ -189,6 +189,12 @@ def test_envelope_dims_degree_range():
         envelope_dims(skew2(1), 5)
 
 
+def test_envelope_dims_rejects_a_negative_cap():
+    with pytest.raises(InvalidDegreeError, match="^cap -1 is negative$"):
+        envelope_dims(skew2(1), 0, cap=-1)
+    assert envelope_dims(skew2(1), 0, cap=0) == [1]
+
+
 def test_envelope_extend():
     A = skew2(1)
     g = GradedMap(Matrix.diagonal([zeta(3), 1]))
@@ -203,7 +209,7 @@ def test_envelope_extend():
         envelope_extend(B, GradedMap(Matrix.diagonal([1, zeta(3)])))
 
 
-def test_envelope_extend_cyclotomic(monkeypatch):
+def test_envelope_extend_cyclotomic():
     # Q(zeta_3) relations under a map with zeta_4 and zeta_3 entries: N = 12
     w = zeta(3)
     A = skew_symmetric(Matrix([[0, w, 1], [-w, 0, 2], [-1, -2, 0]]))
@@ -211,10 +217,12 @@ def test_envelope_extend_cyclotomic(monkeypatch):
     ring = PolyRing(["x", "y"])
     B = PoissonAlgebra(ring, {(0, 1): ring.parse("x^2")})
     assert envelope_extend(B, GradedMap(Matrix.diagonal([w, w]))).relations_preserved
-    # a map that is no automorphism must break a relation once past the bracket check:
-    # {x, y} = x^2 under y -> zeta_3 y leaves (zeta_3 - 1) m_x m_x outside the span
-    monkeypatch.setattr(envelope, "is_poisson_automorphism", lambda A, g: (True, None))
-    assert not envelope_extend(B, GradedMap(Matrix.diagonal([1, w]))).relations_preserved
+    # a map that is no automorphism breaks a relation: {x, y} = x^2 under
+    # y -> zeta_3 y leaves (zeta_3 - 1) m_x m_x outside the span
+    g = GradedMap(Matrix.diagonal([1, w]))
+    assert not oracle.relations_preserved(B, g)
+    with pytest.raises(NotAutomorphismError):
+        envelope_extend(B, g)
 
 
 def test_envelope_extend_skips_the_det(monkeypatch):
@@ -293,15 +301,33 @@ def test_drawn_tables_take_the_counting_path_and_the_fallback(monkeypatch):
     assert True in verdicts and False in verdicts
 
 
+def test_each_overlap_is_reduced_once(monkeypatch):
+    # over Q(zeta_12), phi = 4: one reduction per overlap x*y*z, not one per t < 4
+    z = zeta(12)
+    upper = {(0, 1): z, (0, 2): 1, (0, 3): 2, (1, 2): z * z, (1, 3): 3, (2, 3): z}
+    q = [[Cyclo.of(0)] * 4 for _ in range(4)]
+    for (i, j), c in upper.items():
+        q[i][j], q[j][i] = Cyclo.of(c), -Cyclo.of(c)
+    B = skew_symmetric(Matrix(q))
+    envelope_dims(B, 4)  # builds the kept echelon
+    reduced, reduce = [], Echelon.reduce
+    monkeypatch.setattr(Echelon, "reduce",
+                        lambda self, row: reduced.append(row) or reduce(self, row))
+    dims = envelope_dims(B, 4)
+    assert len(reduced) == 56
+    monkeypatch.undo()
+    assert dims == oracle.envelope_dims_by_elimination(B, 4) == [1, 8, 36, 120, 330]
+
+
 def test_the_kept_echelon_holds_only_relation_rows():
     A = jacobi_failing()
     envelope_dims(A, 4)
     envelope_extend(A, GradedMap(Matrix.diagonal([zeta(4)] * 3)))
     assert set(A._cache) == {"envelope_relations", "envelope_echelon"}
-    assert sorted(A._cache["envelope_echelon"]) == [1, 4]
-    for n, span in A._cache["envelope_echelon"].items():
-        # two-letter words on 6 letters, phi(n) columns each
-        assert span.pivots and all(col < 36 * euler_phi(n) for col in span.pivots)
+    # one echelon, at the relations' conductor 1: two-letter words on 6 letters
+    span = A._cache["envelope_echelon"]
+    assert isinstance(span, Echelon)
+    assert span.pivots and all(col < 36 for col in span.pivots)
 
 
 MAP_SCALARS = [Cyclo.of(c) for c in (1, -1, 2, 0)] + [zeta(3), zeta(4), -zeta(12)]
@@ -351,14 +377,11 @@ def test_envelope_extend_matches_the_checked_extension(pair):
 @settings(max_examples=60, deadline=None)
 @given(algebras_and_maps())
 def test_relations_are_preserved_iff_the_map_is_an_automorphism(pair):
-    # with the bracket check passed over, the relation test alone decides
+    # the theorem `envelope_extend` rests on: the relation test alone decides
     A, g = pair
     if not A.quadratic:
         return
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(envelope, "is_poisson_automorphism", lambda A, g: (True, None))
-        preserved = envelope_extend(A, g).relations_preserved
-    assert preserved == is_poisson_automorphism(A, g)[0]
+    assert oracle.relations_preserved(A, g) == is_poisson_automorphism(A, g)[0]
 
 
 def test_drawn_maps_include_automorphisms_and_non_automorphisms():
@@ -373,21 +396,35 @@ def test_drawn_maps_include_automorphisms_and_non_automorphisms():
     assert {(True, True), (True, False), (False, True), (False, False)} <= set(verdicts)
 
 
-def test_envelope_extend_checks_the_bracket_only_when_a_relation_fails(monkeypatch):
+def test_envelope_extend_checks_the_bracket_once(monkeypatch):
+    # one automorphism check per extension and no relation reduced: the
+    # check decides (`test_relations_are_preserved_iff_the_map_is_an_automorphism`)
+    A, W = skew2(2), weyl(1)
+    sign, swap = GradedMap(Matrix.diagonal([-1, 1])), GradedMap(Matrix([[0, 1], [1, 0]]))
+    scale, unimodular = (GradedMap(Matrix.diagonal([2, 1])),
+                         GradedMap(Matrix.diagonal([2, Cyclo.of(1) / 2])))
     calls = []
     check = envelope.is_poisson_automorphism
     monkeypatch.setattr(envelope, "is_poisson_automorphism",
                         lambda A, g: calls.append(A) or check(A, g))
-    assert envelope_extend(skew2(2), GradedMap(Matrix.diagonal([-1, 1]))).relations_preserved
-    assert calls == []
-    with pytest.raises(NotAutomorphismError, match=r"\('x', 'y'\)"):
-        envelope_extend(skew2(2), GradedMap(Matrix([[0, 1], [1, 0]])))
+    realify = envelope.realify
+    monkeypatch.setattr(envelope, "realify", lambda *a: calls.append("realify") or realify(*a))
+    reduce = Echelon.reduce
+    monkeypatch.setattr(Echelon, "reduce",
+                        lambda self, row: calls.append("reduce") or reduce(self, row))
+    assert envelope_extend(A, sign).relations_preserved
+    assert calls == [A]
+    with pytest.raises(NotAutomorphismError,
+                       match=r"^map does not preserve the bracket on \('x', 'y'\)$"):
+        envelope_extend(A, swap)
+    assert calls == [A, A]
     # non-quadratic: the automorphism error comes first, then the quadratic one
     with pytest.raises(NotAutomorphismError):
-        envelope_extend(weyl(1), GradedMap(Matrix.diagonal([2, 1])))
-    with pytest.raises(NotQuadraticError):
-        envelope_extend(weyl(1), GradedMap(Matrix.diagonal([2, Cyclo.of(1) / 2])))
-    assert len(calls) == 3
+        envelope_extend(W, scale)
+    with pytest.raises(NotQuadraticError,
+                       match="^enveloping presentation needs a quadratic bracket$"):
+        envelope_extend(W, unimodular)
+    assert calls == [A, A, W, W]
 
 
 REFLECTION_XI = [Cyclo.of(-1), zeta(3), zeta(3, 2), zeta(4), -zeta(4), zeta(6), zeta(12)]

@@ -1,6 +1,11 @@
-from pwb.scalars import Cyclo, zeta
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracle
+from oracle import cyclotomic_upoly
+from pwb.scalars import Cyclo, lcm, zeta
 from pwb.series import RationalSeries, hilbert_free, hilbert_weighted
-from pwb.upoly import UPoly, cyclotomic_upoly, extract_roots, gcd_upoly
+from pwb.upoly import UPoly, extract_roots, gcd_upoly
 
 
 def t_minus(c) -> UPoly:
@@ -37,6 +42,37 @@ def test_extract_roots_rational_and_cyclotomic():
     p = UPoly.linear_root(zeta(3) * 2) * UPoly.linear_root(zeta(3) * -2)
     roots, rem = extract_roots(p * UPoly.linear_root(Cyclo.of(1)))
     assert roots == [Cyclo.of(1)] and rem == p
+
+
+ROOTS = ([Cyclo.of(c) for c in (0, 1, -1, 2, -3)]
+         + [Cyclo.of(1) / 2, zeta(3), zeta(4), zeta(12, 5), -zeta(3), zeta(3) * 2,
+            zeta(3) - zeta(4)])
+# irreducible over Q or over Q(zeta_3), Q(zeta_4): no root of unity among their roots
+NON_CYCLOTOMIC = [UPoly([-2, 0, 1]), UPoly([2, 1, 1]), UPoly([3, -zeta(3), 1]),
+                  UPoly([3, zeta(4), 1])]
+FACTORS = ([UPoly.linear_root(r) for r in ROOTS] + NON_CYCLOTOMIC
+           + [UPoly([zeta(4), 0, 1])]  # roots zeta_8^3 and zeta_8^7, outside Q(zeta_4)
+           + [cyclotomic_upoly(d) for d in (3, 4, 5, 8, 12)])
+
+
+@st.composite
+def products_of_factors(draw):
+    """A scaled product of drawn factors of degree at most 5, every coefficient
+    stored at one conductor: 1, 3, 4 or 12 where the values allow it."""
+    p = UPoly([draw(st.sampled_from([Cyclo.of(1), Cyclo.of(-2), zeta(3), zeta(12)]))])
+    for f in draw(st.lists(st.sampled_from(FACTORS), min_size=1, max_size=5)):
+        if p.degree() + f.degree() <= 5:
+            p = p * f
+    n = lcm(draw(st.sampled_from([1, 3, 4, 12])), p.conductor())
+    return UPoly([c.lift_to(n) for c in p.coeffs])
+
+
+@settings(max_examples=60, deadline=None)
+@given(products_of_factors())
+def test_extract_roots_matches_the_trial_division(p):
+    roots, rem = extract_roots(p)
+    expected_roots, expected_rem = oracle.extract_roots_with_trial_division(p)
+    assert roots == expected_roots and rem == expected_rem
 
 
 def test_taylor_binomial():

@@ -118,6 +118,23 @@ def test_trace_series_reflection_shape_off_diagonal():
     assert trace_series(g) == RationalSeries.one_over([Cyclo.of(-1), Cyclo.of(1)])
 
 
+def test_trace_series_takes_no_gcd(monkeypatch):
+    # 1/det(1 - g t) is already in normal form: numerator 1, den(0) = 1
+    from pwb import series
+    maps = [GradedMap(Matrix.identity(3)), GradedMap(Matrix.diagonal([zeta(3), 1, 1])),
+            GradedMap(Matrix([[0, 3], [Cyclo.of(1) / 3, 0]])),
+            GradedMap(Matrix([[1, 2, 0], [0, zeta(4), 1], [1, 0, -1]]))]
+    calls, gcd = [], series.gcd_upoly
+    monkeypatch.setattr(series, "gcd_upoly", lambda a, b: calls.append(b) or gcd(a, b))
+    traces = [trace_series(g) for g in maps]
+    assert calls == []
+    monkeypatch.undo()
+    for tr in traces:
+        general = RationalSeries(tr.num, tr.den)
+        assert (tr.num.coeffs, tr.den.coeffs) == (general.num.coeffs, general.den.coeffs)
+        assert str(tr) == str(general)
+
+
 def test_group_closure_rejects_infinite_order_before_closing():
     from pwb.errors import BoundExceededError, InfiniteOrderError
     finite = GradedMap(Matrix.diagonal([zeta(3), 1]))
