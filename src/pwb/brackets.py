@@ -7,8 +7,14 @@ the biderivation extension
     {f, g} = sum_{i<j} (df/dx_i dg/dx_j - df/dx_j dg/dx_i) {x_i, x_j},
 
 which is automatically bilinear, antisymmetric, and Leibniz in each slot.
-The Jacobi identity is checked on generator triples at construction (that
-suffices, again by Leibniz).
+It is computed in its Hamiltonian form {f, g} = sum_v dg/dx_v {f, x_v}:
+`PoissonAlgebra.hamiltonian` applies the Leibniz rule to the table once,
+
+    {f, x_v} = sum_a df/dx_a {x_a, x_v},
+
+and the bracket, the Jacobi check, the center and the modular derivation
+read it.  The Jacobi identity is checked on generator triples at
+construction (that suffices, again by Leibniz).
 """
 from __future__ import annotations
 
@@ -92,27 +98,31 @@ class PoissonAlgebra:
     # -- bracket --------------------------------------------------------
 
     def bracket(self, f: Poly, g: Poly) -> Poly:
-        """{f, g}: over the table pairs in order, (f_i g_j - f_j g_i) {x_i, x_j}
-        is added in, a cancelled sum dropped.  A pair is visited only when x_i
-        occurs in f and x_j in g, or the other way round, since otherwise both
-        products vanish.  The work runs on term dicts, and each partial
-        derivative of f and g is taken once."""
-        vf, vg = _variables(f.terms), _variables(g.terms)
-        df: dict = {}
-        dg: dict = {}
+        """{f, g} = sum_v dg/dx_v {f, x_v}, over the variables x_v of g in
+        ascending order, each {f, x_v} by `hamiltonian`; a cancelled sum is
+        dropped."""
         out: dict = {}
-        for (i, j), p in self.table.items():
-            if not (i in vf and j in vg or j in vf and i in vg):
-                continue
-            for k in (i, j):
-                if k not in df:
-                    df[k], dg[k] = _partial_terms(f.terms, k), _partial_terms(g.terms, k)
-            fi, fj, gi, gj = df[i], df[j], dg[i], dg[j]
-            term = _mul_terms(fi, gj)
-            _add_terms(term, ((e, -c) for e, c in _mul_terms(fj, gi).items()))
-            if term:
-                _add_terms(out, _mul_terms(term, p.terms).items())
+        for v in sorted(_variables(g.terms)):
+            ham = self.hamiltonian(f.terms, v)
+            if ham:
+                _add_terms(out, _mul_terms(_partial_terms(g.terms, v), ham).items())
         return Poly(self.ring, out)
+
+    def hamiltonian(self, terms: dict, v: int) -> dict:
+        """The terms of {f, x_v} for the f with term dict `terms` (int or
+        `Cyclo` coefficients), by Leibniz: each term c x^e gives
+        sum_a c e_a x^(e - e_a) {x_a, x_v}, over the table pairs holding x_v.
+        This is the one place pwb applies the Leibniz rule to the table."""
+        out: dict = {}
+        pairs = self._pairs_with()[v]
+        for e, c in terms.items():
+            for a, s, entry in pairs:
+                if e[a]:
+                    low = e[:a] + (e[a] - 1,) + e[a + 1:]
+                    factor = c * (s * e[a])
+                    _add_terms(out, ((tuple(map(add, f, low)), factor * d)
+                                     for f, d in entry.items()))
+        return out
 
     def linear_bracket_terms(self, rows: Sequence[Sequence[Cyclo]], i: int, j: int) -> dict:
         """The terms of {y_i, y_j} for the linear forms y_j = sum_a rows[a][j] x_a,
@@ -142,21 +152,13 @@ class PoissonAlgebra:
         return True, None
 
     def _jacobiator(self, i: int, j: int, k: int) -> dict:
-        """The terms of {{x_j, x_k}, x_i} + cyclic for i < j < k, each bracket
-        by Leibniz, {x^e, x_v} = sum_a e_a x^(e - e_a) {x_a, x_v}."""
-        pairs_with = self._pairs_with()
+        """The terms of {{x_j, x_k}, x_i} + cyclic for i < j < k."""
         out: dict = {}
         for entry, sign, v in ((self.table.get((j, k)), 1, i), (self.table.get((i, k)), -1, j),
                                (self.table.get((i, j)), 1, k)):
-            if entry is None:
-                continue
-            for e, c in entry.terms.items():
-                for a, s, terms in pairs_with[v]:
-                    if e[a]:
-                        low = e[:a] + (e[a] - 1,) + e[a + 1:]
-                        factor = c * (sign * s * e[a])
-                        _add_terms(out, ((tuple(map(add, f, low)), factor * d)
-                                         for f, d in terms.items()))
+            if entry is not None:
+                ham = self.hamiltonian(entry.terms, v).items()
+                _add_terms(out, ham if sign > 0 else ((e, -c) for e, c in ham))
         return out
 
     def _pairs_with(self) -> list[list]:
@@ -176,12 +178,11 @@ class PoissonAlgebra:
         """f -> sum_j d{f, x_j}/dx_j evaluated on generators."""
         images = []
         for i in range(self.nvars):
-            acc = self.ring.zero()
+            x_i = {tuple(int(t == i) for t in range(self.nvars)): 1}
+            acc: dict = {}
             for j in range(self.nvars):
-                p = self.pair(i, j)
-                if not p.is_zero():
-                    acc = acc + p.partial(j)
-            images.append(acc)
+                _add_terms(acc, _partial_terms(self.hamiltonian(x_i, j), j).items())
+            images.append(Poly(self.ring, acc))
         return PoissonDerivation(self, images)
 
     def is_unimodular(self) -> bool:
@@ -207,13 +208,9 @@ class PoissonAlgebra:
 
     def center_truncated(self, d: int, weights: Optional[Sequence[int]] = None
                          ) -> list[list[Poly]]:
-        """Per degree k <= d, a basis of {f in A_k : {f, x_j} = 0 for all j}.
-
-        The column of x^I in the map ad(x_j) comes from the table by Leibniz,
-        {x^I, x_j} = sum_a I_a x^(I - e_a) {x_a, x_j}, its terms added over
-        the table pairs in the order `bracket` adds them."""
+        """Per degree k <= d, a basis of {f in A_k : {f, x_j} = 0 for all j},
+        the column of x^I in the map ad(x_j) read off `hamiltonian`."""
         out: list[list[Poly]] = [[self.ring.one()]]
-        with_var = self._pairs_with()
         for k in range(1, d + 1):
             monos = self.ring.monomials_of_degree(k, weights)
             if not monos:
@@ -222,15 +219,8 @@ class PoissonAlgebra:
             # equation (j, e): sum_I c_I [x^e]{x^I, x_j} = 0, as monomial index I -> coefficient
             columns: dict = {}
             for i, mexp in enumerate(monos):
-                for j, pairs in enumerate(with_var):
-                    column: dict = {}
-                    for a, sign, terms in pairs:
-                        if mexp[a]:
-                            low = mexp[:a] + (mexp[a] - 1,) + mexp[a + 1:]
-                            factor = sign * mexp[a]
-                            _add_terms(column, ((tuple(map(add, e, low)), c * factor)
-                                                for e, c in terms.items()))
-                    for ee, c in column.items():
+                for j in range(self.nvars):
+                    for ee, c in self.hamiltonian({mexp: 1}, j).items():
                         columns.setdefault((j, ee), {})[i] = c
             if not columns:
                 out.append([self.ring.monomial(m) for m in monos])

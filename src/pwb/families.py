@@ -171,31 +171,25 @@ class LieData:
         return tuple(-c for c in vec)
 
     def jacobi_holds(self) -> tuple[bool, Optional[tuple[int, int, int]]]:
-        """Jacobi on every triple i < j < k, or the first failing triple.
-
-        A triple whose three inner brackets all vanish satisfies Jacobi, so
-        only triples containing a pair with a nonzero bracket are visited,
-        in the same lexicographic order.
-        """
-        n = self.dimension
-        triples = {tuple(sorted((i, j, k))) for i, j in self.brackets
-                   for k in range(n) if k != i and k != j}
-        for i, j, k in sorted(triples):
-            total = [_ZERO] * n
-            for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                inner = self.ad(b, c)
-                for m in range(n):
-                    if not inner[m].is_zero():
-                        outer = self.ad(a, m)
-                        for t in range(n):
-                            total[t] = total[t] + inner[m] * outer[t]
-            if any(not c.is_zero() for c in total):
-                return False, (i, j, k)
-        return True, None
+        """Jacobi on every triple i < j < k, or the first failing triple, by
+        the Jacobi check of the homogenized bracket: z is central, so no
+        triple holding z fails, and the Jacobiator of x_i, x_j, x_k is z^2
+        times the Lie one."""
+        ring = PolyRing(tuple(f"x{k}" for k in range(self.dimension + 1)))
+        ok, names = PoissonAlgebra(ring, _lie_table(self, ring), check_jacobi=False).jacobi_check()
+        return ok, names and tuple(map(ring.index, names))
 
 
 def ZERO_VEC(n: int) -> tuple:
     return tuple([_ZERO] * n)
+
+
+def _lie_table(lie: LieData, ring: PolyRing) -> dict:
+    """{x_i, x_j} = [x_i, x_j] z on `ring`, z its last variable."""
+    n = lie.dimension
+    unit = [tuple(int(t == k) for t in range(n)) for k in range(n)]
+    return {pair: Poly(ring, {unit[k] + (1,): c for k, c in enumerate(vec) if c})
+            for pair, vec in lie.brackets.items()}
 
 
 def ph_lie(lie: LieData, names: Optional[Sequence[str]] = None) -> PoissonAlgebra:
@@ -204,18 +198,7 @@ def ph_lie(lie: LieData, names: Optional[Sequence[str]] = None) -> PoissonAlgebr
     if names is None:
         names = tuple(f"x{i+1}" for i in range(n)) + ("z",)
     ring = PolyRing(tuple(names))
-    table = {}
-    for (i, j), vec in lie.brackets.items():
-        poly = ring.zero()
-        for k, c in enumerate(vec):
-            if not c.is_zero():
-                e = [0] * (n + 1)
-                e[k] += 1
-                e[n] += 1
-                poly = poly + Poly(ring, {tuple(e): c})
-        if not poly.is_zero():
-            table[(i, j)] = poly
-    return PoissonAlgebra(ring, table, check_jacobi=True)
+    return PoissonAlgebra(ring, _lie_table(lie, ring), check_jacobi=True)
 
 
 def sl2() -> LieData:

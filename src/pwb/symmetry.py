@@ -16,8 +16,8 @@ from operator import add
 from typing import Optional, Sequence
 
 from .brackets import PoissonAlgebra
-from .errors import (BoundExceededError, InfiniteOrderError, NotSkewError, PwbError,
-                     SingularMatrixError)
+from .errors import (BoundExceededError, InfiniteOrderError, InvalidDegreeError, NotSkewError,
+                     PwbError, SingularMatrixError)
 from .linalg import Matrix, _dot, hermite_normal_form
 from .rings import Poly, PolyRing, _add_terms, _mul_terms, grlex_key
 from .scalars import (Cyclo, conductor, cyclotomic_polynomial, divisors, lcm, zeta, zpoly_mul,
@@ -284,10 +284,13 @@ def group_closure(gens: Sequence[GradedMap], bound: int = 512) -> PoissonGroup:
     computed once, modulo the exponent (the lcm of the generator orders),
     the order is the lattice index of `_abelian_order`, and no element is
     built.  Otherwise the elements are enumerated breadth-first, at most
-    `bound` of them, and the exponent is the lcm of their orders.
+    `bound` of them, and the exponent is the lcm of their orders.  A
+    negative `bound` raises `InvalidDegreeError` before any order is found.
     """
     if not gens:
         raise PwbError("need at least one generator")
+    if bound < 0:
+        raise InvalidDegreeError(f"group order bound {bound} is negative")
     gens = tuple(gens)
     orders = [_require_finite_order(g, i) for i, g in enumerate(gens)]
     exponent = 1
@@ -740,8 +743,9 @@ def _reflection_equations(A: PoissonAlgebra, vectors, nparams: int
 
     Each table monomial x_a x_b of {x_i, x_j} moves under g by
     k_b x_a u + k_a x_b u + k_a k_b u^2, and {g x_i, g x_j} - {x_i, x_j} =
-    k_j {x_i, u} - k_i {x_j, u} with {x_i, u} = sum_l u_l {x_i, x_l}; the
-    table entries themselves cancel and are never formed.  x_a u, u^2 and
+    k_j {x_i, u} - k_i {x_j, u} with {x_i, u} = sum_l u_l {x_i, x_l}, each
+    {x_i, x_l} a `hamiltonian`; the table entries themselves cancel and are
+    never formed.  x_a u, u^2 and
     {x_i, u} are written out once per chart, as x-monomial -> terms in t, k.
     """
     n = A.nvars
@@ -761,11 +765,10 @@ def _reflection_equations(A: PoissonAlgebra, vectors, nparams: int
                 _add_terms(u_squared.setdefault(tuple(map(add, x_unit[l], x_unit[r])), {}),
                            _mul_terms(ucoef[l], ucoef[r]).items())
     bracket_u: list[dict] = []
-    for pairs in A._pairs_with():
+    for i in range(n):
         acc: dict = {}
-        for l, sign, terms in pairs:
-            for e, c in terms.items():
-                c = c if sign < 0 else -c  # {x_i, x_l} = -sign * terms
+        for l in range(n):
+            for e, c in A.hamiltonian({x_unit[i]: 1}, l).items():
                 _add_terms(acc.setdefault(e, {}), ((f, c * d) for f, d in ucoef[l].items()))
         bracket_u.append(acc)
 

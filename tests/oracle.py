@@ -26,7 +26,10 @@ that they ran before they read those systems off the table, and the
 envelope tasks `pwb.envelope` ran before it resolved overlaps of leading
 words and kept its degree-2 echelon: degree 3 by elimination, the relation
 images of an extension reduced against the relations, and the trace by
-products and divisions.
+products and divisions, and the loops that applied the Leibniz rule to the
+table before `PoissonAlgebra.hamiltonian` did it once: the bracket over the
+table pairs, the Jacobiator, the Lie Jacobi check by structure constants and
+the modular derivation by `Poly` sums.
 `least_conductor` solves for a value's least conductor divisor by divisor,
 as the reference of `Cyclo.least`, and the root extraction with cyclotomic
 trial division is the reference of `pwb.upoly.extract_roots`.  The
@@ -39,6 +42,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import gcd
+from operator import add
 from typing import Optional
 
 from pwb.errors import (DegreeBudgetExceededError, DivisorZeroError, NotAutomorphismError,
@@ -46,7 +50,7 @@ from pwb.errors import (DegreeBudgetExceededError, DivisorZeroError, NotAutomorp
 from pwb.brackets import PoissonAlgebra, PoissonDerivation
 from pwb.envelope import EnvelopeExtension, envelope_presentation
 from pwb.linalg import Echelon, Matrix, kernel, rank, realify, rref, solve_linear
-from pwb.rings import Poly, PolyRing, grlex_key
+from pwb.rings import Poly, PolyRing, _add_terms, _mul_terms, _partial_terms, grlex_key
 from pwb.scalars import Cyclo, conductor, cyclotomic_polynomial, euler_phi, lcm, zeta
 from pwb.series import RationalSeries
 from pwb.solver import DEFAULT_BUDGET, EMPTY, POINTS, groebner_basis, lex_order
@@ -581,7 +585,7 @@ def normal_check(A, u):
         raise PwbError("normality of zero is undefined")
     images = []
     for x in A.ring.gens():
-        b = A.bracket(u, x)
+        b = poly_bracket(A, u, x)
         q = divides_into(u, b) if not b.is_zero() else A.ring.zero()
         if q is None:
             return None
@@ -607,7 +611,7 @@ def derivation_is_poisson(D) -> bool:
     for i in range(A.nvars):
         for j in range(i + 1, A.nvars):
             lhs = derivation_apply(D, A.pair(i, j))
-            rhs = A.bracket(D.images[i], xs[j]) + A.bracket(xs[i], D.images[j])
+            rhs = poly_bracket(A, D.images[i], xs[j]) + poly_bracket(A, xs[i], D.images[j])
             if lhs != rhs:
                 return False
     return True
@@ -1492,7 +1496,7 @@ def bracket_automorphism_check(A, g) -> tuple:
     for i in range(A.nvars):
         for j in range(i + 1, A.nvars):
             lhs = A.pair(i, j).apply_linear(g.matrix)
-            rhs = A.bracket(images[i], images[j])
+            rhs = poly_bracket(A, images[i], images[j])
             if lhs != rhs:
                 return False, (ring.names[i], ring.names[j])
     return True, None
@@ -1531,7 +1535,7 @@ def center_by_bracket(A, d: int, weights=None) -> list:
         for i, mexp in enumerate(monos):
             mono = A.ring.monomial(mexp)
             for j, x in enumerate(xs):
-                for ee, c in A.bracket(mono, x).terms.items():
+                for ee, c in poly_bracket(A, mono, x).terms.items():
                     columns.setdefault((j, ee), {})[i] = c
         if not columns:
             out.append([A.ring.monomial(m) for m in monos])
@@ -1594,7 +1598,7 @@ def bracket_transport(A, basis: Matrix, names) -> PoissonAlgebra:
     table: dict = {}
     for i in range(n):
         for j in range(i + 1, n):
-            br = A.bracket(new_elems[i], new_elems[j])
+            br = poly_bracket(A, new_elems[i], new_elems[j])
             if not br.is_zero():
                 table[(i, j)] = br.substitute(images, yring)
     return PoissonAlgebra(yring, table, check_jacobi=False)
@@ -1738,12 +1742,106 @@ def bracket_jacobi_check(A) -> tuple:
     triples = {tuple(sorted((i, j, k))) for i, j in A.table
                for k in range(A.nvars) if k != i and k != j}
     for i, j, k in sorted(triples):
-        total = (A.bracket(A.pair(j, k), xs[i])
-                 + A.bracket(A.pair(k, i), xs[j])
-                 + A.bracket(A.pair(i, j), xs[k]))
+        total = (poly_bracket(A, A.pair(j, k), xs[i])
+                 + poly_bracket(A, A.pair(k, i), xs[j])
+                 + poly_bracket(A, A.pair(i, j), xs[k]))
         if not total.is_zero():
             return False, (names[i], names[j], names[k])
     return True, None
+
+
+# -- what pwb ran before it wrote the Leibniz rule once -----------------------
+#
+# pwb now applies the Leibniz rule to the table in one kernel,
+# `PoissonAlgebra.hamiltonian` ({f, x_v} over the pairs holding x_v), and the
+# bracket, the Jacobi checks, the center and the modular derivation read it.
+# These are the earlier loops, unchanged but for their names: the bracket over
+# the table pairs with each partial of f and g taken once, the Jacobiator of
+# each table entry by its own Leibniz loop, the Lie Jacobi check by structure
+# constants, and the modular derivation by `Poly` partials and sums.
+
+
+def pair_loop_bracket(A, f, g):
+    """{f, g}: over the table pairs in order, (f_i g_j - f_j g_i) {x_i, x_j}
+    on term dicts, a pair visited only when it can contribute."""
+    vf = {k for e in f.terms for k, x in enumerate(e) if x}
+    vg = {k for e in g.terms for k, x in enumerate(e) if x}
+    df: dict = {}
+    dg: dict = {}
+    out: dict = {}
+    for (i, j), p in A.table.items():
+        if not (i in vf and j in vg or j in vf and i in vg):
+            continue
+        for k in (i, j):
+            if k not in df:
+                df[k], dg[k] = _partial_terms(f.terms, k), _partial_terms(g.terms, k)
+        term = _mul_terms(df[i], dg[j])
+        _add_terms(term, ((e, -c) for e, c in _mul_terms(df[j], dg[i]).items()))
+        if term:
+            _add_terms(out, _mul_terms(term, p.terms).items())
+    return Poly(A.ring, out)
+
+
+def leibniz_jacobi_check(A) -> tuple:
+    """`PoissonAlgebra.jacobi_check` with each triple's Jacobiator by its own
+    Leibniz loop, {x^e, x_v} = sum_a e_a x^(e - e_a) {x_a, x_v}."""
+    pairs_with: list = [[] for _ in range(A.nvars)]
+    for (a, b), p in A.table.items():
+        pairs_with[b].append((a, 1, p.terms))
+        pairs_with[a].append((b, -1, p.terms))
+    names = A.ring.names
+    triples = {tuple(sorted((i, j, k))) for i, j in A.table
+               for k in range(A.nvars) if k != i and k != j}
+    for i, j, k in sorted(triples):
+        out: dict = {}
+        for entry, sign, v in ((A.table.get((j, k)), 1, i), (A.table.get((i, k)), -1, j),
+                               (A.table.get((i, j)), 1, k)):
+            if entry is None:
+                continue
+            for e, c in entry.terms.items():
+                for a, s, terms in pairs_with[v]:
+                    if e[a]:
+                        low = e[:a] + (e[a] - 1,) + e[a + 1:]
+                        factor = c * (sign * s * e[a])
+                        _add_terms(out, ((tuple(map(add, f, low)), factor * d)
+                                         for f, d in terms.items()))
+        if out:
+            return False, (names[i], names[j], names[k])
+    return True, None
+
+
+def lie_jacobi_by_triples(lie) -> tuple:
+    """`LieData.jacobi_holds` by the structure constants: [[x_b, x_c], x_a]
+    + cyclic on each triple holding a nonzero bracket, in lexicographic order."""
+    n = lie.dimension
+    triples = {tuple(sorted((i, j, k))) for i, j in lie.brackets
+               for k in range(n) if k != i and k != j}
+    for i, j, k in sorted(triples):
+        total = [ZERO] * n
+        for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
+            inner = lie.ad(b, c)
+            for m in range(n):
+                if not inner[m].is_zero():
+                    outer = lie.ad(a, m)
+                    for t in range(n):
+                        total[t] = total[t] + inner[m] * outer[t]
+        if any(not c.is_zero() for c in total):
+            return False, (i, j, k)
+    return True, None
+
+
+def modular_by_pairs(A) -> PoissonDerivation:
+    """`PoissonAlgebra.modular_derivation` by `pair`, `Poly.partial` and
+    `Poly` sums."""
+    images = []
+    for i in range(A.nvars):
+        acc = A.ring.zero()
+        for j in range(A.nvars):
+            p = A.pair(i, j)
+            if not p.is_zero():
+                acc = acc + p.partial(j)
+        images.append(acc)
+    return PoissonDerivation(A, images)
 
 
 # -- the root extraction pwb ran before it dropped trial division -----------------

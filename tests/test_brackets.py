@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import oracle
 from pwb.brackets import PoissonAlgebra, transport
 from pwb.errors import JacobiFailsError
-from pwb.families import (homogenized_weyl, jacobian, jacobian_pq, quantum_matrices,
+from pwb.families import (LieData, homogenized_weyl, jacobian, jacobian_pq, quantum_matrices,
                           skew_symmetric, weyl)
 from pwb.linalg import Matrix
 from pwb.rings import Poly, PolyRing
@@ -295,14 +295,20 @@ def _stored(p):
 
 
 def test_bracket_matches_the_poly_oracle_term_by_term():
-    # values, term order and stored conductors, on non-skew tables
+    # each term's value and the printed form, on non-skew tables, against the
+    # Poly bracket and the pair loop pwb ran before its Hamiltonian kernel;
+    # the stored form no longer decides the print, so the dict order and a
+    # cancelled sum's conductor are free
     rng = random.Random(20261018)
     for _ in range(3000):
         ring = PolyRing([f"x{i}" for i in range(rng.randint(2, 5))])
         A = PoissonAlgebra(ring, _random_table(rng, ring), check_jacobi=False)
         f = _random_poly(rng, ring, 4, 3)
         g = f if rng.random() < 0.05 else _random_poly(rng, ring, 4, 3)
-        assert _stored(A.bracket(f, g)) == _stored(oracle.poly_bracket(A, f, g))
+        found = A.bracket(f, g)
+        for expected in (oracle.poly_bracket(A, f, g), oracle.pair_loop_bracket(A, f, g)):
+            assert found.terms == expected.terms
+            assert str(found) == str(expected)
 
 
 def test_substitute_matches_the_poly_oracle_term_by_term():
@@ -347,19 +353,45 @@ def test_bracket_takes_each_partial_once_and_forms_no_poly_product(monkeypatch):
 
 
 def test_bracket_visits_only_the_pairs_that_can_contribute(monkeypatch):
-    # {x0, x1} on a table with pairs (0, 1), (2, 3) and (1, 3): only (0, 1)
-    # holds a variable of f and one of g, so only x0 and x1 are differentiated
-    from pwb import brackets
+    # {x0, x1} on a table with pairs (0, 1), (2, 3) and (1, 3): x1 is the only
+    # variable of g, so the bracket takes one Hamiltonian, {x0, x1}
     seen = []
-    partial = brackets._partial_terms
-    monkeypatch.setattr(brackets, "_partial_terms",
-                        lambda terms, i: seen.append(i) or partial(terms, i))
+    hamiltonian = PoissonAlgebra.hamiltonian
+    monkeypatch.setattr(PoissonAlgebra, "hamiltonian",
+                        lambda A, terms, v: seen.append(v) or hamiltonian(A, terms, v))
     ring = PolyRing(["x0", "x1", "x2", "x3"])
     A = PoissonAlgebra(ring, {(0, 1): ring.parse("x0*x1"), (2, 3): ring.parse("x2*x3"),
                               (1, 3): ring.parse("x1*x3")}, check_jacobi=False)
     f, g = ring.var(0), ring.var(1)
     assert A.bracket(f, g) == ring.parse("x0*x1")
-    assert sorted(seen) == [0, 0, 1, 1]
+    assert seen == [1]
+
+
+@st.composite
+def _drawn_polys(draw, ring):
+    """A polynomial of degree at most 3 in `ring` over Q(zeta_12)."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        e = [0] * ring.nvars
+        for _ in range(draw(st.integers(0, 3))):
+            e[draw(st.integers(0, ring.nvars - 1))] += 1
+        c = Cyclo.of(Fraction(draw(st.integers(-3, 3)), draw(st.sampled_from((1, 2, 3)))))
+        terms[tuple(e)] = c * zeta(12, draw(st.integers(0, 11)))
+    return Poly(ring, {e: c for e, c in terms.items() if c})
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_hamiltonian_matches_the_leibniz_oracle(data):
+    # {f, x_v} for every v, on tables that need not satisfy Jacobi
+    A = data.draw(drawn_algebras(degrees=(0, 1, 2, 3)))
+    f = data.draw(_drawn_polys(A.ring))
+    n = A.nvars
+    dense = {pair: oracle.DensePoly(n, p.terms) for pair, p in A.table.items()}
+    bracket = oracle.OracleBracket(n, dense)
+    for v in range(n):
+        expected = bracket.bracket(oracle.DensePoly(n, f.terms), oracle.DensePoly.variable(n, v))
+        assert oracle.DensePoly(n, A.hamiltonian(f.terms, v)).equals(expected)
 
 
 # -- the center's columns by Leibniz against the bracket-built ones -------------
@@ -556,7 +588,7 @@ _FAILING = PoissonAlgebra(_XYZ, {(0, 1): _XYZ.parse("x^2"), (2, 0): _XYZ.parse("
 @example(_FAILING)
 @example(quantum_matrices(3))
 def test_jacobi_check_by_leibniz_matches_the_bracket_built_check(A):
-    assert A.jacobi_check() == oracle.bracket_jacobi_check(A)
+    assert A.jacobi_check() == oracle.bracket_jacobi_check(A) == oracle.leibniz_jacobi_check(A)
 
 
 def test_drawn_algebras_include_jacobi_failures():
@@ -571,3 +603,41 @@ def test_drawn_algebras_include_jacobi_failures():
 
     record()
     assert True in verdicts and False in verdicts
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn_algebras(degrees=(0, 1, 2, 3)))
+@example(quantum_matrices(2))
+@example(homogenized_weyl(2))
+def test_modular_derivation_matches_the_poly_sums(A):
+    found, expected = A.modular_derivation(), oracle.modular_by_pairs(A)
+    assert [p.terms for p in found.images] == [p.terms for p in expected.images]
+    assert str(found) == str(expected)
+
+
+def test_every_table_consumer_reaches_the_hamiltonian(monkeypatch):
+    # the Leibniz rule is applied to the table in one place
+    from pwb import symmetry
+    calls = []
+    hamiltonian = PoissonAlgebra.hamiltonian
+    monkeypatch.setattr(PoissonAlgebra, "hamiltonian",
+                        lambda A, terms, v: calls.append(v) or hamiltonian(A, terms, v))
+    Q = quantum_matrices(2)
+    x = Q.ring.gens()
+    consumers = {
+        "bracket": lambda: Q.bracket(x[0], x[1]),
+        "jacobi_check": Q.jacobi_check,
+        "center_truncated": lambda: Q.center_truncated(2),
+        "modular_derivation": Q.modular_derivation,
+        "_reflection_equations":
+            lambda: symmetry._reflection_equations(Q, [(1, 0, 0, 0), (0, 1, 0, 0)], 1),
+        "LieData.of": lambda: LieData.of(3, {(0, 1): (0, 0, 1), (0, 2): (-2, 0, 0),
+                                             (1, 2): (0, 2, 0)}),
+    }
+    reached = []
+    for name, consumer in consumers.items():
+        calls.clear()
+        consumer()
+        if calls:
+            reached.append(name)
+    assert reached == list(consumers)

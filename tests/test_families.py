@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracle
 from pwb.errors import LieJacobiFailsError, NotSkewError, ZeroPotentialError
@@ -8,7 +10,7 @@ from pwb.families import (LieData, homogenized_weyl, jacobian, jacobian_pq, lie_
 from pwb.formats import parse_lie
 from pwb.linalg import Matrix
 from pwb.rings import PolyRing
-from pwb.scalars import zeta
+from pwb.scalars import Cyclo, zeta
 from pwb.solver import EMPTY, POINTS, SUBSPACE
 
 
@@ -109,6 +111,58 @@ def test_lie_jacobi_witness_is_the_first_failing_triple(dimension, brackets, tri
     with pytest.raises(LieJacobiFailsError) as info:
         LieData.of(dimension, brackets)
     assert info.value.triple == triple
+
+
+@st.composite
+def lie_structures(draw):
+    """Structure constants on 2-5 basis vectors over Q(zeta_3), each vector
+    mostly zeros; most such brackets fail Jacobi."""
+    n = draw(st.integers(2, 5))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    value = st.sampled_from((0, 0, 0, 1, -1, 2, zeta(3)))
+    return n, {pair: tuple(Cyclo.of(draw(value)) for _ in range(n))
+               for pair in draw(st.lists(st.sampled_from(pairs), unique=True))}
+
+
+_SL2 = (3, {(0, 1): (0, 0, 1), (0, 2): (-2, 0, 0), (1, 2): (0, 2, 0)})
+_HEISENBERG = (4, {(0, 1): (0, 0, 1, 0), (0, 3): (0, 0, 0, 0)})
+_FAILS = (6, {(1, 2): (0, 0, 0, 1, 0, 0), (3, 4): (0, 0, 0, 0, 0, 1),
+              (3, 5): (0, -1, 0, 0, 0, 0)})
+
+
+@settings(max_examples=200, deadline=None)
+@given(lie_structures())
+@example(_SL2)
+@example(_HEISENBERG)
+@example(_FAILS)
+def test_lie_jacobi_matches_the_structure_constant_loop(structure):
+    # the verdict and the first failing triple, by the homogenized bracket's
+    # Jacobi check and by the structure constants
+    n, brackets = structure
+    clean = {pair: tuple(map(Cyclo.of, vec)) for pair, vec in brackets.items() if any(vec)}
+    lie = LieData(n, clean)
+    expected = oracle.lie_jacobi_by_triples(lie)
+    assert lie.jacobi_holds() == expected
+    if expected[0]:
+        assert LieData.of(n, brackets) == lie
+    else:
+        with pytest.raises(LieJacobiFailsError) as info:
+            LieData.of(n, brackets)
+        assert info.value.triple == expected[1]
+
+
+def test_lie_structures_include_jacobi_failures():
+    verdicts = []
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(lie_structures())
+    def record(structure):
+        n, brackets = structure
+        clean = {pair: tuple(vec) for pair, vec in brackets.items() if any(vec)}
+        verdicts.append(oracle.lie_jacobi_by_triples(LieData(n, clean))[0])
+
+    record()
+    assert True in verdicts and False in verdicts
 
 
 def test_lie_one_dim_ideals():

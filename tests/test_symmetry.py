@@ -153,6 +153,19 @@ def test_group_closure_rejects_infinite_order_before_closing():
     assert not isinstance(info.value, InfiniteOrderError)
 
 
+def test_group_closure_rejects_a_negative_bound_before_any_order(monkeypatch):
+    from pwb import symmetry
+    from pwb.errors import InvalidDegreeError
+    orders = []
+    require = symmetry._require_finite_order
+    monkeypatch.setattr(symmetry, "_require_finite_order",
+                        lambda g, i: orders.append(i) or require(g, i))
+    with pytest.raises(InvalidDegreeError, match="bound -1 is negative"):
+        group_closure([GradedMap(Matrix.diagonal([-1, 1]))], bound=-1)
+    assert orders == []
+    assert group_closure([GradedMap(Matrix.diagonal([-1, 1]))], bound=2).order == 2
+
+
 def test_group_closure_and_molien():
     g = GradedMap(Matrix.diagonal([zeta(3), 1]))
     G = group_closure([g])
