@@ -24,7 +24,8 @@ from typing import Optional, Sequence
 
 from .errors import JacobiFailsError, NotMonomialError, NotQuadraticError, PwbError
 from .linalg import Matrix, kernel, rank
-from .rings import Poly, PolyRing, _add_terms, _mul_terms, _partial_terms
+from .rings import (Poly, PolyRing, _add_terms, _mul_terms, _partial_terms, column_supports,
+                    linear_substitution)
 from .scalars import Cyclo
 from .solver import (DEFAULT_BUDGET, AffineResult, SolutionSet, aggregate_chart_results,
                      classify_affine, groebner_basis, normal_form)
@@ -124,16 +125,27 @@ class PoissonAlgebra:
                                      for f, d in entry.items()))
         return out
 
-    def linear_bracket_terms(self, rows: Sequence[Sequence[Cyclo]], i: int, j: int) -> dict:
-        """The terms of {y_i, y_j} for the linear forms y_j = sum_a rows[a][j] x_a,
-        read off the table by 2x2 minors: sum_(a<b) (B_ai B_bj - B_bi B_aj)
-        {x_a, x_b}, each minor built from its nonzero products only and added
-        over the table pairs in order."""
+    def linear_bracket_terms(self, columns: Sequence[Sequence[tuple]], i: int, j: int) -> dict:
+        """The terms of {y_i, y_j} = sum_(a, b) g_ai g_bj {x_a, x_b} for the
+        linear forms y_j = sum_a g_aj x_a, given by the nonzero entries of
+        their columns (`column_supports`).  Only pairs of entries whose
+        {x_a, x_b} is in the table are multiplied, gathered per table pair,
+        and the scaled entries are added over the table pairs in order."""
+        table = self.table
+        gathered: dict = {}
+        for a, u in columns[i]:
+            for b, v in columns[j]:
+                key = (a, b) if a < b else (b, a)
+                if a != b and key in table:
+                    c = u * v if a < b else -(u * v)
+                    acc = gathered.get(key)
+                    gathered[key] = c if acc is None else acc + c
         out: dict = {}
-        for (a, b), p in self.table.items():
-            minor = _minor(rows[a][i], rows[b][j], rows[b][i], rows[a][j])
-            if minor:
-                _add_terms(out, ((e, c * minor) for e, c in p.terms.items()))
+        if gathered:
+            for key, p in table.items():
+                scale = gathered.get(key)
+                if scale:
+                    _add_terms(out, ((e, c * scale) for e, c in p.terms.items()))
         return out
 
     def jacobi_check(self) -> tuple[bool, Optional[tuple[str, str, str]]]:
@@ -342,30 +354,22 @@ def transport(A: PoissonAlgebra, basis: Matrix, names: Sequence[str]) -> Poisson
     """The bracket of A written in the linear coordinates y with x = basis * y.
 
     Column j of `basis` holds the x-coefficients of the new degree-one
-    element y_j.  Its bracket with y_i is read off the table by 2x2 minors of
-    the basis (`linear_bracket_terms`), then written in y by substituting
-    x = basis * y.  A change of basis keeps the Jacobi identity, so it is
-    not checked again.
+    element y_j.  Its bracket with y_i is read off the table from the two
+    columns' nonzero entries (`linear_bracket_terms`), then written in y
+    by x = basis * y (`linear_substitution` of the inverse), each
+    monomial's y-image formed once per call and shared by the entries.  A
+    change of basis keeps the Jacobi identity, so it is not checked again.
     """
-    n = A.nvars
-    inv = basis.inverse()
+    columns = column_supports(basis.rows)
+    to_y = linear_substitution(column_supports(basis.inverse().rows))
     yring = PolyRing(tuple(names))
-    images = [yring.linear_form(inv.column(i)) for i in range(n)]
     table: dict = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            br = A.linear_bracket_terms(basis.rows, i, j)
+    for i in range(A.nvars):
+        for j in range(i + 1, A.nvars):
+            br = A.linear_bracket_terms(columns, i, j)
             if br:
-                table[(i, j)] = Poly(A.ring, br).substitute(images, yring)
+                table[(i, j)] = Poly(yring, to_y(br))
     return PoissonAlgebra(yring, table, check_jacobi=False)
-
-
-def _minor(w: Cyclo, x: Cyclo, y: Cyclo, z: Cyclo) -> Optional[Cyclo]:
-    """w x - y z from its nonzero products, or None when both vanish."""
-    first = w * x if w and x else None
-    if not (y and z):
-        return first
-    return -(y * z) if first is None else first - y * z
 
 
 class DerivedIdeal:

@@ -1,7 +1,7 @@
 """Constructors for the built-in quadratic Poisson algebra families."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 from .brackets import PoissonAlgebra
@@ -138,10 +138,12 @@ def homogenized_weyl(n: int) -> PoissonAlgebra:
 
 @dataclass(frozen=True)
 class LieData:
-    """Structure constants [x_i, x_j] = sum_k c[i][j][k] x_k (i < j stored)."""
+    """Structure constants [x_i, x_j] = sum_k c[i][j][k] x_k (i < j stored).
+    `LieData.of` sets `jacobi_checked` once the Jacobi identity holds."""
 
     dimension: int
     brackets: dict  # (i, j) with i < j -> tuple of Cyclo, length = dimension
+    jacobi_checked: bool = field(default=False, compare=False, repr=False)
 
     @staticmethod
     def of(dimension: int, brackets: dict) -> "LieData":
@@ -160,7 +162,7 @@ class LieData:
         ok, triple = data.jacobi_holds()
         if not ok:
             raise LieJacobiFailsError(triple)
-        return data
+        return replace(data, jacobi_checked=True)
 
     def ad(self, i: int, j: int) -> tuple:
         if i == j:
@@ -193,12 +195,13 @@ def _lie_table(lie: LieData, ring: PolyRing) -> dict:
 
 
 def ph_lie(lie: LieData, names: Optional[Sequence[str]] = None) -> PoissonAlgebra:
-    """Homogenized Kostant-Kirillov bracket: {x_i, x_j} = [x_i, x_j] z, z central."""
+    """Homogenized Kostant-Kirillov bracket: {x_i, x_j} = [x_i, x_j] z, z central,
+    its Jacobi identity checked unless `LieData.of` checked the Lie one."""
     n = lie.dimension
     if names is None:
         names = tuple(f"x{i+1}" for i in range(n)) + ("z",)
     ring = PolyRing(tuple(names))
-    return PoissonAlgebra(ring, _lie_table(lie, ring), check_jacobi=True)
+    return PoissonAlgebra(ring, _lie_table(lie, ring), check_jacobi=not lie.jacobi_checked)
 
 
 def sl2() -> LieData:

@@ -11,19 +11,18 @@ to d.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from .brackets import PoissonAlgebra, transport
 from .errors import (DegreeBoundTooSmallError, InducedBracketNotClosedError,
                      InvalidDegreeError, NotReflectionError, PwbError)
 from .linalg import Echelon, Matrix, realify, unrealify
-from .rings import Poly, PolyRing, grlex_key
+from .rings import Poly, PolyRing, column_supports, grlex_key, linear_substitution
 from .scalars import Cyclo, conductor, euler_phi
 from .series import RationalSeries, hilbert_weighted
 from .solver import DEFAULT_BUDGET, Subalgebra
-from .symmetry import (REFLECTION, GradedMap, PoissonGroup, _require_character_table,
-                       classify, group_closure, molien_series)
+from .symmetry import (REFLECTION, GradedMap, PoissonGroup, _character_orders,
+                       _require_character_table, classify, group_closure, molien_series)
 
 TRUNCATION_CAVEAT = ("generator completeness certified only up to the degree bound; "
                      "higher-degree invariants are not excluded")
@@ -263,7 +262,7 @@ def _monoid_generators(ring: PolyRing, logs, e: int, d: int) -> list[tuple[int, 
     powers o_j e_j with o_j <= d are searched."""
     n = ring.nvars
     cols = [[row[j] for row in logs] for j in range(n)]
-    orders = [e // gcd(e, *col) for col in cols]
+    orders = _character_orders(logs, e)
     zero = (0,) * len(logs)
     found = [tuple(o if i == j else 0 for i in range(n))
              for j, o in enumerate(orders) if o <= d]
@@ -285,33 +284,14 @@ def _monoid_generators(ring: PolyRing, logs, e: int, d: int) -> list[tuple[int, 
     return gen_exps
 
 
-def _expander(ring: PolyRing, T: Matrix):
-    """y^x -> the eigenbasis monomial written in the variables of `ring`,
-    with each power y_j^k computed once."""
-    forms = [ring.linear_form(T.column(j)) for j in range(T.ncols)]
-    powers: dict[tuple[int, int], Poly] = {}
-
-    def expand(x: tuple[int, ...]) -> Poly:
-        acc = ring.one()
-        for j, k in enumerate(x):
-            if k:
-                p = powers.get((j, k))
-                if p is None:
-                    p = powers[(j, k)] = forms[j] ** k
-                acc = acc * p
-        return acc
-
-    return expand
-
-
 def _diagonal_bases(ring: PolyRing, T: Matrix, logs, e: int,
                     degrees: Iterable[int]) -> dict[int, list[Poly]]:
     """At each of these degrees, the invariant eigenbasis monomials, leading
     terms descending."""
-    expand = _expander(ring, T)
+    expand = linear_substitution(column_supports(T.rows))
     bases: dict[int, list[Poly]] = {}
     for k in degrees:
-        vecs = [expand(x) for x in _invariant_monomials(ring, logs, e, k)]
+        vecs = [Poly(ring, expand({x: 1})) for x in _invariant_monomials(ring, logs, e, k)]
         vecs.sort(key=lambda p: grlex_key(p.leading()[0]), reverse=True)
         bases[k] = vecs
     return bases
@@ -342,74 +322,68 @@ def _canonical_route(A: PoissonAlgebra, bases: dict, budget: int):
 def _monomial_route(A: PoissonAlgebra, T: Matrix, gen_exps: list[tuple[int, ...]],
                     budget: int):
     """The `Subalgebra` of the eigenbasis monomials of the monoid generators
-    `gen_exps`, their degrees and monomially factored bracket table."""
-    expand = _expander(A.ring, T)
-    expressions = [expand(x) for x in gen_exps]
+    `gen_exps`, their degrees and monomially factored bracket table.  Each
+    generator's y-monomial is built once, and one factorization memo serves
+    every bracket."""
+    expand = linear_substitution(column_supports(T.rows))
+    expressions = [Poly(A.ring, expand({x: 1})) for x in gen_exps]
     degrees = [sum(e) for e in gen_exps]
     sub = Subalgebra(expressions, _generator_names(A.ring, expressions), budget)
     Ay = transport(A, T, tuple(f"_y{i+1}" for i in range(A.nvars)))
+    monomials = [Ay.ring.monomial(x) for x in gen_exps]
+    memo: dict = {}
     table = {}
     for i in range(len(gen_exps)):
         for j in range(i + 1, len(gen_exps)):
-            br = Ay.bracket(Ay.ring.monomial(gen_exps[i]), Ay.ring.monomial(gen_exps[j]))
+            br = Ay.bracket(monomials[i], monomials[j])
             if br.is_zero():
                 continue
-            table[(i, j)] = _factor_into_generators(br, gen_exps, sub.tag_ring)
+            table[(i, j)] = _factor_into_generators(br, gen_exps, sub.tag_ring, memo)
     return sub, degrees, table
 
 
 def _generator_names(ring: PolyRing, expressions: Sequence[Poly]) -> list[str]:
-    """Variable names where the expression is literally a variable, else g1, g2, ..."""
-    names = []
+    """Variable names where the expression is literally a variable, else g1,
+    g2, ...; a name met again gets the suffix _1, _2, ..."""
+    out: list[str] = []
     counter = 0
+    seen: dict = {}
     for p in expressions:
-        name = None
-        if len(p.terms) == 1:
-            e, c = next(iter(p.terms.items()))
-            if sum(e) == 1 and c.is_one():
-                name = ring.names[next(i for i, k in enumerate(e) if k)]
-        if name is None:
+        e, c = next(iter(p.terms.items()))
+        if len(p.terms) == 1 and sum(e) == 1 and c.is_one():
+            name = ring.names[e.index(1)]
+        else:
             counter += 1
             name = f"g{counter}"
-        names.append(name)
-    seen: dict = {}
-    out = []
-    for name in names:
-        if name in seen:
-            seen[name] += 1
-            name = f"{name}_{seen[name]}"
-        else:
-            seen[name] = 0
-        out.append(name)
+        seen[name] = seen.get(name, -1) + 1
+        out.append(f"{name}_{seen[name]}" if seen[name] else name)
     return out
 
 
-def _factor_into_generators(p: Poly, gen_exps: list, gen_ring: PolyRing) -> Poly:
-    """Express a polynomial with monoid-monomial terms in the generators."""
-    out = gen_ring.zero()
-    memo: dict = {}
+def _factor_into_generators(p: Poly, gen_exps: list, gen_ring: PolyRing, memo: dict) -> Poly:
+    """Express a polynomial with monoid-monomial terms in the generators;
+    `memo` keeps each exponent's factorization (or None) across calls."""
 
     def factor(e: tuple[int, ...]) -> Optional[tuple[int, ...]]:
         if sum(e) == 0:
             return (0,) * gen_ring.nvars
-        if e in memo:
-            return memo[e]
-        for gi, g in enumerate(gen_exps):
-            if all(a >= b for a, b in zip(e, g)):
-                rest = factor(tuple(a - b for a, b in zip(e, g)))
-                if rest is not None:
-                    result = tuple(r + (1 if i == gi else 0) for i, r in enumerate(rest))
-                    memo[e] = result
-                    return result
-        memo[e] = None
-        return None
+        if e not in memo:
+            memo[e] = None  # the recursion reaches only exponents below e
+            for gi, g in enumerate(gen_exps):
+                if all(a >= b for a, b in zip(e, g)):
+                    rest = factor(tuple(a - b for a, b in zip(e, g)))
+                    if rest is not None:
+                        memo[e] = rest[:gi] + (rest[gi] + 1,) + rest[gi + 1:]
+                        break
+        return memo[e]
 
+    out = {}
     for e, c in p.terms.items():
         f = factor(e)
         if f is None:
             raise InducedBracketNotClosedError(f"monomial {e} is not a generator product")
-        out = out + Poly(gen_ring, {f: c})
-    return out
+        out[f] = c
+    return Poly(gen_ring, out)
 
 
 def _first_series_gap(molien: RationalSeries, product: RationalSeries) -> int:

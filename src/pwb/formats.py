@@ -144,7 +144,7 @@ def parse_map(text: str, ring: PolyRing) -> tuple[str, str, GradedMap]:
 def emit_map(name: str, on: str, g: GradedMap, ring: PolyRing) -> str:
     lines = [f"map {name} on {on or 'A'} {{"]
     for i in range(ring.nvars):
-        lines.append(f"  {ring.names[i]} -> {g.image_of_var(ring, i)};")
+        lines.append(f"  {ring.names[i]} -> {ring.linear_form(g.matrix.column(i))};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

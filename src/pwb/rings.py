@@ -232,15 +232,7 @@ class Poly:
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
             raise PwbError("negative power of a polynomial")
-        if k * max((sum(e) for e in self.terms), default=0) >= MAX_EXPONENT:
-            raise PwbError("power would exceed the exponent bound")
-        result, base = None, self
-        while k:
-            if k & 1:
-                result = base if result is None else result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return self.ring.one() if result is None else result
+        return self.ring.one() if k == 0 else Poly(self.ring, _power_terms(self.terms, k))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction, Cyclo)):
@@ -274,22 +266,9 @@ class Poly:
     def substitute(self, images: Sequence["Poly"], target: Optional[PolyRing] = None) -> "Poly":
         """Evaluate at x_i -> images[i]; images live in `target` (default: own ring)."""
         tgt = target or self.ring
-        one = (0,) * tgt.nvars
-        powers: dict[tuple[int, int], dict] = {}
-        out: dict = {}
-        for e, c in self.terms.items():
-            term = {one: c}
-            for i, k in enumerate(e):
-                if k:
-                    p = powers.get((i, k))
-                    if p is None:
-                        image = images[i]
-                        if image.ring != tgt:
-                            raise PwbError("polynomials from different rings")
-                        p = powers[(i, k)] = (image ** k).terms
-                    term = _mul_terms(term, p)
-            _add_terms(out, term.items())
-        return Poly(tgt, out)
+        if any(images[i].ring != tgt for i in {i for e in self.terms for i, k in enumerate(e) if k}):
+            raise PwbError("polynomials from different rings")
+        return Poly(tgt, _substitution([p.terms for p in images], tgt.nvars)(self.terms))
 
     def apply_linear(self, g: Matrix) -> "Poly":
         """Substitute x_i -> sum_j g[j][i] x_j (column convention) and expand."""
@@ -362,6 +341,60 @@ def _mul_terms(a: dict, b: dict) -> dict:
     _add_terms(out, ((tuple(map(add, e1, e2)), c1 * c2)
                      for e2, c2 in small.items() for e1, c1 in big.items()))
     return out
+
+
+def _power_terms(terms: dict, k: int) -> dict:
+    """The term dict of the k-th power, k >= 1, by repeated squaring;
+    `PwbError` when an exponent would reach `MAX_EXPONENT`."""
+    if k * max((sum(e) for e in terms), default=0) >= MAX_EXPONENT:
+        raise PwbError("power would exceed the exponent bound")
+    result, base = None, terms
+    while k:
+        if k & 1:
+            result = base if result is None else _mul_terms(result, base)
+        base = _mul_terms(base, base) if k > 1 else base
+        k >>= 1
+    return result
+
+
+def _substitution(images: Sequence[dict], nvars: int) -> Callable[[dict], dict]:
+    """The map of term dicts under x_i -> images[i], term dicts in `nvars`
+    variables: a monomial's image is the product of its variables' powers in
+    ascending order, each power and monomial image formed once per map."""
+    one = (0,) * nvars
+    powers: dict = {}
+    products: dict = {}
+
+    def image(e: tuple) -> dict:
+        terms = products.get(e)
+        if terms is None:
+            for i, k in enumerate(e):
+                if k:
+                    p = powers.get((i, k))
+                    if p is None:
+                        p = powers[(i, k)] = _power_terms(images[i], k)
+                    terms = p if terms is None else _mul_terms(terms, p)
+            terms = products[e] = {one: _ONE} if terms is None else terms
+        return terms
+
+    def apply(terms: dict) -> dict:
+        out: dict = {}
+        for e, c in terms.items():
+            _add_terms(out, ((f, c * d) for f, d in image(e).items()))
+        return out
+
+    return apply
+
+
+def column_supports(rows: Sequence[Sequence[Cyclo]]) -> list[list[tuple[int, Cyclo]]]:
+    """Per column j, its nonzero entries (a, rows[a][j]) by ascending row."""
+    return [[(a, row[j]) for a, row in enumerate(rows) if row[j]] for j in range(len(rows[0]))]
+
+
+def linear_substitution(columns: Sequence[Sequence[tuple]]) -> Callable[[dict], dict]:
+    """`_substitution` for x_j -> sum_a g_aj x_a, g given by its `column_supports`."""
+    unit = [tuple(int(t == a) for t in range(len(columns))) for a in range(len(columns))]
+    return _substitution([{unit[a]: c for a, c in col} for col in columns], len(columns))
 
 
 def embed(poly: Poly, target: PolyRing, var_map: Optional[Sequence[int]] = None) -> Poly:

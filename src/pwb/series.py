@@ -1,8 +1,9 @@
 """Rational generating series num(t)/den(t) over Q(zeta_N).
 
 Normal form: gcd(num, den) = 1 and den(0) = 1, so Taylor coefficients at
-t = 0 are always defined and equality is a cross-multiplication check on
-canonical representatives.
+t = 0 are always defined.  The normal form is unique, and the constructor
+and every `RationalSeries.reduced` caller produce it, so two series are
+equal exactly when their numerators and denominators are.
 """
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import ScalarError
-from .scalars import Cyclo
+from .scalars import Cyclo, zpoly_mul
 from .upoly import UPoly, gcd_upoly
 
 _ONE = Cyclo.of(1)
@@ -66,22 +67,15 @@ class RationalSeries:
             return RationalSeries(self.num * Cyclo.of(other), self.den)
         return RationalSeries(self.num * other.num, self.den * other.den)
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction, Cyclo)):
             return RationalSeries(self.num, self.den * Cyclo.of(other))
         return RationalSeries(self.num * other.den, self.den * other.num)
 
-    def __pow__(self, k: int) -> "RationalSeries":
-        if k < 0:
-            return RationalSeries(self.den, self.num) ** (-k)
-        return RationalSeries(self.num ** k, self.den ** k)
-
     def __eq__(self, other):
         if not isinstance(other, RationalSeries):
             return NotImplemented
-        return self.num * other.den == other.num * self.den
+        return self.num == other.num and self.den == other.den
 
     __hash__ = None
 
@@ -118,9 +112,9 @@ def hilbert_free(n: int) -> RationalSeries:
 
 
 def hilbert_weighted(degrees: Iterable[int]) -> RationalSeries:
-    """prod 1/(1-t^d) over generator degrees d."""
-    den = UPoly.one()
+    """prod 1/(1-t^d) over generator degrees d, the denominator multiplied
+    out on ints."""
+    den = [1]
     for d in degrees:
-        factor = UPoly([_ONE] + [Cyclo.of(0)] * (d - 1) + [-_ONE])
-        den = den * factor
-    return RationalSeries.reduced(UPoly.one(), den)
+        den = zpoly_mul(den, [1] + [0] * (d - 1) + [-1])
+    return RationalSeries.reduced(UPoly.one(), UPoly(den))

@@ -19,7 +19,8 @@ from .brackets import PoissonAlgebra
 from .errors import (BoundExceededError, InfiniteOrderError, InvalidDegreeError, NotSkewError,
                      PwbError, SingularMatrixError)
 from .linalg import Matrix, _dot, hermite_normal_form
-from .rings import Poly, PolyRing, _add_terms, _mul_terms, grlex_key
+from .rings import (Poly, PolyRing, _add_terms, _mul_terms, column_supports, grlex_key,
+                    linear_substitution)
 from .scalars import (Cyclo, conductor, cyclotomic_polynomial, divisors, lcm, zeta, zpoly_mul,
                       zpoly_quotient)
 from .series import RationalSeries
@@ -62,9 +63,6 @@ class GradedMap:
     @property
     def n(self) -> int:
         return self.matrix.nrows
-
-    def image_of_var(self, ring: PolyRing, i: int) -> Poly:
-        return ring.linear_form(self.matrix.column(i))
 
     def apply(self, f: Poly) -> Poly:
         return f.apply_linear(self.matrix)
@@ -191,32 +189,19 @@ class Classification:
 def is_poisson_automorphism(A: PoissonAlgebra, g: GradedMap
                             ) -> tuple[bool, Optional[tuple[str, str]]]:
     """Check g({x_i, x_j}) = {g(x_i), g(x_j)} on all generator pairs, the
-    first failing pair as witness.  The left side substitutes the images of
-    the generators, each product of images formed once per check; the right
-    side is read off the bracket table by 2x2 minors of g
+    first failing pair as witness.  Both sides read the nonzero entries of
+    g's columns (`column_supports`): the left side is the image of the
+    table entry, each product of images formed once per check
+    (`linear_substitution`), and the right side is read off the table
     (`PoissonAlgebra.linear_bracket_terms`)."""
-    ring, m = A.ring, g.matrix.rows
-    images = [g.image_of_var(ring, i).terms for i in range(A.nvars)]
-    products: dict = {}
-
-    def image(e: tuple) -> dict:
-        """The terms of g(x^e)."""
-        found = products.get(e)
-        if found is None:
-            c = next((i for i, x in enumerate(e) if x), None)
-            if c is None:
-                return {e: _ONE}
-            rest = e[:c] + (e[c] - 1,) + e[c + 1:]
-            found = products[e] = _mul_terms(image(rest), images[c]) if any(rest) else images[c]
-        return found
-
+    columns = column_supports(g.matrix.rows)
+    apply = linear_substitution(columns)
     for i in range(A.nvars):
         for j in range(i + 1, A.nvars):
-            lhs: dict = {}
-            for e, c in A.pair(i, j).terms.items():
-                _add_terms(lhs, ((f, c * d) for f, d in image(e).items()))
-            if Poly(ring, lhs) != Poly(ring, A.linear_bracket_terms(m, i, j)):
-                return False, (ring.names[i], ring.names[j])
+            entry = A.table.get((i, j))
+            lhs = apply(entry.terms) if entry is not None else {}
+            if lhs != A.linear_bracket_terms(columns, i, j):
+                return False, (A.ring.names[i], A.ring.names[j])
     return True, None
 
 
@@ -506,23 +491,29 @@ def _require_character_table(group: PoissonGroup) -> None:
                                  f"{CHARACTER_LIMIT} characters to count")
 
 
-def _character_molien(logs, e: int, n: int) -> RationalSeries:
+def _character_orders(logs, e: int) -> list[int]:
+    """Per eigenbasis variable y_j, the order o_j of its characters."""
+    return [e // gcd(e, *col) for col in zip(*logs)]
+
+
+def _character_molien(logs, e: int) -> RationalSeries:
     """Molien series of the diagonal group with these character logs.
 
-    The invariant exponents are closed under adding e to a coordinate, so
-    each is an invariant x in [0, e)^n plus e times an exponent vector, and
-    the series is N(t)/(1 - t^e)^n with N(t) = sum t^|x| over those x.  N
-    is counted coordinate by coordinate, keyed by the residue of each
-    character.  Then every factor of 1 - t^e = (1 - t) * prod_{1 < d | e}
+    With o_j the order of y_j's characters (`_character_orders`), y_j^o_j
+    is invariant, so each invariant exponent is an invariant x in the box
+    prod_j [0, o_j) plus a multiple of o_j in each coordinate, and the
+    series is N(t)/prod_j (1 - t^o_j) with N(t) = sum t^|x| over those x.
+    N is counted coordinate by coordinate, keyed by the residue of each
+    character.  Then every factor of 1 - t^o = (1 - t) * prod_{1 < d | o}
     Phi_d that divides N is cancelled, which leaves the normal form.
     """
     zero = (0,) * len(logs)
+    orders = _character_orders(logs, e)
     counts: dict[tuple[int, ...], list[int]] = {zero: [1]}
-    for j in range(n):
-        col = [row[j] for row in logs]
+    for col, o in zip(zip(*logs), orders):
         nxt: dict[tuple[int, ...], list[int]] = {}
         for res, poly in counts.items():
-            for x in range(e):
+            for x in range(o):
                 key = tuple((r + a * x) % e for r, a in zip(res, col))
                 acc = nxt.setdefault(key, [])
                 if len(acc) < len(poly) + x:
@@ -534,7 +525,7 @@ def _character_molien(logs, e: int, n: int) -> RationalSeries:
     den = [1]
     for d in divisors(e):
         factor = [1, -1] if d == 1 else list(cyclotomic_polynomial(d))
-        power = n
+        power = sum(1 for o in orders if o % d == 0)
         while power:
             q = zpoly_quotient(num, factor)
             if q is None:
@@ -552,8 +543,7 @@ def molien_series(group: PoissonGroup) -> RationalSeries:
     group sums `trace_series` over its elements."""
     if group.diagonal is not None:
         _require_character_table(group)
-        T, logs = group.diagonal
-        return _character_molien(logs, group.exponent, T.nrows)
+        return _character_molien(group.diagonal[1], group.exponent)
     total = None
     for g in group.elements:
         s = trace_series(g)

@@ -29,7 +29,11 @@ images of an extension reduced against the relations, and the trace by
 products and divisions, and the loops that applied the Leibniz rule to the
 table before `PoissonAlgebra.hamiltonian` did it once: the bracket over the
 table pairs, the Jacobiator, the Lie Jacobi check by structure constants and
-the modular derivation by `Poly` sums.
+the modular derivation by `Poly` sums, and what pwb ran before it read maps
+by their nonzero entries: series equality by cross-multiplication, the
+weighted Hilbert series by `UPoly` products, the character count over
+[0, e)^n, and the 2x2-minor reader with the automorphism check and the
+substituting transport built on it.
 `least_conductor` solves for a value's least conductor divisor by divisor,
 as the reference of `Cyclo.least`, and the root extraction with cyclotomic
 trial division is the reference of `pwb.upoly.extract_roots`.  The
@@ -51,7 +55,8 @@ from pwb.brackets import PoissonAlgebra, PoissonDerivation
 from pwb.envelope import EnvelopeExtension, envelope_presentation
 from pwb.linalg import Echelon, Matrix, kernel, rank, realify, rref, solve_linear
 from pwb.rings import Poly, PolyRing, _add_terms, _mul_terms, _partial_terms, grlex_key
-from pwb.scalars import Cyclo, conductor, cyclotomic_polynomial, euler_phi, lcm, zeta
+from pwb.scalars import (Cyclo, conductor, cyclotomic_polynomial, divisors, euler_phi, lcm, zeta,
+                         zpoly_mul, zpoly_quotient)
 from pwb.series import RationalSeries
 from pwb.solver import DEFAULT_BUDGET, EMPTY, POINTS, groebner_basis, lex_order
 from pwb.symmetry import (FINITE_NON_REFLECTION, IDENTITY, INFINITE_ORDER, NOT_AUTOMORPHISM,
@@ -1455,8 +1460,8 @@ def _cyclo_interreduce(basis: list, order) -> list:
 # -- what pwb ran before reading the bracket table --------------------------------
 #
 # pwb now reads the eigenvalues of a rank-one update g = I + u k^T off its trace,
-# the right side of the automorphism check off 2x2 minors of g, and each column
-# of the center's linear map off the table by Leibniz.  These are the earlier
+# the right side of the automorphism check off the table, and each column of
+# the center's linear map off the table by Leibniz.  These are the earlier
 # versions, unchanged but for their names: every map takes the minimal
 # polynomial, the check brackets the images of the generators, and the center
 # brackets each monomial with each generator.
@@ -1492,7 +1497,7 @@ def bracket_automorphism_check(A, g) -> tuple:
     """g({x_i, x_j}) = {g(x_i), g(x_j)} on all generator pairs, by the general
     bracket of the generator images: (verdict, first failing pair)."""
     ring = A.ring
-    images = [g.image_of_var(ring, i) for i in range(A.nvars)]
+    images = [ring.linear_form(g.matrix.column(i)) for i in range(A.nvars)]
     for i in range(A.nvars):
         for j in range(i + 1, A.nvars):
             lhs = A.pair(i, j).apply_linear(g.matrix)
@@ -1549,7 +1554,7 @@ def center_by_bracket(A, d: int, weights=None) -> list:
 #
 # pwb now reads the eigenspaces of a rank-one update g = I + u k^T and the
 # xi-eigenvector that `classify` reports in closed form, transports a bracket
-# table by 2x2 minors of the basis, and builds each row of the derived ideal by
+# table by reading it off the table, and builds each row of the derived ideal by
 # shifting a generator's terms.  These are the earlier versions, unchanged but
 # for their names: every eigenspace is a `kernel_basis` of (g - lam I) B,
 # transport brackets the new coordinates, and a row is the `Poly` product of a
@@ -1842,6 +1847,126 @@ def modular_by_pairs(A) -> PoissonDerivation:
                 acc = acc + p.partial(j)
         images.append(acc)
     return PoissonDerivation(A, images)
+
+
+# -- what pwb ran before it read maps by their nonzero entries --------------------
+#
+# pwb now compares rational series on their unique normal form, counts a
+# diagonal group's invariant monomials in the box prod_j [0, o_j) of its
+# character orders, reads {y_i, y_j} off the table by walking the nonzero
+# entries of the two columns, and writes a transported table in y from the
+# monomial images formed once per call.  These are the earlier versions,
+# unchanged but for their names: equality by cross-multiplication, the
+# weighted Hilbert series by `UPoly` products, the count in [0, e)^n over
+# (1 - t^e)^n, the reader by 2x2 minors over every table pair, the
+# automorphism check on that reader, and transport by `Poly.substitute`.
+
+
+def cross_multiplied_equal(s, t) -> bool:
+    """`RationalSeries.__eq__` by cross-multiplication."""
+    return s.num * t.den == t.num * s.den
+
+
+def hilbert_weighted_by_products(degrees) -> RationalSeries:
+    """`pwb.series.hilbert_weighted` with the denominator a `UPoly` product."""
+    den = UPoly.one()
+    for d in degrees:
+        den = den * UPoly([ONE] + [ZERO] * (d - 1) + [-ONE])
+    return RationalSeries.reduced(UPoly.one(), den)
+
+
+def cube_character_molien(logs, e: int, n: int) -> RationalSeries:
+    """`pwb.symmetry._character_molien` counting each of the n coordinates
+    over [0, e): N(t)/(1 - t^e)^n, then cancelled to the normal form."""
+    zero = (0,) * len(logs)
+    counts = {zero: [1]}
+    for j in range(n):
+        col = [row[j] for row in logs]
+        nxt: dict = {}
+        for res, poly in counts.items():
+            for x in range(e):
+                key = tuple((r + a * x) % e for r, a in zip(res, col))
+                acc = nxt.setdefault(key, [])
+                if len(acc) < len(poly) + x:
+                    acc.extend([0] * (len(poly) + x - len(acc)))
+                for k, c in enumerate(poly):
+                    acc[k + x] += c
+        counts = nxt
+    num = counts[zero]
+    den = [1]
+    for d in divisors(e):
+        factor = [1, -1] if d == 1 else list(cyclotomic_polynomial(d))
+        power = n
+        while power:
+            q = zpoly_quotient(num, factor)
+            if q is None:
+                break
+            num, power = q, power - 1
+        for _ in range(power):
+            den = zpoly_mul(den, factor)
+    return RationalSeries.reduced(UPoly(num), UPoly(den))
+
+
+def _minor(w, x, y, z):
+    """w x - y z from its nonzero products, or None when both vanish."""
+    first = w * x if w and x else None
+    if not (y and z):
+        return first
+    return -(y * z) if first is None else first - y * z
+
+
+def minor_linear_bracket_terms(A, rows, i: int, j: int) -> dict:
+    """`PoissonAlgebra.linear_bracket_terms` by 2x2 minors of the rows:
+    sum_(a<b) (B_ai B_bj - B_bi B_aj) {x_a, x_b} over every table pair."""
+    out: dict = {}
+    for (a, b), p in A.table.items():
+        minor = _minor(rows[a][i], rows[b][j], rows[b][i], rows[a][j])
+        if minor:
+            _add_terms(out, ((e, c * minor) for e, c in p.terms.items()))
+    return out
+
+
+def minor_automorphism_check(A, g) -> tuple:
+    """`pwb.symmetry.is_poisson_automorphism` with the images of the
+    generators as linear forms and the right side by 2x2 minors of g."""
+    ring, m = A.ring, g.matrix.rows
+    images = [ring.linear_form(g.matrix.column(i)).terms for i in range(A.nvars)]
+    products: dict = {}
+
+    def image(e: tuple) -> dict:
+        found = products.get(e)
+        if found is None:
+            c = next((i for i, x in enumerate(e) if x), None)
+            if c is None:
+                return {e: ONE}
+            rest = e[:c] + (e[c] - 1,) + e[c + 1:]
+            found = products[e] = _mul_terms(image(rest), images[c]) if any(rest) else images[c]
+        return found
+
+    for i in range(A.nvars):
+        for j in range(i + 1, A.nvars):
+            lhs: dict = {}
+            for e, c in A.pair(i, j).terms.items():
+                _add_terms(lhs, ((f, c * d) for f, d in image(e).items()))
+            if Poly(ring, lhs) != Poly(ring, minor_linear_bracket_terms(A, m, i, j)):
+                return False, (ring.names[i], ring.names[j])
+    return True, None
+
+
+def substituted_transport(A, basis: Matrix, names) -> PoissonAlgebra:
+    """`pwb.brackets.transport` by 2x2 minors of the basis, each entry then
+    written in y by `Poly.substitute`."""
+    n = A.nvars
+    inv = basis.inverse()
+    yring = PolyRing(tuple(names))
+    images = [yring.linear_form(inv.column(i)) for i in range(n)]
+    table: dict = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            br = minor_linear_bracket_terms(A, basis.rows, i, j)
+            if br:
+                table[(i, j)] = Poly(A.ring, br).substitute(images, yring)
+    return PoissonAlgebra(yring, table, check_jacobi=False)
 
 
 # -- the root extraction pwb ran before it dropped trial division -----------------

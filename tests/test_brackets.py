@@ -11,7 +11,7 @@ from pwb.errors import JacobiFailsError
 from pwb.families import (LieData, homogenized_weyl, jacobian, jacobian_pq, quantum_matrices,
                           skew_symmetric, weyl)
 from pwb.linalg import Matrix
-from pwb.rings import Poly, PolyRing
+from pwb.rings import Poly, PolyRing, column_supports
 from pwb.scalars import Cyclo, zeta
 from pwb.solver import EMPTY, IDEAL_ONLY, POINTS, SUBSPACE
 
@@ -454,7 +454,8 @@ def _invertible_basis(rng, n):
 
 
 def test_transport_by_minors_matches_the_bracket_built_table():
-    # each entry printed and stored as by bracketing the new coordinates
+    # each entry printed and stored as by bracketing the new coordinates,
+    # though transport walks the nonzero entries of the basis columns
     rng = random.Random(2021)
     for _ in range(120):
         n = rng.randint(2, 4)
@@ -467,6 +468,53 @@ def test_transport_by_minors_matches_the_bracket_built_table():
         for pair, p in expected.table.items():
             assert str(found.table[pair]) == str(p)
             assert _stored(found.table[pair]) == _stored(p)
+
+
+def _block_basis(rng, n):
+    """The identity outside a block of 1 to n coordinates, an invertible
+    `_invertible_basis` on it."""
+    block = sorted(rng.sample(range(n), rng.randint(1, n)))
+    local = _invertible_basis(rng, len(block))
+    rows = [[Cyclo.of(int(r == c)) for c in range(n)] for r in range(n)]
+    for a, ra in enumerate(block):
+        for b, cb in enumerate(block):
+            rows[ra][cb] = local.rows[a][b]
+    return Matrix(rows)
+
+
+def test_linear_bracket_terms_and_transport_match_the_minors():
+    # the column walk against the 2x2 minors over every table pair, by value
+    # and print; transport against the minors and `Poly.substitute`, printed
+    # and stored
+    rng = random.Random(20261020)
+    for _ in range(100):
+        n = rng.randint(2, 5)
+        ring = PolyRing([f"x{i}" for i in range(n)])
+        A = PoissonAlgebra(ring, _random_table(rng, ring), check_jacobi=False)
+        T = _block_basis(rng, n) if rng.random() < 0.6 else _invertible_basis(rng, n)
+        columns = column_supports(T.rows)
+        for i in range(n):
+            for j in range(n):
+                found = A.linear_bracket_terms(columns, i, j)
+                expected = oracle.minor_linear_bracket_terms(A, T.rows, i, j)
+                assert found == expected
+                assert str(Poly(ring, found)) == str(Poly(ring, expected))
+        names = tuple(f"y{i}" for i in range(n))
+        found, expected = transport(A, T, names), oracle.substituted_transport(A, T, names)
+        assert str(found) == str(expected)
+        assert {pair: _stored(p) for pair, p in found.table.items()} == {
+            pair: _stored(p) for pair, p in expected.table.items()}
+
+
+def test_transport_substitutes_nothing(monkeypatch):
+    A = quantum_matrices(2)
+    T = Matrix([[1, 0, 0, 0], [0, 1, 1, 0], [0, 1, -1, 0], [0, 0, 0, 1]])
+    expected = oracle.bracket_transport(A, T, ("a", "p", "m", "d"))
+    calls = []
+    substitute = Poly.substitute
+    monkeypatch.setattr(Poly, "substitute", lambda p, *a: calls.append(p) or substitute(p, *a))
+    assert str(transport(A, T, ("a", "p", "m", "d"))) == str(expected)
+    assert calls == []
 
 
 def test_transport_takes_no_bracket(monkeypatch):

@@ -3,7 +3,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from pwb.errors import LieJacobiFailsError, NotSkewError, ZeroPotentialError
+from pwb.brackets import PoissonAlgebra
+from pwb.errors import JacobiFailsError, LieJacobiFailsError, NotSkewError, ZeroPotentialError
 from pwb.families import (LieData, homogenized_weyl, jacobian, jacobian_pq, lie_one_dim_ideals,
                           lie_two_dim_nonabelian, ph_lie, quantum_matrices, skew_symmetric,
                           sl2, weyl)
@@ -149,6 +150,25 @@ def test_lie_jacobi_matches_the_structure_constant_loop(structure):
         with pytest.raises(LieJacobiFailsError) as info:
             LieData.of(n, brackets)
         assert info.value.triple == expected[1]
+
+
+def test_ph_lie_checks_jacobi_once(monkeypatch):
+    # LieData.of checks the homogenized bracket, and ph_lie does not check it
+    # again; a LieData built directly is checked by ph_lie
+    calls = []
+    check = PoissonAlgebra.jacobi_check
+    monkeypatch.setattr(PoissonAlgebra, "jacobi_check", lambda A: calls.append(A) or check(A))
+    ph_lie(sl2())
+    assert len(calls) == 1
+    n, brackets = _FAILS
+    lie = LieData(n, {pair: tuple(map(Cyclo.of, vec)) for pair, vec in brackets.items()})
+    with pytest.raises(JacobiFailsError):
+        ph_lie(lie)
+    assert len(calls) == 2
+    # the flag takes no part in equality or the repr
+    checked = sl2()
+    assert checked.jacobi_checked and checked == LieData(3, checked.brackets)
+    assert repr(checked) == repr(LieData(3, checked.brackets))
 
 
 def test_lie_structures_include_jacobi_failures():

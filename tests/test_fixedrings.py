@@ -509,7 +509,7 @@ def test_character_molien_matches_charpoly_sum_and_brute_force(case):
         d = T_inv * m * T
         assert d == Matrix.diagonal([zeta(e, a) for a in row])
         chars.append([d.rows[j][j] for j in range(n)])
-    series = _character_molien(logs, e, n)
+    series = _character_molien(logs, e)
     reference = oracle.molien_by_charpoly_sum([m.rows for m in mats])
     # the same normal form, so reports print the same series
     assert series.num == reference.num and series.den == reference.den
@@ -518,6 +518,84 @@ def test_character_molien_matches_charpoly_sum_and_brute_force(case):
     assert series.taylor(degree) == [Cyclo.of(c) for c in counts]
     for x in oracle.exponents_up_to(n, degree):
         assert _is_invariant(x, logs, e) == oracle.monomial_is_invariant(x, chars)
+
+
+@st.composite
+def character_column_groups(draw):
+    """(n, generator matrices) on n = 1..5 variables whose character columns
+    have order 1, order e and orders in between: column j gets an order o_j
+    dividing e, with o_0 = e, and each generator the eigenvalue zeta_(o_j)^k
+    there (the first generator k = 1 at every o_j > 1), conjugated by a
+    random rational S unless it draws the standard basis."""
+    e = draw(st.sampled_from((2, 4, 6, 12)))
+    n = draw(st.integers(1, 5))
+    divisors = [d for d in range(1, e + 1) if e % d == 0]
+    orders = [e] + [draw(st.sampled_from(divisors)) for _ in range(n - 1)]
+    diagonals = [[zeta(o) for o in orders]]
+    for _ in range(draw(st.integers(0, 1))):
+        diagonals.append([zeta(o, draw(st.integers(0, o - 1))) for o in orders])
+    mats = [Matrix.diagonal(d) for d in diagonals]
+    if draw(st.booleans()):
+        return n, mats
+    entry = st.sampled_from([-1, 0, 1, 2])
+    lower = Matrix([[1 if i == j else draw(entry) if j < i else 0 for j in range(n)]
+                    for i in range(n)])
+    upper = Matrix([[draw(st.sampled_from([1, -1, 2])) if i == j else draw(entry) if j > i
+                     else 0 for j in range(n)] for i in range(n)])
+    S = lower * upper
+    return n, [S * m * S.inverse() for m in mats]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(character_column_groups())
+@example((5, [Matrix.diagonal([zeta(12), 1, zeta(4), zeta(6), zeta(12, 5)])]))
+def test_character_molien_box_matches_the_charpoly_sum(case):
+    # counted in the box prod [0, o_j) of the character orders: the same
+    # normal form, and the same print, as counting in [0, e)^n and, for a
+    # group of at most 48 elements, as summing 1/det(1 - g t) over them
+    n, mats = case
+    G = group_closure([GradedMap(m) for m in mats])
+    T, logs = G.diagonal
+    orders = symmetry._character_orders(logs, G.exponent)
+    assert len(orders) == n and max(orders) == G.exponent
+    series = _character_molien(logs, G.exponent)
+    references = [oracle.cube_character_molien(logs, G.exponent, n)]
+    if G.order <= 48:
+        references.append(oracle.molien_by_charpoly_sum([m.rows for m in mats]))
+    for reference in references:
+        assert series.num == reference.num and series.den == reference.den
+        assert str(series) == str(reference)
+
+
+def test_character_column_groups_reach_every_column_order():
+    # columns of order 1, of order e and in between all occur
+    kinds = set()
+
+    @settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @given(character_column_groups())
+    def record(case):
+        G = group_closure([GradedMap(m) for m in case[1]])
+        for o in symmetry._character_orders(G.diagonal[1], G.exponent):
+            kinds.add("1" if o == 1 else "e" if o == G.exponent else "between")
+
+    record()
+    assert kinds == {"1", "e", "between"}
+
+
+def test_abelian_certification_multiplies_no_upoly(monkeypatch):
+    # the Molien series, the free product and their comparison run on ints
+    # and on the normal form: no UPoly product in the whole fixed ring, free
+    # or not
+    from pwb.upoly import UPoly
+    calls = []
+    mul = UPoly.__mul__
+    monkeypatch.setattr(UPoly, "__mul__", lambda p, q: calls.append(1) or mul(p, q))
+    A = skew_symmetric(Matrix([[0, 1, 2], [-1, 0, 3], [-2, -3, 0]]))
+    free = fixed_group(A, group_closure([gmap(Matrix.diagonal([zeta(4), 1, 1]).rows)]))
+    signs = group_closure([gmap(Matrix.diagonal([-1, -1, 1]).rows)])
+    relations = fixed_group(A, signs, bound=2, canonical=False, with_relations=False)
+    assert free.polynomial and not relations.polynomial
+    assert calls == []
 
 
 def test_character_logs_reject_a_non_root_of_unity():
