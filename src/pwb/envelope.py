@@ -26,7 +26,7 @@ from .brackets import PoissonAlgebra
 from .errors import (CapExceededError, InvalidDegreeError, NotAutomorphismError,
                      NotQuadraticError, NotReflectionError)
 from .linalg import Echelon, Matrix, realify
-from .rings import Poly
+from .rings import Poly, _add_terms
 from .scalars import Cyclo, conductor, euler_phi, scaled_term, signed_sum
 from .series import RationalSeries
 from .symmetry import (REFLECTION, GradedMap, classify, is_poisson_automorphism,
@@ -38,8 +38,7 @@ _ONE = Cyclo.of(1)
 
 DEFAULT_DIM_CAP = 4
 
-Word = tuple[int, ...]
-WordSum = dict  # Word -> Cyclo
+WordSum = dict  # word (a tuple of letters) -> Cyclo
 
 
 @dataclass
@@ -99,38 +98,27 @@ def _relations(A: PoissonAlgebra) -> tuple[WordSum, ...]:
     def h(i: int) -> int:
         return n + i
 
-    def add(ws: WordSum, word: Word, c: Cyclo):
-        acc = ws.get(word, _ZERO) + c
-        if acc.is_zero():
-            ws.pop(word, None)
-        else:
-            ws[word] = acc
+    def commutator(a: int, b: int, terms=()) -> WordSum:
+        """a*b - b*a plus the word terms, added in order."""
+        r: WordSum = {}
+        _add_terms(r, [((a, b), _ONE), ((b, a), -_ONE), *terms])
+        return r
 
     relations: list[WordSum] = []
     for i in range(n):
         for j in range(i + 1, n):
-            r: WordSum = {}
-            add(r, (m(i), m(j)), _ONE)
-            add(r, (m(j), m(i)), -_ONE)
-            relations.append(r)
+            relations.append(commutator(m(i), m(j)))
     for i in range(n):
         for j in range(n):
-            r = {}
-            add(r, (h(i), m(j)), _ONE)
-            add(r, (m(j), h(i)), -_ONE)
-            for (k, l, c) in _quadratic_pairs(A.pair(i, j)):
-                add(r, (m(k), m(l)), -c)
+            r = commutator(h(i), m(j),
+                           [((m(k), m(l)), -c) for k, l, c in _quadratic_pairs(A.pair(i, j))])
             if r:
                 relations.append(r)
     for i in range(n):
         for j in range(i + 1, n):
-            r = {}
-            add(r, (h(i), h(j)), _ONE)
-            add(r, (h(j), h(i)), -_ONE)
-            for (k, l, c) in _quadratic_pairs(A.pair(i, j)):
-                add(r, (m(l), h(k)), -c)
-                add(r, (m(k), h(l)), -c)
-            relations.append(r)
+            relations.append(commutator(h(i), h(j), [
+                t for k, l, c in _quadratic_pairs(A.pair(i, j))
+                for t in (((m(l), h(k)), -c), ((m(k), h(l)), -c))]))
     return tuple(relations)
 
 
@@ -338,8 +326,6 @@ def _has_quasi_reflection_shape(series: RationalSeries, total: int) -> bool:
     den, rem = series.den.divmod(_one_minus_t_power(total - 1))
     if not rem.is_zero() or den.degree() != 1:
         return False
-    xi = -den[1]  # den = 1 - xi t after normalization
-    if den[0] != _ONE:
-        return False
+    xi = -den[1]  # den = 1 - xi t: both denominators have constant term 1
     order = xi.root_of_unity_order() if not xi.is_zero() else None
     return order is not None and order > 1

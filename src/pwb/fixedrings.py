@@ -1,28 +1,33 @@
 """Fixed subrings A^G for finite graded Poisson groups.
 
-Invariants are computed per degree up to a bound d; generators are selected
-canonically (reduced against products of lower-degree generators in the
-ambient monomial order), the induced bracket table is expressed in the
-generators, and polynomiality is certified by comparing the Molien series
-with the free product over generator degrees.  Every report carries the
-truncation caveat: completeness of the generator list is certified only up
-to d.
+Generators are found up to a degree bound d: for an abelian form the
+eigenbasis monomials of the invariant monoid's generators, each expanded
+once, and otherwise the nonzero Reynolds averages of the monomials.  They
+are selected canonically (reduced against products of lower-degree
+generators in the ambient monomial order), the induced bracket table is
+expressed in the generators, and polynomiality is certified by comparing
+the Molien series with the free product over generator degrees.  Every
+report carries the truncation caveat: completeness of the generator list
+is certified only up to d.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .brackets import PoissonAlgebra, transport
 from .errors import (DegreeBoundTooSmallError, InducedBracketNotClosedError,
                      InvalidDegreeError, NotReflectionError, PwbError)
 from .linalg import Echelon, Matrix, realify, unrealify
-from .rings import Poly, PolyRing, column_supports, grlex_key, linear_substitution
+from .rings import (Poly, PolyRing, _add_terms, _substitution, column_supports, grlex_key,
+                    linear_substitution)
 from .scalars import Cyclo, conductor, euler_phi
 from .series import RationalSeries, hilbert_weighted
 from .solver import DEFAULT_BUDGET, Subalgebra
 from .symmetry import (REFLECTION, GradedMap, PoissonGroup, _character_orders,
                        _require_character_table, classify, group_closure, molien_series)
+
+_ONE = Cyclo.of(1)
 
 TRUNCATION_CAVEAT = ("generator completeness certified only up to the degree bound; "
                      "higher-degree invariants are not excluded")
@@ -72,50 +77,40 @@ def is_skew_presentation(p: PresentedPoisson) -> Optional[Matrix]:
 # -- generator selection ------------------------------------------------------
 
 
-def _products_of_degree(chosen: list[tuple[Poly, int]], k: int) -> list[Poly]:
-    """All products of chosen generators with total degree k (multisets)."""
-    out: list[Poly] = []
-
-    def rec(idx: int, remaining: int, acc: Optional[Poly]):
-        if remaining == 0:
-            if acc is not None:
-                out.append(acc)
-            return
-        if idx == len(chosen):
-            return
-        poly, deg = chosen[idx]
-        rec(idx + 1, remaining, acc)
-        if deg <= remaining:
-            rec(idx, remaining - deg, poly if acc is None else acc * poly)
-
-    rec(0, k, None)
-    return out
-
-
 def _canonical_generators(bases_per_degree: dict) -> list[tuple[Poly, int]]:
     """Pick new generators per degree as canonical complements of products.
 
     The degrees are those of the given bases, ascending.  At each, the
-    degree-k products of chosen generators, then the invariant basis, are
-    realified at their lcm conductor N into one echelon whose columns are the
-    monomials grlex-descending (the least column is the leading monomial).  A
-    basis vector that raises the rank gives its remainder, zero at every
-    earlier leading monomial and monic, stored at N.
+    degree-k products of chosen generators, then the basis, are realified at
+    their lcm conductor N into one echelon whose columns are the monomials
+    grlex-descending (the least column is the leading monomial).  The
+    products are the monomials of weighted degree k in the chosen
+    generators, each mapped through one `_substitution` of the generators
+    (their powers formed once per call).  A basis vector that raises the
+    rank gives its remainder, the fully reduced echelon row at its leading
+    monomial, made monic and stored at N: it depends on the span of what
+    went in before it, not on the products' order.
     """
     chosen: list[tuple[Poly, int]] = []
+    images: list[dict] = []  # the chosen generators' terms; `product` keeps their powers by index
+    product = None
     for k in sorted(bases_per_degree):
         basis = bases_per_degree[k]
         if not basis:
             continue
-        products = _products_of_degree(chosen, k)
-        polys = products + basis
-        columns = sorted({e for p in polys for e in p.terms}, key=grlex_key, reverse=True)
+        ring = basis[0].ring
+        product = product or _substitution(images, ring.nvars)
+        gens = PolyRing([f"g{i}" for i in range(len(chosen))])
+        weights = [deg for _, deg in chosen]
+        products = [product({x: _ONE}) for x in gens.monomials_of_degree(k, weights)]
+        polys = products + [p.terms for p in basis]
+        columns = sorted({e for terms in polys for e in terms}, key=grlex_key, reverse=True)
         index = {e: i for i, e in enumerate(columns)}
-        n = conductor(c for p in polys for c in p.terms.values())
+        n = conductor(c for terms in polys for c in terms.values())
         phi = euler_phi(n)
         span = Echelon()
-        for i, p in enumerate(polys):
-            rows = realify({index[e]: c for e, c in p.terms.items()}, n)
+        for i, terms in enumerate(polys):
+            rows = realify({index[e]: c for e, c in terms.items()}, n)
             lead_row = span.reduce(rows[0])
             if not lead_row:
                 continue
@@ -124,7 +119,8 @@ def _canonical_generators(bases_per_degree: dict) -> list[tuple[Poly, int]]:
             if i >= len(products):
                 lead = min(lead_row) // phi * phi
                 terms = unrealify(span.clear(lead), n)
-                chosen.append((Poly(p.ring, {columns[c]: v for c, v in terms.items()}), k))
+                chosen.append((Poly(ring, {columns[c]: v for c, v in terms.items()}), k))
+                images.append(chosen[-1][0].terms)
     return chosen
 
 
@@ -143,17 +139,18 @@ def fixed_group(A: PoissonAlgebra, group: PoissonGroup, bound: Optional[int] = N
     monomials y^x with sum_j a_ij x_j = 0 mod e for every i, and no
     cyclotomic arithmetic is left in choosing them.  One integer rule picks
     a diagonal group's generators: the non-decomposable invariant exponents
-    x (`_monoid_generators`), and `canonical` changes only the last step.
-    By default the invariant monomials are expanded at the degrees of those
-    x alone (elsewhere products of lower-degree generators span every
-    invariant) and reduced there by `_canonical_generators`; with
-    `canonical=False` the generators are the y^x themselves, with a
-    monomially factored bracket table.  Otherwise the invariants are the
-    nonzero Reynolds averages of the monomials over the enumerated
-    elements, reduced by `_canonical_generators` at every degree.  The
-    induced bracket is written in the generators by their `Subalgebra`,
-    and every route ends in the same certification: the group's
-    `molien_series` against the free product over the generator degrees,
+    x (`_monoid_generators`), each y^x expanded in x once, and `canonical`
+    changes only the last step.  By default those expansions alone are
+    reduced by `_canonical_generators`: every other invariant monomial is a
+    product of generators of lower degree, so it lies in the span of the
+    products and never raises the rank.  With `canonical=False` the
+    generators are the y^x themselves, with a monomially factored bracket
+    table.  Otherwise the invariants are the nonzero Reynolds averages of
+    the monomials over the enumerated elements, reduced by
+    `_canonical_generators` at every degree.  The induced bracket is
+    written in the generators by their `Subalgebra`, and every route ends
+    in the same certification: the group's `molien_series` against the
+    free product over the generator degrees,
     relations from the same `Subalgebra`, and `DegreeBoundTooSmallError`
     naming the first degree where the Molien series exceeds the generated
     subalgebra.  A negative bound raises `InvalidDegreeError`, and an
@@ -184,20 +181,29 @@ def fixed_cyclic_reflection(A: PoissonAlgebra, g: GradedMap,
 def _fixed(A: PoissonAlgebra, group: PoissonGroup, d: int, canonical: bool,
            with_relations: bool, budget: int) -> PresentedPoisson:
     """The fixed-ring pipeline.  A diagonal group's generators are chosen
-    once, by `_monoid_generators`, and `canonical` picks only how they are
-    written.  A route returns its generators as one `Subalgebra`, which both
-    the bracket table and the relations read."""
+    once, by `_monoid_generators`, and expanded once through the eigenbasis
+    T; `canonical` picks only how they are written.  A route returns its
+    generators as one `Subalgebra`, which both the bracket table and the
+    relations read."""
     if group.diagonal is None:
         route = _canonical_route(A, _reynolds_bases(A.ring, group, d), budget)
     else:
         T, logs = group.diagonal
-        e = group.exponent
-        gen_exps = _monoid_generators(A.ring, logs, e, d)
+        gen_exps = _monoid_generators(A.ring, logs, group.exponent, d)
+        expand = linear_substitution(column_supports(T.rows))
+        expressions = [Poly(A.ring, expand({x: 1})) for x in gen_exps]
         if canonical:
-            bases = _diagonal_bases(A.ring, T, logs, e, {sum(x) for x in gen_exps})
+            # per degree by y-exponent grlex-descending, then (stably) by
+            # leading x-monomial descending: of two generators with one
+            # leading x-monomial, the later is reduced against the earlier
+            bases: dict[int, list[Poly]] = {}
+            for x, p in zip(reversed(gen_exps), reversed(expressions)):
+                bases.setdefault(sum(x), []).append(p)
+            for basis in bases.values():
+                basis.sort(key=lambda p: grlex_key(p.leading()[0]), reverse=True)
             route = _canonical_route(A, bases, budget)
         else:
-            route = _monomial_route(A, T, gen_exps, budget)
+            route = _monomial_route(A, T, gen_exps, expressions, budget)
     sub, degrees, table = route
     molien = molien_series(group)
     product = hilbert_weighted(degrees)
@@ -221,33 +227,24 @@ def _fixed(A: PoissonAlgebra, group: PoissonGroup, d: int, canonical: bool,
 
 
 def _reynolds_bases(ring: PolyRing, group: PoissonGroup, d: int) -> dict[int, list[Poly]]:
-    """Per degree, the nonzero Reynolds averages of the monomials."""
+    """Per degree, the nonzero Reynolds averages of the monomials.  Each
+    element's `linear_substitution` is built once and maps every monomial;
+    a monomial's images are summed in the order of the elements."""
+    monomials = [e for k in range(1, d + 1) for e in ring.monomials_of_degree(k)]
+    sums: list[dict] = [{} for _ in monomials]
+    for g in group.elements:
+        act = linear_substitution(column_supports(g.matrix.rows))
+        for e, acc in zip(monomials, sums):
+            _add_terms(acc, act({e: _ONE}).items())
     order_inv = Cyclo.of(group.order).inverse()
-    bases: dict[int, list[Poly]] = {}
-    for k in range(1, d + 1):
-        bases[k] = []
-        for e in ring.monomials_of_degree(k):
-            mono = ring.monomial(e)
-            acc = ring.zero()
-            for g in group.elements:
-                acc = acc + g.apply(mono)
-            avg = acc * order_inv
-            if not avg.is_zero():
-                bases[k].append(avg)
+    bases: dict[int, list[Poly]] = {k: [] for k in range(1, d + 1)}
+    for e, acc in zip(monomials, sums):
+        if acc:
+            bases[sum(e)].append(Poly(ring, {f: c * order_inv for f, c in acc.items()}))
     return bases
 
 
 # -- character arithmetic for diagonal groups ---------------------------------
-
-
-def _is_invariant(x: tuple[int, ...], logs, e: int) -> bool:
-    """Whether every character is trivial on the eigenbasis monomial y^x."""
-    return all(sum(a * k for a, k in zip(row, x)) % e == 0 for row in logs)
-
-
-def _invariant_monomials(ring: PolyRing, logs, e: int, k: int) -> list[tuple[int, ...]]:
-    """Exponents of the degree-k eigenbasis monomials with trivial characters."""
-    return [x for x in ring.monomials_of_degree(k) if _is_invariant(x, logs, e)]
 
 
 def _monoid_generators(ring: PolyRing, logs, e: int, d: int) -> list[tuple[int, ...]]:
@@ -284,19 +281,6 @@ def _monoid_generators(ring: PolyRing, logs, e: int, d: int) -> list[tuple[int, 
     return gen_exps
 
 
-def _diagonal_bases(ring: PolyRing, T: Matrix, logs, e: int,
-                    degrees: Iterable[int]) -> dict[int, list[Poly]]:
-    """At each of these degrees, the invariant eigenbasis monomials, leading
-    terms descending."""
-    expand = linear_substitution(column_supports(T.rows))
-    bases: dict[int, list[Poly]] = {}
-    for k in degrees:
-        vecs = [Poly(ring, expand({x: 1})) for x in _invariant_monomials(ring, logs, e, k)]
-        vecs.sort(key=lambda p: grlex_key(p.leading()[0]), reverse=True)
-        bases[k] = vecs
-    return bases
-
-
 def _canonical_route(A: PoissonAlgebra, bases: dict, budget: int):
     """The `Subalgebra` of the canonical generators of the per-degree
     invariant bases, their degrees and bracket table."""
@@ -320,13 +304,11 @@ def _canonical_route(A: PoissonAlgebra, bases: dict, budget: int):
 
 
 def _monomial_route(A: PoissonAlgebra, T: Matrix, gen_exps: list[tuple[int, ...]],
-                    budget: int):
+                    expressions: list[Poly], budget: int):
     """The `Subalgebra` of the eigenbasis monomials of the monoid generators
-    `gen_exps`, their degrees and monomially factored bracket table.  Each
-    generator's y-monomial is built once, and one factorization memo serves
-    every bracket."""
-    expand = linear_substitution(column_supports(T.rows))
-    expressions = [Poly(A.ring, expand({x: 1})) for x in gen_exps]
+    `gen_exps`, expanded in x as `expressions`, their degrees and monomially
+    factored bracket table.  Each generator's y-monomial is built once, and
+    one factorization memo serves every bracket."""
     degrees = [sum(e) for e in gen_exps]
     sub = Subalgebra(expressions, _generator_names(A.ring, expressions), budget)
     Ay = transport(A, T, tuple(f"_y{i+1}" for i in range(A.nvars)))

@@ -275,8 +275,7 @@ class Poly:
         n = self.ring.nvars
         if g.nrows != n or g.ncols != n:
             raise PwbError("matrix size does not match ring")
-        images = [self.ring.linear_form(g.column(i)) for i in range(n)]
-        return self.substitute(images)
+        return Poly(self.ring, linear_substitution(column_supports(g.rows))(self.terms))
 
     def monomial_content(self) -> tuple[tuple[int, ...], "Poly"]:
         """Largest monomial dividing every term, and the cofactor."""

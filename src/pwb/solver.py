@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence
 from .errors import (DegreeBudgetExceededError, DivisorZeroError, PwbError,
                      UnsplittableConditionError)
 from .linalg import Matrix, kernel, rref, solve_linear
-from .rings import Poly, PolyRing, embed, grlex_key
+from .rings import Poly, PolyRing, _add_terms, embed, grlex_key
 from .scalars import Cyclo, _mul_mod, _new, conductor, conjugate_product, lcm
 from .upoly import UPoly, extract_roots
 
@@ -397,18 +397,8 @@ def _poly_to_upoly(f: Poly, var: int) -> Optional[UPoly]:
 
 def _substitute_value(f: Poly, var: int, value: Cyclo) -> Poly:
     out: dict = {}
-    for e, c in f.terms.items():
-        ne = list(e)
-        k = ne[var]
-        ne[var] = 0
-        nc = c * value ** k if k else c
-        key = tuple(ne)
-        acc = out.get(key)
-        s = nc if acc is None else acc + nc
-        if s.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = s
+    _add_terms(out, ((e[:var] + (0,) + e[var + 1:], c * value ** e[var] if e[var] else c)
+                     for e, c in f.terms.items()))
     return Poly(f.ring, out)
 
 

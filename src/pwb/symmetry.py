@@ -64,9 +64,6 @@ class GradedMap:
     def n(self) -> int:
         return self.matrix.nrows
 
-    def apply(self, f: Poly) -> Poly:
-        return f.apply_linear(self.matrix)
-
     def __mul__(self, other: "GradedMap") -> "GradedMap":
         # a product of invertible maps is invertible: no rank check
         return GradedMap._invertible(self.matrix * other.matrix)
@@ -621,21 +618,15 @@ def find_reflections(A: PoissonAlgebra, budget: int = DEFAULT_BUDGET) -> Reflect
     A.require_quadratic("find_reflections")
     n = A.nvars
     charts: list[tuple[list, int]] = []  # (direction coefficient vectors over params, nparams)
+    bases: list[list] = []  # each basis's charts cover the candidates in its span
     normset = None
     diagnostics: list[str] = []
     q = A.skew_matrix()
     if q is not None:
         # skew case: a degree-one normal element is supported inside a single
         # block, so the blocks give a complete chart cover of the candidates
-        for block in block_decomposition(q):
-            basis = []
-            for i in block:
-                vec = [_ZERO] * n
-                vec[i] = _ONE
-                basis.append(vec)
-            r = len(basis)
-            for j in range(r):
-                charts.append(([basis[j]] + basis[j + 1:], r - 1 - j))
+        bases = [[[_ONE if t == i else _ZERO for t in range(n)] for i in block]
+                 for block in block_decomposition(q)]
         diagnostics.append("skew bracket: candidate eigenvectors taken blockwise")
     else:
         normset = A.normal_find_deg1(budget)
@@ -647,13 +638,11 @@ def find_reflections(A: PoissonAlgebra, budget: int = DEFAULT_BUDGET) -> Reflect
                 INCONCLUSIVE, normal_set=normset,
                 diagnostics=["normal-element variety could not be enumerated"])
         if normset.kind == POINTS:
-            for p in normset.points:
-                charts.append(([list(p)], 0))
+            charts = [([list(p)], 0) for p in normset.points]
         else:
-            basis = [list(b) for b in normset.basis]
-            r = len(basis)
-            for j in range(r):
-                charts.append(([basis[j]] + basis[j + 1:], r - 1 - j))
+            bases = [[list(b) for b in normset.basis]]
+    for basis in bases:
+        charts += [(basis[j:], len(basis) - 1 - j) for j in range(len(basis))]
 
     families: list[ReflectionFamily] = []
     inconclusive = False

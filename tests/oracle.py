@@ -522,6 +522,9 @@ def _echelon_insert(poly, echelon: dict):
 
 
 def _products_of_degree(chosen: list, k: int) -> list:
+    """Every product of (generator, degree) pairs of total degree k, one per
+    multiset, by recursion: pwb formed them so before it mapped the weighted
+    monomials of the generator ring through one substitution."""
     out = []
 
     def rec(idx: int, remaining: int, acc):
@@ -668,6 +671,17 @@ def poly_substitute(f, images, target=None):
 def _invariant_monomials(ring, logs, e: int, k: int) -> list:
     return [x for x in ring.monomials_of_degree(k)
             if all(sum(a * t for a, t in zip(row, x)) % e == 0 for row in logs)]
+
+
+def diagonal_bases(ring, T, logs, e: int, d: int) -> dict:
+    """At every degree 1..d, every invariant eigenbasis monomial y^x written
+    in x (y_j the j-th column of T), leading terms descending: the bases pwb
+    reduced before it expanded the monoid generators alone."""
+    ys = [ring.linear_form(T.column(j)) for j in range(ring.nvars)]
+    return {k: sorted((poly_substitute(ring.monomial(x), ys)
+                       for x in _invariant_monomials(ring, logs, e, k)),
+                      key=lambda p: _grlex(p.leading()[0]), reverse=True)
+            for k in range(1, d + 1)}
 
 
 def enumerated_monoid_generators(ring, logs, e: int, d: int) -> list:
@@ -968,13 +982,6 @@ class OracleCyclo:
 
 _O_ZERO = OracleCyclo(1, (_FZERO,))
 _O_ONE = OracleCyclo(1, (_FONE,))
-
-
-def oracle_zeta(n: int, power: int = 1) -> OracleCyclo:
-    """Canonical representative of zeta_n^power in Q[x]/Phi_n."""
-    if n < 1:
-        raise ScalarError("conductor must be >= 1")
-    return OracleCyclo(n, _power_vector(n, power))
 
 
 def least_conductor(value) -> OracleCyclo:

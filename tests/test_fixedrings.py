@@ -1,6 +1,7 @@
 import dataclasses
 import random
 from collections import Counter
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,9 +12,10 @@ from pwb import fixedrings, solver, symmetry
 from pwb.brackets import DerivedIdeal, PoissonAlgebra
 from pwb.families import (homogenized_weyl, jacobian_pq, lie_two_dim_nonabelian, ph_lie,
                           quantum_matrices, skew_symmetric)
-from pwb.fixedrings import (DISTINGUISHED, NOT_DISTINGUISHED, _is_invariant,
-                            fixed_cyclic_reflection, fixed_group, is_skew_presentation,
-                            presented_from_linear_basis, rigidity_report)
+from pwb.fixedrings import (DISTINGUISHED, NOT_DISTINGUISHED, fixed_cyclic_reflection,
+                            fixed_group, is_skew_presentation, presented_from_linear_basis,
+                            rigidity_report)
+from pwb.formats import presented_json
 from pwb.linalg import Matrix
 from pwb.rings import PolyRing
 from pwb.scalars import Cyclo, zeta
@@ -256,7 +258,7 @@ def test_fixed_group_generators_invariant():
     p = fixed_group(A, G, bound=2)
     for e in p.expressions:
         for h in G.generators:
-            assert h.apply(e) == e
+            assert e.apply_linear(h.matrix) == e
 
 
 def test_fixed_group_nonabelian_reynolds_path():
@@ -491,9 +493,20 @@ def diagonal_groups(draw, orders=(1, 2, 3, 4, 6), max_generators=2, conjugated=s
     return n, [S * Matrix.diagonal(d) * S.inverse() for d in diagonals]
 
 
-@settings(max_examples=30, deadline=None)
+def _largest_diagonal_group():
+    """Two commuting generators of orders 6 and 4 with independent characters
+    on four variables (24 elements, exponent 12), in a rational base change:
+    the largest group `diagonal_groups` draws."""
+    S = (Matrix([[1, 0, 0, 0], [2, 1, 0, 0], [-1, 0, 1, 0], [0, 1, 2, 1]])
+         * Matrix([[1, -1, 0, 2], [0, 2, 1, 0], [0, 0, -1, 1], [0, 0, 0, 1]]))
+    return 4, [S * Matrix.diagonal(d) * S.inverse()
+               for d in ([zeta(6), zeta(6, 5), zeta(3), 1], [zeta(4), 1, zeta(4, 3), -1])]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(diagonal_groups())
 @example((3, [Matrix.identity(3)]))
+@example(_largest_diagonal_group())
 def test_character_molien_matches_charpoly_sum_and_brute_force(case):
     # the reference sums 1/det(1 - g t) over the oracle's own enumeration,
     # and the brute force reads the characters off T^-1 g T
@@ -516,8 +529,6 @@ def test_character_molien_matches_charpoly_sum_and_brute_force(case):
     degree = e + 2
     counts = oracle.invariant_monomial_counts(chars, n, degree)
     assert series.taylor(degree) == [Cyclo.of(c) for c in counts]
-    for x in oracle.exponents_up_to(n, degree):
-        assert _is_invariant(x, logs, e) == oracle.monomial_is_invariant(x, chars)
 
 
 @st.composite
@@ -647,36 +658,62 @@ def _assert_generators_match_poly_echelon(bases, reference_bases, d):
         assert p.leading()[1].is_one()
 
 
-@settings(max_examples=25, deadline=None)
+def _every_degree_reference(ring, G, d):
+    """The generators the Poly echelon picks from every invariant eigenbasis
+    monomial at every degree up to d."""
+    T, logs = G.diagonal
+    return oracle.poly_echelon_generators(oracle.diagonal_bases(ring, T, logs, G.exponent, d), d)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(diagonal_groups())
 @example((3, [g.matrix for g in zeta3_zeta4_pair()]))
+@example(_largest_diagonal_group())
 def test_canonical_generators_match_the_poly_echelon(case):
-    # the diagonal route's bases, in a rational or Q(zeta_3) eigenbasis: pwb
-    # reduces them only at the degrees of the monoid generators, the
-    # reference at every degree up to d
+    # in a rational or Q(zeta_3) eigenbasis, pwb reduces the expanded monoid
+    # generators alone, at their degrees; the reference every invariant
+    # monomial at every degree up to d
     n, mats = case
     G = group_closure([GradedMap(m) for m in mats])
-    T, logs = G.diagonal
-    e = G.exponent
-    d = min(e, 6)
-    ring = PolyRing([f"x{i}" for i in range(n)])
-    degrees = {sum(x) for x in fixedrings._monoid_generators(ring, logs, e, d)}
-    selected = fixedrings._diagonal_bases(ring, T, logs, e, degrees)
-    every = fixedrings._diagonal_bases(ring, T, logs, e, range(1, d + 1))
-    _assert_generators_match_poly_echelon(selected, every, d)
+    d = min(G.exponent, 6)
+    Z = PoissonAlgebra(PolyRing([f"x{i}" for i in range(n)]), {})
+    p = fixed_group(Z, G, bound=d, with_relations=False)
+    assert list(zip(map(str, p.expressions), p.degrees)) == _printed(
+        _every_degree_reference(Z.ring, G, d))
+    assert all(g.leading()[1].is_one() for g in p.expressions)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(diagonal_groups())
+@example((3, [g.matrix for g in zeta3_zeta4_pair()]))
+@example(_largest_diagonal_group())
+def test_canonical_fixed_ring_matches_the_every_degree_reference(case):
+    # the report of a conjugated abelian group equals the one written on the
+    # reference pipeline's generators: every invariant monomial at every
+    # degree, reduced against the recursively formed products in a Poly echelon
+    n, mats = case
+    G = group_closure([GradedMap(m) for m in mats])
+    d = min(2 * G.exponent, 6)
+    Z = PoissonAlgebra(PolyRing([f"x{i}" for i in range(n)]), {})
+    got = presented_json(fixed_group(Z, G, bound=d, with_relations=False))
+    reference = _every_degree_reference(Z.ring, G, d)
+    with patch.object(fixedrings, "_canonical_generators", lambda bases: reference):
+        assert got == presented_json(fixed_group(Z, G, bound=d, with_relations=False))
 
 
 def test_canonical_route_reduces_only_where_a_generator_is_new(monkeypatch):
     # diag(zeta6, 1, 1, 1, 1) at the default bound 12: the monoid generators
-    # are y2..y5 and y1^6, so products are formed at degrees 1 and 6 only
+    # are y2..y5 and y1^6, so products of chosen generators (the weighted
+    # monomials of the generator ring) are formed at degrees 1 and 6 only
     degrees = []
-    products = fixedrings._products_of_degree
+    monomials = PolyRing.monomials_of_degree
 
-    def recorded(chosen, k):
-        degrees.append(k)
-        return products(chosen, k)
+    def recorded(ring, k, weights=None):
+        if weights is not None:
+            degrees.append(k)
+        return monomials(ring, k, weights)
 
-    monkeypatch.setattr(fixedrings, "_products_of_degree", recorded)
+    monkeypatch.setattr(PolyRing, "monomials_of_degree", recorded)
     G = group_closure([GradedMap(Matrix.diagonal([zeta(6), 1, 1, 1, 1]))])
     p = fixed_group(_skew5_with_two_zero_entries(), G)
     assert p.polynomial and sorted(p.degrees) == [1, 1, 1, 1, 6]

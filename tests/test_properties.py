@@ -246,7 +246,7 @@ def test_fixed_ring_two_generator_group_consistency():
     assert p.polynomial == (p.molien == hilbert_weighted(p.degrees))
     for e in p.expressions:
         for h in G.generators:
-            assert h.apply(e) == e
+            assert e.apply_linear(h.matrix) == e
     for (i, j), entry in p.table.items():
         assert entry.substitute(list(p.expressions), A.ring) == \
             A.bracket(p.expressions[i], p.expressions[j])
