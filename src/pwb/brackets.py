@@ -65,16 +65,21 @@ class PoissonAlgebra:
         else:
             bdeg = degrees.pop()
             quadratic = bdeg == 2
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "table", clean)
-        object.__setattr__(self, "quadratic", quadratic)
-        object.__setattr__(self, "bracket_degree", bdeg)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "_cache", {})  # what is derived once per algebra
+        self._set(ring, clean, quadratic, bdeg, name)
         if check_jacobi:
             ok, witness = self.jacobi_check()
             if not ok:
                 raise JacobiFailsError(witness)
+            self._cache["jacobi"] = True
+
+    def _set(self, ring: PolyRing, table: dict, quadratic: bool, bracket_degree: Optional[int],
+             name: str) -> None:
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "quadratic", quadratic)
+        object.__setattr__(self, "bracket_degree", bracket_degree)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "_cache", {})  # what is derived once per algebra
 
     def __setattr__(self, *a):
         raise AttributeError("PoissonAlgebra is immutable")
@@ -162,6 +167,15 @@ class PoissonAlgebra:
             if self._jacobiator(i, j, k):
                 return False, (names[i], names[j], names[k])
         return True, None
+
+    def jacobi_holds(self) -> bool:
+        """The Jacobi verdict, decided once per algebra: recorded at
+        construction with check_jacobi=True, else by `jacobi_check` on the
+        first call."""
+        found = self._cache.get("jacobi")
+        if found is None:
+            found = self._cache["jacobi"] = self.jacobi_check()[0]
+        return found
 
     def _jacobiator(self, i: int, j: int, k: int) -> dict:
         """The terms of {{x_j, x_k}, x_i} + cyclic for i < j < k."""
@@ -358,7 +372,9 @@ def transport(A: PoissonAlgebra, basis: Matrix, names: Sequence[str]) -> Poisson
     columns' nonzero entries (`linear_bracket_terms`), then written in y
     by x = basis * y (`linear_substitution` of the inverse), each
     monomial's y-image formed once per call and shared by the entries.  A
-    change of basis keeps the Jacobi identity, so it is not checked again.
+    change of basis keeps every entry's degree and the Jacobi identity, so
+    the result takes A's `quadratic` and `bracket_degree`, and neither its
+    pairs nor Jacobi are checked again.
     """
     columns = column_supports(basis.rows)
     to_y = linear_substitution(column_supports(basis.inverse().rows))
@@ -369,7 +385,9 @@ def transport(A: PoissonAlgebra, basis: Matrix, names: Sequence[str]) -> Poisson
             br = A.linear_bracket_terms(columns, i, j)
             if br:
                 table[(i, j)] = Poly(yring, to_y(br))
-    return PoissonAlgebra(yring, table, check_jacobi=False)
+    B = PoissonAlgebra.__new__(PoissonAlgebra)
+    B._set(yring, table, A.quadratic, A.bracket_degree, "A")
+    return B
 
 
 class DerivedIdeal:

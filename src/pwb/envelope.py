@@ -7,15 +7,13 @@ h_i) subject to
     [h_i, m_j] = mu({x_i, x_j})     (all i, j),
     [h_i, h_j] = eta({x_i, x_j})    (i < j),
 where mu(x_k x_l) = m_k m_l and eta(x_k x_l) = m_l h_k + m_k h_l.  The
-relations and their reduced degree-2 echelon, realified over Q(zeta_N) at
-the relations' conductor N, are built once per algebra and kept on it;
-graded dimensions read that echelon.  It gives the leading words of the
-relations in deg-lex order with h above m.  When every overlap x*y*z of
-two leading words x*y and y*z resolves (Bergman's diamond lemma), the
-relations are a Groebner basis and each degree from 3 on counts the words
-with no leading word as a factor.  Otherwise elimination goes on in every
-degree.  A Poisson algebra satisfies Jacobi, so its envelope has a PBW basis
-(Oh) and takes the counting path; the expected series is (1-t)^(-2n).
+relations are built once per algebra and kept on it.  In deg-lex order with
+h above m, each relation's leading word is its commutator's descending word,
+so the leading words are the C(2n, 2) descending letter pairs whatever the
+table.  The relations are a Groebner basis exactly when A satisfies Jacobi
+(Bergman's diamond lemma; Oh's PBW theorem), and then every degree counts
+the weakly increasing words: the series is (1-t)^(-2n).  A table loaded with
+`check_jacobi=False` that fails Jacobi is eliminated from degree 3 on.
 """
 from __future__ import annotations
 
@@ -122,41 +120,37 @@ def _relations(A: PoissonAlgebra) -> tuple[WordSum, ...]:
     return tuple(relations)
 
 
-def _realified_relations(pres: NCPresentation, n: int) -> list[dict[int, int]]:
-    """The relations realified over Q(zeta_n), the two-letter word a*b as column
-    (g-1-a)*g + g-1-b: letters indexed in reverse, so the least column of a
-    row lies in the block of its deg-lex greatest word."""
-    g = pres.ngens
-    top = g - 1
-    return [row for r in pres.relations
-            for row in realify({(top - a) * g + top - b: c for (a, b), c in r.items()}, n)]
-
-
-def _relation_echelon(pres: NCPresentation, n: int) -> Echelon:
-    """The reduced echelon of the realified relations over Q(zeta_n), n their
-    conductor, built once per algebra and kept on it.  Only `reduce` reads it
-    after that."""
-    kept = pres.algebra._cache
-    if "envelope_echelon" not in kept:
-        span = Echelon()
-        for row in _realified_relations(pres, n):
-            span.insert(row)
-        for lead in sorted(span.pivots, reverse=True):  # each row cleared by cleared rows
-            span.clear(lead)
-        kept["envelope_echelon"] = span
-    return kept["envelope_echelon"]
-
-
 def envelope_dims(A: PoissonAlgebra, d: int, cap: int = DEFAULT_DIM_CAP) -> list[int]:
     """dim of the degree-k component of the presented algebra, k = 0..d.
 
-    Degree 2 reads the kept relation echelon, realified over Q(zeta_N), N the
-    conductor of the relations: rank over Q(zeta_N) is the rank over Q
-    divided by phi(N), and each pivot block is a leading word.  Degree 3 is
-    decided by the overlaps x*y*z of two leading words (`_overlaps_resolve`):
-    when all resolve, the relations are a Groebner basis and every degree
-    from 3 on is the count of words free of leading words.  Otherwise each
-    degree k >= 3 eliminates the words u*r*v (|u| + |v| = k - 2) exactly.
+    The leading word of each relation is its commutator's descending word
+    b*a (a < b in the letter order m_1 < .. < m_n < h_1 < .. < h_n): its
+    other words are a*b and, when b is an h, words that begin with an m.
+    The C(g, 2) leads, g = 2n, are distinct, so the relations are independent
+    and degree 2 has g^2 - C(g, 2) = C(g + 1, 2) dimensions.  The words free
+    of leading words are the weakly increasing ones, C(g + k - 1, k) of
+    length k, and every degree counts them iff the relations are a Groebner
+    basis, iff each overlap c*b*a (a < b < c) resolves, iff A
+    satisfies Jacobi (`PoissonAlgebra.jacobi_holds`).  The overlaps:
+
+    - m m m: the commutative polynomial ring's; they resolve.
+    - h m m: both reductions of h_i m_k m_j reach m_j m_k h_i + mu({x_i,
+      x_j x_k}) by Leibniz; they resolve.
+    - h h m: h_j h_i m_k leaves mu(Jac(x_i, x_j, x_k)), the m-image of the
+      Jacobiator, as [[h_j, h_i], m_k] = [h_j, [h_i, m_k]] - [h_i, [h_j,
+      m_k]] with [eta(p), m_k] = mu({p, x_k}); for k = i or k = j that
+      Jacobiator vanishes by antisymmetry.
+    - h h h: h_k h_j h_i leaves H(Jac(x_i, x_j, x_k)), from the associative
+      Jacobi identity of the commutator, with H(f) = sum_a mu(df/dx_a) h_a
+      (so eta = H on quadratics) and [h_k, H(f)] = H({x_k, f}).
+
+    mu(f) and H(f) are sums of normal words, zero only when f is.  So with
+    Jacobi every overlap resolves (Bergman's diamond lemma).  Without it the
+    normal words of degree 3 are dependent: H(Jac) = 0 holds in the algebra
+    for every triple.  Then each degree k >= 3 eliminates the words u*r*v
+    (|u| + |v| = k - 2) exactly, realified over Q(zeta_N), N the conductor
+    of the relations: rank over Q(zeta_N) is the rank over Q divided by
+    phi(N).
     """
     if d < 0:
         raise InvalidDegreeError(f"degree {d} is negative")
@@ -166,20 +160,15 @@ def envelope_dims(A: PoissonAlgebra, d: int, cap: int = DEFAULT_DIM_CAP) -> list
         raise CapExceededError(f"degree {d} exceeds the cap {cap}")
     pres = envelope_presentation(A)
     g = pres.ngens
-    dims = [1, g][: d + 1]
-    if d < 2:
-        return dims
+    if d < 3 or A.jacobi_holds():
+        return [comb(g + k - 1, k) for k in range(d + 1)]
+    dims = [comb(g + k - 1, k) for k in range(3)]
     n = conductor(c for r in pres.relations for c in r.values())
     phi = euler_phi(n)
-    span = _relation_echelon(pres, n)
-    dims.append(g * g - span.rank // phi)
-    if d == 2:
-        return dims
-    leading = {col // phi for col in span.pivots}
-    if _overlaps_resolve(span.pivots, leading, g, phi):
-        return dims + _normal_word_counts(leading, g, d)[3:]
+    top = g - 1  # letters indexed in reverse: a row's least column is its leading word's
     rels = [[(*divmod(col, phi), c) for col, c in row.items()]
-            for row in _realified_relations(pres, n)]
+            for r in pres.relations
+            for row in realify({(top - a) * g + top - b: c for (a, b), c in r.items()}, n)]
     g2 = g * g
     for k in range(3, d + 1):
         span = Echelon()
@@ -191,75 +180,6 @@ def envelope_dims(A: PoissonAlgebra, d: int, cap: int = DEFAULT_DIM_CAP) -> list
                         span.insert({((u + w) * gb + v) * phi + t: c for w, t, c in rel})
         dims.append(g ** k - span.rank // phi)
     return dims
-
-
-class _ShiftedPivots(dict):
-    """Pivot rows of degree 3 built on first lookup from the reduced degree-2
-    rows: for a word x*y*z with a leading factor and t < phi, (pivot of x*y)*z
-    if x*y leads, else x*(pivot of y*z).  Their leads are distinct and cover
-    every column of a word with a leading factor."""
-
-    def __init__(self, pivots: dict, leading: set[int], g: int, phi: int):
-        super().__init__()
-        self.pivots, self.leading, self.g, self.phi = pivots, leading, g, phi
-
-    def __contains__(self, col: int) -> bool:
-        word, g = col // self.phi, self.g
-        return word // g in self.leading or word % (g * g) in self.leading
-
-    def __missing__(self, col: int) -> dict[int, int]:
-        g, phi, pivots = self.g, self.phi, self.pivots
-        word, t = divmod(col, phi)
-        left, z = divmod(word, g)
-        if left in self.leading:
-            row = {(c // phi * g + z) * phi + c % phi: v for c, v in pivots[left * phi + t].items()}
-        else:
-            x, right = divmod(word, g * g)
-            row = _left_shifted(pivots[right * phi + t], x * g * g * phi)
-        self[col] = row
-        return row
-
-
-def _left_shifted(row: dict[int, int], offset: int) -> dict[int, int]:
-    return {c + offset: v for c, v in row.items()}
-
-
-def _overlaps_resolve(pivots: dict, leading: set[int], g: int, phi: int) -> bool:
-    """Does x*(pivot of y*z) at t = 0 reduce to zero against the `_ShiftedPivots`
-    rows for every overlap x*y*z of leading words x*y and y*z?
-
-    Those rows together with the overlaps span the degree-3 relations, and
-    the rows alone span #(words with a leading factor) * phi dimensions.  So
-    all overlaps resolve iff degree 3 has exactly as many dimensions as
-    words free of leading words, iff the relations are a Groebner basis.
-    One t decides each overlap: the relation span is Q(zeta_N)-closed, so its
-    reduced echelon has pivot (v, t) = zeta^t * pivot (v, 0), and the shifted
-    rows, letter shifts of those, span a Q(zeta_N)-closed space.
-    """
-    shifted = Echelon(_ShiftedPivots(pivots, leading, g, phi))
-    block = g * g * phi  # the degree-3 columns of one first letter
-    for xy in leading:
-        x, y = divmod(xy, g)
-        for yz in range(y * g, y * g + g):
-            if yz in leading and shifted.reduce(_left_shifted(pivots[yz * phi], x * block)):
-                return False
-    return True
-
-
-def _normal_word_counts(leading: set[int], g: int, d: int) -> list[int]:
-    """Words of each length 0..d on g letters with no factor a*b, a*g + b in leading,
-    counted by the transfer matrix of the allowed two-letter words."""
-    follow = [[b for b in range(g) if a * g + b not in leading] for a in range(g)]
-    ending = [1] * g  # words of the current length by last letter
-    counts = [1, g]
-    for _ in range(2, d + 1):
-        nxt = [0] * g
-        for a, c in enumerate(ending):
-            for b in follow[a]:
-                nxt[b] += c
-        ending = nxt
-        counts.append(sum(ending))
-    return counts
 
 
 @dataclass

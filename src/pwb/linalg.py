@@ -222,16 +222,12 @@ class Echelon:
     which the row's content is divided out, so entries stay small integers.
     `clear` back-substitutes one pivot row; clearing every pivot row gives the
     reduced echelon form.
-
-    Given pivots, `reduce` reads them through `in` and lookup only, so a
-    mapping that builds each pivot row when first looked up serves as well as
-    a dict; each row must hold its lead as its least column.
     """
 
     __slots__ = ("pivots",)
 
-    def __init__(self, pivots: Optional[Mapping[int, dict[int, int]]] = None):
-        self.pivots = {} if pivots is None else pivots
+    def __init__(self):
+        self.pivots: dict[int, dict[int, int]] = {}
 
     @property
     def rank(self) -> int:

@@ -1250,16 +1250,16 @@ def envelope_dims_by_elimination(A, d: int) -> list[int]:
     return dims
 
 
-# -- the envelope tasks pwb ran before it resolved overlaps -------------------------
+# -- the envelope tasks pwb ran before the Jacobi verdict decided them --------------
 #
-# `pwb.envelope` decides degree 3 by the overlaps of leading words against one
-# reduced degree-2 echelon kept on the algebra, extends a map by the
-# automorphism check alone, and divides a trace denominator by (1 - t)^k once.
-# These are the versions they replaced: degree 3 by elimination of every
-# u*r*v, the relation images of an extension reduced against a relation span
-# eliminated for each map (the reference for the theorem that they are
-# preserved iff the map is an automorphism), and a trace squared, factored and
-# tested by repeated products and divisions.
+# `pwb.envelope` counts normal words when the table satisfies Jacobi (the
+# relations are then a Groebner basis), extends a map by the automorphism
+# check alone, and divides a trace denominator by (1 - t)^k once.  These are
+# the versions they replaced: degree 3 by elimination of every u*r*v, the
+# relation images of an extension reduced against a relation span eliminated
+# for each map (the reference for the theorem that they are preserved iff the
+# map is an automorphism), and a trace squared, factored and tested by
+# repeated products and divisions.
 
 
 def envelope_dims_through_degree_3(A, d: int) -> list[int]:

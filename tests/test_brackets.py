@@ -465,6 +465,8 @@ def test_transport_by_minors_matches_the_bracket_built_table():
         names = tuple(f"y{i}" for i in range(n))
         found, expected = transport(A, T, names), oracle.bracket_transport(A, T, names)
         assert list(found.table) == list(expected.table)
+        assert (found.quadratic, found.bracket_degree, found.name) == (
+            expected.quadratic, expected.bracket_degree, expected.name)
         for pair, p in expected.table.items():
             assert str(found.table[pair]) == str(p)
             assert _stored(found.table[pair]) == _stored(p)
@@ -529,6 +531,23 @@ def test_transport_takes_no_bracket(monkeypatch):
     # {p, m} = {b + c, b - c} = -2 {b, c} = 0
     assert str(found) == ("PoissonAlgebra(a, p, m, d; {a,p}=a*p, {a,m}=a*m, "
                           "{a,d}=1/2*p^2 - 1/2*m^2, {p,d}=p*d, {m,d}=m*d)")
+
+
+def test_transport_validates_no_pair(monkeypatch):
+    # a change of basis keeps each entry's degree: the result is built
+    # without `PoissonAlgebra.__init__`, from A's `quadratic` and
+    # `bracket_degree` (`test_transport_by_minors_matches_the_bracket_built_table`
+    # compares both with a validated construction)
+    A = quantum_matrices(2)
+    T = Matrix([[1, 0, 0, 0], [0, 1, 1, 0], [0, 1, -1, 0], [0, 0, 0, 1]])
+    built = []
+    init = PoissonAlgebra.__init__
+    monkeypatch.setattr(PoissonAlgebra, "__init__",
+                        lambda self, *a, **k: built.append(a) or init(self, *a, **k))
+    found = transport(A, T, ("a", "p", "m", "d"))
+    assert built == []
+    assert (found.quadratic, found.bracket_degree, found.name) == (True, 2, "A")
+    assert found._cache == {}
 
 
 def _derived_cases():

@@ -251,6 +251,29 @@ def test_envelope(tmp_path, capsys):
     assert any("m_x" in s for s in r["relations"])
 
 
+JACOBI_FAILING = """
+algebra bad {
+  vars: x, y, z;
+  bracket{x,y} = x^2;
+  bracket{y,z} = x*y;
+  bracket{x,z} = y^2;
+}
+"""
+
+
+def test_envelope_of_a_jacobi_failing_table(tmp_path, capsys):
+    # deferred, the table is no Groebner basis and degrees 3 and 4 are
+    # eliminated; checked at load, the file is refused
+    f = tmp_path / "bad.pois"
+    f.write_text(JACOBI_FAILING)
+    code, report = run(capsys, "envelope", "--algebra", str(f), "--defer-jacobi", "--dims", "4")
+    assert code == 0
+    assert report["result"]["dims"] == [1, 6, 21, 54, 108]
+    code, report = run(capsys, "envelope", "--algebra", str(f), "--dims", "4")
+    assert code == 1 and report["result"] is None
+    assert report["diagnostics"] == ["JacobiFailsError: Jacobi identity fails on (x, y, z)"]
+
+
 WEYL1 = """
 algebra weyl1 {
   vars: x1, y1;

@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -143,9 +145,9 @@ def test_envelope_dims_of_a_jacobi_failing_table_are_eliminated():
 
 
 def test_envelope_dims_past_degree_3_count_normal_words_of_a_groebner_basis(monkeypatch):
-    # on a fresh algebra, a PBW algebra inserts no row past degree 2 (its
-    # relations, kept on it); a Jacobi-failing table is no Groebner basis and
-    # is eliminated in degree 4 too
+    # on a fresh algebra, a PBW algebra inserts no row in any degree: its
+    # relations are a Groebner basis by Jacobi; a Jacobi-failing table is
+    # counted through degree 2 and eliminated in degrees 3 and 4
     inserted, insert = [], Echelon.insert
     monkeypatch.setattr(Echelon, "insert",
                         lambda self, row: inserted.append(row) or insert(self, row))
@@ -157,8 +159,9 @@ def test_envelope_dims_past_degree_3_count_normal_words_of_a_groebner_basis(monk
 
     for build in (lambda: quantum_matrices(2), lambda: jacobian_pq(1, 2),
                   lambda: homogenized_weyl(1)):
-        assert rows(build, 4) == rows(build, 2) > 0
-    assert rows(jacobi_failing, 4) > rows(jacobi_failing, 3)
+        assert [rows(build, d) for d in range(5)] == [0] * 5
+    assert rows(jacobi_failing, 2) == 0
+    assert rows(jacobi_failing, 4) > rows(jacobi_failing, 3) > 0
     assert envelope_dims(quantum_matrices(2), 6, cap=6) == [1, 8, 36, 120, 330, 792, 1716]
 
 
@@ -284,50 +287,65 @@ def test_envelope_dims_resolve_overlaps_as_the_eliminations_do(A):
     dims = envelope_dims(A, d)
     assert dims == oracle.envelope_dims_through_degree_3(A, d)
     assert dims == oracle.envelope_dims_by_elimination(A, d)
-    assert envelope_dims(A, d) == dims  # again, from the kept echelon
+    assert envelope_dims(A, d) == dims  # again, from the kept verdict
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(WIDE_TABLES)
+def test_jacobi_holds_iff_degree_3_counts_the_normal_words(A):
+    # both directions of the theorem `envelope_dims` rests on: the relations
+    # are a Groebner basis (degree 3 has C(2n + 2, 3) dimensions, one per
+    # weakly increasing word) exactly when the table satisfies Jacobi
+    n = A.nvars
+    assert A.jacobi_holds() == (oracle.envelope_dims_by_elimination(A, 3)[3] == comb(2 * n + 2, 3))
 
 
 def test_drawn_tables_take_the_counting_path_and_the_fallback(monkeypatch):
-    verdicts, resolve = [], envelope._overlaps_resolve
-    monkeypatch.setattr(envelope, "_overlaps_resolve",
-                        lambda *a: verdicts.append(resolve(*a)) or verdicts[-1])
+    # the Jacobi verdict picks the path: no row is eliminated when it holds,
+    # degree 3 is eliminated when it fails, and both verdicts are drawn
+    inserted, insert = [], Echelon.insert
+    monkeypatch.setattr(Echelon, "insert",
+                        lambda self, row: inserted.append(row) or insert(self, row))
+    verdicts = []
 
     @settings(max_examples=60, deadline=None, database=None, derandomize=True)
     @given(WIDE_TABLES)
     def record(A):
+        inserted.clear()
         envelope_dims(A, 3)
+        verdicts.append(A.jacobi_holds())
+        assert verdicts[-1] == (not inserted)
 
     record()
     assert True in verdicts and False in verdicts
 
 
-def test_each_overlap_is_reduced_once(monkeypatch):
-    # over Q(zeta_12), phi = 4: one reduction per overlap x*y*z, not one per t < 4
+def test_no_overlap_is_reduced(monkeypatch):
+    # over Q(zeta_12), phi = 4, the Jacobi verdict decides: no row is reduced
+    # (an insert reduces first), and the count equals the elimination
     z = zeta(12)
     upper = {(0, 1): z, (0, 2): 1, (0, 3): 2, (1, 2): z * z, (1, 3): 3, (2, 3): z}
     q = [[Cyclo.of(0)] * 4 for _ in range(4)]
     for (i, j), c in upper.items():
         q[i][j], q[j][i] = Cyclo.of(c), -Cyclo.of(c)
     B = skew_symmetric(Matrix(q))
-    envelope_dims(B, 4)  # builds the kept echelon
     reduced, reduce = [], Echelon.reduce
     monkeypatch.setattr(Echelon, "reduce",
                         lambda self, row: reduced.append(row) or reduce(self, row))
     dims = envelope_dims(B, 4)
-    assert len(reduced) == 56
+    assert reduced == []
     monkeypatch.undo()
     assert dims == oracle.envelope_dims_by_elimination(B, 4) == [1, 8, 36, 120, 330]
 
 
-def test_the_kept_echelon_holds_only_relation_rows():
+def test_no_echelon_is_kept():
+    # the algebra keeps its relations and its Jacobi verdict, no elimination
     A = jacobi_failing()
     envelope_dims(A, 4)
     envelope_extend(A, GradedMap(Matrix.diagonal([zeta(4)] * 3)))
-    assert set(A._cache) == {"envelope_relations", "envelope_echelon"}
-    # one echelon, at the relations' conductor 1: two-letter words on 6 letters
-    span = A._cache["envelope_echelon"]
-    assert isinstance(span, Echelon)
-    assert span.pivots and all(col < 36 for col in span.pivots)
+    assert A._cache["jacobi"] is False
+    assert "envelope_relations" in A._cache and "envelope_echelon" not in A._cache
+    assert not any(isinstance(v, Echelon) for v in A._cache.values())
 
 
 MAP_SCALARS = [Cyclo.of(c) for c in (1, -1, 2, 0)] + [zeta(3), zeta(4), -zeta(12)]
