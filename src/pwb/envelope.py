@@ -27,8 +27,7 @@ from .linalg import Echelon, Matrix, realify
 from .rings import Poly, _add_terms
 from .scalars import Cyclo, conductor, euler_phi, scaled_term, signed_sum
 from .series import RationalSeries
-from .symmetry import (REFLECTION, GradedMap, classify, is_poisson_automorphism,
-                       trace_series)
+from .symmetry import REFLECTION, GradedMap, classify, is_poisson_automorphism
 from .upoly import UPoly
 
 _ZERO = Cyclo.of(0)
@@ -218,34 +217,32 @@ class EnvelopeTrace:
 
 
 def envelope_trace(A: PoissonAlgebra, g: GradedMap) -> EnvelopeTrace:
-    """Trace series of the extended action: the square of the base trace,
-    reduced because the base trace is."""
+    """Trace series of the extension G = diag(g, g) of a reflection g, written
+    from g's eigenvalue xi != 1.
+
+    The series.  A reflection is a rank-one update g = I + u k^T with
+    k^T u = xi - 1, so by the matrix determinant lemma
+        det(I - t g) = (1 - t)^n (1 - t k^T u / (1 - t)) = (1 - t)^(n-1) (1 - xi t).
+    G's determinant is the square, and its series is
+    1/((1 - xi t)^2 (1 - t)^(2n-2)): the square of g's trace series, already
+    in normalizing-sequence form.  Numerator 1 over a denominator with constant
+    term 1 is the unique normal form, so `series` and `factored` are one value.
+
+    The flag.  G is never a quasi-reflection: its series is not
+    1/((1 - xi' t)(1 - t)^(2n-1)) for any xi'.  Both denominators have constant
+    term 1, so they would be equal in Q(zeta_N)[t], a unique factorisation
+    domain.  Since xi != 1, the prime 1 - xi t is no associate of 1 - t; it
+    divides the first denominator twice and the second at most once.
+    """
     cls = classify(A, g)
     if cls.kind != REFLECTION:
         raise NotReflectionError(f"map classifies as {cls.kind}")
-    base = trace_series(g)
-    squared = RationalSeries.reduced(base.num * base.num, base.den * base.den)
-    n = A.nvars
-    # normalizing-sequence form: 1/((1-xi t)^2 (1-t)^(2n-2))
     xi = cls.xi
-    den = UPoly((_ONE, -2 * xi, xi * xi)) * _one_minus_t_power(2 * n - 2)
-    factored = RationalSeries.reduced(UPoly.one(), den)
-    quasi = _has_quasi_reflection_shape(squared, 2 * n)
-    return EnvelopeTrace(squared, factored, quasi)
+    den = UPoly((_ONE, -2 * xi, xi * xi)) * _one_minus_t_power(2 * A.nvars - 2)
+    series = RationalSeries.reduced(UPoly.one(), den)
+    return EnvelopeTrace(series, series, False)
 
 
 def _one_minus_t_power(k: int) -> UPoly:
     """(1 - t)^k by the binomial theorem."""
     return UPoly(Cyclo.of((-1) ** j * comb(k, j)) for j in range(k + 1))
-
-
-def _has_quasi_reflection_shape(series: RationalSeries, total: int) -> bool:
-    """Is the series 1/((1 - xi t)(1 - t)^(total-1)) for some root of unity xi != 1?"""
-    if series.num.degree() != 0:
-        return False
-    den, rem = series.den.divmod(_one_minus_t_power(total - 1))
-    if not rem.is_zero() or den.degree() != 1:
-        return False
-    xi = -den[1]  # den = 1 - xi t: both denominators have constant term 1
-    order = xi.root_of_unity_order() if not xi.is_zero() else None
-    return order is not None and order > 1

@@ -1344,7 +1344,7 @@ def squared_trace_by_products(base, xi, n: int) -> tuple:
 def quasi_reflection_shape_by_division(series, total: int) -> bool:
     """Is the series 1/((1 - xi t)(1 - t)^(total-1)), xi != 1 a root of unity?
     Divides by 1 - t one factor at a time."""
-    if series.num.degree() != 0:
+    if series.num != UPoly.one():
         return False
     den = series.den
     one_minus_t = UPoly.one_minus(ONE)

@@ -251,6 +251,21 @@ def test_envelope(tmp_path, capsys):
     assert any("m_x" in s for s in r["relations"])
 
 
+def test_envelope_trace_bytes_of_the_readme_swap(tmp_path, capsys):
+    # the b <-> c swap of quantum_matrices(2): 1/((1 + t)^2 (1 - t)^6)
+    f = tmp_path / "m2.pois"
+    run(capsys, "family", "qmatrix", "--n", "2", "--out", str(f))
+    m = tmp_path / "swap.map"
+    m.write_text("map s on m2 {\n  b -> c;\n  c -> b;\n}\n")
+    code, report = run(capsys, "envelope", "--algebra", str(f), "--trace", str(m))
+    assert code == 0
+    den = "t^8 - 4*t^7 + 4*t^6 + 4*t^5 - 10*t^4 + 4*t^3 + 4*t^2 - 4*t + 1"
+    series = {"den": den, "num": "1", "str": f"1/({den})"}
+    assert json.dumps(report["result"]["trace"], sort_keys=True) == json.dumps(
+        {"map": "s", "series": series, "factored": series, "quasi_reflection": False},
+        sort_keys=True)
+
+
 JACOBI_FAILING = """
 algebra bad {
   vars: x, y, z;

@@ -1,7 +1,7 @@
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -256,8 +256,6 @@ def test_envelope_trace_squares():
     assert tr.series == base * base
     assert tr.series == tr.factored
     assert not tr.quasi_reflection
-    with pytest.raises(NotReflectionError):
-        envelope_trace(A, GradedMap(Matrix.diagonal([-1, -1])))
 
 
 def test_envelope_trace_never_quasi():
@@ -266,6 +264,44 @@ def test_envelope_trace_never_quasi():
     tr = envelope_trace(H, g)
     assert not tr.quasi_reflection
     assert tr.series == tr.factored
+
+
+@pytest.mark.parametrize("A, rows, kind", [
+    (skew2(1), [[1, 0], [0, 1]], "identity"),
+    (skew2(1), [[-1, 0], [0, -1]], "finite_non_reflection"),
+    (zero2(), [[1, 1], [0, 1]], "infinite_order"),
+    (skew2(1), [[0, 1], [1, 0]], "not_automorphism"),
+])
+def test_envelope_trace_rejects_every_other_class(A, rows, kind):
+    with pytest.raises(NotReflectionError, match=f"^map classifies as {kind}$"):
+        envelope_trace(A, GradedMap(Matrix(rows)))
+
+
+def test_envelope_trace_is_written_from_the_eigenvalue(monkeypatch):
+    # no characteristic polynomial, no series arithmetic, no division: the
+    # series is 1/((1 - xi t)^2 (1 - t)^(2n-2)) and the flag a theorem
+    from pwb import series, symmetry
+    cases = [(skew2(1), GradedMap(Matrix.diagonal([zeta(3), 1]))),
+             (quantum_matrices(2), GradedMap(Matrix([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0],
+                                                      [0, 0, 0, 1]]))),
+             (homogenized_weyl(1), GradedMap(Matrix.diagonal([1, 1, -1])))]
+    calls = []
+
+    def spy(owner, name):
+        f = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a: calls.append(name) or f(*a))
+
+    spy(Matrix, "charpoly_coeffs")
+    spy(symmetry, "trace_series")
+    spy(series, "gcd_upoly")
+    spy(UPoly, "divmod")
+    traces = [envelope_trace(A, g) for A, g in cases]
+    assert calls == []
+    monkeypatch.undo()
+    for (A, g), tr in zip(cases, traces):
+        base = trace_series(g)
+        assert tr.series == base * base and str(tr.series) == str(base * base)
+        assert tr.factored == tr.series and not tr.quasi_reflection
 
 
 # -- differential tests against the eliminations and checks the envelope replaced --
@@ -448,11 +484,19 @@ def test_envelope_extend_checks_the_bracket_once(monkeypatch):
 REFLECTION_XI = [Cyclo.of(-1), zeta(3), zeta(3, 2), zeta(4), -zeta(4), zeta(6), zeta(12)]
 
 
+def _rank_one_update(u, v):
+    """I + u v^T."""
+    n = len(u)
+    return GradedMap(Matrix([[Cyclo.of(int(i == j)) + u[i] * v[j] for j in range(n)]
+                             for i in range(n)]))
+
+
 @st.composite
 def reflections(draw):
     """A reflection of a skew algebra (diag with xi at one place) or of the zero
-    bracket on 2-4 variables (I + u v^T with v^T u = xi - 1, dense)."""
-    n = draw(st.integers(2, 4))
+    bracket on 1-4 variables (I + u v^T with v^T u = xi - 1, dense); on one
+    variable both are g = [[xi]] on the zero bracket."""
+    n = draw(st.integers(1, 4))
     xi = draw(st.sampled_from(REFLECTION_XI))
     q = [[Cyclo.of(0)] * n for _ in range(n)]
     if draw(st.booleans()):
@@ -469,12 +513,15 @@ def reflections(draw):
     u[k] = Cyclo.of(1)
     v = [Cyclo.of(draw(st.integers(-2, 2))) if i != k else Cyclo.of(0) for i in range(n)]
     v[k] = xi - 1 - sum((a * b for a, b in zip(u, v)), Cyclo.of(0))
-    rows = [[Cyclo.of(int(i == j)) + u[i] * v[j] for j in range(n)] for i in range(n)]
-    return A, GradedMap(Matrix(rows))
+    return A, _rank_one_update(u, v)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(reflections())
+@example((skew_symmetric(Matrix([[0]])), GradedMap(Matrix([[zeta(12)]]))))
+@example((skew_symmetric(Matrix([[0] * 4] * 4)),  # v^T u = -zeta(4) - 1
+          _rank_one_update([Cyclo.of(c) for c in (1, 2, -1, 1)],
+                           [Cyclo.of(1), Cyclo.of(-2), Cyclo.of(2), 4 - zeta(4)])))
 def test_envelope_trace_series_match_the_products(pair):
     A, g = pair
     tr = envelope_trace(A, g)
@@ -482,9 +529,8 @@ def test_envelope_trace_series_match_the_products(pair):
                                                           A.nvars)
     assert tr.series == squared and str(tr.series) == str(squared)
     assert tr.factored == factored and str(tr.factored) == str(factored)
-    assert tr.series == tr.factored
-    assert tr.quasi_reflection == oracle.quasi_reflection_shape_by_division(tr.series,
-                                                                            2 * A.nvars)
+    assert not tr.quasi_reflection
+    assert not oracle.quasi_reflection_shape_by_division(tr.series, 2 * A.nvars)
 
 
 QUASI_XI = [Cyclo.of(1), Cyclo.of(-1), zeta(3), zeta(4), zeta(12), Cyclo.of(2),
@@ -496,10 +542,10 @@ NUMERATORS = [UPoly.one(), UPoly([2]), UPoly([1, 1]), UPoly([1, -1]), UPoly([1, 
 @given(st.sampled_from(QUASI_XI), st.integers(0, 6), st.integers(1, 8),
        st.sampled_from(NUMERATORS))
 def test_quasi_reflection_shape_matches_the_repeated_division(xi, k, total, num):
+    # the oracle against the shape written out: num/(1 - t)^k is 1/(1 - t)^(total-1)
+    # for num = 1 at k = total - 1 and for num = 1 - t, which cancels, at k = total
     series = RationalSeries(num, UPoly.one_minus(xi) * UPoly.one_minus(1) ** k)
-    assert (envelope._has_quasi_reflection_shape(series, total)
-            == oracle.quasi_reflection_shape_by_division(series, total))
-    if num == UPoly.one() and k == total - 1:
-        order = xi.root_of_unity_order() if not xi.is_zero() else None
-        assert envelope._has_quasi_reflection_shape(series, total) == (
-            order is not None and order > 1)
+    order = xi.root_of_unity_order() if not xi.is_zero() else None
+    shape = (num, k) in ((UPoly.one(), total - 1), (UPoly.one_minus(1), total))
+    assert oracle.quasi_reflection_shape_by_division(series, total) == (
+        shape and order is not None and order > 1)
